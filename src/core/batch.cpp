@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/faultpoint.h"
 #include "core/history.h"
-#include "store/commit_log.h"
 
 namespace qrdtm::core {
 
@@ -146,12 +144,12 @@ void BatchPlanner::rollback_cache(const std::vector<ObjectId>& stale) {
 
 sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
                                            std::vector<ObjectId>* stale) {
-  BatchCommitRequest req;
-  req.batch = batch_id;
+  CommitRequest req;
+  req.txn = batch_id;
   for (ObjectId id : order_) {
     const BatchObject& bo = objects_.find(id)->second;
     if (bo.written) {
-      req.writeset.push_back(BatchWriteEntry{id, bo.base, bo.steps, bo.data});
+      req.writeset.push_back(CommitWriteEntry{id, bo.base, bo.data, bo.steps});
     } else {
       req.readset.push_back(CommitReadEntry{id, bo.base});
     }
@@ -176,98 +174,23 @@ sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
     stale->clear();
     co_return false;
   }
-  ++rt_.metrics().commit_requests;
-  rt_.metrics().commit_messages += wq.size();
-  Writer reqw(rt_.rpc_.acquire_buffer(msg::kBatchCommitRequest));
-  req.encode_into(reqw);
-  Bytes reqbytes = std::move(reqw).take();
-  if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(batch_id);
-  auto futures = rt_.rpc_.multicast(wq, msg::kBatchCommitRequest, reqbytes,
-                                    rt_.config().rpc_timeout);
-  if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
-  rt_.rpc_.release_buffer(std::move(reqbytes));
-
-  bool all_commit = true;
-  for (auto& f : futures) {
-    net::RpcResult res = co_await f;
-    rt_.report_rpc_outcome(res.from, res.ok);
-    if (!res.ok) {
-      all_commit = false;  // dead or unreachable member counts as abort
-      continue;
-    }
-    BatchVoteResponse vote = BatchVoteResponse::decode(res.payload);
-    rt_.rpc_.release_buffer(std::move(res.payload));
-    if (!vote.commit) {
-      all_commit = false;
-      stale->insert(stale->end(), vote.stale.begin(), vote.stale.end());
-    }
-  }
-  std::sort(stale->begin(), stale->end());
-  stale->erase(std::unique(stale->begin(), stale->end()), stale->end());
+  const bool all_commit =
+      co_await rt_.commit_vote(req, wq, msg::kBatchCommitRequest, stale);
 
   // With no writes nothing was protected and nothing is applied: the vote
-  // alone validates the read bases, so the confirm round is skipped.
+  // alone validates the read bases, so the confirm phase is skipped.
   const std::uint64_t nwrites = req.writeset.size();
-  if (!req.writeset.empty()) {
-    BatchCommitConfirm confirm;
-    confirm.batch = batch_id;
-    confirm.commit = all_commit;
-    confirm.writeset = std::move(req.writeset);
-    Writer cw(rt_.rpc_.acquire_buffer(msg::kBatchCommitConfirm));
-    confirm.encode_into(cw);
-    Bytes encoded = std::move(cw).take();
-
-    // Durable decision record before any confirm leaves, same contract as
-    // the per-transaction path (DESIGN.md §17); one decision covers the
-    // whole batch.
-    const bool log_decision = rt_.local_log_ != nullptr;
-    if (log_decision) {
-      const FaultAction at_decision =
-          rt_.faults_ != nullptr
-              ? rt_.faults_->fire(fp::kDecisionBeforeLog, rt_.node())
-              : FaultAction::kNone;
-      if (at_decision == FaultAction::kPanic) {
-        // Crashed before the decision was durable: no confirm leaves and
-        // the batch must not succeed -- members retry (and stall against
-        // the dead node) while the prepared replicas presumed-abort.
-        rt_.rpc_.release_buffer(std::move(encoded));
-        stale->clear();
-        co_return false;
-      }
-      if (at_decision != FaultAction::kSkip) {
-        store::Decision d;
-        d.epoch = rt_.rpc_.network().epoch(rt_.node());
-        d.commit = all_commit;
-        d.confirm_kind = msg::kBatchCommitConfirm;
-        d.members.assign(wq.begin(), wq.end());
-        d.payload = encoded;
-        rt_.local_log_->append_decision(batch_id, std::move(d));
-      }
-    }
-
-    rt_.metrics().commit_messages += wq.size();
-    if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(batch_id);
-    bool died_mid_broadcast = false;
-    for (net::NodeId n : wq) {
-      if (rt_.faults_ != nullptr &&
-          rt_.faults_->fire(fp::kConfirmPartial, rt_.node()) ==
-              FaultAction::kPanic) {
-        died_mid_broadcast = true;
-      }
-      Bytes copy = rt_.rpc_.acquire_buffer(msg::kBatchCommitConfirm);
-      copy.assign(encoded.begin(), encoded.end());
-      rt_.rpc_.notify(n, msg::kBatchCommitConfirm, std::move(copy));
-    }
-    if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
-    rt_.rpc_.release_buffer(std::move(encoded));
-    if (log_decision && !died_mid_broadcast) {
-      rt_.local_log_->settle_decision(batch_id);
-    }
-
-    // One commit-settle per *batch*: the confirm-propagation charge is paid
-    // once for the whole cohort, not once per member transaction.
-    if (rt_.config().commit_settle > 0) {
-      co_await rt_.simulator().delay(rt_.config().commit_settle);
+  if (nwrites > 0) {
+    const bool sent =
+        co_await rt_.commit_confirm(batch_id, all_commit,
+                                    std::move(req.writeset), wq,
+                                    msg::kBatchCommitConfirm);
+    if (!sent) {
+      // Crashed before the decision was durable: no confirm left and the
+      // batch must not succeed -- members retry (and stall against the dead
+      // node) while the prepared replicas presumed-abort.
+      stale->clear();
+      co_return false;
     }
   }
 

@@ -13,10 +13,11 @@
 //   * Writes are absorbed in queue order: member i+1 reads member i's
 //     speculative value, so intra-batch read-write conflicts are resolved
 //     by ordering instead of abort+retry (Atomic RMI 2's a-priori order).
-//   * The whole batch commits through one 2PC round against the write
-//     quorum: one protected write-set push per cohort carrying, per object,
-//     the quorum base version, the number of speculative steps, and the
-//     final value (wire.h BatchWriteEntry).  Replicas apply base+steps.
+//   * The whole batch commits through the runtime's 2PC round
+//     (TxnRuntime::commit_vote / commit_confirm) against the write quorum:
+//     one protected write-set push per cohort carrying, per object, the
+//     quorum base version, the number of speculative steps, and the final
+//     value (wire.h CommitWriteEntry).  Replicas apply base+steps.
 //   * A failed vote names the stale objects; the planner drops only those
 //     queues, re-fetches them on next touch, re-executes the bodies from
 //     the refreshed cache (local, near-zero message cost) and re-votes.
@@ -91,9 +92,10 @@ class BatchPlanner {
   /// retrying on rollback; resolves every member's promise.
   sim::Task<void> run_batch(std::vector<Pending> batch);
 
-  /// One batch 2PC round.  Returns true on commit; on abort fills `stale`
-  /// with the union of replica-reported stale ids (empty = diagnose
-  /// nothing, invalidate everything).
+  /// One batch 2PC round; the confirm phase runs only when the batch wrote
+  /// something.  Returns true on commit; on abort fills `stale` with the
+  /// union of replica-reported stale ids (empty = diagnose nothing,
+  /// invalidate everything).
   sim::Task<bool> commit_round(TxnId batch_id, std::vector<ObjectId>* stale);
 
   /// Fold one executed member's sets into the queue cache (and, when a

@@ -41,11 +41,13 @@ enum class FaultAction : std::uint8_t { kNone, kSuspend, kPanic, kSkip };
 
 /// Fault-point name catalogue.  Keep DESIGN.md §15 in sync.
 namespace fp {
-/// Coordinator between gathering commit votes and sending CommitConfirm.
+/// Coordinator between gathering the 2PC votes and sending the confirm --
+/// per-transaction commits and QR-Q batches alike (one shared round).
 inline constexpr const char* kCommitBeforeConfirm = "txn.commit.before_confirm";
 /// Replica after validating + protecting a write-set, before the vote reply.
 inline constexpr const char* kServerVote = "server.vote";
-/// Replica on receiving a CommitConfirm, before applying the writes.
+/// Replica on receiving a 2PC confirm (of a transaction or a batch), before
+/// applying the writes.
 inline constexpr const char* kServerConfirmApply = "server.confirm.apply";
 /// Replica about to append a prepare record to the commit log (skip = the
 /// vote happens but is never made durable).

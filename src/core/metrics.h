@@ -35,7 +35,6 @@ struct Metrics {
   std::uint64_t speculation_rollbacks = 0; // batch rounds aborted + re-run
   std::uint64_t batch_read_hits = 0;       // reads served from the batch cache
 
-  // --- QR-ON (open nesting extension) ---
   // --- recovery (churn experiments) ---
   std::uint64_t node_recoveries = 0;  // replicas that completed catch-up
   /// Objects shipped over the wire by delta-bounded catch-up pulls (the
@@ -77,6 +76,7 @@ struct Metrics {
   /// cohort (the multicast covered several cohorts' write quorums).
   std::uint64_t cross_shard_rounds = 0;
 
+  // --- QR-ON (open nesting extension) ---
   std::uint64_t open_commits = 0;        // open-nested bodies committed
   std::uint64_t compensations_run = 0;   // undone after a root abort
   std::uint64_t lock_conflicts = 0;      // abstract-lock acquisition retries

@@ -41,50 +41,39 @@ QrServer::QrServer(net::RpcEndpoint& rpc) : rpc_(rpc), id_(rpc.id()) {
                          resp.encode_into(w);
                          return std::move(w).take();
                        });
-  rpc.register_service(
-      msg::kCommitRequest,
+  // Per-transaction commits and QR-Q batches share one 2PC handler pair;
+  // each tag replies through its own buffer-size hint.
+  const auto vote_service = [this](net::MsgKind kind) {
+    return [this, kind](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
+      VoteResponse vote = handle_commit_request(CommitRequest::decode(b));
+      if (tracer_ != nullptr) {
+        tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
+                         rpc_.simulator().now(), vote.commit ? 1 : 0);
+      }
+      Writer w(rpc_.acquire_buffer(kind));
+      vote.encode_into(w);
+      return std::move(w).take();
+    };
+  };
+  const auto confirm_service =
       [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        VoteResponse vote = handle_commit_request(CommitRequest::decode(b));
-        if (tracer_ != nullptr) {
-          tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
-                           rpc_.simulator().now(), vote.commit ? 1 : 0);
-        }
-        Writer w(rpc_.acquire_buffer(msg::kCommitRequest));
-        vote.encode_into(w);
+    handle_commit_confirm(CommitConfirm::decode(b));
+    return std::nullopt;  // one-way
+  };
+  rpc.register_service(msg::kCommitRequest, vote_service(msg::kCommitRequest));
+  rpc.register_service(msg::kBatchCommitRequest,
+                       vote_service(msg::kBatchCommitRequest));
+  rpc.register_service(msg::kCommitConfirm, confirm_service);
+  rpc.register_service(msg::kBatchCommitConfirm, confirm_service);
+  rpc.register_service(
+      msg::kSyncPull,
+      [this](net::NodeId from, const Bytes& b) -> std::optional<Bytes> {
+        SyncPullResponse resp =
+            handle_sync_pull(from, SyncPullRequest::decode(b));
+        Writer w(rpc_.acquire_buffer(msg::kSyncPull));
+        resp.encode_into(w);
         return std::move(w).take();
       });
-  rpc.register_service(
-      msg::kCommitConfirm,
-      [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        handle_commit_confirm(CommitConfirm::decode(b));
-        return std::nullopt;  // one-way
-      });
-  rpc.register_service(
-      msg::kBatchCommitRequest,
-      [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        BatchVoteResponse vote =
-            handle_batch_commit_request(BatchCommitRequest::decode(b));
-        if (tracer_ != nullptr) {
-          tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
-                           rpc_.simulator().now(), vote.commit ? 1 : 0);
-        }
-        Writer w(rpc_.acquire_buffer(msg::kBatchCommitRequest));
-        vote.encode_into(w);
-        return std::move(w).take();
-      });
-  rpc.register_service(
-      msg::kBatchCommitConfirm,
-      [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        handle_batch_commit_confirm(BatchCommitConfirm::decode(b));
-        return std::nullopt;  // one-way
-      });
-  rpc.register_service(msg::kSyncPull,
-                       [this](net::NodeId from, const Bytes& b) -> std::optional<Bytes> {
-                         SyncPullResponse resp = handle_sync_pull(from, b);
-                         Writer w(rpc_.acquire_buffer(msg::kSyncPull));
-                         resp.encode_into(w);
-                         return std::move(w).take();
-                       });
   // Cooperative termination: both directions are one-way notifies, so a
   // dead coordinator or peer simply never answers (no RPC timeout to tune).
   rpc.register_service(
@@ -145,8 +134,8 @@ void QrServer::maybe_autocut() {
   }
 }
 
-SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
-                                            const Bytes& payload) const {
+SyncPullResponse QrServer::handle_sync_pull(
+    net::NodeId from, const SyncPullRequest& req) const {
   SyncPullResponse resp;
   // A replica that is itself catching up must not seed another one: its
   // store can be stale and the puller counts this reply toward a full read
@@ -154,11 +143,9 @@ SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
   resp.ok = !syncing_;
   if (!resp.ok) return resp;
   resp.total_objects = store_.num_objects();
-  // The puller's post-replay bounds, ids ascending (empty payload = legacy
-  // full pull).  Only strictly-newer copies ship: an object the puller
-  // already holds at an equal version is pure wasted transfer.
-  std::vector<SyncBound> have;
-  if (!payload.empty()) have = SyncPullRequest::decode(payload).have;
+  // req.have: the puller's post-replay bounds, ids ascending (none = full
+  // pull).  Only strictly-newer copies ship: an object the puller already
+  // holds at an equal version is pure wasted transfer.
   resp.entries.reserve(store_.num_objects());
   // Order fixed by the sort below.
   for (const auto& [id, e] : store_.entries()) {
@@ -167,9 +154,10 @@ SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
     // full replica (and bloat the transfer the delta bound exists to trim).
     if (quorums_ != nullptr && !quorums_->replicates(from, id)) continue;
     const auto it = std::lower_bound(
-        have.begin(), have.end(), id,
+        req.have.begin(), req.have.end(), id,
         [](const SyncBound& s, ObjectId v) { return s.id < v; });
-    const Version bound = (it != have.end() && it->id == id) ? it->version : 0;
+    const Version bound =
+        (it != req.have.end() && it->id == id) ? it->version : 0;
     if (e.version > bound) {
       resp.entries.push_back(SyncEntry{.id = id, .version = e.version,
                                        .data = e.data});
@@ -313,36 +301,42 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
 
 VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // A syncing replica's versions are untrustworthy in both directions: a
-  // stale version would let a conflicting write pass validation.  Abort and
-  // let the coordinator retry once the quorum refreshes.
-  if (syncing_) return VoteResponse{.commit = false};
+  // stale version would let a conflicting write pass validation.  Abort with
+  // no stale report and let the coordinator retry once the quorum refreshes
+  // (a QR-Q coordinator refetches everything when a vote has no diagnosis).
+  if (syncing_) return VoteResponse{.commit = false, .stale = {}};
 
   // Decide commit/abort from local object state (paper §II): every read-set
-  // version must still be current here, and nothing in either set may be
-  // protected by a competing transaction.  The test-only bypass votes
-  // commit unconditionally -- the broken protocol the history checker must
-  // catch (stale reads and competing writers both slip through).
+  // version and write-set base must still be current here, and nothing in
+  // either set may be protected by a competing transaction.  Every entry is
+  // checked and each failing id reported, so a QR-Q coordinator re-fetches
+  // only the stale queues.  The test-only bypass votes commit
+  // unconditionally -- the broken protocol the history checker must catch
+  // (stale reads and competing writers both slip through).
+  VoteResponse resp{.commit = true, .stale = {}};
   if (!skip_commit_validation_) {
     for (const CommitReadEntry& e : req.readset) {
       if (e.version < store_.version_of(e.id) ||
           check_protected(e.id, req.txn)) {
-        return VoteResponse{.commit = false};
+        resp.commit = false;
+        resp.stale.push_back(e.id);
       }
     }
     for (const CommitWriteEntry& e : req.writeset) {
       if (e.base < store_.version_of(e.id) ||
           check_protected(e.id, req.txn)) {
-        return VoteResponse{.commit = false};
+        resp.commit = false;
+        resp.stale.push_back(e.id);
       }
     }
-  }
-  // Commit vote: lock the write-set (paper: object field protected = true).
-  // The test-only bypass skips the locks too: with validation off two
-  // competing writers may both reach this point, and stacking protections
-  // would (rightly) trip the store's single-protector invariant -- the
-  // broken protocol must fail by committing conflicting versions, not by
-  // crashing the replica.  unprotect() at confirm is a lenient no-op.
-  if (!skip_commit_validation_) {
+    if (!resp.commit) return resp;
+    // Commit vote: lock the write-set (paper: object field protected =
+    // true).  The test-only bypass skips the locks too: with validation off
+    // two competing writers may both reach this point, and stacking
+    // protections would (rightly) trip the store's single-protector
+    // invariant -- the broken protocol must fail by committing conflicting
+    // versions, not by crashing the replica.  unprotect() at confirm is a
+    // lenient no-op.
     for (const CommitWriteEntry& e : req.writeset) {
       // A cross-shard commit multicast reaches the union of the touched
       // cohorts' write quorums; each member only locks what it replicates.
@@ -358,7 +352,7 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
     writes.reserve(req.writeset.size());
     for (const CommitWriteEntry& e : req.writeset) {
       if (!replicated_here(e.id)) continue;
-      writes.push_back(store::LoggedWrite{e.id, e.base, 1, e.data});
+      writes.push_back(store::LoggedWrite{e.id, e.base, e.steps, e.data});
     }
     if (!writes.empty()) {
       // The protection is now prepared-backed: only a confirm or a
@@ -382,126 +376,16 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // reply is cut at send, so a kPanic here means the coordinator never
   // hears this vote).
   fault(fp::kServerVote);
-  return VoteResponse{.commit = true};
-}
-
-BatchVoteResponse QrServer::handle_batch_commit_request(
-    const BatchCommitRequest& req) {
-  // Same rule as the per-transaction vote: a syncing replica's versions are
-  // untrustworthy, so abort with no stale report (the coordinator refetches
-  // everything when a vote carries no diagnosis).
-  if (syncing_) return BatchVoteResponse{.commit = false, .stale = {}};
-
-  BatchVoteResponse resp{.commit = true, .stale = {}};
-  // The test-only bypass votes commit unconditionally and takes no
-  // protections, exactly like the per-transaction path: the broken protocol
-  // must fail by committing conflicting batches, not by crashing a replica.
-  if (!skip_commit_validation_) {
-    for (const CommitReadEntry& e : req.readset) {
-      if (e.version < store_.version_of(e.id) ||
-          check_protected(e.id, req.batch)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
-      }
-    }
-    for (const BatchWriteEntry& e : req.writeset) {
-      if (e.base < store_.version_of(e.id) ||
-          check_protected(e.id, req.batch)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
-      }
-    }
-    if (resp.commit) {
-      for (const BatchWriteEntry& e : req.writeset) {
-        if (!replicated_here(e.id)) continue;
-        store_.protect(e.id, req.batch, rpc_.simulator().now());
-      }
-    }
-  }
-  if (resp.commit && durable_log_ && !req.writeset.empty() &&
-      fault(fp::kLogPrepare) != FaultAction::kSkip) {
-    std::vector<store::LoggedWrite> writes;
-    writes.reserve(req.writeset.size());
-    for (const BatchWriteEntry& e : req.writeset) {
-      if (!replicated_here(e.id)) continue;
-      writes.push_back(store::LoggedWrite{e.id, e.base, e.steps, e.data});
-    }
-    if (!writes.empty()) {
-      // Same prepared-backing rule as the per-transaction vote: the batch
-      // decision covers the whole batch, keyed by its batch id.
-      for (const store::LoggedWrite& lw : writes) {
-        store_.mark_prepared(lw.id, req.batch);
-      }
-      const net::NodeId coord =
-          coordinator_of(req.batch, rpc_.network().num_nodes());
-      prepared_[req.batch] = PreparedMeta{
-          coord, coord < rpc_.network().num_nodes()
-                     ? rpc_.network().epoch(coord)
-                     : 0};
-      log_.append_prepare(req.batch, std::move(writes), liveness_epoch());
-      maybe_autocut();
-    }
-  }
-  if (resp.commit) fault(fp::kServerVote);
   return resp;
 }
 
-void QrServer::handle_batch_commit_confirm(const BatchCommitConfirm& confirm) {
+void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
   // At-least-once delivery: recovered coordinators and resolving peers
   // retransmit confirms, so a repeat within the same liveness epoch is
   // counted and dropped, never double-applied.  A live local prepare
   // (protection held / pending log entry) marks the confirm as the outcome
   // of a FRESH 2PC round -- a retried root reuses its id -- so it must be
   // applied, not deduped against the previous round's outcome.
-  bool live_prepare = log_.find_pending(confirm.batch) != nullptr;
-  for (const BatchWriteEntry& e : confirm.writeset) {
-    if (store_.holds_protection(e.id, confirm.batch)) {
-      live_prepare = true;
-      break;
-    }
-  }
-  if (!live_prepare && confirm_is_duplicate(confirm.batch)) return;
-  // Crash (kPanic) or drop (kSkip) exactly at the confirm boundary: the
-  // outcome is neither logged nor applied, and the protections stand until
-  // the lease sheds them.
-  const FaultAction at_apply = fault(fp::kServerConfirmApply);
-  if (at_apply == FaultAction::kSkip || at_apply == FaultAction::kPanic) return;
-  // WAL discipline: the outcome is durable before it is applied.  Only
-  // transactions that logged a local prepare (some write replicated here)
-  // need an outcome record.
-  bool any_local = false;
-  for (const BatchWriteEntry& e : confirm.writeset) {
-    if (replicated_here(e.id)) any_local = true;
-  }
-  if (durable_log_ && any_local &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
-    log_.append_confirm(confirm.batch, confirm.commit, liveness_epoch());
-    maybe_autocut();
-  }
-  if (confirm.commit) {
-    for (const BatchWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      // The batch read `base` through a read quorum (fresh by Q1) and
-      // absorbed `steps` speculative writes in queue order; every
-      // write-quorum member converges on base+steps with the final value.
-      // The intermediate versions exist only in the recorded history, where
-      // the checker certifies them as a serial chain.
-      store_.unprotect(e.id, confirm.batch);
-      store_.apply(e.id, e.base + e.steps, e.data);
-    }
-  } else {
-    for (const BatchWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      store_.unprotect(e.id, confirm.batch);
-    }
-  }
-  store_.drop_txn(confirm.batch);
-  record_outcome(confirm.batch, confirm.commit);
-}
-
-void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
-  // At-least-once delivery; fresh-round detection as in
-  // handle_batch_commit_confirm (a retried root reuses its txn id).
   bool live_prepare = log_.find_pending(confirm.txn) != nullptr;
   for (const CommitWriteEntry& e : confirm.writeset) {
     if (store_.holds_protection(e.id, confirm.txn)) {
@@ -510,7 +394,9 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
     }
   }
   if (!live_prepare && confirm_is_duplicate(confirm.txn)) return;
-  // Crash (kPanic) or drop (kSkip) exactly at the confirm boundary.
+  // Crash (kPanic) or drop (kSkip) exactly at the confirm boundary: the
+  // outcome is neither logged nor applied, and the protections stand until
+  // the lease sheds them.
   const FaultAction at_apply = fault(fp::kServerConfirmApply);
   if (at_apply == FaultAction::kSkip || at_apply == FaultAction::kPanic) return;
   // WAL discipline: the outcome is durable before it is applied.  Only
@@ -525,20 +411,15 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
     log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
     maybe_autocut();
   }
-  if (confirm.commit) {
-    for (const CommitWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      // The committed version is base+1.  The writer read `base` through a
-      // read quorum, so by Q1 it was the globally newest version; base+1 is
-      // therefore fresh, and every write-quorum member converges on it.
-      store_.unprotect(e.id, confirm.txn);
-      store_.apply(e.id, e.base + 1, e.data);
-    }
-  } else {
-    for (const CommitWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      store_.unprotect(e.id, confirm.txn);
-    }
+  for (const CommitWriteEntry& e : confirm.writeset) {
+    if (!replicated_here(e.id)) continue;
+    store_.unprotect(e.id, confirm.txn);
+    // The writer read `base` through a read quorum, so by Q1 it was the
+    // globally newest version; base+steps is therefore fresh, and every
+    // write-quorum member converges on it.  A QR-Q batch's intermediate
+    // versions exist only in the recorded history, where the checker
+    // certifies them as a serial chain.
+    if (confirm.commit) store_.apply(e.id, e.base + e.steps, e.data);
   }
   store_.drop_txn(confirm.txn);
   record_outcome(confirm.txn, confirm.commit);
@@ -711,9 +592,7 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  bool batch = false;
   for (const store::LoggedWrite& lw : writes) {
-    if (lw.steps > 1) batch = true;
     store_.unprotect(lw.id, txn);
     if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
@@ -735,40 +614,24 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // now answer kCommitted/kAborted from the applied-set).
   const auto it = term_.find(txn);
   if (it != term_.end() && !writes.empty()) {
-    const net::MsgKind kind =
-        batch ? msg::kBatchCommitConfirm : msg::kCommitConfirm;
-    Bytes encoded;
-    if (batch) {
-      BatchCommitConfirm confirm;
-      confirm.batch = txn;
-      confirm.commit = commit;
-      confirm.writeset.reserve(writes.size());
-      for (const store::LoggedWrite& lw : writes) {
-        confirm.writeset.push_back(
-            BatchWriteEntry{lw.id, lw.base, lw.steps, lw.data});
-      }
-      Writer w(rpc_.acquire_buffer(kind));
-      confirm.encode_into(w);
-      encoded = std::move(w).take();
-    } else {
-      CommitConfirm confirm;
-      confirm.txn = txn;
-      confirm.commit = commit;
-      confirm.writeset.reserve(writes.size());
-      for (const store::LoggedWrite& lw : writes) {
-        confirm.writeset.push_back(CommitWriteEntry{lw.id, lw.base, lw.data});
-      }
-      Writer w(rpc_.acquire_buffer(kind));
-      confirm.encode_into(w);
-      encoded = std::move(w).take();
+    CommitConfirm confirm;
+    confirm.txn = txn;
+    confirm.commit = commit;
+    confirm.writeset.reserve(writes.size());
+    for (const store::LoggedWrite& lw : writes) {
+      confirm.writeset.push_back(
+          CommitWriteEntry{lw.id, lw.base, lw.data, lw.steps});
     }
+    Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
+    confirm.encode_into(w);
+    Bytes encoded = std::move(w).take();
     if (metrics_ != nullptr) {
       metrics_->commit_messages += it->second.targets.size();
     }
     for (net::NodeId n : it->second.targets) {
-      Bytes copy = rpc_.acquire_buffer(kind);
+      Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
       copy.assign(encoded.begin(), encoded.end());
-      rpc_.notify(n, kind, std::move(copy));
+      rpc_.notify(n, msg::kCommitConfirm, std::move(copy));
     }
     rpc_.release_buffer(std::move(encoded));
   }
@@ -782,11 +645,11 @@ std::size_t QrServer::redrive_open_decisions() {
   for (const auto& [txn, d] : log_.open_decisions()) txns.push_back(txn);
   for (TxnId txn : txns) {
     const store::Decision& d = log_.open_decisions().at(txn);
-    const net::MsgKind kind = d.confirm_kind;
     for (std::uint32_t m : d.members) {
-      Bytes copy = rpc_.acquire_buffer(kind);
+      Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
       copy.assign(d.payload.begin(), d.payload.end());
-      rpc_.notify(static_cast<net::NodeId>(m), kind, std::move(copy));
+      rpc_.notify(static_cast<net::NodeId>(m), msg::kCommitConfirm,
+                  std::move(copy));
     }
     if (metrics_ != nullptr) metrics_->commit_messages += d.members.size();
     // The broadcast left this (live) node: settle.  A crash during the

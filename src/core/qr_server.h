@@ -9,10 +9,17 @@
 //     Alg. 4), then serve the local copy (Alg. 2 "Remote"), maintaining
 //     PR/PW for root transactions only.
 //   * kCommitRequest -- 2PC vote: validate read-set versions and write-set
-//     bases, check protection, protect the write-set on a commit vote.
-//   * kCommitConfirm -- apply (or roll back) the protected write-set.
-//   * kSyncPull      -- recovery catch-up: serve the full committed store to
-//     a rejoining replica (Cluster::recover_node's anti-entropy pull).
+//     bases, check protection, protect the write-set on a commit vote.  An
+//     abort vote lists every stale id.
+//   * kCommitConfirm -- apply (version base+steps) or roll back the
+//     protected write-set.
+//   * kBatchCommitRequest / kBatchCommitConfirm -- QR-Q batches: the same
+//     messages and the same two handlers, under their own tags so per-kind
+//     message counts keep batches apart.  A per-transaction round is a
+//     batch round whose write entries all have steps = 1.
+//   * kSyncPull      -- recovery catch-up: serve a rejoining replica the
+//     committed copies newer than its post-replay bounds
+//     (Cluster::recover_node's anti-entropy pull).
 //
 // Protections carry a coordinator-liveness lease: one held longer than the
 // lease means the coordinator died between vote and confirm (a confirm is
@@ -49,7 +56,7 @@ namespace qrdtm::core {
 
 class QrServer {
  public:
-  /// Wires the three QR services into `rpc`.  The server must outlive the
+  /// Wires the QR services into `rpc`.  The server must outlive the
   /// endpoint's registered handlers (the Cluster owns both).
   explicit QrServer(net::RpcEndpoint& rpc);
 
@@ -184,14 +191,12 @@ class QrServer {
   };
 
   ReadResponse handle_read(const ReadRequest& req);
+  /// 2PC vote for one transaction or one QR-Q batch: validate every read
+  /// version and write base, report each stale id, protect + prepare the
+  /// write-set on a commit vote.
   VoteResponse handle_commit_request(const CommitRequest& req);
+  /// Apply (base + steps) or roll back the protected write-set.
   void handle_commit_confirm(const CommitConfirm& confirm);
-
-  /// QR-Q batch 2PC: validate every read base and write base like the
-  /// per-transaction vote, but report the ids that failed so the
-  /// coordinator can re-fetch only the stale queues.
-  BatchVoteResponse handle_batch_commit_request(const BatchCommitRequest& req);
-  void handle_batch_commit_confirm(const BatchCommitConfirm& confirm);
 
   /// Rqv (Alg. 1 + Alg. 4): returns an abort-carrying response when any
   /// data-set entry is invalid on this replica, nullopt when valid.
@@ -226,7 +231,7 @@ class QrServer {
   void resolve_indoubt(TxnId txn, bool commit);
 
   SyncPullResponse handle_sync_pull(net::NodeId from,
-                                    const Bytes& payload) const;
+                                    const SyncPullRequest& req) const;
 
   /// Whether this node replicates `id` (true under full replication).
   bool replicated_here(ObjectId id) const {

@@ -881,109 +881,20 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
   for (const CommitReadEntry& e : req.readset) touched.push_back(e.id);
   for (const CommitWriteEntry& e : req.writeset) touched.push_back(e.id);
   const std::vector<net::NodeId> wq = union_write_quorum(touched);
-  ++metrics_.commit_requests;
-  metrics_.commit_messages += wq.size();
-  Writer reqw(rpc_.acquire_buffer(msg::kCommitRequest));
-  req.encode_into(reqw);
-  Bytes reqbytes = std::move(reqw).take();
-  if (tracer_ != nullptr) rpc_.set_trace_context(root.scope_id_);
-  auto futures =
-      rpc_.multicast(wq, msg::kCommitRequest, reqbytes, config_.rpc_timeout);
-  if (tracer_ != nullptr) rpc_.set_trace_context(0);
-  rpc_.release_buffer(std::move(reqbytes));
+  std::vector<ObjectId> stale;
+  const bool all_commit =
+      co_await commit_vote(req, wq, msg::kCommitRequest, &stale);
 
-  bool all_commit = true;
-  for (auto& f : futures) {
-    net::RpcResult res = co_await f;
-    report_rpc_outcome(res.from, res.ok);
-    if (!res.ok) {
-      all_commit = false;  // dead or unreachable member counts as abort
-      continue;
-    }
-    if (!VoteResponse::decode(res.payload).commit) all_commit = false;
-    rpc_.release_buffer(std::move(res.payload));
-  }
-
-  // The canonical checkpoint/recovery race window: votes are gathered (the
-  // write quorum has protected + durably prepared the write-set) but the
-  // confirm has not been sent.  Tests park the coordinator here, cut
-  // checkpoints / crash replicas, then resume (fp::kCommitBeforeConfirm).
-  if (faults_ != nullptr &&
-      faults_->fire(fp::kCommitBeforeConfirm, node()) == FaultAction::kSuspend) {
-    co_await faults_->suspend(fp::kCommitBeforeConfirm, node());
-  }
-
-  // The confirm goes out either way: voters that protected the write-set
-  // must release it on abort.
-  CommitConfirm confirm;
-  confirm.txn = req.txn;
-  confirm.commit = all_commit;
-  confirm.writeset = std::move(req.writeset);
-  Writer cw(rpc_.acquire_buffer(msg::kCommitConfirm));
-  confirm.encode_into(cw);
-  Bytes encoded = std::move(cw).take();
-
-  // Durable decision record (DESIGN.md §17): the outcome -- commit AND
-  // abort, so termination rounds get authoritative abort answers too -- is
-  // on the local WAL BEFORE any confirm leaves this node.  A coordinator
-  // restart therefore proves: no decision in the log => no confirm was ever
-  // sent => in-doubt replicas may presumed-abort safely.  Read-only rounds
-  // (empty writeset) take no protections and log nothing.
-  const bool log_decision = local_log_ != nullptr && !confirm.writeset.empty();
-  if (log_decision) {
-    const FaultAction at_decision =
-        faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
-                           : FaultAction::kNone;
-    if (at_decision == FaultAction::kPanic) {
-      // Crashed before the decision was durable: no confirm leaves, the
-      // attempt must not be recorded as a commit (the prepared replicas
-      // will presumed-abort it once the restarted coordinator answers).
-      rpc_.release_buffer(std::move(encoded));
-      throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                           "coordinator crashed before decision log"};
-    }
-    if (at_decision != FaultAction::kSkip) {
-      // kSkip = the --break-termination canary: confirms go out with no
-      // durable decision, so a restart presumed-aborts an acked commit.
-      store::Decision d;
-      d.epoch = rpc_.network().epoch(node());
-      d.commit = all_commit;
-      d.confirm_kind = msg::kCommitConfirm;
-      d.members.assign(wq.begin(), wq.end());
-      d.payload = encoded;
-      local_log_->append_decision(req.txn, std::move(d));
-    }
-  }
-
-  metrics_.commit_messages += wq.size();
-  if (tracer_ != nullptr) rpc_.set_trace_context(root.scope_id_);
-  bool died_mid_broadcast = false;
-  for (net::NodeId n : wq) {
-    // Coordinator crash after a strict subset of the confirms left the node
-    // (arm with delay_fires=K to let K members hear the outcome).  The dead
-    // node's remaining sends are cut at the network, so just keep looping.
-    if (faults_ != nullptr &&
-        faults_->fire(fp::kConfirmPartial, node()) == FaultAction::kPanic) {
-      died_mid_broadcast = true;
-    }
-    Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
-    copy.assign(encoded.begin(), encoded.end());
-    rpc_.notify(n, msg::kCommitConfirm, std::move(copy));
-  }
-  if (tracer_ != nullptr) rpc_.set_trace_context(0);
-  rpc_.release_buffer(std::move(encoded));
-  // The broadcast completed in this incarnation: stop re-driving it.  A
-  // coordinator that died mid-broadcast must NOT settle -- recovery replays
-  // the decision and re-sends (receivers dedupe duplicates).
-  if (log_decision && !died_mid_broadcast) {
-    local_log_->settle_decision(req.txn);
-  }
-
-  // Charge the one-way confirm propagation (paper: commit-confirm cost is
-  // the distance to the write quorum).  This also keeps the client's next
-  // attempt from racing its own confirms.
-  if (config_.commit_settle > 0) {
-    co_await rpc_.simulator().delay(config_.commit_settle);
+  // The confirm goes out even for a read-only round or an abort: voters
+  // that protected the write-set must release it on abort.
+  const bool sent = co_await commit_confirm(
+      req.txn, all_commit, std::move(req.writeset), wq, msg::kCommitConfirm);
+  if (!sent) {
+    // Crashed before the decision was durable: no confirm left, so the
+    // attempt must not be recorded as a commit (the prepared replicas will
+    // presumed-abort it once the restarted coordinator answers).
+    throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
+                         "coordinator crashed before decision log"};
   }
 
   if (tracer_ != nullptr) {
@@ -996,6 +907,122 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
     throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
                          "commit vote failed"};
   }
+}
+
+sim::Task<bool> TxnRuntime::commit_vote(const CommitRequest& req,
+                                        const std::vector<net::NodeId>& wq,
+                                        net::MsgKind tag,
+                                        std::vector<ObjectId>* stale) {
+  ++metrics_.commit_requests;
+  metrics_.commit_messages += wq.size();
+  Writer reqw(rpc_.acquire_buffer(tag));
+  req.encode_into(reqw);
+  Bytes reqbytes = std::move(reqw).take();
+  if (tracer_ != nullptr) rpc_.set_trace_context(req.txn);
+  auto futures = rpc_.multicast(wq, tag, reqbytes, config_.rpc_timeout);
+  if (tracer_ != nullptr) rpc_.set_trace_context(0);
+  rpc_.release_buffer(std::move(reqbytes));
+
+  bool all_commit = true;
+  for (auto& f : futures) {
+    net::RpcResult res = co_await f;
+    report_rpc_outcome(res.from, res.ok);
+    if (!res.ok) {
+      all_commit = false;  // dead or unreachable member counts as abort
+      continue;
+    }
+    VoteResponse vote = VoteResponse::decode(res.payload);
+    rpc_.release_buffer(std::move(res.payload));
+    if (!vote.commit) {
+      all_commit = false;
+      stale->insert(stale->end(), vote.stale.begin(), vote.stale.end());
+    }
+  }
+  std::sort(stale->begin(), stale->end());
+  stale->erase(std::unique(stale->begin(), stale->end()), stale->end());
+  co_return all_commit;
+}
+
+sim::Task<bool> TxnRuntime::commit_confirm(
+    TxnId txn, bool commit, std::vector<CommitWriteEntry> writeset,
+    const std::vector<net::NodeId>& wq, net::MsgKind tag) {
+  // The canonical checkpoint/recovery race window: votes are gathered (the
+  // write quorum has protected + durably prepared the write-set) but the
+  // confirm has not been sent.  Tests park the coordinator here, cut
+  // checkpoints / crash replicas, then resume (fp::kCommitBeforeConfirm).
+  if (faults_ != nullptr &&
+      faults_->fire(fp::kCommitBeforeConfirm, node()) == FaultAction::kSuspend) {
+    co_await faults_->suspend(fp::kCommitBeforeConfirm, node());
+  }
+
+  CommitConfirm confirm;
+  confirm.txn = txn;
+  confirm.commit = commit;
+  confirm.writeset = std::move(writeset);
+  Writer cw(rpc_.acquire_buffer(tag));
+  confirm.encode_into(cw);
+  Bytes encoded = std::move(cw).take();
+
+  // Durable decision record (DESIGN.md §17): the outcome -- commit AND
+  // abort, so termination rounds get authoritative abort answers too -- is
+  // on the local WAL BEFORE any confirm leaves this node.  A coordinator
+  // restart therefore proves: no decision in the log => no confirm was ever
+  // sent => in-doubt replicas may presumed-abort safely.  Read-only rounds
+  // (empty writeset) take no protections and log nothing.  One decision
+  // covers a whole QR-Q batch.
+  const bool log_decision = local_log_ != nullptr && !confirm.writeset.empty();
+  if (log_decision) {
+    const FaultAction at_decision =
+        faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
+                           : FaultAction::kNone;
+    if (at_decision == FaultAction::kPanic) {
+      rpc_.release_buffer(std::move(encoded));
+      co_return false;
+    }
+    if (at_decision != FaultAction::kSkip) {
+      // kSkip = the --break-termination canary: confirms go out with no
+      // durable decision, so a restart presumed-aborts an acked commit.
+      store::Decision d;
+      d.epoch = rpc_.network().epoch(node());
+      d.commit = commit;
+      d.members.assign(wq.begin(), wq.end());
+      d.payload = encoded;
+      local_log_->append_decision(txn, std::move(d));
+    }
+  }
+
+  metrics_.commit_messages += wq.size();
+  if (tracer_ != nullptr) rpc_.set_trace_context(txn);
+  bool died_mid_broadcast = false;
+  for (net::NodeId n : wq) {
+    // Coordinator crash after a strict subset of the confirms left the node
+    // (arm with delay_fires=K to let K members hear the outcome).  The dead
+    // node's remaining sends are cut at the network, so just keep looping.
+    if (faults_ != nullptr &&
+        faults_->fire(fp::kConfirmPartial, node()) == FaultAction::kPanic) {
+      died_mid_broadcast = true;
+    }
+    Bytes copy = rpc_.acquire_buffer(tag);
+    copy.assign(encoded.begin(), encoded.end());
+    rpc_.notify(n, tag, std::move(copy));
+  }
+  if (tracer_ != nullptr) rpc_.set_trace_context(0);
+  rpc_.release_buffer(std::move(encoded));
+  // The broadcast completed in this incarnation: stop re-driving it.  A
+  // coordinator that died mid-broadcast must NOT settle -- recovery replays
+  // the decision and re-sends (receivers dedupe duplicates).
+  if (log_decision && !died_mid_broadcast) {
+    local_log_->settle_decision(txn);
+  }
+
+  // Charge the one-way confirm propagation (paper: commit-confirm cost is
+  // the distance to the write quorum) -- once per round, so a QR-Q batch
+  // pays it once for all its members.  This also keeps the client's next
+  // attempt from racing its own confirms.
+  if (config_.commit_settle > 0) {
+    co_await rpc_.simulator().delay(config_.commit_settle);
+  }
+  co_return true;
 }
 
 sim::Task<void> TxnRuntime::backoff(std::uint32_t attempt, TxnId txn) {

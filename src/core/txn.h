@@ -430,9 +430,28 @@ class TxnRuntime {
     }
   }
 
-  /// Two-phase commit of the root scope against the write quorum.  Commits
-  /// locally (no messages) for read-only roots under QR-CN.
+  /// Two-phase commit of the root scope against the write quorum: the vote
+  /// and confirm phases below, the confirm sent even for a read-only round.
+  /// Commits locally (no messages) for read-only roots under QR-CN.
   sim::Task<void> commit_root(Txn& root);
+
+  /// 2PC vote phase, shared by per-transaction commits (tag kCommitRequest)
+  /// and QR-Q batches (tag kBatchCommitRequest): multicast `req` to `wq` and
+  /// gather the votes.  True when every member voted commit; otherwise
+  /// `stale` holds the sorted, unique ids the replicas reported stale
+  /// (empty = no diagnosis, e.g. a dead member or a syncing replica).
+  sim::Task<bool> commit_vote(const CommitRequest& req,
+                              const std::vector<net::NodeId>& wq,
+                              net::MsgKind tag, std::vector<ObjectId>* stale);
+
+  /// 2PC confirm phase: park at fp::kCommitBeforeConfirm, durably log the
+  /// decision, broadcast the confirm for `txn` to `wq` under `tag`, then
+  /// charge commit_settle.  False, with nothing sent, when the coordinator
+  /// crashed before its decision was durable.
+  sim::Task<bool> commit_confirm(TxnId txn, bool commit,
+                                 std::vector<CommitWriteEntry> writeset,
+                                 const std::vector<net::NodeId>& wq,
+                                 net::MsgKind tag);
 
   /// QR-ON: after the root commits, release its abstract locks; after a
   /// root abort, run the registered compensations (reverse order, each as

@@ -10,7 +10,7 @@ constexpr std::size_t kEntryBytes = 8 + 8 + 8 + 4 + 8;      // DataSetEntry
 constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
 constexpr std::size_t kReadEntryBytes = 8 + 8;              // CommitReadEntry
-constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4;        // + data
+constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4 + 4;    // + data
 
 std::size_t writeset_bytes(const std::vector<CommitWriteEntry>& ws) {
   std::size_t n = 4;
@@ -18,23 +18,15 @@ std::size_t writeset_bytes(const std::vector<CommitWriteEntry>& ws) {
   return n;
 }
 
-constexpr std::size_t kBatchWriteHeader = 8 + 8 + 4 + 4;  // + data
-
-std::size_t batch_writeset_bytes(const std::vector<BatchWriteEntry>& ws) {
-  std::size_t n = 4;
-  for (const BatchWriteEntry& e : ws) n += kBatchWriteHeader + e.data.size();
-  return n;
-}
-
-void encode_batch_write(Writer& w, const BatchWriteEntry& e) {
+void encode_write(Writer& w, const CommitWriteEntry& e) {
   w.u64(e.id);
   w.u64(e.base);
   w.u32(e.steps);
   w.blob(e.data);
 }
 
-BatchWriteEntry decode_batch_write(Reader& r) {
-  BatchWriteEntry e;
+CommitWriteEntry decode_write(Reader& r) {
+  CommitWriteEntry e;
   e.id = r.u64();
   e.base = r.u64();
   e.steps = r.u32();
@@ -132,11 +124,7 @@ void CommitRequest::encode_into(Writer& w) const {
     w2.u64(e.id);
     w2.u64(e.version);
   });
-  encode_vec(w, writeset, [](Writer& w2, const CommitWriteEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.base);
-    w2.blob(e.data);
-  });
+  encode_vec(w, writeset, encode_write);
 }
 
 Bytes CommitRequest::encode() const {
@@ -155,18 +143,16 @@ CommitRequest CommitRequest::decode(const Bytes& b) {
     e.version = r2.u64();
     return e;
   });
-  req.writeset = decode_vec<CommitWriteEntry>(r, [](Reader& r2) {
-    CommitWriteEntry e;
-    e.id = r2.u64();
-    e.base = r2.u64();
-    e.data = r2.blob();
-    return e;
-  });
+  req.writeset = decode_vec<CommitWriteEntry>(r, decode_write);
   r.expect_done();
   return req;
 }
 
-void VoteResponse::encode_into(Writer& w) const { w.boolean(commit); }
+void VoteResponse::encode_into(Writer& w) const {
+  w.reserve(w.size() + 1 + 4 + stale.size() * 8);
+  w.boolean(commit);
+  encode_vec(w, stale, [](Writer& w2, ObjectId id) { w2.u64(id); });
+}
 
 Bytes VoteResponse::encode() const {
   Writer w;
@@ -178,6 +164,7 @@ VoteResponse VoteResponse::decode(const Bytes& b) {
   Reader r(b);
   VoteResponse v;
   v.commit = r.boolean();
+  v.stale = decode_vec<ObjectId>(r, [](Reader& r2) { return r2.u64(); });
   r.expect_done();
   return v;
 }
@@ -244,82 +231,6 @@ SyncPullResponse SyncPullResponse::decode(const Bytes& b) {
   return resp;
 }
 
-void BatchCommitRequest::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 4 + readset.size() * kReadEntryBytes +
-            batch_writeset_bytes(writeset));
-  w.u64(batch);
-  encode_vec(w, readset, [](Writer& w2, const CommitReadEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.version);
-  });
-  encode_vec(w, writeset, encode_batch_write);
-}
-
-Bytes BatchCommitRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
-BatchCommitRequest BatchCommitRequest::decode(const Bytes& b) {
-  Reader r(b);
-  BatchCommitRequest req;
-  req.batch = r.u64();
-  req.readset = decode_vec<CommitReadEntry>(r, [](Reader& r2) {
-    CommitReadEntry e;
-    e.id = r2.u64();
-    e.version = r2.u64();
-    return e;
-  });
-  req.writeset = decode_vec<BatchWriteEntry>(r, decode_batch_write);
-  r.expect_done();
-  return req;
-}
-
-void BatchVoteResponse::encode_into(Writer& w) const {
-  w.reserve(w.size() + 1 + 4 + stale.size() * 8);
-  w.boolean(commit);
-  encode_vec(w, stale, [](Writer& w2, ObjectId id) { w2.u64(id); });
-}
-
-Bytes BatchVoteResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
-BatchVoteResponse BatchVoteResponse::decode(const Bytes& b) {
-  Reader r(b);
-  BatchVoteResponse v;
-  v.commit = r.boolean();
-  v.stale = decode_vec<ObjectId>(r, [](Reader& r2) { return r2.u64(); });
-  r.expect_done();
-  return v;
-}
-
-void BatchCommitConfirm::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 1 + batch_writeset_bytes(writeset));
-  w.u64(batch);
-  w.boolean(commit);
-  encode_vec(w, writeset, encode_batch_write);
-}
-
-Bytes BatchCommitConfirm::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
-BatchCommitConfirm BatchCommitConfirm::decode(const Bytes& b) {
-  Reader r(b);
-  BatchCommitConfirm c;
-  c.batch = r.u64();
-  c.commit = r.boolean();
-  c.writeset = decode_vec<BatchWriteEntry>(r, decode_batch_write);
-  r.expect_done();
-  return c;
-}
-
 void TxnStatusRequest::encode_into(Writer& w) const {
   w.reserve(w.size() + 8);
   w.u64(txn);
@@ -366,11 +277,7 @@ void CommitConfirm::encode_into(Writer& w) const {
   w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset));
   w.u64(txn);
   w.boolean(commit);
-  encode_vec(w, writeset, [](Writer& w2, const CommitWriteEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.base);
-    w2.blob(e.data);
-  });
+  encode_vec(w, writeset, encode_write);
 }
 
 Bytes CommitConfirm::encode() const {
@@ -384,13 +291,7 @@ CommitConfirm CommitConfirm::decode(const Bytes& b) {
   CommitConfirm c;
   c.txn = r.u64();
   c.commit = r.boolean();
-  c.writeset = decode_vec<CommitWriteEntry>(r, [](Reader& r2) {
-    CommitWriteEntry e;
-    e.id = r2.u64();
-    e.base = r2.u64();
-    e.data = r2.blob();
-    return e;
-  });
+  c.writeset = decode_vec<CommitWriteEntry>(r, decode_write);
   r.expect_done();
   return c;
 }

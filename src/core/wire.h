@@ -23,8 +23,11 @@ constexpr net::MsgKind kRead = 0x0101;
 constexpr net::MsgKind kCommitRequest = 0x0102;
 constexpr net::MsgKind kCommitConfirm = 0x0103;  // one-way, commit or abort
 constexpr net::MsgKind kSyncPull = 0x0104;       // recovery anti-entropy
-constexpr net::MsgKind kBatchCommitRequest = 0x0105;  // QR-Q: batch 2PC vote
-constexpr net::MsgKind kBatchCommitConfirm = 0x0106;  // QR-Q: one-way confirm
+// QR-Q batches run the same 2PC round under their own tags, so per-kind
+// message counts keep batches apart; the payloads are CommitRequest and
+// CommitConfirm and the replica handlers are shared.
+constexpr net::MsgKind kBatchCommitRequest = 0x0105;
+constexpr net::MsgKind kBatchCommitConfirm = 0x0106;
 constexpr net::MsgKind kTxnStatusRequest = 0x0107;    // termination: one-way
 constexpr net::MsgKind kTxnStatusResponse = 0x0108;   // termination: one-way
 }  // namespace msg
@@ -89,14 +92,21 @@ struct CommitReadEntry {
   Version version = 0;
 };
 
-/// One write-set entry: `base` is the version the writer read; the committed
-/// version becomes base+1 (globally fresh by Q1 -- see qr_server.cpp).
+/// One write-set entry: `base` is the version the writer read through a read
+/// quorum; the committed version becomes base+steps (globally fresh by Q1 --
+/// see qr_server.cpp).  A per-transaction commit writes one step.  A QR-Q
+/// batch collapses each per-object queue into one entry: `steps` counts the
+/// speculative writes it absorbed and `data` is the value after the last.
 struct CommitWriteEntry {
   ObjectId id = 0;
   Version base = 0;
   Bytes data;
+  std::uint32_t steps = 1;
 };
 
+/// 2PC vote request, for one transaction or one QR-Q batch (`txn` is then
+/// the batch id).  `readset` holds objects only read; written objects are
+/// validated through their CommitWriteEntry base.
 struct CommitRequest {
   TxnId txn = 0;
   std::vector<CommitReadEntry> readset;
@@ -107,8 +117,13 @@ struct CommitRequest {
   static CommitRequest decode(const Bytes& b);
 };
 
+/// Reply to a 2PC vote.  On an abort vote `stale` names every entry that
+/// failed validation on this replica, so a QR-Q coordinator invalidates (and
+/// re-fetches) only those queues before re-speculating -- the targeted
+/// rollback that keeps QR-Q's retry cost near zero under contention.
 struct VoteResponse {
   bool commit = false;
+  std::vector<ObjectId> stale;
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
@@ -132,8 +147,7 @@ struct SyncBound {
 /// versions, ids ascending, so the server ships only strictly-newer copies
 /// (the version-bounded delta).  An empty `have` requests the full store --
 /// the pre-commit-log behaviour, still used when durable logging is off or
-/// the local log was unusable.  (An empty *payload* on the wire is treated
-/// the same, for compatibility with the PR-5 request format.)
+/// the local log was unusable.
 struct SyncPullRequest {
   std::vector<SyncBound> have;
 
@@ -158,58 +172,6 @@ struct SyncPullResponse {
   Bytes encode() const;
   void encode_into(Writer& w) const;
   static SyncPullResponse decode(const Bytes& b);
-};
-
-/// One collapsed per-object queue in a QR-Q batch commit: the batch read
-/// `base` through a read quorum and speculatively absorbed `steps` writes,
-/// of which `data` is the final value.  The replica validates `base` like a
-/// CommitWriteEntry and applies version base+steps at confirm -- one wire
-/// entry and one protection per object regardless of how many transactions
-/// in the batch wrote it.
-struct BatchWriteEntry {
-  ObjectId id = 0;
-  Version base = 0;
-  std::uint32_t steps = 0;  // speculative writes absorbed (>= 1)
-  Bytes data;               // value after the last write in queue order
-};
-
-/// QR-Q batch 2PC vote request: one protected write-set push for the whole
-/// batch.  `readset` holds objects the batch only read (one entry per
-/// object, at the quorum-fetched base version); written objects are
-/// validated through their BatchWriteEntry base.
-struct BatchCommitRequest {
-  TxnId batch = 0;  // batch id (protection/bookkeeping key, like a txn id)
-  std::vector<CommitReadEntry> readset;
-  std::vector<BatchWriteEntry> writeset;
-
-  Bytes encode() const;
-  void encode_into(Writer& w) const;
-  static BatchCommitRequest decode(const Bytes& b);
-};
-
-/// Reply to a batch vote.  On an abort vote `stale` names every entry that
-/// failed validation on this replica, so the coordinator invalidates (and
-/// re-fetches) only those queues before re-speculating -- the targeted
-/// rollback that keeps QR-Q's retry cost near zero under contention.
-struct BatchVoteResponse {
-  bool commit = false;
-  std::vector<ObjectId> stale;
-
-  Bytes encode() const;
-  void encode_into(Writer& w) const;
-  static BatchVoteResponse decode(const Bytes& b);
-};
-
-/// One-way confirm for a batch commit round; applies base+steps per object
-/// (commit) or just unprotects (abort).
-struct BatchCommitConfirm {
-  TxnId batch = 0;
-  bool commit = false;
-  std::vector<BatchWriteEntry> writeset;
-
-  Bytes encode() const;
-  void encode_into(Writer& w) const;
-  static BatchCommitConfirm decode(const Bytes& b);
 };
 
 /// What a peer knows about a transaction's 2PC outcome, in answer to a
@@ -253,7 +215,7 @@ struct TxnStatusResponse {
 struct CommitConfirm {
   TxnId txn = 0;
   bool commit = false;  // false = abort: just unprotect + drop bookkeeping
-  std::vector<CommitWriteEntry> writeset;  // applied as version base+1
+  std::vector<CommitWriteEntry> writeset;  // applied as version base+steps
 
   Bytes encode() const;
   void encode_into(Writer& w) const;

@@ -19,7 +19,6 @@ void put_decision(Writer& w, TxnId txn, const Decision& d) {
   w.u32(d.epoch);
   w.u64(txn);
   w.boolean(d.commit);
-  w.u16(d.confirm_kind);
   encode_vec(w, d.members, [](Writer& w2, std::uint32_t n) { w2.u32(n); });
   w.blob(d.payload);
 }
@@ -29,7 +28,6 @@ std::pair<TxnId, Decision> get_decision(Reader& r) {
   d.epoch = r.u32();
   const TxnId txn = r.u64();
   d.commit = r.boolean();
-  d.confirm_kind = r.u16();
   d.members =
       decode_vec<std::uint32_t>(r, [](Reader& r2) { return r2.u32(); });
   d.payload = r.blob();

@@ -72,15 +72,13 @@ struct LoggedWrite {
 
 /// A coordinator's durable 2PC decision (DESIGN.md §17): written after the
 /// votes resolve and BEFORE any confirm leaves the node.  `payload` is the
-/// raw encoded confirm (CommitConfirm or BatchCommitConfirm, named by
-/// `confirm_kind`), so re-driving after a restart is pure retransmission to
-/// `members`.  The invariant this buys: if a restarted coordinator finds no
+/// raw encoded CommitConfirm (of one transaction or one QR-Q batch), so
+/// re-driving after a restart is pure retransmission to `members`.  The invariant this buys: if a restarted coordinator finds no
 /// decision for txn in its log, no confirm was ever sent, so presumed-abort
 /// by in-doubt replicas can never contradict an acknowledged commit.
 struct Decision {
   std::uint32_t epoch = 0;
   bool commit = false;
-  std::uint16_t confirm_kind = 0;
   std::vector<std::uint32_t> members;  // write-quorum nodes to (re-)notify
   Bytes payload;                       // encoded confirm message
 };

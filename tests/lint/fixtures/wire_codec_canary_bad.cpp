@@ -1,6 +1,6 @@
-// Canary fixture: a deliberate copy of the BatchVoteResponse codec shape
-// from src/core/wire.cpp with the decode of the `stale` vector dropped.
-// The analyzer MUST catch this -- it is the regression the codec-symmetry
+// Canary fixture: a deliberate copy of the VoteResponse codec shape from
+// src/core/wire.cpp with the decode of the `stale` vector dropped.  The
+// analyzer MUST catch this -- it is the regression the codec-symmetry
 // family exists to prevent (a voter silently losing its stale-object list
 // would mask every batch conflict).
 #include <cstdint>

@@ -195,12 +195,15 @@ struct TornOutcome {
 // between its votes and its confirm, cut a checkpoint on every replica
 // inside that window, resume, then crash-and-restart every replica one at a
 // time.  With `broken` the cuts drop the in-flight carry and the restarts
-// skip the anti-entropy pull, so the committed write must vanish.
-TornOutcome run_torn_race(std::uint64_t seed, bool broken) {
+// skip the anti-entropy pull, so the committed write must vanish.  Under
+// kQueued the bump commits as a one-member QR-Q batch, which parks in the
+// same window: per-transaction commits and batches share one 2PC round.
+TornOutcome run_torn_race(std::uint64_t seed, bool broken, NestingMode mode) {
   ClusterConfig cfg;
   cfg.num_nodes = 7;
   cfg.quorum = QuorumKind::kMajority;
   cfg.seed = seed;
+  cfg.runtime.mode = mode;
   Cluster c(cfg);
   HistoryRecorder recorder;
   c.set_history_recorder(&recorder);
@@ -253,12 +256,16 @@ TornOutcome run_torn_race(std::uint64_t seed, bool broken) {
 // restart: the cut carried the prepare, replay matched the post-cut confirm
 // against it, and the pull healed nothing because nothing was lost.
 TEST(FaultPointCluster, TornCheckpointRaceCertifiesWithCarry) {
-  const TornOutcome out = run_torn_race(/*seed=*/77, /*broken=*/false);
-  EXPECT_TRUE(out.committed);
-  EXPECT_TRUE(out.history_ok);
-  EXPECT_EQ(out.certified, 2u);
-  EXPECT_EQ(out.best_live, 2u)
-      << "the committed version must survive on the replicas";
+  for (NestingMode mode : {NestingMode::kFlat, NestingMode::kQueued}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const TornOutcome out =
+        run_torn_race(/*seed=*/77, /*broken=*/false, mode);
+    EXPECT_TRUE(out.committed);
+    EXPECT_TRUE(out.history_ok);
+    EXPECT_EQ(out.certified, 2u);
+    EXPECT_EQ(out.best_live, 2u)
+        << "the committed version must survive on the replicas";
+  }
 }
 
 // The regression with teeth: replaying the same race with the Greengage bug
@@ -266,12 +273,16 @@ TEST(FaultPointCluster, TornCheckpointRaceCertifiesWithCarry) {
 // certified commit from EVERY replica -- exactly the divergence the fuzz
 // canary (qrdtm_fuzz --break-recovery) must flag.
 TEST(FaultPointCluster, TornCheckpointRaceLosesCommitWhenCarryDropped) {
-  const TornOutcome out = run_torn_race(/*seed=*/77, /*broken=*/true);
-  EXPECT_TRUE(out.committed) << "the transaction certified before the crash";
-  EXPECT_EQ(out.certified, 2u);
-  EXPECT_LT(out.best_live, out.certified)
-      << "broken recovery must lose the committed version, proving the "
-         "replica-divergence check has something real to catch";
+  for (NestingMode mode : {NestingMode::kFlat, NestingMode::kQueued}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const TornOutcome out = run_torn_race(/*seed=*/77, /*broken=*/true, mode);
+    EXPECT_TRUE(out.committed)
+        << "the transaction certified before the crash";
+    EXPECT_EQ(out.certified, 2u);
+    EXPECT_LT(out.best_live, out.certified)
+        << "broken recovery must lose the committed version, proving the "
+           "replica-divergence check has something real to catch";
+  }
 }
 
 }  // namespace

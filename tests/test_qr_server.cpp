@@ -214,6 +214,24 @@ TEST(QrServer, VoteRejectsCompetingProtection) {
   EXPECT_FALSE(rig.vote(req).commit);
 }
 
+TEST(QrServer, VoteReportsEveryStaleEntry) {
+  Rig rig;
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().seed(2, Bytes{}, 3);
+  rig.store().seed(3, Bytes{}, 7);
+  CommitRequest req;
+  req.txn = 100;
+  req.readset.push_back(CommitReadEntry{1, 4});              // stale
+  req.writeset.push_back(CommitWriteEntry{2, 3, Bytes{}});   // current
+  req.writeset.push_back(CommitWriteEntry{3, 6, Bytes{}});   // stale
+  VoteResponse vote = rig.vote(req);
+  EXPECT_FALSE(vote.commit);
+  EXPECT_EQ(vote.stale, (std::vector<ObjectId>{1, 3}))
+      << "the vote scans past the first failure and names every stale id";
+  EXPECT_FALSE(rig.store().protected_against(2, 12345))
+      << "abort vote must not protect anything";
+}
+
 TEST(QrServer, ConfirmAppliesBasePlusOneAndUnprotects) {
   Rig rig;
   rig.store().seed(1, Bytes{}, 5);
@@ -230,6 +248,32 @@ TEST(QrServer, ConfirmAppliesBasePlusOneAndUnprotects) {
   EXPECT_EQ(rig.store().version_of(1), 6u);
   EXPECT_EQ(rig.store().find(1)->data, Bytes{0x09});
   EXPECT_FALSE(rig.store().protected_against(1, 12345));
+}
+
+TEST(QrServer, ConfirmAppliesBasePlusStepsAndDedupesRepeat) {
+  Rig rig;
+  rig.store().seed(1, Bytes{}, 5);
+  CommitRequest req;
+  req.txn = 100;
+  // A QR-Q queue that absorbed three speculative writes.
+  req.writeset.push_back(CommitWriteEntry{1, 5, Bytes{0x09}, 3});
+  ASSERT_TRUE(rig.vote(req).commit);
+
+  CommitConfirm c;
+  c.txn = 100;
+  c.commit = true;
+  c.writeset = req.writeset;
+  rig.confirm(c);
+  EXPECT_EQ(rig.store().version_of(1), 8u);
+  EXPECT_EQ(rig.store().find(1)->data, Bytes{0x09});
+  EXPECT_FALSE(rig.store().protected_against(1, 12345));
+  EXPECT_EQ(rig.server->confirm_duplicates(), 0u);
+
+  // A retransmitted confirm in the same liveness epoch is counted, not
+  // re-applied.
+  rig.confirm(c);
+  EXPECT_EQ(rig.server->confirm_duplicates(), 1u);
+  EXPECT_EQ(rig.store().version_of(1), 8u);
 }
 
 TEST(QrServer, AbortConfirmOnlyUnprotects) {

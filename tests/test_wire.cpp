@@ -66,12 +66,17 @@ TEST(Wire, CommitMessagesRoundTrip) {
   req.txn = 7;
   req.readset = {{1, 2}, {3, 4}};
   req.writeset.push_back(CommitWriteEntry{5, 6, Bytes{9, 9}});
+  req.writeset.push_back(CommitWriteEntry{10, 11, Bytes{1}, 4});
   CommitRequest got = CommitRequest::decode(req.encode());
   EXPECT_EQ(got.txn, 7u);
   ASSERT_EQ(got.readset.size(), 2u);
   EXPECT_EQ(got.readset[1].id, 3u);
-  ASSERT_EQ(got.writeset.size(), 1u);
+  ASSERT_EQ(got.writeset.size(), 2u);
   EXPECT_EQ(got.writeset[0].data, (Bytes{9, 9}));
+  EXPECT_EQ(got.writeset[0].steps, 1u);  // the per-transaction default
+  EXPECT_EQ(got.writeset[1].id, 10u);
+  EXPECT_EQ(got.writeset[1].base, 11u);
+  EXPECT_EQ(got.writeset[1].steps, 4u);
 
   CommitConfirm confirm;
   confirm.txn = 8;
@@ -80,10 +85,19 @@ TEST(Wire, CommitMessagesRoundTrip) {
   CommitConfirm cgot = CommitConfirm::decode(confirm.encode());
   EXPECT_EQ(cgot.txn, 8u);
   EXPECT_TRUE(cgot.commit);
-  ASSERT_EQ(cgot.writeset.size(), 1u);
+  ASSERT_EQ(cgot.writeset.size(), 2u);
+  EXPECT_EQ(cgot.writeset[0].steps, 1u);
+  EXPECT_EQ(cgot.writeset[1].steps, 4u);
+  EXPECT_EQ(cgot.writeset[1].data, (Bytes{1}));
 
-  VoteResponse vote{true};
-  EXPECT_TRUE(VoteResponse::decode(vote.encode()).commit);
+  VoteResponse vote{.commit = true, .stale = {}};
+  VoteResponse vgot = VoteResponse::decode(vote.encode());
+  EXPECT_TRUE(vgot.commit);
+  EXPECT_TRUE(vgot.stale.empty());
+  VoteResponse abort_vote{.commit = false, .stale = {3, 10}};
+  VoteResponse agot = VoteResponse::decode(abort_vote.encode());
+  EXPECT_FALSE(agot.commit);
+  EXPECT_EQ(agot.stale, (std::vector<ObjectId>{3, 10}));
 }
 
 // Fuzz: truncations of valid messages must throw SerdeError, never crash.
