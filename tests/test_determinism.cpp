@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 
 #include "bench/harness.h"
 
@@ -32,6 +33,15 @@ struct Golden {
   std::uint64_t speculation_rollbacks = 0;
   std::uint64_t batches = 0;
 };
+
+// gtest appends "# GetParam() = <printed param>" to each registered test
+// name. Its default printer dumps the struct's raw bytes, which start with
+// the address of the `app` literal: that address moves with ASLR and with
+// any change to the binary's layout, so the names differed from build to
+// build. Print the row's identity instead.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << g.app << "/" << core::to_string(g.mode);
+}
 
 ExperimentConfig config_for(const char* app, core::NestingMode mode) {
   ExperimentConfig cfg;
