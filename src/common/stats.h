@@ -5,10 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
-
-#include "common/check.h"
 
 namespace qrdtm {
 
@@ -39,36 +35,6 @@ class Summary {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Reservoir-free exact percentile helper: collects samples, sorts on query.
-/// Only used by benches/tests where sample counts are modest.
-class Percentiles {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-
-  /// p in [0, 100].
-  double percentile(double p) {
-    QRDTM_CHECK(!samples_.empty());
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-    double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-  }
-
-  std::size_t count() const { return samples_.size(); }
-
- private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
 };
 
 /// Percentage change of `x` relative to baseline `base` (paper Fig. 8 rows).

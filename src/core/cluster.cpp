@@ -87,22 +87,18 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     servers_.push_back(std::make_unique<QrServer>(*endpoints_.back()));
     lock_managers_.push_back(
         std::make_unique<LockManager>(*endpoints_.back()));
+    // Coordinator decision records (DESIGN.md §17) share the co-located
+    // replica's WAL, so a node restart recovers both roles together.
     runtimes_.push_back(std::make_unique<TxnRuntime>(
-        *endpoints_.back(), *quorums_, metrics_, cfg_.runtime,
-        seeder.next()));
+        *endpoints_.back(), *quorums_, metrics_, cfg_.runtime, seeder.next(),
+        servers_.back()->commit_log()));
     runtimes_.back()->set_failure_detector(failure_detector_.get());
     runtimes_.back()->set_fault_points(&faults_);
     servers_.back()->set_protection_lease(cfg_.protection_lease);
     servers_.back()->set_fault_points(&faults_);
-    servers_.back()->set_durable_log(cfg_.durable_log);
     servers_.back()->set_quorum_provider(quorums_.get());
     servers_.back()->set_metrics(&metrics_);
     servers_.back()->set_max_tail_bytes(cfg_.runtime.log_max_tail_bytes);
-    if (cfg_.durable_log) {
-      // Coordinator decision records (DESIGN.md §17) share the co-located
-      // replica's WAL, so a node restart recovers both roles together.
-      runtimes_.back()->set_local_log(&servers_.back()->commit_log());
-    }
     if (cfg_.test_skip_commit_validation) {
       servers_.back()->set_validation_disabled_for_test(true);
     }
@@ -220,26 +216,19 @@ void Cluster::recover_node(net::NodeId node) {
   if (net_->alive(node)) return;
   net_->revive(node);
   QrServer& server = *servers_[node];
-  if (cfg_.durable_log) {
-    // Process restart under durable logging: memory is gone wholesale; the
-    // commit log is the disk.  Replay it locally -- protections and PR/PW
-    // are not logged, so in-flight 2PC bookkeeping stays dead, exactly as
-    // before.  fp::kRecoverySkipReplay armed kSkip models a node that lost
-    // its disk (the broken-recovery canary): it restarts from nothing.
-    if (faults_.fire(fp::kRecoverySkipReplay, node) == FaultAction::kSkip) {
-      server.store().clear_all();
-    } else {
-      metrics_.log_replay_applies += server.replay_commit_log();
-      // Coordinator failover half of DESIGN.md §17: confirm broadcasts that
-      // were decided but not settled before the crash are re-sent now,
-      // at-least-once -- receivers dedupe on (txn, epoch).
-      server.redrive_open_decisions();
-    }
+  // Process restart: memory is gone wholesale; the commit log is the disk.
+  // Replay it locally -- protections are not logged, so in-flight 2PC
+  // bookkeeping stays dead.  fp::kRecoverySkipReplay armed kSkip models a
+  // node that lost its disk (the broken-recovery canary): it restarts from
+  // nothing, and the catch-up below degrades to a full-store pull.
+  if (faults_.fire(fp::kRecoverySkipReplay, node) == FaultAction::kSkip) {
+    server.store().clear_all();
   } else {
-    // PR-5 model: committed versions survive, in-flight 2PC bookkeeping
-    // does not.  Protections held here must not resurrect -- their
-    // coordinators have long since timed out and moved on.
-    server.store().clear_volatile();
+    metrics_.log_replay_applies += server.replay_commit_log();
+    // Coordinator failover half of DESIGN.md §17: confirm broadcasts that
+    // were decided but not settled before the crash are re-sent now,
+    // at-least-once -- receivers dedupe on (txn, epoch).
+    server.redrive_open_decisions();
   }
   server.set_syncing(true);
   if (failure_detector_) failure_detector_->forget(node);
@@ -290,24 +279,22 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
           all_current = false;
           continue;
         }
-        // Under durable logging the pull is version-bounded: the request
-        // carries the replayed store's versions and peers ship only
-        // strictly newer copies.  Rebuilt per pull -- earlier partial
-        // pulls may have already advanced some objects.  The bounds cover
-        // the whole store; peers filter replies down to what this node
-        // replicates.
+        // The pull is version-bounded: the request carries the replayed
+        // store's versions and peers ship only strictly newer copies (a
+        // node that lost its log sends no bounds and gets everything).
+        // Rebuilt per pull -- earlier partial pulls may have already
+        // advanced some objects.  The bounds cover the whole store; peers
+        // filter replies down to what this node replicates.
         SyncPullRequest pullreq;
-        if (cfg_.durable_log) {
-          pullreq.have.reserve(server.store().num_objects());
-          // Collect-then-sort below fixes the wire order.
-          for (const auto& [id, e] : server.store().entries()) {
-            pullreq.have.push_back(SyncBound{id, e.version});
-          }
-          std::sort(pullreq.have.begin(), pullreq.have.end(),
-                    [](const SyncBound& a, const SyncBound& b) {
-                      return a.id < b.id;
-                    });
+        pullreq.have.reserve(server.store().num_objects());
+        // Collect-then-sort below fixes the wire order.
+        for (const auto& [id, e] : server.store().entries()) {
+          pullreq.have.push_back(SyncBound{id, e.version});
         }
+        std::sort(pullreq.have.begin(), pullreq.have.end(),
+                  [](const SyncBound& a, const SyncBound& b) {
+                    return a.id < b.id;
+                  });
         Writer reqw(rpc.acquire_buffer(msg::kSyncPull));
         pullreq.encode_into(reqw);
         Bytes req = std::move(reqw).take();
@@ -322,11 +309,7 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
           rpc.release_buffer(std::move(res.payload));
           if (!resp.ok) continue;  // peer is itself still syncing
           ++current;
-          if (cfg_.durable_log) {
-            metrics_.recovery_delta_objects += resp.entries.size();
-          } else {
-            metrics_.recovery_full_objects += resp.entries.size();
-          }
+          metrics_.recovery_delta_objects += resp.entries.size();
           for (SyncEntry& e : resp.entries) {
             // apply() keeps only strictly-newer copies, so merging the
             // whole quorum's stores is order-independent.
@@ -336,12 +319,10 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
         if (current != futures.size()) all_current = false;
       }
       if (all_current) {
-        if (cfg_.durable_log) {
-          // Make the pulled delta durable: the next crash replays it from
-          // the checkpoint image instead of re-pulling it.
-          server.cut_checkpoint();
-          ++metrics_.checkpoint_cuts;
-        }
+        // Make the pulled delta durable: the next crash replays it from the
+        // checkpoint image instead of re-pulling it.
+        server.cut_checkpoint();
+        ++metrics_.checkpoint_cuts;
         server.set_syncing(false);
         quorums_->on_recovery(node);
         ++metrics_.node_recoveries;

@@ -93,13 +93,6 @@ struct ClusterConfig {
   /// QrServer::set_validation_disabled_for_test).  The fuzz harness uses it
   /// to prove the history checker catches serializability violations.
   bool test_skip_commit_validation = false;
-
-  /// Per-node durable commit/checkpoint logging (store::CommitLog).  On
-  /// (default): a crash wipes the replica's whole in-memory store, recovery
-  /// replays the local log and anti-entropy pulls only a version-bounded
-  /// delta.  Off: the PR-5 model -- committed versions survive the crash
-  /// in place and recovery full-pulls a read quorum.
-  bool durable_log = true;
 };
 
 class Cluster {
@@ -163,18 +156,16 @@ class Cluster {
   /// Restart a killed node and bring it back into service:
   ///   1. revive the network endpoint (a fresh incarnation: pre-crash
   ///      traffic is dropped by the liveness-epoch check),
-  ///   2. crash-wipe the replica: under durable logging the whole in-memory
-  ///      store is lost and rebuilt by replaying the node's commit log
-  ///      (image + tail, fp::kRecoverySkipReplay skips it); without it only
-  ///      volatile 2PC state (protections, PR/PW) is wiped and committed
-  ///      versions survive in place,
+  ///   2. crash-wipe the replica: the whole in-memory store is lost and
+  ///      rebuilt by replaying the node's commit log (image + tail;
+  ///      fp::kRecoverySkipReplay skips it, modelling a lost disk),
   ///   3. mark the replica *syncing* (it refuses reads/votes), and
   ///   4. spawn an anti-entropy catch-up: pull from a full read quorum of
   ///      live nodes -- version-bounded (the request carries the replayed
-  ///      versions, peers ship only strictly-newer copies) under durable
-  ///      logging, the full store otherwise -- install strictly-newer
-  ///      versions, cut a post-sync checkpoint so the delta is durable,
-  ///      then re-admit the node via QuorumProvider::on_recovery.
+  ///      versions, peers ship only strictly-newer copies; a node with an
+  ///      empty store gets everything) -- install strictly-newer versions,
+  ///      cut a post-sync checkpoint so the delta is durable, then
+  ///      re-admit the node via QuorumProvider::on_recovery.
   /// Ordering matters for safety: by Q1 some read-quorum member holds every
   /// committed version, so once the pull completes the rejoining replica is
   /// current and may count toward quorums again; re-admitting before the

@@ -37,15 +37,12 @@ struct Metrics {
 
   // --- recovery (churn experiments) ---
   std::uint64_t node_recoveries = 0;  // replicas that completed catch-up
-  /// Objects shipped over the wire by delta-bounded catch-up pulls (the
+  /// Objects shipped over the wire by version-bounded catch-up pulls (the
   /// rejoining node sent post-log-replay version bounds, servers returned
-  /// only strictly-newer copies).  Compare against recovery_full_objects:
-  /// delta recovery is the point of the commit log, and the test suite
-  /// asserts delta << full on the same workload.
+  /// only strictly-newer copies).  Delta recovery is the point of the
+  /// commit log: the test suite asserts it ships far less than the
+  /// full-store pull a node that lost its log needs.
   std::uint64_t recovery_delta_objects = 0;
-  /// Objects shipped by legacy full-store pulls (no bounds: durable
-  /// logging off, or the local log was unusable).
-  std::uint64_t recovery_full_objects = 0;
   std::uint64_t log_replay_applies = 0;  // apply ops replayed from local logs
   std::uint64_t checkpoint_cuts = 0;     // commit-log cuts taken cluster-wide
   /// Recovery attempts that exhausted every delta-pull round without

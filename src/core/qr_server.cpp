@@ -99,7 +99,7 @@ FaultAction QrServer::fault(const char* point) {
 }
 
 void QrServer::seed_object(ObjectId id, Bytes data, Version version) {
-  if (durable_log_) log_.append_apply(id, version, data, liveness_epoch());
+  log_.append_apply(id, version, data, liveness_epoch());
   store_.seed(id, std::move(data), version);
 }
 
@@ -124,7 +124,7 @@ std::size_t QrServer::replay_commit_log() {
 }
 
 void QrServer::maybe_autocut() {
-  if (max_tail_bytes_ == 0 || !durable_log_) return;
+  if (max_tail_bytes_ == 0) return;
   if (log_.tail_bytes() < max_tail_bytes_) return;
   cut_checkpoint();
   ++log_autocuts_;
@@ -213,10 +213,6 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
         e.version < local || check_protected(e.id, req.root);
     if (!invalid) continue;
     any_invalid = true;
-    // Alg. 1 line 8: drop the owner from PR/PW.  Owners are tracked per
-    // root transaction on replicas (CTs keep no remote metadata), so the
-    // bookkeeping key is the root.
-    store_.drop_txn(req.root);
     if (req.mode == NestingMode::kClosed) {
       if (e.owner_depth < abort_depth) {
         abort_depth = e.owner_depth;
@@ -288,14 +284,6 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
   resp.status = ReadStatus::kOk;
   resp.version = e->version;
   resp.data = e->data;
-
-  // Alg. 2 line 17-18: PR/PW metadata is kept for root transactions only,
-  // which is what lets a CT commit locally.
-  if (req.for_write) {
-    store_.add_writer(req.object, req.root);
-  } else {
-    store_.add_reader(req.object, req.root);
-  }
   return resp;
 }
 
@@ -346,8 +334,7 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   }
   // WAL discipline: the vote is durable before the reply leaves the node.
   // Read-only write-sets log nothing (there is nothing to replay).
-  if (durable_log_ && !req.writeset.empty() &&
-      fault(fp::kLogPrepare) != FaultAction::kSkip) {
+  if (!req.writeset.empty() && fault(fp::kLogPrepare) != FaultAction::kSkip) {
     std::vector<store::LoggedWrite> writes;
     writes.reserve(req.writeset.size());
     for (const CommitWriteEntry& e : req.writeset) {
@@ -406,8 +393,7 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
   for (const CommitWriteEntry& e : confirm.writeset) {
     if (replicated_here(e.id)) any_local = true;
   }
-  if (durable_log_ && any_local &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
+  if (any_local && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
     maybe_autocut();
   }
@@ -421,7 +407,6 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
     // certifies them as a serial chain.
     if (confirm.commit) store_.apply(e.id, e.base + e.steps, e.data);
   }
-  store_.drop_txn(confirm.txn);
   record_outcome(confirm.txn, confirm.commit);
 }
 
@@ -444,7 +429,7 @@ void QrServer::record_outcome(TxnId txn, bool commit) {
 void QrServer::start_termination(TxnId txn) {
   if (term_.find(txn) != term_.end()) return;  // already running
   const auto pit = prepared_.find(txn);
-  if (pit == prepared_.end()) return;  // no vote metadata (legacy rigs)
+  if (pit == prepared_.end()) return;  // no vote metadata here
   if (quorums_ == nullptr && pit->second.coordinator >=
                                  rpc_.network().num_nodes()) {
     return;  // standalone rig with hand-rolled ids: nobody to ask
@@ -587,8 +572,7 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // in the log, and the writes live only there.
   std::vector<store::LoggedWrite> writes;
   if (const auto* pending = log_.find_pending(txn)) writes = *pending;
-  if (durable_log_ && !writes.empty() &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
+  if (!writes.empty() && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
@@ -596,7 +580,6 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     store_.unprotect(lw.id, txn);
     if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
-  store_.drop_txn(txn);
   if (metrics_ != nullptr) {
     if (commit) {
       ++metrics_->indoubt_resolved_commit;

@@ -6,8 +6,8 @@
 // the paper where the remote side of every operation is a local decision.
 //
 //   * kRead          -- Rqv validation of the requester's data-set (Alg. 1 /
-//     Alg. 4), then serve the local copy (Alg. 2 "Remote"), maintaining
-//     PR/PW for root transactions only.
+//     Alg. 4), then serve the local copy (Alg. 2 "Remote").  The paper's
+//     PR/PW lists are not kept (DESIGN.md §2: nothing reads them).
 //   * kCommitRequest -- 2PC vote: validate read-set versions and write-set
 //     bases, check protection, protect the write-set on a commit vote.  An
 //     abort vote lists every stale id.
@@ -65,19 +65,10 @@ class QrServer {
 
   net::NodeId id() const { return id_; }
 
-  /// The per-node durable commit log (the in-sim "disk").  Populated only
-  /// while durable logging is on; survives a crash by construction (crash =
-  /// wiping the ReplicaStore, never the log).
+  /// The per-node durable commit log (the in-sim "disk").  Survives a crash
+  /// by construction (crash = wiping the ReplicaStore, never the log).
   store::CommitLog& commit_log() { return log_; }
   const store::CommitLog& commit_log() const { return log_; }
-
-  /// Durable-logging regime.  Off (the pre-commit-log default for
-  /// standalone rigs): committed versions survive a crash wholesale and
-  /// recovery full-pulls a read quorum.  On (ClusterConfig default): the
-  /// store is truly volatile, crashes wipe it, and recovery replays the log
-  /// then pulls a version-bounded delta.  Set before seeding.
-  void set_durable_log(bool on) { durable_log_ = on; }
-  bool durable_log() const { return durable_log_; }
 
   /// Attach the fault-point registry (nullptr = all points unarmed).
   void set_fault_points(FaultPointRegistry* faults) { faults_ = faults; }
@@ -104,8 +95,8 @@ class QrServer {
   /// Checkpoint cuts forced by the max_tail_bytes bound on this replica.
   std::uint64_t log_autocuts() const { return log_autocuts_; }
 
-  /// Seed an object at setup time: installs it in the store and, under
-  /// durable logging, records it so a crashed node can replay it.
+  /// Seed an object at setup time: installs it in the store and records it
+  /// in the commit log so a crashed node can replay it.
   void seed_object(ObjectId id, Bytes data, Version version = 1);
 
   /// Take a checkpoint cut on the commit log: snapshot the store image,
@@ -256,7 +247,6 @@ class QrServer {
   Metrics* metrics_ = nullptr;
   store::ReplicaStore store_;
   store::CommitLog log_;
-  bool durable_log_ = false;
   std::size_t max_tail_bytes_ = 0;
   std::uint64_t log_autocuts_ = 0;
   std::uint64_t validation_failures_ = 0;

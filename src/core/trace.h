@@ -9,8 +9,8 @@
 //     gaps).  Recording is branch-light integer math into a fixed
 //     std::array: no allocation ever, no sort on query, so the histograms
 //     can live on the per-event hot path without perturbing the
-//     AllocRegression tests.  Percentiles are resolved by a cumulative
-//     scan over the buckets (O(buckets), query-time only).
+//     AllocRegression tests.  A percentile query is a cumulative scan
+//     over the buckets (O(buckets), query-time only).
 //
 //   * TraceRecorder -- structured spans (one per root transaction, with
 //     child spans for CT scopes, checkpoint create/rollback, read-quorum

@@ -537,10 +537,11 @@ void Txn::rollback_to(ChkEpoch epoch) {
 
 TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
                        Metrics& metrics, RuntimeConfig config,
-                       std::uint64_t seed)
+                       std::uint64_t seed, store::CommitLog& local_log)
     : rpc_(rpc),
       quorums_(quorums),
       metrics_(metrics),
+      local_log_(local_log),
       config_(config),
       rng_(seed),
       // Scope ids are node-prefixed so ids never collide across nodes; id 0
@@ -970,7 +971,7 @@ sim::Task<bool> TxnRuntime::commit_confirm(
   // sent => in-doubt replicas may presumed-abort safely.  Read-only rounds
   // (empty writeset) take no protections and log nothing.  One decision
   // covers a whole QR-Q batch.
-  const bool log_decision = local_log_ != nullptr && !confirm.writeset.empty();
+  const bool log_decision = !confirm.writeset.empty();
   if (log_decision) {
     const FaultAction at_decision =
         faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
@@ -987,7 +988,7 @@ sim::Task<bool> TxnRuntime::commit_confirm(
       d.commit = commit;
       d.members.assign(wq.begin(), wq.end());
       d.payload = encoded;
-      local_log_->append_decision(txn, std::move(d));
+      local_log_.append_decision(txn, std::move(d));
     }
   }
 
@@ -1012,7 +1013,7 @@ sim::Task<bool> TxnRuntime::commit_confirm(
   // coordinator that died mid-broadcast must NOT settle -- recovery replays
   // the decision and re-sends (receivers dedupe duplicates).
   if (log_decision && !died_mid_broadcast) {
-    local_log_->settle_decision(txn);
+    local_log_.settle_decision(txn);
   }
 
   // Charge the one-way confirm propagation (paper: commit-confirm cost is

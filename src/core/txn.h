@@ -344,8 +344,11 @@ class Txn {
 /// commit, and the mode-specific partial-abort handling.
 class TxnRuntime {
  public:
+  /// `local_log` is the co-located replica's commit log: 2PC decisions are
+  /// made durable there before any confirm leaves this node (DESIGN.md §17).
   TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
-             Metrics& metrics, RuntimeConfig config, std::uint64_t seed);
+             Metrics& metrics, RuntimeConfig config, std::uint64_t seed,
+             store::CommitLog& local_log);
   ~TxnRuntime();
 
   /// Execute `body` as one root transaction, retrying until it commits.
@@ -401,13 +404,6 @@ class TxnRuntime {
 
   /// QR-Q batch planner (nullptr unless config.mode == kQueued).
   BatchPlanner* planner() { return planner_.get(); }
-
-  /// Attach the co-located replica's commit log so 2PC decisions are made
-  /// durable before any confirm leaves this node (DESIGN.md §17).  nullptr
-  /// (standalone rigs, durable logging off) = the pre-decision-record
-  /// behaviour: confirms go out with no recovery re-drive.
-  void set_local_log(store::CommitLog* log) { local_log_ = log; }
-  store::CommitLog* local_log() { return local_log_; }
 
  private:
   friend class Txn;
@@ -487,7 +483,7 @@ class TxnRuntime {
   quorum::QuorumProvider& quorums_;
   Metrics& metrics_;
   std::unique_ptr<BatchPlanner> planner_;  // kQueued only
-  store::CommitLog* local_log_ = nullptr;  // co-located replica's WAL
+  store::CommitLog& local_log_;  // co-located replica's WAL
   FailureDetector* failure_detector_ = nullptr;
   HistoryRecorder* recorder_ = nullptr;
   TraceRecorder* tracer_ = nullptr;

@@ -47,9 +47,13 @@ struct DataSetEntry {
 };
 
 struct ReadRequest {
-  TxnId root = 0;  // root transaction id (PR/PW bookkeeping key)
+  /// Root transaction id: the Rqv protection key (a protection held by the
+  /// requester's own root does not block its reads).
+  TxnId root = 0;
   NestingMode mode = NestingMode::kFlat;
   ObjectId object = 0;
+  /// Read-for-write intent.  No replica decision reads it; it stays on the
+  /// wire only because benchmark/layers.cpp encodes it.
   bool for_write = false;
   std::vector<DataSetEntry> dataset;  // empty under flat QR
 
@@ -146,8 +150,7 @@ struct SyncBound {
 /// Recovery anti-entropy pull.  `have` lists the puller's post-log-replay
 /// versions, ids ascending, so the server ships only strictly-newer copies
 /// (the version-bounded delta).  An empty `have` requests the full store --
-/// the pre-commit-log behaviour, still used when durable logging is off or
-/// the local log was unusable.
+/// what a node that lost its log (empty store after restart) needs.
 struct SyncPullRequest {
   std::vector<SyncBound> have;
 

@@ -1,10 +1,7 @@
 // Per-node durable commit/checkpoint log (the deterministic in-sim "disk").
 //
-// PR-5's recovery model assumed committed versions survive a crash wholesale
-// (ReplicaStore::clear_volatile keeps them) and re-pulled a FULL read
-// quorum's state on every rejoin -- O(store) per restart.  The commit log
-// makes durability explicit instead: the replica's in-memory store is truly
-// volatile, and what survives a crash is this log -- an append-only record
+// Durability is explicit: the replica's in-memory store is truly volatile,
+// and what survives a crash is this log -- an append-only record
 // stream compacted by periodic checkpoint cuts.  A restarting node replays
 // the log locally and then asks its read quorum only for a version-bounded
 // delta (SyncPullRequest carries per-object bounds), so anti-entropy ships

@@ -96,55 +96,4 @@ bool ReplicaStore::lease_expired(ObjectId id, std::uint64_t now,
   return e && e->is_protected && now >= e->protect_tick + lease;
 }
 
-void ReplicaStore::clear_volatile() {
-  // Resetting flags entry-by-entry (any order; entries are independent).
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (auto& [id, e] : entries_) {
-    e.is_protected = false;
-    e.protector = 0;
-    e.protect_tick = 0;
-    e.prepared = false;
-    e.pr.clear();
-    e.pw.clear();
-  }
-  txn_objects_.clear();
-}
-
-void ReplicaStore::clear_all() {
-  entries_.clear();
-  txn_objects_.clear();
-}
-
-void ReplicaStore::add_reader(ObjectId id, TxnId txn) {
-  get_or_create(id).pr.insert(txn);
-  txn_objects_[txn].insert(id);
-}
-
-void ReplicaStore::add_writer(ObjectId id, TxnId txn) {
-  get_or_create(id).pw.insert(txn);
-  txn_objects_[txn].insert(id);
-}
-
-void ReplicaStore::drop_txn(TxnId txn) {
-  auto it = txn_objects_.find(txn);
-  if (it == txn_objects_.end()) return;
-  for (ObjectId id : it->second) {
-    if (ReplicaEntry* e = find_mut(id)) {
-      e->pr.erase(txn);
-      e->pw.erase(txn);
-    }
-  }
-  txn_objects_.erase(it);
-}
-
-std::size_t ReplicaStore::tracked_txn_entries() const {
-  std::size_t total = 0;
-  // Commutative sum: any iteration order yields the same total.
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, e] : entries_) {
-    total += e.pr.size() + e.pw.size();
-  }
-  return total;
-}
-
 }  // namespace qrdtm::store

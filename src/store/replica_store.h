@@ -5,9 +5,10 @@
 // quorum receive a new version.  Each entry carries:
 //   * version + data    -- the replica's (possibly stale) copy,
 //   * protected flag    -- set between a 2PC commit vote and the confirm
-//     (the paper's `protected` object field),
-//   * PR / PW           -- potential readers / writers lists, bookkeeping
-//     consumed by contention management (paper §II).
+//     (the paper's `protected` object field).
+// The paper's potential-reader/-writer lists (Alg. 2 l.17-18) are not kept:
+// only contention management would read them, and it is not implemented
+// (DESIGN.md §2).
 //
 // An object a replica has never heard of behaves as version 0: validation
 // treats the replica as maximally stale for it, which is safe (Q1 guarantees
@@ -16,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -38,8 +38,6 @@ struct ReplicaEntry {
   /// cooperative termination protocol (DESIGN.md §17) instead of being shed
   /// silently -- shedding it could lose an acknowledged commit.
   bool prepared = false;
-  std::set<TxnId> pr;  // potential readers
-  std::set<TxnId> pw;  // potential writers
 };
 
 class ReplicaStore {
@@ -95,27 +93,16 @@ class ReplicaStore {
   /// not) -- the trigger for a termination round on prepared entries.
   bool lease_expired(ObjectId id, std::uint64_t now, std::uint64_t lease) const;
 
-  /// Wipe all volatile 2PC state (protections, PR/PW lists) while keeping
-  /// committed versions.  Models a process restart: the protocol's in-flight
-  /// bookkeeping lives in memory, committed data is durable.
-  void clear_volatile();
-
-  /// Wipe EVERYTHING, committed versions included.  Models a crash under the
-  /// durable-commit-log regime: memory is volatile, the CommitLog is the
-  /// disk, and recovery rebuilds the store via CommitLog::replay_into.
-  void clear_all();
-
-  /// PR/PW maintenance (root transactions only, paper Alg. 2 line 17-18).
-  void add_reader(ObjectId id, TxnId txn);
-  void add_writer(ObjectId id, TxnId txn);
-  /// Drop `txn` from the PR/PW lists of every object (validation failure,
-  /// commit, or abort; paper Alg. 1 line 8).
-  void drop_txn(TxnId txn);
+  /// Wipe EVERYTHING, committed versions included.  Models a crash: memory
+  /// is volatile, the CommitLog is the disk, and recovery rebuilds the store
+  /// via CommitLog::replay_into.
+  void clear_all() { entries_.clear(); }
 
   std::size_t num_objects() const { return entries_.size(); }
 
-  /// Total PR+PW membership across all entries (test observability).
-  std::size_t tracked_txn_entries() const;
+  /// Always 0: the store keeps no per-transaction reader/writer entries.
+  /// Kept only because benchmark/main.cpp still reports it.
+  std::size_t tracked_txn_entries() const { return 0; }
 
   /// Whole-store view for recovery catch-up serving; iteration order is
   /// unspecified, so consumers building wire payloads must sort by id.
@@ -127,8 +114,6 @@ class ReplicaStore {
   ReplicaEntry& get_or_create(ObjectId id);
 
   std::unordered_map<ObjectId, ReplicaEntry> entries_;
-  // Reverse index so drop_txn does not scan the whole store.
-  std::unordered_map<TxnId, std::set<ObjectId>> txn_objects_;
 };
 
 }  // namespace qrdtm::store

@@ -101,22 +101,5 @@ TEST(Cluster, SeedObjectInstallsOnEveryReplica) {
   }
 }
 
-TEST(Cluster, PrPwBookkeepingIsCleanedAfterCommit) {
-  // After a transaction commits, the write-quorum replicas must have
-  // dropped it from their PR/PW lists (the confirm's drop_txn).
-  ClusterConfig cfg;
-  cfg.num_nodes = 13;
-  Cluster c(cfg);
-  ObjectId obj = c.seed_new_object(enc_i64(0));
-  c.spawn_client(0, [obj](Txn& t) -> sim::Task<void> {
-    (void)co_await t.read_for_write(obj);
-    t.write(obj, enc_i64(1));
-  });
-  c.run_to_completion();
-  for (net::NodeId n : c.quorums().write_quorum(0)) {
-    EXPECT_EQ(c.server(n).store().tracked_txn_entries(), 0u) << "node " << n;
-  }
-}
-
 }  // namespace
 }  // namespace qrdtm::core

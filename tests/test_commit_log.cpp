@@ -198,20 +198,22 @@ struct RecoveredState {
   Metrics metrics;
 };
 
-// One seeded workload, parameterized only by the durability regime: seed a
-// couple dozen objects, commit some writes, kill node 7, commit more writes
-// it misses, recover it.  Returns node 7's store plus the run's metrics.
-RecoveredState run_recovery_workload(bool durable_log) {
+// One seeded workload, parameterized only by whether node 7 keeps its disk:
+// seed a couple dozen objects, commit some writes, kill node 7, commit more
+// writes it misses, recover it.  With `lose_log` the recovery skips the log
+// replay (fp::kRecoverySkipReplay), so node 7 restarts from an empty store
+// and its catch-up is a full-store pull.  Returns node 7's store plus the
+// run's metrics.
+RecoveredState run_recovery_workload(bool lose_log) {
   ClusterConfig cfg;
   cfg.quorum = QuorumKind::kFlatFailureAware;
   cfg.seed = 42;
-  cfg.durable_log = durable_log;
   Cluster c(cfg);
 
   std::vector<ObjectId> objs;
   for (int i = 0; i < 24; ++i) objs.push_back(c.seed_new_object(Bytes{1}));
 
-  // Writes node 7 sees (and, under durable logging, replays after the
+  // Writes node 7 sees (and, with its log intact, replays after the
   // crash).
   for (int i = 0; i < 6; ++i) {
     bool committed = false;
@@ -230,6 +232,9 @@ RecoveredState run_recovery_workload(bool durable_log) {
     EXPECT_TRUE(committed);
   }
 
+  if (lose_log) {
+    c.fault_points().arm(fp::kRecoverySkipReplay, FaultAction::kSkip, 7);
+  }
   c.recover_node(7);
   c.run_to_completion();
   EXPECT_FALSE(c.server(7).syncing());
@@ -248,12 +253,12 @@ RecoveredState run_recovery_workload(bool durable_log) {
   return out;
 }
 
-// Acceptance (ISSUE 8): the delta recovery must land node 7 in a store
-// byte-identical to what the legacy full pull produces, while transferring
-// far fewer objects over the wire.
+// The delta recovery must land node 7 in a store byte-identical to what the
+// full pull of a node that lost its log produces, while transferring far
+// fewer objects over the wire.
 TEST(CommitLogCluster, DeltaRecoveryMatchesFullPull) {
-  const RecoveredState delta = run_recovery_workload(/*durable_log=*/true);
-  const RecoveredState full = run_recovery_workload(/*durable_log=*/false);
+  const RecoveredState delta = run_recovery_workload(/*lose_log=*/false);
+  const RecoveredState full = run_recovery_workload(/*lose_log=*/true);
 
   // Same recovered bytes: version AND data for every object.
   ASSERT_EQ(delta.objects.size(), full.objects.size());
@@ -264,27 +269,23 @@ TEST(CommitLogCluster, DeltaRecoveryMatchesFullPull) {
     EXPECT_EQ(it->second.second, vf.second) << "data mismatch on " << id;
   }
 
-  // The regimes route their transfer through different counters.
-  EXPECT_EQ(delta.metrics.recovery_full_objects, 0u);
-  EXPECT_EQ(full.metrics.recovery_delta_objects, 0u);
   EXPECT_GT(delta.metrics.recovery_delta_objects, 0u)
       << "node 7 missed three commits; the delta cannot be empty";
-  EXPECT_GT(full.metrics.recovery_full_objects, 0u);
 
   // The whole point: the version-bounded pull ships a small fraction of
   // the store (3 changed objects out of 24 seeded, per answering peer).
   EXPECT_LT(delta.metrics.recovery_delta_objects * 4,
-            full.metrics.recovery_full_objects);
+            full.metrics.recovery_delta_objects);
 
-  // Replay did real work before the pull, and the post-sync cut persisted
-  // the pulled delta.
+  // Replay did real work before the pull (and none on the lost disk), and
+  // the post-sync cut persisted the pulled delta.
   EXPECT_GT(delta.metrics.log_replay_applies, 0u);
   EXPECT_GE(delta.metrics.checkpoint_cuts, 1u);
   EXPECT_EQ(full.metrics.log_replay_applies, 0u);
 }
 
 // An equal-version object must not ship at all: recover a node that missed
-// nothing and assert the delta is empty (the PR-5 full pull re-sent every
+// nothing and assert the delta is empty (a full pull would re-send every
 // object here).
 TEST(CommitLogCluster, NoMissedCommitsMeansEmptyDelta) {
   ClusterConfig cfg;

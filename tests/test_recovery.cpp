@@ -171,17 +171,20 @@ TEST(Recovery, PreCrashMessagesAreNotReplayedAfterRevive) {
 
 // Acceptance: orphaned-protection cleanup.  A coordinator that dies between
 // the vote and the confirm leaves its write-set protected on every voter;
-// the protection lease must shed it so a later writer commits.  Without a
-// durable log the vote is never *prepared*, so the lease may shed it freely
-// -- the prepared case must instead run the termination protocol and is
-// covered by test_termination.cpp (DESIGN.md §17).
+// the protection lease must shed it so a later writer commits.  Every vote
+// skips the log.prepare record, so no protection is ever *prepared* and the
+// lease may shed them freely -- the prepared case must instead run the
+// termination protocol and is covered by test_termination.cpp
+// (DESIGN.md §17).
 TEST(Recovery, OrphanedProtectionShedByLease) {
   ClusterConfig cfg;
   cfg.seed = 15;
   cfg.protection_lease = sim::msec(300);
-  cfg.durable_log = false;
   Cluster c(cfg);
   const ObjectId obj = c.seed_new_object(Bytes{1});
+  c.fault_points().arm(fp::kLogPrepare, FaultAction::kSkip,
+                       FaultPointRegistry::kAnyNode,
+                       FaultPointRegistry::kUnlimited);
 
   // Doomed coordinator on node 4: run until its commit-request votes have
   // protected the object somewhere, then fail-stop it -- its one-way

@@ -34,24 +34,6 @@ TEST(Summary, KnownMoments) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(Percentiles, MedianAndTails) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_NEAR(p.percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(p.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(p.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(p.percentile(99), 99.01, 0.1);
-}
-
-TEST(Percentiles, InterleavedAddAndQuery) {
-  Percentiles p;
-  p.add(3);
-  p.add(1);
-  EXPECT_NEAR(p.percentile(50), 2.0, 1e-9);
-  p.add(2);
-  EXPECT_NEAR(p.percentile(50), 2.0, 1e-9);
-}
-
 TEST(PctChange, Basics) {
   EXPECT_DOUBLE_EQ(pct_change(150, 100), 50.0);
   EXPECT_DOUBLE_EQ(pct_change(50, 100), -50.0);

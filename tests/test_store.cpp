@@ -62,28 +62,6 @@ TEST(ReplicaStore, UnprotectByNonHolderIsNoOp) {
   EXPECT_TRUE(s.protected_against(1, 200));
 }
 
-TEST(ReplicaStore, PrPwTracking) {
-  ReplicaStore s;
-  s.seed(1, Bytes{}, 1);
-  s.seed(2, Bytes{}, 1);
-  s.add_reader(1, 100);
-  s.add_reader(2, 100);
-  s.add_writer(2, 100);
-  s.add_reader(1, 200);
-  EXPECT_EQ(s.find(1)->pr.size(), 2u);
-  EXPECT_EQ(s.find(2)->pw.size(), 1u);
-  EXPECT_EQ(s.tracked_txn_entries(), 4u);
-
-  s.drop_txn(100);
-  EXPECT_EQ(s.find(1)->pr.size(), 1u);
-  EXPECT_EQ(s.find(2)->pr.size(), 0u);
-  EXPECT_EQ(s.find(2)->pw.size(), 0u);
-  EXPECT_EQ(s.tracked_txn_entries(), 1u);
-
-  s.drop_txn(100);  // idempotent
-  s.drop_txn(12345);  // unknown txn is fine
-}
-
 TEST(ReplicaStore, NullObjectIdRejected) {
   ReplicaStore s;
   EXPECT_THROW(s.seed(kNullObject, Bytes{}), qrdtm::InvariantError);

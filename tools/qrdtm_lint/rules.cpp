@@ -448,15 +448,6 @@ void check_hot(const Ctx& c) {
       c.diag(t[i].line, "hot-make-shared",
              "make_shared on a hot path allocates and atomically "
              "refcounts per call; prefer a pooled or stack-owned object");
-      continue;
-    }
-    if (name == "Percentiles") {
-      c.diag(t[i].line, "hot-sorted-percentile",
-             "Percentiles on a hot path: it buffers every sample and sorts "
-             "on query (O(n log n), allocating); use the fixed-bucket "
-             "LatencyHistogram (core/trace.h), which records in O(1) with "
-             "no allocation");
-      continue;
     }
   }
 }
@@ -870,7 +861,6 @@ const std::vector<std::string>& all_rule_names() {
       "det-unordered-iter", "det-pointer-key",
       "coro-ref-capture", "coro-temp-ref",
       "hot-std-function", "hot-naked-new",     "hot-make-shared",
-      "hot-sorted-percentile",
       "wire-codec-asymmetry", "wire-field-uncoded", "wire-width-mismatch",
       "wire-tag-unregistered", "wire-tag-duplicate",
       "buf-leak", "buf-double-release", "buf-use-after-release",
