@@ -38,14 +38,10 @@ int main() {
                  "backoff    txn/s   ct-retries/commit");
     for (std::size_t i = 0; i < results.size(); ++i) {
       warn_if_corrupt(results[i], app);
-      double retries =
-          results[i].commits
-              ? static_cast<double>(results[i].ct_aborts) /
-                    static_cast<double>(results[i].commits)
-              : 0.0;
+      const core::Metrics& m = results[i].metrics;
       std::printf("%4ums %s %s\n", backoffs_ms[i],
                   fmt(results[i].throughput).c_str(),
-                  fmt(retries, 14, 2).c_str());
+                  fmt(m.per_commit(m.ct_aborts), 14, 2).c_str());
     }
   }
   return 0;

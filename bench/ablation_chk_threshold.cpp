@@ -46,12 +46,9 @@ int main() {
     for (std::size_t i = 0; i < std::size(thresholds); ++i) {
       warn_if_corrupt(results[i], app);
       const auto& r = results[i];
-      double chks = r.commits ? static_cast<double>(r.checkpoints) /
-                                    static_cast<double>(r.commits)
-                              : 0.0;
-      double rolls = r.commits ? static_cast<double>(r.partial_rollbacks) /
-                                     static_cast<double>(r.commits)
-                               : 0.0;
+      const core::Metrics& m = r.metrics;
+      const double chks = m.per_commit(m.checkpoints_created);
+      const double rolls = m.per_commit(m.partial_rollbacks);
       std::printf("%6u %s %s %s %s\n", thresholds[i],
                   fmt(r.throughput, 10).c_str(),
                   fmt(pct_change(r.throughput, flat.throughput), 8).c_str(),

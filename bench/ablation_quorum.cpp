@@ -55,8 +55,8 @@ int main() {
       warn_if_corrupt(results[i], app);
       std::printf("%-15s %s %s %s\n", labels[i].c_str(),
                   fmt(results[i].throughput).c_str(),
-                  fmt(results[i].messages_per_commit(), 13).c_str(),
-                  fmt(results[i].abort_rate(), 15, 2).c_str());
+                  fmt(results[i].metrics.messages_per_commit(), 13).c_str(),
+                  fmt(results[i].metrics.abort_rate(), 15, 2).c_str());
     }
   }
   std::printf(

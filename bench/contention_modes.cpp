@@ -14,8 +14,8 @@
 // kClientNodes nodes): batching only amortises traffic a node actually
 // submits, and co-location is the regime the comparison is about.
 //
-// Writes machine-readable results (commits/sec, abort rate, commit p50/p99
-// per mode x app x population) to BENCH_modes.json (or argv[1]) for CI
+// Writes machine-readable results (one result_json_members() object per
+// mode x app x population) to BENCH_modes.json (or argv[1]) for CI
 // artifacts.
 #include <cstdio>
 #include <string>
@@ -39,12 +39,6 @@ struct Point {
   ExperimentResult res;
 };
 
-double p_ms(const ExperimentResult& r, int pct) {
-  return sim::to_seconds(r.latency.commit_latency.percentile(pct)) * 1e3;
-}
-
-double commits_per_sec(const ExperimentResult& r) { return r.throughput; }
-
 bool write_json(const std::string& path, const std::vector<Point>& points,
                 sim::Tick duration) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -62,26 +56,12 @@ bool write_json(const std::string& path, const std::vector<Point>& points,
                kClients, kClientNodes, sim::to_seconds(duration));
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    const ExperimentResult& r = p.res;
-    std::fprintf(
-        f,
-        "    {\"app\": \"%s\", \"mode\": \"%s\", \"objects\": %u, "
-        "\"commits\": %llu, \"commits_per_sec\": %.2f, "
-        "\"aborts\": %llu, \"abort_rate\": %.4f, "
-        "\"batches\": %llu, \"speculation_rollbacks\": %llu, "
-        "\"batch_read_hits\": %llu, \"messages_per_commit\": %.2f, "
-        "\"commit_p50_ms\": %.1f, \"commit_p99_ms\": %.1f, "
-        "\"invariants_ok\": %s}%s\n",
-        p.app.c_str(), core::to_string(p.mode), p.objects,
-        static_cast<unsigned long long>(r.commits), commits_per_sec(r),
-        static_cast<unsigned long long>(r.total_aborts()),
-        r.commits ? r.abort_rate() : 0.0,
-        static_cast<unsigned long long>(r.batches),
-        static_cast<unsigned long long>(r.speculation_rollbacks),
-        static_cast<unsigned long long>(r.batch_read_hits),
-        r.messages_per_commit(), p_ms(r, 50), p_ms(r, 99),
-        r.invariants_ok ? "true" : "false",
-        i + 1 < points.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"app\": \"%s\", \"mode\": \"%s\", \"objects\": %u, "
+                 "%s}%s\n",
+                 p.app.c_str(), core::to_string(p.mode), p.objects,
+                 result_json_members(p.res).c_str(),
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -134,9 +114,11 @@ int main(int argc, char** argv) {
         const ExperimentResult& r = results[idx++];
         warn_if_corrupt(r, app + "/" + core::to_string(mode));
         std::printf("%4u   %-11s %s %s %s %s %s\n", objects, mode_label(mode),
-                    fmt(r.throughput).c_str(), fmt(r.abort_rate(), 8, 2).c_str(),
-                    fmt(p_ms(r, 50), 8).c_str(), fmt(p_ms(r, 99), 8).c_str(),
-                    fmt(r.messages_per_commit(), 8).c_str());
+                    fmt(r.throughput).c_str(),
+                    fmt(r.metrics.abort_rate(), 8, 2).c_str(),
+                    fmt(commit_percentile_ms(r, 50), 8).c_str(),
+                    fmt(commit_percentile_ms(r, 99), 8).c_str(),
+                    fmt(r.metrics.messages_per_commit(), 8).c_str());
         points.push_back({app, mode, objects, r});
         if (mode == core::NestingMode::kFlat) flat = &r;
         if (mode == core::NestingMode::kClosed) closed = &r;
@@ -147,8 +129,10 @@ int main(int argc, char** argv) {
       if (objects == kPopulations[std::size(kPopulations) - 1]) {
         const bool ok = queued->throughput > flat->throughput &&
                         queued->throughput > closed->throughput &&
-                        queued->abort_rate() < flat->abort_rate() &&
-                        queued->abort_rate() < closed->abort_rate();
+                        queued->metrics.abort_rate() <
+                            flat->metrics.abort_rate() &&
+                        queued->metrics.abort_rate() <
+                            closed->metrics.abort_rate();
         std::printf("  -> hottest point (%u objects): QR-Q %s flat+closed "
                     "on throughput and abort rate\n",
                     objects, ok ? "beats" : "DOES NOT beat");

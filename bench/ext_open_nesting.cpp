@@ -18,9 +18,8 @@ using namespace qrdtm::bench;
 namespace {
 
 struct Row {
+  core::Metrics metrics;  // at the deadline, before the drain
   double tput = 0;
-  double aborts_per_commit = 0;
-  double msgs_per_commit = 0;
   bool ok = false;
 };
 
@@ -48,15 +47,8 @@ Row run(core::NestingMode mode, bool open, double ratio,
   cluster.run_for(point_duration());
 
   Row row;
-  const auto& m = cluster.metrics();
-  row.tput = m.throughput(cluster.duration());
-  row.aborts_per_commit =
-      m.commits ? static_cast<double>(m.total_aborts()) /
-                      static_cast<double>(m.commits)
-                : 0;
-  row.msgs_per_commit = m.commits ? static_cast<double>(m.total_messages()) /
-                                        static_cast<double>(m.commits)
-                                  : 0;
+  row.metrics = cluster.metrics();
+  row.tput = row.metrics.throughput(cluster.duration());
   cluster.run_to_completion();
   bool ok = false;
   cluster.spawn_client(0, app.make_checker(&ok));
@@ -89,7 +81,7 @@ int main() {
                   fmt(on.tput, 7).c_str(),
                   fmt(pct_change(cn.tput, flat.tput), 9).c_str(),
                   fmt(pct_change(on.tput, flat.tput), 9).c_str(),
-                  fmt(on.msgs_per_commit, 10).c_str());
+                  fmt(on.metrics.messages_per_commit(), 10).c_str());
     }
   }
   std::printf(

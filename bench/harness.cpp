@@ -108,20 +108,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   res.events_executed = cluster.simulator().events_executed();
-  res.commits = cluster.metrics().commits;
-  res.root_aborts = cluster.metrics().root_aborts;
-  res.ct_aborts = cluster.metrics().ct_aborts;
-  res.partial_rollbacks = cluster.metrics().partial_rollbacks;
-  res.checkpoints = cluster.metrics().checkpoints_created;
-  res.vote_aborts = cluster.metrics().vote_aborts;
-  res.validation_failures = cluster.metrics().validation_failures;
-  res.read_messages = cluster.metrics().read_messages;
-  res.commit_messages = cluster.metrics().commit_messages;
-  res.node_recoveries = cluster.metrics().node_recoveries;
-  res.batches = cluster.metrics().batches_committed;
-  res.speculation_rollbacks = cluster.metrics().speculation_rollbacks;
-  res.batch_read_hits = cluster.metrics().batch_read_hits;
-  res.throughput = cluster.metrics().throughput(cluster.duration());
+  res.metrics = cluster.metrics();
+  res.throughput = res.metrics.throughput(cluster.duration());
   res.latency = cluster.merged_latency();
   if (cfg.collect_per_node_latency) {
     res.node_latency.reserve(cfg.num_nodes);
@@ -138,6 +126,48 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   cluster.run_to_completion();
   res.invariants_ok = ok;
   return res;
+}
+
+namespace {
+
+/// A JSON number, or null for NaN/inf (JSON has no spelling for either).
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+}  // namespace
+
+double commit_percentile_ms(const ExperimentResult& r, double pct) {
+  return sim::to_seconds(r.latency.commit_latency.percentile(pct)) * 1e3;
+}
+
+std::string result_json_members(const ExperimentResult& r) {
+  std::string out =
+      "\"throughput_txn_per_sec\": " + json_number(r.throughput) +
+      ", \"abort_rate\": " + json_number(r.metrics.abort_rate()) +
+      ", \"messages_per_commit\": " +
+      json_number(r.metrics.messages_per_commit()) +
+      ", \"commit_p50_ms\": " + json_number(commit_percentile_ms(r, 50)) +
+      ", \"commit_p99_ms\": " + json_number(commit_percentile_ms(r, 99)) +
+      ", \"invariants_ok\": " + (r.invariants_ok ? "true" : "false") +
+      ", \"wall_seconds\": " + json_number(r.wall_seconds) +
+      ", \"events_executed\": " + std::to_string(r.events_executed) +
+      ", \"events_per_sec\": " + json_number(r.events_per_sec()) +
+      ", \"counters\": {";
+  const char* sep = "";
+  for (const core::MetricField& f : core::kMetricFields) {
+    out += sep;
+    out += "\"";
+    out += f.name;
+    out += "\": ";
+    out += std::to_string(r.metrics.*f.field);
+    sep = ", ";
+  }
+  out += "}";
+  return out;
 }
 
 std::vector<ExperimentResult> run_sweep(

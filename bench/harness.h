@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,20 +85,10 @@ struct ExperimentConfig {
 };
 
 struct ExperimentResult {
+  /// Every cluster counter at the deadline, before the drain: transactions
+  /// still in flight when the run stops do not count toward the point.
+  core::Metrics metrics;
   double throughput = 0;  // committed root transactions / simulated second
-  std::uint64_t commits = 0;
-  std::uint64_t root_aborts = 0;
-  std::uint64_t ct_aborts = 0;
-  std::uint64_t partial_rollbacks = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t vote_aborts = 0;
-  std::uint64_t validation_failures = 0;
-  std::uint64_t read_messages = 0;
-  std::uint64_t commit_messages = 0;
-  std::uint64_t node_recoveries = 0;
-  std::uint64_t batches = 0;                // committed batches (kQueued)
-  std::uint64_t speculation_rollbacks = 0;  // discarded batch rounds
-  std::uint64_t batch_read_hits = 0;        // reads served from batch cache
   bool invariants_ok = false;
 
   /// Cluster-merged latency histograms (always collected -- recording is
@@ -119,30 +108,18 @@ struct ExperimentResult {
                                   wall_seconds
                             : 0.0;
   }
-
-  /// Mirrors core::Metrics::total_aborts(): under kQueued the unit of abort
-  /// is a discarded batch round (speculation_rollbacks), not a root retry.
-  std::uint64_t total_aborts() const {
-    return root_aborts + ct_aborts + partial_rollbacks + speculation_rollbacks;
-  }
-  std::uint64_t total_messages() const {
-    return read_messages + commit_messages;
-  }
-  /// Aborts per commit; NaN with no commits (undefined ratio -- fmt()
-  /// renders it as "n/a").
-  double abort_rate() const {
-    return commits ? static_cast<double>(total_aborts()) /
-                         static_cast<double>(commits)
-                   : std::numeric_limits<double>::quiet_NaN();
-  }
-  /// Messages per commit (normalising message counts across modes whose
-  /// runs commit different transaction counts in the same duration).
-  double messages_per_commit() const {
-    return commits ? static_cast<double>(total_messages()) /
-                         static_cast<double>(commits)
-                   : 0.0;
-  }
 };
+
+/// Commit-latency percentile `pct` of the point, in milliseconds.
+double commit_percentile_ms(const ExperimentResult& r, double pct);
+
+/// `r` as comma-separated JSON members without the enclosing braces, so a
+/// caller can put its own keys (app, mode, ...) in the same object:
+/// throughput, abort rate, messages per commit, commit p50/p99, invariants,
+/// host cost, and a "counters" object holding every core::kMetricFields
+/// counter under its table name.  Undefined ratios (NaN) are written as
+/// null.
+std::string result_json_members(const ExperimentResult& r);
 
 /// Run one experiment point (deterministic in cfg.seed).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

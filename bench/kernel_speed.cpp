@@ -1,9 +1,9 @@
 // Hot-path microbenchmarks for the simulation substrate itself: raw kernel
 // event throughput, RPC round-trips, and Rqv remote reads as the carried
 // data-set grows.  These are the three paths every experiment in the
-// reproduction funnels through; BENCH_kernel.json (emitted by qrdtm_run
-// --bench-json and by --benchmark_out here) tracks their trajectory across
-// perf PRs.
+// reproduction funnels through; --benchmark_out here (and the end-to-end
+// point qrdtm_run --metrics-json writes) tracks their trajectory across
+// perf changes.
 #include <benchmark/benchmark.h>
 
 #include <memory>

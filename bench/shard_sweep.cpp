@@ -73,9 +73,7 @@ struct Point {
   std::uint32_t shards;
   double cross_ratio;
   double skew;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t cross_rounds = 0;
+  core::Metrics metrics;  // at the deadline, before the drain
   double throughput = 0.0;
 };
 
@@ -125,16 +123,12 @@ Point run_point(std::uint32_t shards, double cross_ratio, double skew,
   }
 
   c.run_for(duration);
+  // Counters at the deadline: the drain below finishes each client's
+  // in-flight transaction, and those commits lie outside the measured
+  // window.
+  Point p{shards, cross_ratio, skew, c.metrics()};
+  p.throughput = p.metrics.throughput(duration);
   c.run_to_completion();
-
-  Point p;
-  p.shards = shards;
-  p.cross_ratio = cross_ratio;
-  p.skew = skew;
-  p.commits = c.metrics().commits;
-  p.aborts = c.metrics().total_aborts();
-  p.cross_rounds = c.metrics().cross_shard_rounds;
-  p.throughput = static_cast<double>(p.commits) / sim::to_seconds(duration);
   return p;
 }
 
@@ -164,9 +158,10 @@ bool write_json(const std::string& path, const std::vector<Point>& points,
                  "\"commits_per_sec\": %.2f, \"aborts\": %llu, "
                  "\"cross_shard_rounds\": %llu}%s\n",
                  p.shards, p.cross_ratio, p.skew,
-                 static_cast<unsigned long long>(p.commits), p.throughput,
-                 static_cast<unsigned long long>(p.aborts),
-                 static_cast<unsigned long long>(p.cross_rounds),
+                 static_cast<unsigned long long>(p.metrics.commits),
+                 p.throughput,
+                 static_cast<unsigned long long>(p.metrics.total_aborts()),
+                 static_cast<unsigned long long>(p.metrics.cross_shard_rounds),
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -195,15 +190,12 @@ int main(int argc, char** argv) {
       std::vector<Point> series;
       for (std::uint32_t shards : kShards) {
         Point p = run_point(shards, ratio, skew, duration);
+        const core::Metrics& m = p.metrics;
         std::printf("%6u %s %9llu %13llu %s\n", p.shards,
                     fmt(p.throughput).c_str(),
-                    static_cast<unsigned long long>(p.commits),
-                    static_cast<unsigned long long>(p.cross_rounds),
-                    fmt(p.commits ? static_cast<double>(p.aborts) /
-                                        static_cast<double>(p.commits)
-                                  : 0.0,
-                        8, 2)
-                        .c_str());
+                    static_cast<unsigned long long>(m.commits),
+                    static_cast<unsigned long long>(m.cross_shard_rounds),
+                    fmt(m.abort_rate(), 8, 2).c_str());
         series.push_back(p);
         points.push_back(p);
       }

@@ -36,12 +36,10 @@ int main() {
       configs.push_back(cfg);
     }
     auto results = run_sweep(configs);
-    const auto& flat = results[0];
-    const auto& cn = results[1];
-    const auto& chk = results[2];
-    for (const auto* r : {&flat, &cn, &chk}) {
-      warn_if_corrupt(*r, app);
-    }
+    for (const auto& r : results) warn_if_corrupt(r, app);
+    const core::Metrics& flat = results[0].metrics;
+    const core::Metrics& cn = results[1].metrics;
+    const core::Metrics& chk = results[2].metrics;
     std::printf("%-10s %s %s %s %s\n", app.c_str(),
                 fmt(pct_change(cn.abort_rate(), flat.abort_rate()), 10).c_str(),
                 fmt(pct_change(chk.abort_rate(), flat.abort_rate()), 11).c_str(),

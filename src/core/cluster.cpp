@@ -9,6 +9,14 @@
 
 namespace qrdtm::core {
 
+namespace {
+
+/// Metric-space latency per unit of distance on the unit square (see
+/// ClusterConfig::metric_space).
+constexpr sim::Tick kMetricScale = sim::msec(20);
+
+}  // namespace
+
 Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   Rng seeder(cfg_.seed);
 
@@ -26,7 +34,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   std::unique_ptr<net::LatencyModel> latency;
   if (cfg_.metric_space) {
     latency = std::make_unique<net::GridLatency>(
-        cfg_.num_nodes, cfg_.link_latency, cfg_.metric_scale, seeder.next(),
+        cfg_.num_nodes, cfg_.link_latency, kMetricScale, seeder.next(),
         cfg_.link_jitter);
   } else {
     latency = std::make_unique<net::UniformLatency>(cfg_.link_latency,
@@ -41,13 +49,12 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
       qc.num_nodes = cfg_.num_nodes;
       qc.degree = cfg_.tree_degree;
       qc.read_level = cfg_.tree_read_level;
-      qc.same_for_all = cfg_.same_quorums_for_all;
       quorums_ = std::make_unique<quorum::TreeQuorumProvider>(qc);
       break;
     }
     case QuorumKind::kMajority:
-      quorums_ = std::make_unique<quorum::MajorityQuorumProvider>(
-          cfg_.num_nodes, cfg_.same_quorums_for_all);
+      quorums_ =
+          std::make_unique<quorum::MajorityQuorumProvider>(cfg_.num_nodes);
       break;
     case QuorumKind::kFlatFailureAware:
       quorums_ =
@@ -63,7 +70,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
                      : quorum::ShardedQuorumProvider::Inner::kTree;
       sc.tree_degree = cfg_.tree_degree;
       sc.tree_read_level = cfg_.tree_read_level;
-      sc.same_for_all = cfg_.same_quorums_for_all;
       quorums_ = std::make_unique<quorum::ShardedQuorumProvider>(sc);
       break;
     }
@@ -84,7 +90,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
     QRDTM_CHECK(endpoints_.back()->id() == i);
-    servers_.push_back(std::make_unique<QrServer>(*endpoints_.back()));
+    servers_.push_back(
+        std::make_unique<QrServer>(*endpoints_.back(), metrics_));
     lock_managers_.push_back(
         std::make_unique<LockManager>(*endpoints_.back()));
     // Coordinator decision records (DESIGN.md §17) share the co-located
@@ -97,7 +104,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     servers_.back()->set_protection_lease(cfg_.protection_lease);
     servers_.back()->set_fault_points(&faults_);
     servers_.back()->set_quorum_provider(quorums_.get());
-    servers_.back()->set_metrics(&metrics_);
     servers_.back()->set_max_tail_bytes(cfg_.runtime.log_max_tail_bytes);
     if (cfg_.test_skip_commit_validation) {
       servers_.back()->set_validation_disabled_for_test(true);

@@ -46,7 +46,6 @@ struct ClusterConfig {
   QuorumKind quorum = QuorumKind::kTree;
   std::uint32_t tree_degree = 3;
   std::uint32_t tree_read_level = 1;
-  bool same_quorums_for_all = true;  // the paper's experimental setting
 
   /// kSharded only: cohort count (objects hash to cohorts via CohortMap)
   /// and replicas per cohort.  Each cohort runs its own inner tree (the
@@ -65,9 +64,8 @@ struct ClusterConfig {
   sim::Tick link_jitter = sim::msec(5);
   /// cc DTM assumes a metric-space network (paper §I).  When true, nodes
   /// are placed on a unit square and one-way latency is
-  /// link_latency + distance * metric_scale (+ jitter) instead of uniform.
+  /// link_latency + distance * 20 ms (+ jitter) instead of uniform.
   bool metric_space = false;
-  sim::Tick metric_scale = sim::msec(20);
   /// Per-message processing time at a replica (drives the Fig. 10 hotspot
   /// behaviour).
   sim::Tick service_time = sim::usec(60);

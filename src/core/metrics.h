@@ -6,8 +6,10 @@
 // (Fig. 8 reports percentage deltas of exactly these two categories).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 #include "sim/simulator.h"
 
@@ -67,6 +69,10 @@ struct Metrics {
   /// at-least-once retransmission from recovered coordinators and resolving
   /// peers makes these routine, never double-applied.
   std::uint64_t confirm_duplicates = 0;
+  /// Merely-protected entries (no durable yes-vote) shed by the
+  /// coordinator-liveness lease: the protector's confirm was overdue by the
+  /// whole lease.  Zero in chaos-free runs.
+  std::uint64_t lease_breaks = 0;
 
   // --- sharded cohorts ---
   /// 2PC vote rounds whose read+write set spanned more than one quorum
@@ -101,14 +107,88 @@ struct Metrics {
     return s > 0 ? static_cast<double>(commits) / s : 0.0;
   }
 
-  /// Aborts per committed transaction (dimensionless abort rate).  With no
-  /// commits the ratio is undefined: NaN, never the raw abort count (which
-  /// would silently change units in report output -- printers show "n/a").
-  double abort_rate() const {
-    return commits ? static_cast<double>(total_aborts()) /
-                         static_cast<double>(commits)
+  /// `count` per committed transaction, which normalises counts across
+  /// runs that commit different numbers of transactions.  With no commits
+  /// the ratio is undefined: NaN, never the raw count (which would silently
+  /// change units in report output -- printers show "n/a").
+  double per_commit(std::uint64_t count) const {
+    return commits ? static_cast<double>(count) / static_cast<double>(commits)
                    : std::numeric_limits<double>::quiet_NaN();
   }
+
+  /// Aborts per committed transaction (dimensionless abort rate).
+  double abort_rate() const { return per_commit(total_aborts()); }
+  double messages_per_commit() const { return per_commit(total_messages()); }
+
+  bool operator==(const Metrics&) const = default;
 };
+
+/// One counter's output name and member.
+struct MetricField {
+  const char* name;
+  std::uint64_t Metrics::*field;
+};
+
+/// Every Metrics counter, in declaration order.  Reports, JSON writers and
+/// tests iterate this table instead of listing counters by hand; the
+/// static_assert below fails the build when a field is added to Metrics
+/// but not here.
+inline constexpr std::array kMetricFields = {
+    MetricField{"commits", &Metrics::commits},
+    MetricField{"root_aborts", &Metrics::root_aborts},
+    MetricField{"ct_aborts", &Metrics::ct_aborts},
+    MetricField{"partial_rollbacks", &Metrics::partial_rollbacks},
+    MetricField{"local_commits", &Metrics::local_commits},
+    MetricField{"remote_reads", &Metrics::remote_reads},
+    MetricField{"local_read_hits", &Metrics::local_read_hits},
+    MetricField{"commit_requests", &Metrics::commit_requests},
+    MetricField{"validation_failures", &Metrics::validation_failures},
+    MetricField{"vote_aborts", &Metrics::vote_aborts},
+    MetricField{"checkpoints_created", &Metrics::checkpoints_created},
+    MetricField{"step_guard_trips", &Metrics::step_guard_trips},
+    MetricField{"batches_committed", &Metrics::batches_committed},
+    MetricField{"speculation_rollbacks", &Metrics::speculation_rollbacks},
+    MetricField{"batch_read_hits", &Metrics::batch_read_hits},
+    MetricField{"node_recoveries", &Metrics::node_recoveries},
+    MetricField{"recovery_delta_objects", &Metrics::recovery_delta_objects},
+    MetricField{"log_replay_applies", &Metrics::log_replay_applies},
+    MetricField{"checkpoint_cuts", &Metrics::checkpoint_cuts},
+    MetricField{"recovery_failures", &Metrics::recovery_failures},
+    MetricField{"log_autocuts", &Metrics::log_autocuts},
+    MetricField{"indoubt_resolved_commit", &Metrics::indoubt_resolved_commit},
+    MetricField{"indoubt_resolved_abort", &Metrics::indoubt_resolved_abort},
+    MetricField{"termination_rounds", &Metrics::termination_rounds},
+    MetricField{"confirm_duplicates", &Metrics::confirm_duplicates},
+    MetricField{"lease_breaks", &Metrics::lease_breaks},
+    MetricField{"cross_shard_rounds", &Metrics::cross_shard_rounds},
+    MetricField{"open_commits", &Metrics::open_commits},
+    MetricField{"compensations_run", &Metrics::compensations_run},
+    MetricField{"lock_conflicts", &Metrics::lock_conflicts},
+    MetricField{"lock_messages", &Metrics::lock_messages},
+    MetricField{"read_messages", &Metrics::read_messages},
+    MetricField{"commit_messages", &Metrics::commit_messages},
+};
+
+namespace detail {
+/// No two table entries share a name or a member.  With the size check
+/// below this makes the table a one-to-one cover of Metrics' fields.
+consteval bool metric_fields_distinct() {
+  for (std::size_t i = 0; i < kMetricFields.size(); ++i) {
+    for (std::size_t j = i + 1; j < kMetricFields.size(); ++j) {
+      if (kMetricFields[i].field == kMetricFields[j].field ||
+          std::string_view(kMetricFields[i].name) == kMetricFields[j].name) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+}  // namespace detail
+
+static_assert(sizeof(Metrics) ==
+                  kMetricFields.size() * sizeof(std::uint64_t),
+              "every Metrics field needs a kMetricFields entry");
+static_assert(detail::metric_fields_distinct(),
+              "kMetricFields lists a field or a name twice");
 
 }  // namespace qrdtm::core

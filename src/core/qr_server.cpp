@@ -20,9 +20,16 @@ net::NodeId coordinator_of(TxnId txn, std::uint32_t num_nodes) {
   return static_cast<net::NodeId>(hi - 1);
 }
 
+/// Round-trip budget for one termination round: queries go out, then the
+/// replica waits this long for TxnStatusResponse notifies before evaluating
+/// the presumed-abort rule.  Backoff between rounds draws from
+/// [timeout/2, ...) via core/backoff.h.
+constexpr sim::Tick kTerminationTimeout = sim::msec(100);
+
 }  // namespace
 
-QrServer::QrServer(net::RpcEndpoint& rpc) : rpc_(rpc), id_(rpc.id()) {
+QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
+    : rpc_(rpc), id_(rpc.id()), metrics_(metrics) {
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
@@ -127,11 +134,8 @@ void QrServer::maybe_autocut() {
   if (max_tail_bytes_ == 0) return;
   if (log_.tail_bytes() < max_tail_bytes_) return;
   cut_checkpoint();
-  ++log_autocuts_;
-  if (metrics_ != nullptr) {
-    ++metrics_->log_autocuts;
-    ++metrics_->checkpoint_cuts;
-  }
+  ++metrics_.log_autocuts;
+  ++metrics_.checkpoint_cuts;
 }
 
 SyncPullResponse QrServer::handle_sync_pull(
@@ -176,7 +180,7 @@ bool QrServer::check_protected(ObjectId id, TxnId txn) {
       // The protector's confirm is overdue by the whole lease and the vote
       // was never made durable here: shedding cannot lose an acknowledged
       // commit, so free the object for later writers.
-      ++lease_breaks_;
+      ++metrics_.lease_breaks;
       return false;
     }
     // A *prepared* protection (durable yes-vote) may back an acknowledged
@@ -224,7 +228,6 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   }
 
   if (!any_invalid) return std::nullopt;
-  ++validation_failures_;
 
   ReadResponse resp;
   resp.status = ReadStatus::kAbort;
@@ -277,7 +280,6 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
     } else if (req.mode == NestingMode::kCheckpoint) {
       abort.abort_chk = std::numeric_limits<ChkEpoch>::max();
     }
-    ++validation_failures_;
     return abort;
   }
 
@@ -415,8 +417,7 @@ bool QrServer::confirm_is_duplicate(TxnId txn) {
   if (it == outcomes_.end() || it->second.first != liveness_epoch()) {
     return false;
   }
-  ++confirm_duplicates_;
-  if (metrics_ != nullptr) ++metrics_->confirm_duplicates;
+  ++metrics_.confirm_duplicates;
   return true;
 }
 
@@ -483,7 +484,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
       Termination& t = it->second;
       t.round_no_decision.clear();
       t.coord_no_decision_newer = false;
-      if (metrics_ != nullptr) ++metrics_->termination_rounds;
+      ++metrics_.termination_rounds;
       fault(fp::kTermQuery);
       TxnStatusRequest req{txn};
       for (net::NodeId n : t.targets) {
@@ -492,7 +493,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
         rpc_.notify(n, msg::kTxnStatusRequest, std::move(w).take());
       }
     }
-    co_await rpc_.simulator().delay(termination_timeout_);
+    co_await rpc_.simulator().delay(kTerminationTimeout);
     {
       const auto it = term_.find(txn);
       if (it == term_.end()) co_return;  // a response resolved it
@@ -512,7 +513,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
     }
     if (round < kMaxRounds) {
       co_await rpc_.simulator().delay(draw_backoff_wait(
-          termination_timeout_, termination_timeout_ * 8, round, term_rng_));
+          kTerminationTimeout, kTerminationTimeout * 8, round, term_rng_));
     }
   }
   term_.erase(txn);
@@ -580,12 +581,10 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     store_.unprotect(lw.id, txn);
     if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
-  if (metrics_ != nullptr) {
-    if (commit) {
-      ++metrics_->indoubt_resolved_commit;
-    } else {
-      ++metrics_->indoubt_resolved_abort;
-    }
+  if (commit) {
+    ++metrics_.indoubt_resolved_commit;
+  } else {
+    ++metrics_.indoubt_resolved_abort;
   }
 
   // Retransmit the confirm to the queried peers before forgetting the
@@ -608,9 +607,7 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
     confirm.encode_into(w);
     Bytes encoded = std::move(w).take();
-    if (metrics_ != nullptr) {
-      metrics_->commit_messages += it->second.targets.size();
-    }
+    metrics_.commit_messages += it->second.targets.size();
     for (net::NodeId n : it->second.targets) {
       Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
       copy.assign(encoded.begin(), encoded.end());
@@ -634,7 +631,7 @@ std::size_t QrServer::redrive_open_decisions() {
       rpc_.notify(static_cast<net::NodeId>(m), msg::kCommitConfirm,
                   std::move(copy));
     }
-    if (metrics_ != nullptr) metrics_->commit_messages += d.members.size();
+    metrics_.commit_messages += d.members.size();
     // The broadcast left this (live) node: settle.  A crash during the
     // sends just re-drives again next restart -- receivers dedupe.
     log_.settle_decision(txn);

@@ -56,9 +56,11 @@ namespace qrdtm::core {
 
 class QrServer {
  public:
-  /// Wires the QR services into `rpc`.  The server must outlive the
-  /// endpoint's registered handlers (the Cluster owns both).
-  explicit QrServer(net::RpcEndpoint& rpc);
+  /// Wires the QR services into `rpc` and counts into `metrics` (the
+  /// cluster-wide sink).  The server must outlive the endpoint's registered
+  /// handlers, and `metrics` must outlive the server (the Cluster owns all
+  /// three).
+  QrServer(net::RpcEndpoint& rpc, Metrics& metrics);
 
   store::ReplicaStore& store() { return store_; }
   const store::ReplicaStore& store() const { return store_; }
@@ -82,18 +84,11 @@ class QrServer {
     quorums_ = quorums;
   }
 
-  /// Attach the cluster-wide metrics sink (nullptr = standalone rig).
-  void set_metrics(Metrics* metrics) { metrics_ = metrics; }
-
   /// Tail-growth bound for the commit log: once the record tail exceeds
   /// this many bytes a checkpoint cut is taken right after the append.
   /// 0 disables the auto-cut (the pre-bound behaviour: the tail grows
   /// without bound until recovery or a chaos-scheduled cut).
   void set_max_tail_bytes(std::size_t bytes) { max_tail_bytes_ = bytes; }
-  std::size_t max_tail_bytes() const { return max_tail_bytes_; }
-
-  /// Checkpoint cuts forced by the max_tail_bytes bound on this replica.
-  std::uint64_t log_autocuts() const { return log_autocuts_; }
 
   /// Seed an object at setup time: installs it in the store and records it
   /// in the commit log so a crashed node can replay it.
@@ -108,9 +103,6 @@ class QrServer {
   /// commit log.  Returns the number of apply operations replayed.
   std::size_t replay_commit_log();
 
-  /// Number of Rqv validations this replica failed (test observability).
-  std::uint64_t validation_failures() const { return validation_failures_; }
-
   /// Recovery catch-up state.  While syncing, the replica refuses service
   /// (reads answer kMissing, votes abort, sync pulls answer !ok): its store
   /// may be stale, and Q1 only tolerates stale *excluded* replicas.
@@ -119,25 +111,6 @@ class QrServer {
 
   /// Coordinator-liveness lease on protections; 0 disables shedding.
   void set_protection_lease(sim::Tick lease) { protection_lease_ = lease; }
-  sim::Tick protection_lease() const { return protection_lease_; }
-
-  /// Number of protections shed by the lease (test observability).
-  std::uint64_t lease_breaks() const { return lease_breaks_; }
-
-  /// Round-trip budget for one termination round: queries go out, then the
-  /// replica waits this long for TxnStatusResponse notifies before
-  /// evaluating the presumed-abort rule.  Backoff between rounds draws from
-  /// [timeout/2, ...) via core/backoff.h.
-  void set_termination_timeout(sim::Tick timeout) {
-    termination_timeout_ = timeout;
-  }
-  sim::Tick termination_timeout() const { return termination_timeout_; }
-
-  /// In-doubt transactions currently running a termination round.
-  std::size_t terminations_in_flight() const { return term_.size(); }
-
-  /// Confirms deduplicated by the (txn, epoch) applied-set on this replica.
-  std::uint64_t confirm_duplicates() const { return confirm_duplicates_; }
 
   /// Re-send the confirms of every unsettled decision in the commit log
   /// (Cluster::recover_node calls this after replay: a coordinator that
@@ -200,7 +173,7 @@ class QrServer {
   bool check_protected(ObjectId id, TxnId txn);
 
   /// True when a confirm for (txn) was already applied in this liveness
-  /// epoch; counts the duplicate when so.
+  /// epoch; counts the duplicate in Metrics::confirm_duplicates when so.
   bool confirm_is_duplicate(TxnId txn);
   /// Record the applied outcome for (txn) in this liveness epoch.
   void record_outcome(TxnId txn, bool commit);
@@ -244,20 +217,15 @@ class QrServer {
   TraceRecorder* tracer_ = nullptr;
   FaultPointRegistry* faults_ = nullptr;
   const quorum::QuorumProvider* quorums_ = nullptr;
-  Metrics* metrics_ = nullptr;
+  Metrics& metrics_;
   store::ReplicaStore store_;
   store::CommitLog log_;
   std::size_t max_tail_bytes_ = 0;
-  std::uint64_t log_autocuts_ = 0;
-  std::uint64_t validation_failures_ = 0;
-  std::uint64_t lease_breaks_ = 0;
   sim::Tick protection_lease_ = 0;
   bool syncing_ = false;
   bool skip_commit_validation_ = false;
 
   // --- cooperative termination state (DESIGN.md §17) ---
-  sim::Tick termination_timeout_ = sim::msec(100);
-  std::uint64_t confirm_duplicates_ = 0;
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the
   /// idempotence set that lets confirms be retransmitted at-least-once.
   /// Rebuilt from the log's confirm records at replay.

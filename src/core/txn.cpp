@@ -15,6 +15,13 @@ namespace qrdtm::core {
 namespace {
 constexpr std::uint32_t kDepthMax = std::numeric_limits<std::uint32_t>::max();
 constexpr ChkEpoch kChkMax = std::numeric_limits<ChkEpoch>::max();
+/// Zombie-execution guard: a single attempt performing more operations than
+/// this aborts (flat QR can read inconsistent snapshots and chase stale
+/// pointers; see DESIGN.md).
+constexpr std::uint32_t kMaxOpsPerAttempt = 100000;
+/// QR-ON: abstract-lock acquisition attempts before the root aborts (and
+/// compensates) to break potential cross-root lock-order cycles.
+constexpr std::uint32_t kMaxLockAttempts = 8;
 }  // namespace
 
 // ------------------------------------------------------------------ Txn
@@ -43,7 +50,7 @@ const Txn& Txn::root() const {
 Txn::OpToken Txn::begin_op() {
   Txn& r = root();
   const std::uint64_t idx = r.op_seq_++;
-  if (++r.ops_this_attempt_ > rt_.config().max_ops_per_attempt) {
+  if (++r.ops_this_attempt_ > kMaxOpsPerAttempt) {
     ++rt_.metrics().step_guard_trips;
     throw AbortException{AbortTarget::kRoot, r.scope_id_, 0, "step guard"};
   }
@@ -788,7 +795,7 @@ sim::Task<void> TxnRuntime::acquire_abstract_lock(Txn& root,
       }
     }
     ++metrics_.lock_conflicts;
-    if (attempt + 1 >= config_.max_lock_attempts) {
+    if (attempt + 1 >= kMaxLockAttempts) {
       // Could not get the lock: break the (potential) cross-root cycle by
       // aborting this root, which compensates and releases what it holds.
       throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,

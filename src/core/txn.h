@@ -94,13 +94,6 @@ struct RuntimeConfig {
   /// paper's reported band (~16 % below flat nesting).
   /// bench/ablation_chk_costs sweeps both knobs to show the crossover.
   sim::Tick chk_restore_cost = sim::msec(200);
-  /// Zombie-execution guard: a single attempt performing more operations
-  /// than this aborts (flat QR can read inconsistent snapshots and chase
-  /// stale pointers; see DESIGN.md).
-  std::uint32_t max_ops_per_attempt = 100000;
-  /// QR-ON: abstract-lock acquisition attempts before the root aborts (and
-  /// compensates) to break potential cross-root lock-order cycles.
-  std::uint32_t max_lock_attempts = 8;
   /// QR-Q (kQueued): batch formation window -- how long the planner waits
   /// after the first enqueue for concurrent submitters on the node to join
   /// the batch.  Roughly one quorum round trip amortizes best: the batch

@@ -15,6 +15,7 @@ struct Rig {
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::RpcEndpoint> client_ep;
   std::unique_ptr<net::RpcEndpoint> server_ep;
+  Metrics metrics;
   std::unique_ptr<QrServer> server;
 
   Rig() {
@@ -23,7 +24,7 @@ struct Rig {
         sim::usec(10));
     client_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
     server_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
-    server = std::make_unique<QrServer>(*server_ep);
+    server = std::make_unique<QrServer>(*server_ep, metrics);
   }
 
   store::ReplicaStore& store() { return server->store(); }
@@ -240,12 +241,12 @@ TEST(QrServer, ConfirmAppliesBasePlusStepsAndDedupesRepeat) {
   EXPECT_EQ(rig.store().version_of(1), 8u);
   EXPECT_EQ(rig.store().find(1)->data, Bytes{0x09});
   EXPECT_FALSE(rig.store().protected_against(1, 12345));
-  EXPECT_EQ(rig.server->confirm_duplicates(), 0u);
+  EXPECT_EQ(rig.metrics.confirm_duplicates, 0u);
 
   // A retransmitted confirm in the same liveness epoch is counted, not
   // re-applied.
   rig.confirm(c);
-  EXPECT_EQ(rig.server->confirm_duplicates(), 1u);
+  EXPECT_EQ(rig.metrics.confirm_duplicates, 1u);
   EXPECT_EQ(rig.store().version_of(1), 8u);
 }
 

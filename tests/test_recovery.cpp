@@ -37,14 +37,6 @@ bool any_protected(Cluster& c, ObjectId obj) {
   return false;
 }
 
-std::uint64_t total_lease_breaks(Cluster& c) {
-  std::uint64_t total = 0;
-  for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
-    total += c.server(static_cast<net::NodeId>(n)).lease_breaks();
-  }
-  return total;
-}
-
 // Acceptance: kill a node, commit a write while it is down, recover it; the
 // rejoined replica must serve the latest committed version and the read
 // quorum must shrink back to its pre-failure size.
@@ -211,7 +203,7 @@ TEST(Recovery, OrphanedProtectionShedByLease) {
 
   EXPECT_TRUE(committed) << "object stayed wedged behind an orphaned 2PC "
                             "protection";
-  EXPECT_GT(total_lease_breaks(c), 0u);
+  EXPECT_GT(c.metrics().lease_breaks, 0u);
   // Shedding is lazy (checked on access), so replicas outside the second
   // writer's quorum may still carry the stale flag; what matters is that
   // the new value committed and is readable everywhere it was written.

@@ -249,12 +249,6 @@ TEST(Termination, RedrivenConfirmIsDedupedNotReapplied) {
   EXPECT_GT(replicas_at_version(c, obj, 2), c.num_nodes() / 2);
   EXPECT_GT(c.metrics().confirm_duplicates, 0u)
       << "the already-applied member must count the repeat, not re-apply";
-  std::uint64_t dup_servers = 0;
-  for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
-    dup_servers += c.server(static_cast<net::NodeId>(n)).confirm_duplicates();
-  }
-  EXPECT_EQ(dup_servers, c.metrics().confirm_duplicates)
-      << "per-server counters must roll up to the cluster metric";
 
   std::int64_t seen = 0;
   c.spawn_client(2, [&, obj](Txn& t) -> sim::Task<void> {

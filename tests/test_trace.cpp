@@ -149,23 +149,44 @@ TEST(LatencyHistogram, MergeEqualsRecordingEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics NaN contract (satellite: abort_rate with zero commits).
+// Metrics NaN contract: per-commit ratios are undefined with zero commits.
 
 TEST(MetricsAbortRate, ZeroCommitsIsNaN) {
   Metrics m;
   m.root_aborts = 7;
+  m.read_messages = 5;
   EXPECT_TRUE(std::isnan(m.abort_rate()));
+  EXPECT_TRUE(std::isnan(m.messages_per_commit()));
+  EXPECT_NE(bench::fmt(m.abort_rate(), 8, 2).find("n/a"), std::string::npos);
   m.commits = 2;
   EXPECT_DOUBLE_EQ(m.abort_rate(), 3.5);
+  EXPECT_DOUBLE_EQ(m.messages_per_commit(), 2.5);
 }
 
-TEST(MetricsAbortRate, ExperimentResultZeroCommitsIsNaN) {
+// ---------------------------------------------------------------------------
+// Counter table: every Metrics field reaches the shared JSON writer (which
+// qrdtm_run --metrics-json and contention_modes use).
+
+TEST(MetricsJson, EveryCounterReachesResultJson) {
   bench::ExperimentResult r;
-  r.root_aborts = 4;
-  EXPECT_TRUE(std::isnan(r.abort_rate()));
-  EXPECT_NE(bench::fmt(r.abort_rate(), 8, 2).find("n/a"), std::string::npos);
-  r.commits = 8;
-  EXPECT_DOUBLE_EQ(r.abort_rate(), 0.5);
+  for (std::size_t i = 0; i < kMetricFields.size(); ++i) {
+    r.metrics.*kMetricFields[i].field = 1000 + i;
+  }
+  const std::string json = bench::result_json_members(r);
+  for (std::size_t i = 0; i < kMetricFields.size(); ++i) {
+    std::string member = "\"";
+    member += kMetricFields[i].name;
+    member += "\": " + std::to_string(1000 + i);
+    EXPECT_NE(json.find(member), std::string::npos) << member;
+  }
+}
+
+TEST(MetricsJson, UndefinedRatiosAreNull) {
+  const std::string json = bench::result_json_members({});
+  EXPECT_NE(json.find("\"abort_rate\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"messages_per_commit\": null"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------------
@@ -246,10 +267,10 @@ TEST(TraceDeterminism, SameSeedSameHistograms) {
   bench::ExperimentConfig cfg = small_config();
   bench::ExperimentResult a = bench::run_experiment(cfg);
   bench::ExperimentResult b = bench::run_experiment(cfg);
-  ASSERT_GT(a.commits, 0u);
-  EXPECT_EQ(a.commits, b.commits);
+  ASSERT_GT(a.metrics.commits, 0u);
+  EXPECT_EQ(a.metrics.commits, b.metrics.commits);
   EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_EQ(a.latency.commit_latency.count(), a.commits);
+  EXPECT_EQ(a.latency.commit_latency.count(), a.metrics.commits);
   EXPECT_GT(a.latency.read_rtt.count(), 0u);
 }
 
@@ -261,12 +282,9 @@ TEST(TraceDeterminism, TracingOnDoesNotPerturbTheRun) {
   cfg.trace = &rec;
   bench::ExperimentResult on = bench::run_experiment(cfg);
 
-  // Identical outcomes and identical latency distributions: the recorder
+  // Every counter and every latency distribution identical: the recorder
   // only observes.
-  EXPECT_EQ(on.commits, off.commits);
-  EXPECT_EQ(on.root_aborts, off.root_aborts);
-  EXPECT_EQ(on.read_messages, off.read_messages);
-  EXPECT_EQ(on.commit_messages, off.commit_messages);
+  EXPECT_EQ(on.metrics, off.metrics);
   EXPECT_TRUE(on.latency == off.latency);
 
   // And the trace itself is substantive: at least one kTxn span per commit
@@ -279,7 +297,7 @@ TEST(TraceDeterminism, TracingOnDoesNotPerturbTheRun) {
     EXPECT_LE(s.start, s.end);
     if (s.kind == TraceKind::kTxn) ++txn_spans;
   }
-  EXPECT_GE(txn_spans, on.commits);
+  EXPECT_GE(txn_spans, on.metrics.commits);
   EXPECT_FALSE(rec.instants().empty());
 }
 

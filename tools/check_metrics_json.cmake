@@ -1,0 +1,41 @@
+# Runs qrdtm_run with --metrics-json and fails unless the file parses as
+# JSON and carries the run header plus every counter listed in
+# core::kMetricFields (read from metrics.h, so a new counter is checked
+# without touching this script).
+#
+#   cmake -DQRDTM_RUN=<qrdtm_run> -DMETRICS_H=<src/core/metrics.h>
+#         -DOUT=<file.json> -P check_metrics_json.cmake
+cmake_minimum_required(VERSION 3.19)  # string(JSON)
+
+execute_process(
+  COMMAND ${QRDTM_RUN} --app bank --mode closed --seconds 2 --seed 3
+          --metrics-json ${OUT}
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "qrdtm_run exited with ${rc}")
+endif()
+
+file(READ ${OUT} json)
+foreach(key app mode num_nodes clients seed sim_seconds wall_seconds
+        events_executed events_per_sec throughput_txn_per_sec invariants_ok
+        aggregate nodes)
+  string(JSON unused ERROR_VARIABLE err GET "${json}" ${key})
+  if(err)
+    message(FATAL_ERROR "${OUT}: ${err}")
+  endif()
+endforeach()
+
+file(READ ${METRICS_H} header)
+string(REGEX MATCHALL "MetricField\\{\"[a-z_]+\"" entries "${header}")
+list(LENGTH entries count)
+if(count EQUAL 0)
+  message(FATAL_ERROR "no kMetricFields entries found in ${METRICS_H}")
+endif()
+foreach(entry ${entries})
+  string(REGEX REPLACE "MetricField\\{\"([a-z_]+)\"" "\\1" name "${entry}")
+  string(JSON unused ERROR_VARIABLE err GET "${json}" counters ${name})
+  if(err)
+    message(FATAL_ERROR "${OUT}: counter ${name} missing: ${err}")
+  endif()
+endforeach()
+message(STATUS "${OUT}: ${count} counters present")

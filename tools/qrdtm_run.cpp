@@ -1,8 +1,9 @@
 // qrdtm_run -- command-line experiment runner.
 //
 // Runs one deterministic simulation point with every knob on the command
-// line and prints the full metric breakdown; the quickest way to explore
-// the design space beyond the fixed paper figures.
+// line and prints the full metric breakdown (every core::Metrics counter);
+// the quickest way to explore the design space beyond the fixed paper
+// figures.
 //
 //   $ qrdtm_run --app slist --mode closed --nodes 13 --clients 8
 //               --reads 0.2 --calls 3 --objects 128 --seconds 60 --seed 1
@@ -44,17 +45,17 @@ void usage() {
       "(default 32)\n"
       "  --client-nodes N  co-locate clients on the first N nodes\n"
       "                    (default 0 = spread round-robin over all nodes)\n"
-      "  --bench-json PATH write machine-readable perf results (JSON)\n"
-      "  --metrics-json PATH write per-node + aggregate latency histograms\n"
-      "                    (p50/p90/p99 of commit latency, read RTT,\n"
-      "                    backoff waits, retry gaps) as JSON\n"
+      "  --metrics-json PATH write the run as JSON: config, throughput,\n"
+      "                    host cost, every counter, and per-node +\n"
+      "                    aggregate latency histograms (p50/p90/p99 of\n"
+      "                    commit latency, read RTT, backoff waits, retry\n"
+      "                    gaps)\n"
       "  --trace-json PATH record a full qrdtm-trace and write it in Chrome\n"
       "                    trace-event format (open at ui.perfetto.dev)\n");
 }
 
 bool parse(int argc, char** argv, ExperimentConfig& cfg,
-           std::string& bench_json, std::string& metrics_json,
-           std::string& trace_json) {
+           std::string& metrics_json, std::string& trace_json) {
   cfg.params.num_objects = 0;  // sentinel: fill from default_objects
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -125,8 +126,6 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
       cfg.batch_max_txns = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--client-nodes") {
       cfg.client_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
-    } else if (flag == "--bench-json") {
-      bench_json = val;
     } else if (flag == "--metrics-json") {
       metrics_json = val;
     } else if (flag == "--trace-json") {
@@ -141,47 +140,6 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
   }
   return true;
 }
-
-}  // namespace
-
-// Emit the point's perf numbers as JSON for CI artifacts / regression
-// tracking (tools-free to parse, schema kept flat on purpose).
-bool write_bench_json(const std::string& path, const ExperimentConfig& cfg,
-                      const ExperimentResult& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"app\": \"%s\",\n"
-               "  \"mode\": \"%s\",\n"
-               "  \"nodes\": %u,\n"
-               "  \"clients\": %u,\n"
-               "  \"seed\": %llu,\n"
-               "  \"sim_seconds\": %.6f,\n"
-               "  \"wall_seconds\": %.6f,\n"
-               "  \"events_executed\": %llu,\n"
-               "  \"events_per_sec\": %.1f,\n"
-               "  \"commits\": %llu,\n"
-               "  \"throughput_txn_per_sec\": %.2f,\n"
-               "  \"messages\": %llu,\n"
-               "  \"invariants_ok\": %s\n"
-               "}\n",
-               cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
-               cfg.clients, static_cast<unsigned long long>(cfg.seed),
-               sim::to_seconds(cfg.duration), r.wall_seconds,
-               static_cast<unsigned long long>(r.events_executed),
-               r.events_per_sec(),
-               static_cast<unsigned long long>(r.commits), r.throughput,
-               static_cast<unsigned long long>(r.total_messages()),
-               r.invariants_ok ? "true" : "false");
-  std::fclose(f);
-  return true;
-}
-
-namespace {
 
 void write_histogram_json(std::FILE* f, const char* name,
                           const core::LatencyHistogram& h,
@@ -225,23 +183,24 @@ void write_latency_json(std::FILE* f, const core::LatencyMetrics& m,
   write_count_histogram_json(f, "batch_size", m.batch_size, indent, true);
 }
 
-/// Latency snapshot: aggregate (cluster-merged) and per-node histograms for
-/// the four tracked distributions, percentiles in milliseconds.
-bool write_metrics_json(const std::string& path, const ExperimentResult& r) {
+/// The run header (config, throughput, host cost, every counter) followed
+/// by the aggregate (cluster-merged) and per-node latency histograms,
+/// percentiles in milliseconds.
+bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
+                        const ExperimentResult& r) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
   std::fprintf(f,
-               "{\n  \"protocol\": \"qr\",\n"
-               "  \"batches_committed\": %llu,\n"
-               "  \"speculation_rollbacks\": %llu,\n"
-               "  \"batch_read_hits\": %llu,\n"
+               "{\n  \"app\": \"%s\", \"mode\": \"%s\", \"num_nodes\": %u, "
+               "\"clients\": %u, \"seed\": %llu, \"sim_seconds\": %.6f,\n"
+               "  %s,\n"
                "  \"aggregate\": {\n",
-               static_cast<unsigned long long>(r.batches),
-               static_cast<unsigned long long>(r.speculation_rollbacks),
-               static_cast<unsigned long long>(r.batch_read_hits));
+               cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
+               cfg.clients, static_cast<unsigned long long>(cfg.seed),
+               sim::to_seconds(cfg.duration), result_json_members(r).c_str());
   write_latency_json(f, r.latency, "    ");
   std::fprintf(f, "  },\n  \"nodes\": [\n");
   for (std::size_t n = 0; n < r.node_latency.size(); ++n) {
@@ -259,10 +218,9 @@ bool write_metrics_json(const std::string& path, const ExperimentResult& r) {
 int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.duration = sim::sec(60);
-  std::string bench_json;
   std::string metrics_json;
   std::string trace_json;
-  if (!parse(argc, argv, cfg, bench_json, metrics_json, trace_json)) {
+  if (!parse(argc, argv, cfg, metrics_json, trace_json)) {
     usage();
     return 2;
   }
@@ -279,52 +237,29 @@ int main(int argc, char** argv) {
 
   ExperimentResult r = run_experiment(cfg);
 
-  std::printf("throughput        %10.2f txn/s\n", r.throughput);
-  std::printf("commits           %10llu\n",
-              static_cast<unsigned long long>(r.commits));
-  std::printf("root aborts       %10llu\n",
-              static_cast<unsigned long long>(r.root_aborts));
-  std::printf("ct retries        %10llu\n",
-              static_cast<unsigned long long>(r.ct_aborts));
-  std::printf("partial rollbacks %10llu\n",
-              static_cast<unsigned long long>(r.partial_rollbacks));
-  std::printf("checkpoints       %10llu\n",
-              static_cast<unsigned long long>(r.checkpoints));
-  std::printf("vote aborts       %10llu\n",
-              static_cast<unsigned long long>(r.vote_aborts));
-  std::printf("batches committed %10llu\n",
-              static_cast<unsigned long long>(r.batches));
-  std::printf("spec. rollbacks   %10llu\n",
-              static_cast<unsigned long long>(r.speculation_rollbacks));
-  std::printf("batch read hits   %10llu\n",
-              static_cast<unsigned long long>(r.batch_read_hits));
-  std::printf("rqv failures      %10llu\n",
-              static_cast<unsigned long long>(r.validation_failures));
-  std::printf("read messages     %10llu\n",
-              static_cast<unsigned long long>(r.read_messages));
-  std::printf("commit messages   %10llu\n",
-              static_cast<unsigned long long>(r.commit_messages));
-  // With zero commits the abort ratio is undefined (NaN): print "n/a".
-  std::printf("aborts/commit     %10s\n", fmt(r.abort_rate(), 10, 2).c_str());
-  std::printf("commit p50        %10.1f ms\n",
-              sim::to_seconds(r.latency.commit_latency.percentile(50)) * 1e3);
-  std::printf("commit p99        %10.1f ms\n",
-              sim::to_seconds(r.latency.commit_latency.percentile(99)) * 1e3);
-  std::printf("read rtt p50      %10.1f ms\n",
-              sim::to_seconds(r.latency.read_rtt.percentile(50)) * 1e3);
-  std::printf("read rtt p99      %10.1f ms\n",
-              sim::to_seconds(r.latency.read_rtt.percentile(99)) * 1e3);
-  std::printf("msgs/commit       %10.1f\n", r.messages_per_commit());
-  std::printf("invariants        %10s\n", r.invariants_ok ? "OK" : "VIOLATED");
-  std::printf("wall clock        %10.3f s\n", r.wall_seconds);
-  std::printf("events executed   %10llu\n",
-              static_cast<unsigned long long>(r.events_executed));
-  std::printf("events/sec        %10.0f\n", r.events_per_sec());
-
-  if (!bench_json.empty() && !write_bench_json(bench_json, cfg, r)) {
-    return 2;
+  std::printf("%-24s%10.2f txn/s\n", "throughput", r.throughput);
+  for (const core::MetricField& f : core::kMetricFields) {
+    std::printf("%-24s%10llu\n", f.name,
+                static_cast<unsigned long long>(r.metrics.*f.field));
   }
-  if (!metrics_json.empty() && !write_metrics_json(metrics_json, r)) {
+  // With zero commits both ratios are undefined (NaN): print "n/a".
+  std::printf("%-24s%s\n", "aborts/commit",
+              fmt(r.metrics.abort_rate(), 10, 2).c_str());
+  std::printf("%-24s%s\n", "msgs/commit",
+              fmt(r.metrics.messages_per_commit(), 10, 1).c_str());
+  std::printf("%-24s%10.1f ms\n", "commit p50", commit_percentile_ms(r, 50));
+  std::printf("%-24s%10.1f ms\n", "commit p99", commit_percentile_ms(r, 99));
+  std::printf("%-24s%10.1f ms\n", "read rtt p50",
+              sim::to_seconds(r.latency.read_rtt.percentile(50)) * 1e3);
+  std::printf("%-24s%10.1f ms\n", "read rtt p99",
+              sim::to_seconds(r.latency.read_rtt.percentile(99)) * 1e3);
+  std::printf("%-24s%10s\n", "invariants", r.invariants_ok ? "OK" : "VIOLATED");
+  std::printf("%-24s%10.3f s\n", "wall clock", r.wall_seconds);
+  std::printf("%-24s%10llu\n", "events executed",
+              static_cast<unsigned long long>(r.events_executed));
+  std::printf("%-24s%10.0f\n", "events/sec", r.events_per_sec());
+
+  if (!metrics_json.empty() && !write_metrics_json(metrics_json, cfg, r)) {
     return 2;
   }
   if (!trace_json.empty()) {
