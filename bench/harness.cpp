@@ -109,6 +109,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       std::chrono::duration<double>(wall_end - wall_start).count();
   res.events_executed = cluster.simulator().events_executed();
   res.metrics = cluster.metrics();
+  res.net = cluster.network().stats();
   res.throughput = res.metrics.throughput(cluster.duration());
   res.latency = cluster.merged_latency();
   if (cfg.collect_per_node_latency) {

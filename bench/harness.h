@@ -88,6 +88,8 @@ struct ExperimentResult {
   /// Every cluster counter at the deadline, before the drain: transactions
   /// still in flight when the run stops do not count toward the point.
   core::Metrics metrics;
+  /// Per-kind message and payload-byte counts, taken with `metrics`.
+  net::NetStats net;
   double throughput = 0;  // committed root transactions / simulated second
   bool invariants_ok = false;
 

@@ -33,11 +33,13 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
-  // Replies are encoded into pooled buffers: in steady state a replica
-  // serves reads and votes without touching the allocator.
+  // Replies are encoded into pooled buffers and reads decode into one
+  // reused request: in steady state a replica serves reads and votes
+  // without touching the allocator (an OK read copies its value).
   rpc.register_service(msg::kRead,
                        [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-                         ReadResponse resp = handle_read(ReadRequest::decode(b));
+                         read_req_.decode_into(b);
+                         ReadResponse resp = handle_read(read_req_);
                          if (tracer_ != nullptr) {
                            tracer_->instant(TraceKind::kServerRead, id_,
                                             rpc_.inbound_trace(),
@@ -197,6 +199,15 @@ bool QrServer::check_protected(ObjectId id, TxnId txn) {
   return true;
 }
 
+bool QrServer::stale_or_protected(ObjectId id, Version seen, TxnId txn) {
+  const store::ReplicaEntry* local = store_.find(id);
+  if (local == nullptr) return false;  // never seen: version 0, unprotected
+  if (seen < local->version) return true;
+  // Unprotected or self-protected entries skip check_protected, which
+  // would answer false for them without side effects.
+  return local->is_protected && check_protected(id, txn);
+}
+
 std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   // No Rqv under flat QR; QR-Q also ships no data-set (batch-cache reads are
   // validated wholesale at the batch vote).
@@ -212,10 +223,7 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   ChkEpoch abort_chk = std::numeric_limits<ChkEpoch>::max();
 
   for (const DataSetEntry& e : req.dataset) {
-    const Version local = store_.version_of(e.id);
-    const bool invalid =
-        e.version < local || check_protected(e.id, req.root);
-    if (!invalid) continue;
+    if (!stale_or_protected(e.id, e.version, req.root)) continue;
     any_invalid = true;
     if (req.mode == NestingMode::kClosed) {
       if (e.owner_depth < abort_depth) {
@@ -306,15 +314,13 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   VoteResponse resp{.commit = true, .stale = {}};
   if (!skip_commit_validation_) {
     for (const CommitReadEntry& e : req.readset) {
-      if (e.version < store_.version_of(e.id) ||
-          check_protected(e.id, req.txn)) {
+      if (stale_or_protected(e.id, e.version, req.txn)) {
         resp.commit = false;
         resp.stale.push_back(e.id);
       }
     }
     for (const CommitWriteEntry& e : req.writeset) {
-      if (e.base < store_.version_of(e.id) ||
-          check_protected(e.id, req.txn)) {
+      if (stale_or_protected(e.id, e.base, req.txn)) {
         resp.commit = false;
         resp.stale.push_back(e.id);
       }

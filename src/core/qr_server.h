@@ -172,6 +172,14 @@ class QrServer {
   /// a termination round for its transaction.
   bool check_protected(ObjectId id, TxnId txn);
 
+  /// One data-set / vote entry, with a single store probe: true when the
+  /// version `seen` is older than this replica's copy, else when another
+  /// transaction protects the object (check_protected, side effects and
+  /// all -- it runs only for entries whose version check passed and that
+  /// another transaction protects).  An object this replica never saw
+  /// counts as version 0 and unprotected.
+  bool stale_or_protected(ObjectId id, Version seen, TxnId txn);
+
   /// True when a confirm for (txn) was already applied in this liveness
   /// epoch; counts the duplicate in Metrics::confirm_duplicates when so.
   bool confirm_is_duplicate(TxnId txn);
@@ -224,6 +232,9 @@ class QrServer {
   sim::Tick protection_lease_ = 0;
   bool syncing_ = false;
   bool skip_commit_validation_ = false;
+  /// Every kRead decodes into this one request (decode_into), so serving a
+  /// read reuses the data-set's storage instead of allocating it.
+  ReadRequest read_req_;
 
   // --- cooperative termination state (DESIGN.md §17) ---
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the

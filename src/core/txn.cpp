@@ -89,7 +89,7 @@ const OwnedCopy* Txn::find_local(ObjectId id, bool* from_writeset) const {
   return nullptr;
 }
 
-sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
+sim::Task<Txn::Fetched> Txn::quorum_fetch(ObjectId id, bool for_write) {
   const RuntimeConfig& cfg = rt_.config();
   Txn& r = root();
 
@@ -169,55 +169,55 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
                       fetch_start, rt_.simulator().now(), id, ok_replies);
   }
 
+  Fetched out;
   if (have_abort) {
     ++rt_.metrics().validation_failures;
     if (cfg.mode == NestingMode::kClosed) {
       const TxnId target = abort_scope == 0 ? scope_id_ : abort_scope;
-      throw AbortException{AbortTarget::kScope, target, 0, "rqv"};
-    }
-    if (cfg.mode == NestingMode::kCheckpoint) {
+      out.abort = AbortException{AbortTarget::kScope, target, 0, "rqv"};
+    } else if (cfg.mode == NestingMode::kCheckpoint) {
       const ChkEpoch target = std::min(abort_chk, r.epoch_);
-      throw AbortException{AbortTarget::kCheckpoint, r.scope_id_, target,
-                           "rqv"};
+      out.abort = AbortException{AbortTarget::kCheckpoint, r.scope_id_,
+                                 target, "rqv"};
+    } else {
+      out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0, "rqv"};
     }
-    throw AbortException{AbortTarget::kRoot, r.scope_id_, 0, "rqv"};
-  }
-  if (ok_replies == 0) {
-    throw AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                         "read quorum unreachable"};
-  }
-  if (ok_replies < futures.size()) {
+  } else if (ok_replies == 0) {
+    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
+                               "read quorum unreachable"};
+  } else if (ok_replies < futures.size()) {
     // Strict gather: quorum intersection (Q1) only covers this fetch if
     // EVERY read-quorum member answered -- the member whose reply was lost
     // (dropped message, mid-fetch kill) may be exactly the one holding the
     // newest version, and a partial snapshot could commit unvalidated under
     // QR-CN's local read-only commit.  Abort and retry against the (possibly
     // reconfigured) quorum.
-    throw AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                         "read quorum incomplete"};
-  }
-  if (!have_best) {
+    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
+                               "read quorum incomplete"};
+  } else if (!have_best) {
     // No live replica holds the object: either a stale pointer chased by a
     // zombie flat transaction, or a data-structure bug.  Abort and retry.
-    throw AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                         "object missing on read quorum"};
+    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
+                               "object missing on read quorum"};
+  } else {
+    out.copy = std::move(best);
   }
-  co_return best;
+  co_return out;
 }
 
-sim::Task<ObjectCopy> Txn::acquire_copy(ObjectId id, bool for_write) {
+sim::Task<Txn::Fetched> Txn::acquire_copy(ObjectId id, bool for_write) {
   BatchPlanner* bp = root().batch_;
   if (bp != nullptr) {
-    ObjectCopy cached;
-    if (bp->lookup(id, &cached)) {
+    Fetched cached;
+    if (bp->lookup(id, &cached.copy)) {
       // Served at the speculative head: one quorum fetch covers every later
       // touch of this object by any batch member.
       ++rt_.metrics().batch_read_hits;
       co_return cached;
     }
-    ObjectCopy c = co_await quorum_fetch(id, for_write);
-    bp->admit(c);
-    co_return c;
+    Fetched f = co_await quorum_fetch(id, for_write);
+    if (!f.abort) bp->admit(f.copy);
+    co_return f;
   }
   co_return co_await quorum_fetch(id, for_write);
 }
@@ -267,7 +267,9 @@ sim::Task<Bytes> Txn::read(ObjectId id) {
     log_op(op, c->copy.data, store::kNullObject);
     co_return c->copy.data;
   }
-  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/false);
+  Fetched f = co_await acquire_copy(id, /*for_write=*/false);
+  if (f.abort) throw std::move(*f.abort);
+  ObjectCopy& c = f.copy;
   Bytes data = c.data;
   const Version ver = c.version;
   const ChkEpoch chk = root().epoch_;
@@ -313,7 +315,9 @@ sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
     writeset_[id] = std::move(mine);
     co_return data;
   }
-  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/true);
+  Fetched f = co_await acquire_copy(id, /*for_write=*/true);
+  if (f.abort) throw std::move(*f.abort);
+  ObjectCopy& c = f.copy;
   Bytes data = c.data;
   const Version ver = c.version;
   const ChkEpoch chk = root().epoch_;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -235,6 +236,15 @@ class Txn {
     bool replay = false;  // fast-forwarding below replay_until_
   };
 
+  /// A quorum fetch's outcome: the copy, or the abort the fetch ended in
+  /// (Rqv, unreachable or incomplete quorum, missing object).  The abort
+  /// travels as a value so read / read_for_write throw it once instead of
+  /// every coroutine frame between them and the fetch rethrowing it.
+  struct Fetched {
+    ObjectCopy copy;
+    std::optional<AbortException> abort;
+  };
+
   /// Root-level operation bookkeeping (shared by all scopes of a tree).
   Txn& root();
   const Txn& root() const;
@@ -264,13 +274,14 @@ class Txn {
     r.dataset_cache_.resize(len);
   }
 
-  /// Fetch from the read quorum with Rqv; inserts into this scope's set.
-  sim::Task<ObjectCopy> quorum_fetch(ObjectId id, bool for_write);
+  /// Fetch from the read quorum with Rqv.  The caller inserts the copy
+  /// into its set, or throws the abort.
+  sim::Task<Fetched> quorum_fetch(ObjectId id, bool for_write);
 
   /// quorum_fetch with the QR-Q batch cache in front: under kQueued the
   /// root's planner serves repeat touches locally at the speculative head
   /// and admits first touches after their (single) quorum fetch.
-  sim::Task<ObjectCopy> acquire_copy(ObjectId id, bool for_write);
+  sim::Task<Fetched> acquire_copy(ObjectId id, bool for_write);
 
   /// QR-CHK: bump counters after a fetch and create a checkpoint when the
   /// threshold is crossed.

@@ -42,6 +42,16 @@ void encode_entry(Writer& w, const DataSetEntry& e) {
   w.u64(e.owner_chk);
 }
 
+/// The enum whose underlying byte is `raw`, or SerdeError when `raw` lies
+/// past `last`, the enum's highest value (all wire enums are dense from 0).
+template <class E>
+E checked_enum(std::uint8_t raw, E last) {
+  if (raw > static_cast<std::uint8_t>(last)) {
+    throw SerdeError("enum value out of range");
+  }
+  return static_cast<E>(raw);
+}
+
 DataSetEntry decode_entry(Reader& r) {
   DataSetEntry e;
   e.id = r.u64();
@@ -75,15 +85,19 @@ Bytes ReadRequest::encode() const {
   return std::move(w).take();
 }
 
-ReadRequest ReadRequest::decode(const Bytes& b) {
+void ReadRequest::decode_into(const Bytes& b) {
   Reader r(b);
-  ReadRequest req;
-  req.root = r.u64();
-  req.mode = static_cast<NestingMode>(r.u8());
-  req.object = r.u64();
-  req.for_write = r.boolean();
-  req.dataset = decode_vec<DataSetEntry>(r, decode_entry);
+  root = r.u64();
+  mode = checked_enum(r.u8(), NestingMode::kQueued);
+  object = r.u64();
+  for_write = r.boolean();
+  dataset = decode_vec<DataSetEntry>(r, decode_entry, std::move(dataset));
   r.expect_done();
+}
+
+ReadRequest ReadRequest::decode(const Bytes& b) {
+  ReadRequest req;
+  req.decode_into(b);
   return req;
 }
 
@@ -106,7 +120,7 @@ Bytes ReadResponse::encode() const {
 ReadResponse ReadResponse::decode(const Bytes& b) {
   Reader r(b);
   ReadResponse resp;
-  resp.status = static_cast<ReadStatus>(r.u8());
+  resp.status = checked_enum(r.u8(), ReadStatus::kAbort);
   resp.version = r.u64();
   resp.data = r.blob();
   resp.abort_scope = r.u64();
@@ -267,7 +281,7 @@ TxnStatusResponse TxnStatusResponse::decode(const Bytes& b) {
   Reader r(b);
   TxnStatusResponse resp;
   resp.txn = r.u64();
-  resp.status = static_cast<TxnStatus>(r.u8());
+  resp.status = checked_enum(r.u8(), TxnStatus::kPrepared);
   resp.epoch = r.u32();
   r.expect_done();
   return resp;

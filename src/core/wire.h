@@ -60,6 +60,12 @@ struct ReadRequest {
   Bytes encode() const;
   void encode_into(Writer& w) const;
   static ReadRequest decode(const Bytes& b);
+  /// Decode `b` over this request, reusing the data-set's capacity: a
+  /// replica that decodes every read into one ReadRequest allocates no
+  /// data-set vector in steady state.  Throws SerdeError like decode(); the
+  /// request is then partly overwritten and must be decoded again before
+  /// use.
+  void decode_into(const Bytes& b);
 };
 
 /// Encode a ReadRequest straight from its fields, with the data-set borrowed

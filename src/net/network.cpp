@@ -12,6 +12,7 @@ void Network::send(Message&& m) {
 
   ++stats_.sent_total;
   ++stats_.sent_by_kind_[m.kind];
+  stats_.bytes_by_kind_[m.kind] += m.payload.size();
   if (m.payload.size() > payload_hint_[m.kind]) {
     payload_hint_[m.kind] = static_cast<std::uint32_t>(m.payload.size());
   }

@@ -51,7 +51,9 @@ namespace qrdtm::net {
 constexpr std::size_t kMsgKindSpace = 0x0400;
 
 /// Per-kind and aggregate message counters (paper Fig. 8 reports message
-/// deltas; the core metrics map kinds onto read/commit categories).
+/// deltas; the core metrics map kinds onto read/commit categories), plus
+/// per-kind payload bytes.  Requests and their responses share a kind, so a
+/// kind's bytes cover both directions.
 struct NetStats {
   std::uint64_t sent_total = 0;
   std::uint64_t delivered_total = 0;
@@ -61,8 +63,10 @@ struct NetStats {
   std::uint64_t dropped_partition = 0;  // crossed an active partition cut
 
   std::uint64_t sent_by_kind(MsgKind k) const { return sent_by_kind_[k]; }
+  std::uint64_t bytes_by_kind(MsgKind k) const { return bytes_by_kind_[k]; }
 
   std::array<std::uint64_t, kMsgKindSpace> sent_by_kind_{};
+  std::array<std::uint64_t, kMsgKindSpace> bytes_by_kind_{};
 };
 
 class Network {

@@ -107,6 +107,25 @@ TEST(Network, StatsCountByKind) {
   EXPECT_EQ(net->stats().delivered_total, 3u);
 }
 
+TEST(Network, StatsCountPayloadBytesByKind) {
+  Simulator s;
+  auto net = make_net(s, sim::msec(1));
+  NodeId a = net->add_node([](const Message&) {});
+  NodeId b = net->add_node([](const Message&) {});
+  net->send(Message{.src = a, .dst = b, .kind = 5, .payload = Bytes(3)});
+  net->send(Message{.src = a, .dst = b, .kind = 5, .payload = Bytes(4)});
+  net->send(Message{.src = a, .dst = b, .kind = 9, .payload = {}});
+  // Bytes are counted where the message is, at send: a message to a dead
+  // node still counts.
+  net->kill(b);
+  net->send(Message{.src = a, .dst = b, .kind = 9, .payload = Bytes(10)});
+  s.run();
+  EXPECT_EQ(net->stats().bytes_by_kind(5), 7u);
+  EXPECT_EQ(net->stats().bytes_by_kind(9), 10u);
+  EXPECT_EQ(net->stats().sent_by_kind(9), 2u);
+  EXPECT_EQ(net->stats().bytes_by_kind(6), 0u);
+}
+
 TEST(GridLatency, IsSymmetricAndMetric) {
   Rng rng(3);
   GridLatency g(10, sim::msec(1), sim::msec(10), /*layout_seed=*/5);

@@ -3,6 +3,7 @@
 // crafted wire messages through a minimal two-endpoint network.
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/qr_server.h"
 #include "net/latency.h"
 #include "sim/task.h"
@@ -146,6 +147,97 @@ TEST(QrServer, ProtectedObjectAbortsRqvReadersButServesFlat) {
   // The protector itself is not blocked by its own protection.
   EXPECT_EQ(rig.read(basic_read(1, NestingMode::kClosed, /*root=*/999)).status,
             ReadStatus::kOk);
+}
+
+// --- Rqv validation edge cases ---------------------------------------------
+
+TEST(QrServer, RqvPassesEntryProtectedByRequestersOwnRoot) {
+  Rig rig;
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().seed(2, Bytes{0x02}, 1);
+  rig.store().protect(1, /*txn=*/100, /*now=*/1);
+  ReadRequest req = basic_read(2, NestingMode::kClosed, /*root=*/100);
+  req.dataset.push_back(DataSetEntry{1, 5, 100, 0, 0});
+  EXPECT_EQ(rig.read(req).status, ReadStatus::kOk);
+  req.root = 101;  // any other root is blocked by the same protection
+  EXPECT_EQ(rig.read(req).status, ReadStatus::kAbort);
+}
+
+TEST(QrServer, RqvCountsAnUnseenObjectAsVersionZero) {
+  Rig rig;
+  rig.store().seed(2, Bytes{0x02}, 1);
+  ReadRequest req = basic_read(2, NestingMode::kCheckpoint);
+  req.dataset.push_back(DataSetEntry{77, 0, 100, 0, 0});  // never seen here
+  req.dataset.push_back(DataSetEntry{78, 4, 100, 0, 0});  // newer than 0
+  EXPECT_EQ(rig.read(req).status, ReadStatus::kOk);
+  EXPECT_EQ(rig.store().num_objects(), 1u)
+      << "validation must not create entries for unseen objects";
+}
+
+// A stale entry fails on its version alone: the protection check (which
+// sheds an expired lease and counts it) must not run for it.
+TEST(QrServer, RqvStaleEntryShortCircuitsTheLeaseCheck) {
+  Rig rig;
+  rig.server->set_protection_lease(sim::usec(1));
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().seed(2, Bytes{0x02}, 1);
+  rig.store().protect(1, /*txn=*/999, /*now=*/0);  // lease long expired
+  ReadRequest req = basic_read(2, NestingMode::kClosed);
+  req.dataset.push_back(DataSetEntry{1, 4 /* stale */, 100, 0, 0});
+  EXPECT_EQ(rig.read(req).status, ReadStatus::kAbort);
+  EXPECT_TRUE(rig.store().protected_against(1, 100))
+      << "a stale entry must not shed the protection";
+  EXPECT_EQ(rig.metrics.lease_breaks, 0u);
+
+  // Control: a current entry does reach the lease check, which sheds.
+  req.dataset[0].version = 5;
+  EXPECT_EQ(rig.read(req).status, ReadStatus::kOk);
+  EXPECT_FALSE(rig.store().protected_against(1, 100));
+  EXPECT_EQ(rig.metrics.lease_breaks, 1u);
+}
+
+// --- allocation regression -------------------------------------------------
+// A replica decodes every read into one reused request and encodes the reply
+// into a pooled buffer: in steady state, serving an Rqv read allocates
+// nothing when validation fails, and only the value copy when it succeeds.
+
+/// Allocations per served read, after warm-up: `req` is delivered as a
+/// one-way message, so the count covers the server side only (decode,
+/// validate, encode, release).
+double allocs_per_served_read(Rig& rig, const ReadRequest& req) {
+  const Bytes wire = req.encode();
+  const auto serve = [&] {
+    Bytes payload = rig.client_ep->acquire_buffer(msg::kRead);
+    payload.assign(wire.begin(), wire.end());
+    rig.client_ep->notify(rig.server_ep->id(), msg::kRead, std::move(payload));
+    rig.sim.run();
+  };
+  constexpr int kWarmup = 64;
+  constexpr int kServed = 64;
+  for (int i = 0; i < kWarmup; ++i) serve();
+  const std::uint64_t before = qrdtm::testing::alloc_count();
+  for (int i = 0; i < kServed; ++i) serve();
+  return static_cast<double>(qrdtm::testing::alloc_count() - before) /
+         kServed;
+}
+
+TEST(AllocRegression, RqvReadServingAllocatesOnlyTheValueCopy) {
+  if (!qrdtm::testing::alloc_hook_active()) {
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build intercepts\n operator new, or replacement not linked in)";
+  }
+  Rig rig;
+  constexpr ObjectId kFetched = 1000;
+  rig.store().seed(kFetched, Bytes(64, 0x5a), 3);
+  ReadRequest req = basic_read(kFetched, NestingMode::kClosed);
+  for (ObjectId id = 1; id <= 32; ++id) {
+    rig.store().seed(id, Bytes{}, 5);
+    req.dataset.push_back(DataSetEntry{id, 5, 100, 0, 0});
+  }
+  EXPECT_EQ(allocs_per_served_read(rig, req), 1.0)
+      << "an OK read allocates only ReadResponse::data";
+  req.dataset.back().version = 4;  // stale: validation fails
+  EXPECT_EQ(allocs_per_served_read(rig, req), 0.0)
+      << "a failed Rqv read allocates nothing";
 }
 
 TEST(QrServer, VoteCommitsAndProtectsWriteSet) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "common/rng.h"
@@ -160,6 +161,51 @@ TEST(SerdeProperty, RandomRoundTrips) {
       }
       ASSERT_EQ(got, expected[i]) << "iter " << iter << " field " << i;
     }
+    EXPECT_TRUE(r.done());
+  }
+}
+
+// Byte-at-a-time little-endian reference: what the wire format means,
+// independent of how Writer copies a field.
+void put_le_ref(Bytes& out, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+// Property: every fixed-width field is laid out little-endian, byte for
+// byte, whatever the host copies it with -- and reads back to its value.
+TEST(SerdeProperty, FixedWidthFieldsMatchLittleEndianReference) {
+  Rng rng(4321);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::uint64_t v = rng.next();
+    double d;
+    std::memcpy(&d, &v, sizeof(d));  // any bit pattern, NaNs included
+
+    Writer w;
+    w.u16(static_cast<std::uint16_t>(v));
+    w.u32(static_cast<std::uint32_t>(v));
+    w.u64(v);
+    w.i64(static_cast<std::int64_t>(v));
+    w.f64(d);
+
+    Bytes ref;
+    put_le_ref(ref, static_cast<std::uint16_t>(v), 2);
+    put_le_ref(ref, static_cast<std::uint32_t>(v), 4);
+    put_le_ref(ref, v, 8);
+    put_le_ref(ref, v, 8);
+    put_le_ref(ref, v, 8);
+    ASSERT_EQ(w.bytes(), ref) << "iter " << iter;
+
+    Reader r(ref);
+    EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(v));
+    EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(v));
+    EXPECT_EQ(r.u64(), v);
+    EXPECT_EQ(r.i64(), static_cast<std::int64_t>(v));
+    const double got = r.f64();
+    std::uint64_t bits;
+    std::memcpy(&bits, &got, sizeof(bits));
+    EXPECT_EQ(bits, v);
     EXPECT_TRUE(r.done());
   }
 }

@@ -1,7 +1,8 @@
 # Runs qrdtm_run with --metrics-json and fails unless the file parses as
 # JSON and carries the run header plus every counter listed in
 # core::kMetricFields (read from metrics.h, so a new counter is checked
-# without touching this script).
+# without touching this script), and unless the per-kind network traffic
+# shows the QR-CN run's reads (kind 0x0101) carrying payload bytes.
 #
 #   cmake -DQRDTM_RUN=<qrdtm_run> -DMETRICS_H=<src/core/metrics.h>
 #         -DOUT=<file.json> -P check_metrics_json.cmake
@@ -18,12 +19,22 @@ endif()
 file(READ ${OUT} json)
 foreach(key app mode num_nodes clients seed sim_seconds wall_seconds
         events_executed events_per_sec throughput_txn_per_sec invariants_ok
-        aggregate nodes)
+        net aggregate nodes)
   string(JSON unused ERROR_VARIABLE err GET "${json}" ${key})
   if(err)
     message(FATAL_ERROR "${OUT}: ${err}")
   endif()
 endforeach()
+
+# Under QR-CN every remote read ships the root's data-set, so kRead bytes
+# must be there and nonzero.
+string(JSON read_bytes ERROR_VARIABLE err GET "${json}" net 0x0101 bytes)
+if(err)
+  message(FATAL_ERROR "${OUT}: kRead traffic missing: ${err}")
+endif()
+if(NOT read_bytes GREATER 0)
+  message(FATAL_ERROR "${OUT}: kRead payload bytes are ${read_bytes}")
+endif()
 
 file(READ ${METRICS_H} header)
 string(REGEX MATCHALL "MetricField\\{\"[a-z_]+\"" entries "${header}")

@@ -514,7 +514,8 @@ void collect_symbols(const std::string& file, const LexResult& lexed,
 
     // ---- codec bodies ------------------------------------------------
     // Function definition with a Writer& or Reader& parameter, or a member
-    // `X::decode(const Bytes&)`.
+    // `X::decode(const Bytes&)` / `X::decode_into(const Bytes&)` (the
+    // in-place form a decode may delegate to).
     if (i + 1 < t.size() && is_punct(t[i + 1], "(") && !is_keyword(name)) {
       std::size_t close = skip_balanced(t, i + 1);
       if (close == npos) continue;
@@ -584,10 +585,13 @@ void collect_symbols(const std::string& file, const LexResult& lexed,
         continue;
       }
 
-      const bool member_decode = member && name == "decode" && bytes_param;
+      const bool member_decode =
+          member && (name == "decode" || name == "decode_into") &&
+          bytes_param;
       if (member_decode && reader_var.empty()) {
         // `X X::decode(const Bytes& b) { Reader r(b); ... }`: find the
-        // Reader local.
+        // Reader local.  A decode that delegates to decode_into has none
+        // and records no body; decode_into's stands for the struct.
         for (std::size_t k = body + 1; k + 2 < body_end; ++k) {
           if (is_ident(t[k], "Reader") && t[k + 1].kind == Tok::kIdent &&
               is_punct(t[k + 2], "(")) {

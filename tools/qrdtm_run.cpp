@@ -46,7 +46,8 @@ void usage() {
       "  --client-nodes N  co-locate clients on the first N nodes\n"
       "                    (default 0 = spread round-robin over all nodes)\n"
       "  --metrics-json PATH write the run as JSON: config, throughput,\n"
-      "                    host cost, every counter, and per-node +\n"
+      "                    host cost, every counter, messages and\n"
+      "                    payload bytes per message kind, per-node +\n"
       "                    aggregate latency histograms (p50/p90/p99 of\n"
       "                    commit latency, read RTT, backoff waits, retry\n"
       "                    gaps)\n"
@@ -183,9 +184,26 @@ void write_latency_json(std::FILE* f, const core::LatencyMetrics& m,
   write_count_histogram_json(f, "batch_size", m.batch_size, indent, true);
 }
 
-/// The run header (config, throughput, host cost, every counter) followed
-/// by the aggregate (cluster-merged) and per-node latency histograms,
-/// percentiles in milliseconds.
+/// One "0x0101": {"messages": N, "bytes": B} member per message kind that
+/// carried traffic, kinds ascending; bytes are payload bytes.
+void write_net_json(std::FILE* f, const net::NetStats& ns) {
+  std::fprintf(f, "  \"net\": {");
+  const char* sep = "\n";
+  for (std::size_t k = 0; k < net::kMsgKindSpace; ++k) {
+    const auto kind = static_cast<net::MsgKind>(k);
+    if (ns.sent_by_kind(kind) == 0) continue;
+    std::fprintf(f, "%s    \"0x%04zx\": {\"messages\": %llu, \"bytes\": %llu}",
+                 sep, k,
+                 static_cast<unsigned long long>(ns.sent_by_kind(kind)),
+                 static_cast<unsigned long long>(ns.bytes_by_kind(kind)));
+    sep = ",\n";
+  }
+  std::fprintf(f, "\n  },\n");
+}
+
+/// The run header (config, throughput, host cost, every counter), the
+/// per-kind network traffic, then the aggregate (cluster-merged) and
+/// per-node latency histograms, percentiles in milliseconds.
 bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
                         const ExperimentResult& r) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -196,11 +214,12 @@ bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
   std::fprintf(f,
                "{\n  \"app\": \"%s\", \"mode\": \"%s\", \"num_nodes\": %u, "
                "\"clients\": %u, \"seed\": %llu, \"sim_seconds\": %.6f,\n"
-               "  %s,\n"
-               "  \"aggregate\": {\n",
+               "  %s,\n",
                cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
                cfg.clients, static_cast<unsigned long long>(cfg.seed),
                sim::to_seconds(cfg.duration), result_json_members(r).c_str());
+  write_net_json(f, r.net);
+  std::fprintf(f, "  \"aggregate\": {\n");
   write_latency_json(f, r.latency, "    ");
   std::fprintf(f, "  },\n  \"nodes\": [\n");
   for (std::size_t n = 0; n < r.node_latency.size(); ++n) {
