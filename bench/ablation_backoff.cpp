@@ -24,12 +24,12 @@ int main() {
     for (std::uint32_t ms : backoffs_ms) {
       ExperimentConfig cfg;
       cfg.app = app;
-      cfg.mode = core::NestingMode::kClosed;
+      cfg.cluster.runtime.mode = core::NestingMode::kClosed;
       cfg.params.read_ratio = 0.2;
       cfg.params.num_objects = default_objects(app);
-      cfg.ct_retry_backoff = sim::msec(ms);
+      cfg.cluster.runtime.ct_retry_backoff = sim::msec(ms);
       cfg.duration = point_duration();
-      cfg.seed = 53;
+      cfg.cluster.seed = 53;
       configs.push_back(cfg);
     }
     auto results = run_sweep(configs);

@@ -29,11 +29,11 @@ int main() {
     // Flat baseline once per app.
     ExperimentConfig base;
     base.app = app;
-    base.mode = core::NestingMode::kFlat;
+    base.cluster.runtime.mode = core::NestingMode::kFlat;
     base.params.read_ratio = 0.2;
     base.params.num_objects = default_objects(app);
     base.duration = point_duration();
-    base.seed = 51;
+    base.cluster.seed = 51;
     auto flat = run_experiment(base);
     warn_if_corrupt(flat, app);
 
@@ -41,9 +41,9 @@ int main() {
     for (std::uint32_t r : restore_ms) {
       for (std::uint32_t p : per_obj_us) {
         ExperimentConfig cfg = base;
-        cfg.mode = core::NestingMode::kCheckpoint;
-        cfg.chk_create_cost_per_obj = sim::usec(p);
-        cfg.chk_restore_cost = sim::msec(r);
+        cfg.cluster.runtime.mode = core::NestingMode::kCheckpoint;
+        cfg.cluster.runtime.chk_create_cost_per_obj = sim::usec(p);
+        cfg.cluster.runtime.chk_restore_cost = sim::msec(r);
         configs.push_back(cfg);
       }
     }

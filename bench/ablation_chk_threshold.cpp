@@ -23,19 +23,19 @@ int main() {
   for (const std::string& app : {std::string("bank"), std::string("slist")}) {
     ExperimentConfig base;
     base.app = app;
-    base.mode = core::NestingMode::kFlat;
+    base.cluster.runtime.mode = core::NestingMode::kFlat;
     base.params.read_ratio = 0.2;
     base.params.num_objects = default_objects(app);
     base.duration = point_duration();
-    base.seed = 54;
+    base.cluster.seed = 54;
     auto flat = run_experiment(base);
     warn_if_corrupt(flat, app);
 
     std::vector<ExperimentConfig> configs;
     for (std::uint32_t th : thresholds) {
       ExperimentConfig cfg = base;
-      cfg.mode = core::NestingMode::kCheckpoint;
-      cfg.chk_threshold = th;
+      cfg.cluster.runtime.mode = core::NestingMode::kCheckpoint;
+      cfg.cluster.runtime.chk_threshold = th;
       configs.push_back(cfg);
     }
     auto results = run_sweep(configs);

@@ -16,11 +16,11 @@ namespace {
 ExperimentConfig base_cfg(const std::string& app) {
   ExperimentConfig cfg;
   cfg.app = app;
-  cfg.mode = core::NestingMode::kClosed;
+  cfg.cluster.runtime.mode = core::NestingMode::kClosed;
   cfg.params.read_ratio = 0.2;
   cfg.params.num_objects = default_objects(app);
   cfg.duration = point_duration();
-  cfg.seed = 52;
+  cfg.cluster.seed = 52;
   return cfg;
 }
 
@@ -36,14 +36,14 @@ int main() {
 
     for (std::uint32_t level : {0u, 1u, 2u}) {
       ExperimentConfig cfg = base_cfg(app);
-      cfg.quorum = core::QuorumKind::kTree;
-      cfg.tree_read_level = level;
+      cfg.cluster.quorum = core::QuorumKind::kTree;
+      cfg.cluster.tree_read_level = level;
       configs.push_back(cfg);
       labels.push_back("tree level " + std::to_string(level));
     }
     {
       ExperimentConfig cfg = base_cfg(app);
-      cfg.quorum = core::QuorumKind::kMajority;
+      cfg.cluster.quorum = core::QuorumKind::kMajority;
       configs.push_back(cfg);
       labels.push_back("majority");
     }

@@ -21,47 +21,25 @@ int main() {
   print_header("bank", "read%   flat     CN(no-RO-opt)  CN(full)   "
                        "opt-share-of-gain");
   for (double ratio : ratios) {
+    // variant 0 = flat, 1 = CN without the optimisation, 2 = full CN.
     std::vector<ExperimentConfig> configs;
     for (int variant = 0; variant < 3; ++variant) {
       ExperimentConfig cfg;
       cfg.app = "bank";
-      cfg.mode = variant == 0 ? core::NestingMode::kFlat
-                              : core::NestingMode::kClosed;
+      cfg.cluster.runtime.mode = variant == 0 ? core::NestingMode::kFlat
+                                              : core::NestingMode::kClosed;
+      cfg.cluster.runtime.cn_local_readonly_commit = variant != 1;
       cfg.params.read_ratio = ratio;
       cfg.params.num_objects = default_objects("bank");
       cfg.duration = point_duration();
-      cfg.seed = 55;
+      cfg.cluster.seed = 55;
       configs.push_back(cfg);
     }
     auto results = run_sweep(configs);
-    // variant 1 = CN without the optimisation: rerun with the knob off.
-    ExperimentConfig no_opt = configs[1];
-    // The harness routes RuntimeConfig knobs we expose; this one needs a
-    // direct run since it is not part of ExperimentConfig:
-    auto run_no_opt = [&no_opt]() {
-      core::ClusterConfig cc;
-      cc.num_nodes = no_opt.num_nodes;
-      cc.seed = no_opt.seed;
-      cc.runtime.mode = core::NestingMode::kClosed;
-      cc.runtime.cn_local_readonly_commit = false;
-      core::Cluster cluster(cc);
-      auto app = apps::make_app(no_opt.app);
-      Rng setup(no_opt.seed * 7919 + 13);
-      auto params = no_opt.params;
-      app->setup(cluster, params, setup);
-      for (std::uint32_t i = 0; i < no_opt.clients; ++i) {
-        cluster.spawn_loop_client(i % cc.num_nodes,
-                                  [&app, params](Rng& rng) {
-                                    return app->make_txn(params, rng);
-                                  });
-      }
-      cluster.run_for(no_opt.duration);
-      return cluster.metrics().throughput(cluster.duration());
-    };
-
+    for (const ExperimentResult& r : results) warn_if_corrupt(r, "bank");
     double flat = results[0].throughput;
+    double cn_no_opt = results[1].throughput;
     double cn_full = results[2].throughput;
-    double cn_no_opt = run_no_opt();
     double gain_full = cn_full - flat;
     double share = gain_full > 0 ? 100.0 * (cn_full - cn_no_opt) / gain_full
                                  : 0.0;

@@ -89,14 +89,14 @@ int main(int argc, char** argv) {
       for (core::NestingMode mode : modes) {
         ExperimentConfig cfg;
         cfg.app = app;
-        cfg.mode = mode;
+        cfg.cluster.runtime.mode = mode;
         cfg.params.read_ratio = 0.2;
         cfg.params.nested_calls = 3;
         cfg.params.num_objects = objects;
         cfg.clients = kClients;
         cfg.client_nodes = kClientNodes;
         cfg.duration = duration;
-        cfg.seed = 42;
+        cfg.cluster.seed = 42;
         configs.push_back(cfg);
       }
     }

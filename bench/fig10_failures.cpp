@@ -33,9 +33,9 @@ int main() {
     for (const std::string& app : apps) {
       ExperimentConfig cfg;
       cfg.app = app;
-      cfg.mode = core::NestingMode::kClosed;
-      cfg.quorum = core::QuorumKind::kFlatFailureAware;
-      cfg.num_nodes = kNodes;
+      cfg.cluster.runtime.mode = core::NestingMode::kClosed;
+      cfg.cluster.quorum = core::QuorumKind::kFlatFailureAware;
+      cfg.cluster.num_nodes = kNodes;
       cfg.failures = failures;
       cfg.clients = 40;  // saturating client population on survivors
       cfg.params.read_ratio = 0.8;
@@ -44,9 +44,9 @@ int main() {
       // The hotspot effect needs a realistic per-message service time on
       // the single shared read-quorum node (request processing incl. the
       // group-communication stack on the paper's 1.9 GHz Opterons).
-      cfg.service_time = sim::msec(2);
+      cfg.cluster.service_time = sim::msec(2);
       cfg.duration = std::min(point_duration(), sim::sec(120));
-      cfg.seed = 47;
+      cfg.cluster.seed = 47;
       configs.push_back(cfg);
       if (app == "vacation") {
         // Churn variant: same point, but the victims restart mid-run.

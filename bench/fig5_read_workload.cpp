@@ -34,12 +34,12 @@ int main() {
       for (core::NestingMode mode : modes) {
         ExperimentConfig cfg;
         cfg.app = app;
-        cfg.mode = mode;
+        cfg.cluster.runtime.mode = mode;
         cfg.params.read_ratio = ratio;
         cfg.params.nested_calls = 3;
         cfg.params.num_objects = default_objects(app);
         cfg.duration = point_duration();
-        cfg.seed = 42;
+        cfg.cluster.seed = 42;
         if (mode == core::NestingMode::kQueued) cfg.client_nodes = 4;
         configs.push_back(cfg);
       }

@@ -22,12 +22,12 @@ int main() {
       for (core::NestingMode mode : paper_modes()) {
         ExperimentConfig cfg;
         cfg.app = app;
-        cfg.mode = mode;
+        cfg.cluster.runtime.mode = mode;
         cfg.params.read_ratio = 0.2;
         cfg.params.nested_calls = calls;
         cfg.params.num_objects = default_objects(app);
         cfg.duration = point_duration();
-        cfg.seed = 43;
+        cfg.cluster.seed = 43;
         configs.push_back(cfg);
       }
     }

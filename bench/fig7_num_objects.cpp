@@ -24,12 +24,12 @@ int main() {
       for (core::NestingMode mode : paper_modes()) {
         ExperimentConfig cfg;
         cfg.app = app;
-        cfg.mode = mode;
+        cfg.cluster.runtime.mode = mode;
         cfg.params.read_ratio = 0.2;
         cfg.params.nested_calls = 3;
         cfg.params.num_objects = size;
         cfg.duration = point_duration();
-        cfg.seed = 44;
+        cfg.cluster.seed = 44;
         configs.push_back(cfg);
       }
     }

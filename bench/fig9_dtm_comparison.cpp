@@ -74,11 +74,12 @@ SystemPoint run_qr(std::uint32_t nodes, double ratio, std::uint64_t seed,
                    core::NestingMode mode) {
   ExperimentConfig cfg;
   cfg.app = "bank";
-  cfg.mode = mode;  // kFlat = plain QR, as compared in the paper
+  // kFlat = plain QR, as compared in the paper.
+  cfg.cluster.runtime.mode = mode;
   cfg.params.read_ratio = ratio;
   cfg.params.nested_calls = kOpsPerTxn;
   cfg.params.num_objects = kAccounts;
-  cfg.num_nodes = nodes;
+  cfg.cluster.num_nodes = nodes;
   cfg.clients = nodes;  // one client per node ...
   if (mode == core::NestingMode::kQueued) {
     // ... except QR-Q, whose batches only form with several clients per
@@ -86,7 +87,7 @@ SystemPoint run_qr(std::uint32_t nodes, double ratio, std::uint64_t seed,
     cfg.client_nodes = std::max(1u, nodes / 4);
   }
   cfg.duration = point_duration();
-  cfg.seed = seed;
+  cfg.cluster.seed = seed;
   auto res = run_experiment(cfg);
   warn_if_corrupt(res, "qr bank");
   return from_latency(res.throughput, res.latency);

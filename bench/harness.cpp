@@ -12,34 +12,17 @@
 namespace qrdtm::bench {
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  core::ClusterConfig cc;
-  cc.num_nodes = cfg.num_nodes;
-  cc.seed = cfg.seed;
-  cc.runtime.mode = cfg.mode;
-  cc.runtime.chk_threshold = cfg.chk_threshold;
-  cc.runtime.chk_create_cost = cfg.chk_create_cost;
-  cc.runtime.chk_create_cost_per_obj = cfg.chk_create_cost_per_obj;
-  cc.runtime.chk_restore_cost = cfg.chk_restore_cost;
-  cc.runtime.ct_retry_backoff = cfg.ct_retry_backoff;
-  cc.runtime.batch_window = cfg.batch_window;
-  cc.runtime.batch_max_txns = cfg.batch_max_txns;
-  cc.quorum = cfg.quorum;
-  cc.tree_read_level = cfg.tree_read_level;
-  cc.num_shards = cfg.num_shards;
-  cc.cohort_size = std::min(cfg.cohort_size, cfg.num_nodes);
-  if (cfg.link_latency != 0) cc.link_latency = cfg.link_latency;
-  if (cfg.service_time != 0) cc.service_time = cfg.service_time;
-
-  core::Cluster cluster(cc);
+  const std::uint32_t num_nodes = cfg.cluster.num_nodes;
+  core::Cluster cluster(cfg.cluster);
   if (cfg.trace != nullptr) cluster.set_trace_recorder(cfg.trace);
 
   // Fig. 10: fail-stop nodes before the workload starts; clients run on
   // survivors only.
   std::vector<net::NodeId> alive;
-  for (net::NodeId n = 0; n < cfg.num_nodes; ++n) alive.push_back(n);
+  for (net::NodeId n = 0; n < num_nodes; ++n) alive.push_back(n);
   for (std::uint32_t f = 0; f < cfg.failures; ++f) {
     // Kill from the high end so node 0 (tree root / checker host) survives.
-    net::NodeId victim = static_cast<net::NodeId>(cfg.num_nodes - 1 - f);
+    net::NodeId victim = static_cast<net::NodeId>(num_nodes - 1 - f);
     cluster.kill_node(victim);
     alive.pop_back();
   }
@@ -51,7 +34,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.recover_at > 0 && cfg.failures > 0) {
     std::vector<net::NodeId> victims;
     for (std::uint32_t f = 0; f < cfg.failures; ++f) {
-      victims.push_back(static_cast<net::NodeId>(cfg.num_nodes - 1 - f));
+      victims.push_back(static_cast<net::NodeId>(num_nodes - 1 - f));
     }
     cluster.simulator().schedule_at(cfg.recover_at, [&cluster, victims] {
       for (net::NodeId v : victims) cluster.recover_node(v);
@@ -59,7 +42,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   }
 
   auto app = apps::make_app(cfg.app);
-  Rng setup_rng(cfg.seed * 7919 + 13);
+  Rng setup_rng(cfg.cluster.seed * 7919 + 13);
   apps::WorkloadParams params = cfg.params;
   app->setup(cluster, params, setup_rng);
 
@@ -113,8 +96,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.throughput = res.metrics.throughput(cluster.duration());
   res.latency = cluster.merged_latency();
   if (cfg.collect_per_node_latency) {
-    res.node_latency.reserve(cfg.num_nodes);
-    for (net::NodeId n = 0; n < cfg.num_nodes; ++n) {
+    res.node_latency.reserve(num_nodes);
+    for (net::NodeId n = 0; n < num_nodes; ++n) {
       res.node_latency.push_back(cluster.node_latency(n));
     }
   }

@@ -17,41 +17,24 @@
 
 namespace qrdtm::bench {
 
+/// One experiment point: the cluster it runs on plus the harness's own
+/// workload, placement and fault-schedule fields.
 struct ExperimentConfig {
+  /// Every simulation knob (nodes, seed, quorum, network, and the
+  /// RuntimeConfig under `cluster.runtime`), passed to core::Cluster as is.
+  core::ClusterConfig cluster;
+
   std::string app = "bank";
-  core::NestingMode mode = core::NestingMode::kFlat;
   apps::WorkloadParams params;
 
-  std::uint32_t num_nodes = 13;
   std::uint32_t clients = 8;  // closed-loop clients, spread over nodes
-  std::uint64_t seed = 1;
   sim::Tick duration = sim::sec(60);
 
-  core::QuorumKind quorum = core::QuorumKind::kTree;
-  std::uint32_t tree_read_level = 1;
-  /// kSharded only (see ClusterConfig): cohort count and replicas per
-  /// cohort for partial replication.
-  std::uint32_t num_shards = 16;
-  std::uint32_t cohort_size = 13;
   std::uint32_t failures = 0;  // nodes killed before the run (Fig. 10)
   /// Churn: restart every pre-killed node at this tick via
   /// Cluster::recover_node (anti-entropy catch-up + quorum re-admission).
   /// 0 = killed nodes stay dead for the whole run.
   sim::Tick recover_at = 0;
-
-  /// QR-CHK knobs (ignored by other modes); defaults from RuntimeConfig.
-  std::uint32_t chk_threshold = 1;
-  sim::Tick chk_create_cost = core::RuntimeConfig{}.chk_create_cost;
-  sim::Tick chk_create_cost_per_obj =
-      core::RuntimeConfig{}.chk_create_cost_per_obj;
-  sim::Tick chk_restore_cost = core::RuntimeConfig{}.chk_restore_cost;
-
-  /// Closed-nesting retry pause (default from RuntimeConfig).
-  sim::Tick ct_retry_backoff = core::RuntimeConfig{}.ct_retry_backoff;
-
-  /// QR-Q knobs (ignored by other modes); defaults from RuntimeConfig.
-  sim::Tick batch_window = core::RuntimeConfig{}.batch_window;
-  std::uint32_t batch_max_txns = core::RuntimeConfig{}.batch_max_txns;
 
   /// Concentrate the closed-loop clients on the first `client_nodes` nodes
   /// instead of spreading them round-robin over every live node (0 = spread,
@@ -68,10 +51,6 @@ struct ExperimentConfig {
   /// the integrity checker.  0 = off.
   sim::Tick coordinator_kill_period = 0;
   sim::Tick coordinator_down_for = sim::msec(500);
-
-  /// Network overrides (0 = ClusterConfig defaults).
-  sim::Tick link_latency = 0;
-  sim::Tick service_time = 0;
 
   /// Optional qrdtm-trace recorder attached to the cluster for this point
   /// (nullptr = tracing off, the default).  Sweeps that trace must run one
@@ -123,7 +102,7 @@ double commit_percentile_ms(const ExperimentResult& r, double pct);
 /// null.
 std::string result_json_members(const ExperimentResult& r);
 
-/// Run one experiment point (deterministic in cfg.seed).
+/// Run one experiment point (deterministic in cfg.cluster.seed).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 /// Run every point, parallelising across hardware threads; results are in

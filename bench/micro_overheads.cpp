@@ -97,14 +97,14 @@ void BM_CheckpointCreationOverhead(benchmark::State& state) {
     auto run_mode = [&](core::NestingMode mode) {
       bench::ExperimentConfig cfg;
       cfg.app = "bank";  // the paper's macro-benchmark scale (~6 objects/txn)
-      cfg.mode = mode;
+      cfg.cluster.runtime.mode = mode;
       cfg.clients = 1;  // no contention: isolates creation cost
       cfg.params.read_ratio = 0.2;
       cfg.params.num_objects = 64;
       cfg.params.nested_calls = 3;
-      cfg.chk_threshold = 1;
+      cfg.cluster.runtime.chk_threshold = 1;
       cfg.duration = sim::sec(20);
-      cfg.seed = 48;
+      cfg.cluster.seed = 48;
       return bench::run_experiment(cfg);
     };
     auto flat = run_mode(core::NestingMode::kFlat);

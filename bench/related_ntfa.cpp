@@ -92,12 +92,12 @@ double run_tfa(bool nested, double ratio) {
 double run_qr(core::NestingMode mode, double ratio) {
   ExperimentConfig cfg;
   cfg.app = "bank";
-  cfg.mode = mode;
+  cfg.cluster.runtime.mode = mode;
   cfg.params.read_ratio = ratio;
   cfg.params.nested_calls = kOpsPerTxn;
   cfg.params.num_objects = kAccounts;
   cfg.duration = point_duration();
-  cfg.seed = 71;
+  cfg.cluster.seed = 71;
   auto res = run_experiment(cfg);
   warn_if_corrupt(res, "qr bank");
   return res.throughput;

@@ -16,6 +16,16 @@ constexpr net::MsgKind kDecentRead = 0x0301;
 constexpr net::MsgKind kDecentVote = 0x0302;
 constexpr net::MsgKind kDecentApply = 0x0303;  // one-way
 
+/// Committed versions each replica keeps per object.
+constexpr std::size_t kHistoryDepth = 8;
+/// DecentSTM is a replicated DTM: like QR-DTM it pays multicast-class
+/// group-communication latency (the paper's ~5 ms unicast advantage is
+/// HyFlow's single-copy model only).
+constexpr sim::Tick kLinkLatency = sim::msec(12);
+constexpr sim::Tick kLinkJitter = sim::msec(5);
+constexpr sim::Tick kServiceTime = sim::usec(60);
+constexpr sim::Tick kRpcTimeout = sim::msec(500);
+
 }  // namespace
 
 /// Replica node: version histories for the objects it replicates.
@@ -29,10 +39,8 @@ constexpr net::MsgKind kDecentApply = 0x0303;  // one-way
 /// break the history's timestamp order.
 class DecentNode {
  public:
-  DecentNode(net::RpcEndpoint& rpc, std::uint32_t history_depth,
-             sim::Tick lock_lease)
-      : history_depth_(history_depth),
-        sim_(rpc.simulator()),
+  DecentNode(net::RpcEndpoint& rpc, sim::Tick lock_lease)
+      : sim_(rpc.simulator()),
         lock_lease_(lock_lease) {
     rpc.register_service(kDecentRead, [this](net::NodeId, const Bytes& b) {
       return handle_read(b);
@@ -150,13 +158,12 @@ class DecentNode {
     if (commit) {
       e.versions.emplace_back(ts, std::move(data));
       clock_ = std::max<Version>(clock_, ts);
-      if (e.versions.size() > history_depth_) {
+      if (e.versions.size() > kHistoryDepth) {
         e.versions.erase(e.versions.begin());
       }
     }
   }
 
-  std::uint32_t history_depth_;
   sim::Simulator& sim_;
   sim::Tick lock_lease_;
   std::uint64_t lease_breaks_ = 0;
@@ -187,7 +194,7 @@ sim::Task<Bytes> DecentTxn::read_version(ObjectId id, std::uint64_t snapshot,
   const auto replicas = c.replicas_of(id);
   c.metrics_.read_messages += replicas.size();
   auto futures = c.endpoints_[node_]->multicast(
-      replicas, kDecentRead, w.bytes(), c.cfg_.rpc_timeout);
+      replicas, kDecentRead, w.bytes(), kRpcTimeout);
   bool found = false;
   Version ts = 0;
   Bytes data;
@@ -254,13 +261,12 @@ DecentCluster::DecentCluster(DecentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   QRDTM_CHECK(cfg_.replication >= 1 && cfg_.replication <= cfg_.num_nodes);
   net_ = std::make_unique<net::Network>(
       sim_,
-      std::make_unique<net::UniformLatency>(cfg_.link_latency,
-                                            cfg_.link_jitter),
-      rng_.next(), cfg_.service_time);
+      std::make_unique<net::UniformLatency>(kLinkLatency, kLinkJitter),
+      rng_.next(), kServiceTime);
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
     nodes_.push_back(std::make_unique<DecentNode>(
-        *endpoints_.back(), cfg_.history_depth, cfg_.lock_lease));
+        *endpoints_.back(), cfg_.lock_lease));
   }
 }
 
@@ -347,7 +353,7 @@ sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
       w.u64(entry.base);
       ++metrics_.commit_messages;
       auto res = co_await rpc->call(rep, kDecentVote, std::move(w).take(),
-                                    cfg_.rpc_timeout);
+                                    kRpcTimeout);
       bool yes = false;
       if (res.ok) {
         Reader r(res.payload);
@@ -436,7 +442,7 @@ sim::Task<bool> DecentCluster::run_transaction_bounded(
     if (max_attempts != 0 && attempt >= max_attempts) co_return false;
     const sim::Tick abort_tick = sim_.now();
     const sim::Tick wait = core::draw_backoff_wait(
-        cfg_.backoff_base, cfg_.backoff_cap, attempt, rng_);
+        core::kRootBackoffBase, core::kRootBackoffCap, attempt, rng_);
     latency_.backoff_wait.record(wait);
     if (wait > 0) co_await sim_.delay(wait);
     latency_.retry_gap.record(sim_.now() - abort_tick);

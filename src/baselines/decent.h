@@ -91,19 +91,12 @@ using DecentBody = std::function<sim::Task<void>(DecentTxn&)>;
 struct DecentConfig {
   std::uint32_t num_nodes = 13;
   std::uint32_t replication = 3;
-  std::uint32_t history_depth = 8;
   std::uint64_t seed = 1;
-  /// DecentSTM is a replicated DTM: like QR-DTM it pays multicast-class
-  /// group-communication latency (the paper's ~5 ms unicast advantage is
-  /// HyFlow's single-copy model only).
-  sim::Tick link_latency = sim::msec(12);
-  sim::Tick link_jitter = sim::msec(5);
-  sim::Tick service_time = sim::usec(60);
-  sim::Tick rpc_timeout = sim::msec(500);
+  // The version-history depth, the network (12 ms multicast-class links)
+  // and the RPC timeout are fixed constants in decent.cpp; root-abort
+  // backoff is core/backoff.h's.
   /// Snapshot-algorithm bookkeeping charged per remote operation.
   sim::Tick snapshot_compute = sim::msec(15);
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
   /// Coordinator-liveness lease on replica-side write locks: a lock
   /// outstanding this long is presumed orphaned (its coordinator died
   /// between vote and apply) and is shed on the next conflicting vote.  Far

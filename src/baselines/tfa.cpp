@@ -18,6 +18,13 @@ constexpr net::MsgKind kTfaLock = 0x0203;
 constexpr net::MsgKind kTfaUnlock = 0x0204;     // one-way
 constexpr net::MsgKind kTfaWriteback = 0x0205;  // one-way
 
+/// Unicast one-way link latency (HyFlow's remote requests averaged ~5 ms
+/// round trip on the paper's testbed).
+constexpr sim::Tick kLinkLatency = sim::msec(2);
+constexpr sim::Tick kLinkJitter = sim::msec(1);
+constexpr sim::Tick kServiceTime = sim::usec(60);
+constexpr sim::Tick kRpcTimeout = sim::msec(500);
+
 struct ObjectState {
   Version version = 0;
   Bytes data;
@@ -224,8 +231,7 @@ sim::Task<void> TfaTxn::forward(std::uint64_t to_clock) {
       w.u64(id_);
       ++c.metrics_.read_messages;
       auto res = co_await c.endpoints_[node_]->call(
-          c.home_of(id), kTfaValidate, std::move(w).take(),
-          c.cfg_.rpc_timeout);
+          c.home_of(id), kTfaValidate, std::move(w).take(), kRpcTimeout);
       bool ok = false;
       if (res.ok) {
         Reader r(res.payload);
@@ -260,7 +266,7 @@ sim::Task<Bytes> TfaTxn::read(ObjectId id) {
   ++c.metrics_.remote_reads;
   ++c.metrics_.read_messages;
   auto res = co_await c.endpoints_[node_]->call(
-      c.home_of(id), kTfaRead, std::move(w).take(), c.cfg_.rpc_timeout);
+      c.home_of(id), kTfaRead, std::move(w).take(), kRpcTimeout);
   if (!res.ok) throw TfaAbort{"read timeout", scopes_.size() - 1};
   Reader r(res.payload);
   bool found = r.boolean();
@@ -344,9 +350,8 @@ sim::Task<void> TfaTxn::nested(TfaBody body) {
 TfaCluster::TfaCluster(TfaConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   net_ = std::make_unique<net::Network>(
       sim_,
-      std::make_unique<net::UniformLatency>(cfg_.link_latency,
-                                            cfg_.link_jitter),
-      rng_.next(), cfg_.service_time);
+      std::make_unique<net::UniformLatency>(kLinkLatency, kLinkJitter),
+      rng_.next(), kServiceTime);
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
     nodes_.push_back(
@@ -419,7 +424,7 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
     w.u64(txn.id_);
     ++metrics_.commit_messages;
     auto res = co_await rpc->call(home_of(id), kTfaLock, std::move(w).take(),
-                                  cfg_.rpc_timeout);
+                                  kRpcTimeout);
     if (!res.ok) {
       ok = false;
       break;
@@ -441,7 +446,7 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
       w.u64(txn.id_);
       ++metrics_.commit_messages;
       auto res = co_await rpc->call(home_of(id), kTfaValidate,
-                                    std::move(w).take(), cfg_.rpc_timeout);
+                                    std::move(w).take(), kRpcTimeout);
       if (!res.ok) {
         ok = false;
         break;
@@ -521,7 +526,7 @@ sim::Task<bool> TfaCluster::run_transaction_bounded(net::NodeId node,
     if (max_attempts != 0 && attempt >= max_attempts) co_return false;
     const sim::Tick abort_tick = sim_.now();
     const sim::Tick wait = core::draw_backoff_wait(
-        cfg_.backoff_base, cfg_.backoff_cap, attempt, rng_);
+        core::kRootBackoffBase, core::kRootBackoffCap, attempt, rng_);
     latency_.backoff_wait.record(wait);
     if (wait > 0) co_await sim_.delay(wait);
     latency_.retry_gap.record(sim_.now() - abort_tick);

@@ -122,14 +122,8 @@ class TfaTxn {
 struct TfaConfig {
   std::uint32_t num_nodes = 13;
   std::uint64_t seed = 1;
-  /// Unicast one-way link latency (HyFlow's remote requests averaged ~5 ms
-  /// round trip on the paper's testbed).
-  sim::Tick link_latency = sim::msec(2);
-  sim::Tick link_jitter = sim::msec(1);
-  sim::Tick service_time = sim::usec(60);
-  sim::Tick rpc_timeout = sim::msec(500);
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
+  // The network (2 ms unicast links) and the RPC timeout are fixed
+  // constants in tfa.cpp; root-abort backoff is core/backoff.h's.
   /// N-TFA: closed-nested scopes with partial abort (off = flat TFA, the
   /// HyFlow baseline the paper compares against).
   bool closed_nesting = false;

@@ -10,6 +10,11 @@
 
 namespace qrdtm::core {
 
+/// Randomised exponential backoff window applied on full (root) aborts by
+/// all three runtimes: 1 ms doubling per attempt up to a 32 ms cap.
+inline constexpr sim::Tick kRootBackoffBase = sim::msec(1);
+inline constexpr sim::Tick kRootBackoffCap = sim::msec(32);
+
 /// Draw the wait before retry `attempt` (1-based).  The window doubles with
 /// each attempt up to `cap`; the draw is jittered into [window/2,
 /// 1.5*window) so that two clients aborted by the same conflict do not

@@ -47,7 +47,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     case QuorumKind::kTree: {
       quorum::TreeQuorumProvider::Config qc;
       qc.num_nodes = cfg_.num_nodes;
-      qc.degree = cfg_.tree_degree;
       qc.read_level = cfg_.tree_read_level;
       quorums_ = std::make_unique<quorum::TreeQuorumProvider>(qc);
       break;
@@ -68,7 +67,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
       sc.inner = cfg_.sharded_majority_inner
                      ? quorum::ShardedQuorumProvider::Inner::kMajority
                      : quorum::ShardedQuorumProvider::Inner::kTree;
-      sc.tree_degree = cfg_.tree_degree;
       sc.tree_read_level = cfg_.tree_read_level;
       quorums_ = std::make_unique<quorum::ShardedQuorumProvider>(sc);
       break;

@@ -43,8 +43,8 @@ struct ClusterConfig {
 
   RuntimeConfig runtime;
 
+  /// kTree and kSharded's inner trees are ternary (the paper's degree).
   QuorumKind quorum = QuorumKind::kTree;
-  std::uint32_t tree_degree = 3;
   std::uint32_t tree_read_level = 1;
 
   /// kSharded only: cohort count (objects hash to cohorts via CohortMap)

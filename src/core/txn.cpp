@@ -565,12 +565,13 @@ TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
 
 TxnRuntime::~TxnRuntime() = default;
 
-const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
-    std::uint32_t cohort) {
-  if (rq_cache_.size() < quorums_.num_cohorts()) {
-    rq_cache_.resize(quorums_.num_cohorts());
+const std::vector<net::NodeId>& TxnRuntime::cached_quorum(
+    std::vector<CohortQuorum>& cache, std::uint32_t cohort,
+    QuorumFn provider_quorum) {
+  if (cache.size() < quorums_.num_cohorts()) {
+    cache.resize(quorums_.num_cohorts());
   }
-  CohortQuorum& q = rq_cache_[cohort];
+  CohortQuorum& q = cache[cohort];
   const std::uint64_t g = quorums_.generation();
   if (q.gen != g) {
     // A zombie coroutine (the requester was killed mid-transaction, so the
@@ -579,7 +580,7 @@ const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
     // cross-epoch send would drop anyway.  A *live* requester keeps the
     // original contract and sees QuorumUnavailable directly.
     try {
-      q.nodes = quorums_.cohort_read_quorum(node(), cohort);
+      q.nodes = (quorums_.*provider_quorum)(node(), cohort);
     } catch (const quorum::QuorumUnavailable& e) {
       if (!rpc_.network().alive(node())) {
         throw AbortException{AbortTarget::kRoot, 0, 0, e.what()};
@@ -591,27 +592,16 @@ const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
   return q.nodes;
 }
 
+const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
+    std::uint32_t cohort) {
+  return cached_quorum(rq_cache_, cohort,
+                       &quorum::QuorumProvider::cohort_read_quorum);
+}
+
 const std::vector<net::NodeId>& TxnRuntime::cohort_write_quorum(
     std::uint32_t cohort) {
-  if (wq_cache_.size() < quorums_.num_cohorts()) {
-    wq_cache_.resize(quorums_.num_cohorts());
-  }
-  CohortQuorum& q = wq_cache_[cohort];
-  const std::uint64_t g = quorums_.generation();
-  if (q.gen != g) {
-    // Same zombie-only infrastructure-abort conversion as
-    // cohort_read_quorum.
-    try {
-      q.nodes = quorums_.cohort_write_quorum(node(), cohort);
-    } catch (const quorum::QuorumUnavailable& e) {
-      if (!rpc_.network().alive(node())) {
-        throw AbortException{AbortTarget::kRoot, 0, 0, e.what()};
-      }
-      throw;
-    }
-    q.gen = g;
-  }
-  return q.nodes;
+  return cached_quorum(wq_cache_, cohort,
+                       &quorum::QuorumProvider::cohort_write_quorum);
 }
 
 const std::vector<net::NodeId>& TxnRuntime::read_quorum(ObjectId id) {
@@ -835,20 +825,13 @@ sim::Task<void> TxnRuntime::finish_open(Txn& root, bool committed) {
 }
 
 sim::Task<void> TxnRuntime::commit_root(Txn& root) {
-  // An empty transaction (no reads, no writes) has nothing to validate.
-  if (root.writeset_.empty() && root.readset_.empty()) {
-    ++metrics_.local_commits;
-    if (tracer_ != nullptr) {
-      tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_,
-                    simulator().now(), simulator().now(), 0, /*local=*/1);
-    }
-    co_return;
-  }
+  // An empty transaction (no reads, no writes) has nothing to validate, and
   // Rqv makes read-only commits free under QR-CN (paper §III-A); flat QR
   // and QR-CHK always run the 2PC (QR-CHK commit "exactly the same as flat",
   // §IV-A).
-  if (root.writeset_.empty() && config_.mode == NestingMode::kClosed &&
-      config_.cn_local_readonly_commit) {
+  if (root.writeset_.empty() &&
+      (root.readset_.empty() || (config_.mode == NestingMode::kClosed &&
+                                 config_.cn_local_readonly_commit))) {
     ++metrics_.local_commits;
     if (tracer_ != nullptr) {
       tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_,
@@ -1038,8 +1021,8 @@ sim::Task<bool> TxnRuntime::commit_confirm(
 }
 
 sim::Task<void> TxnRuntime::backoff(std::uint32_t attempt, TxnId txn) {
-  const sim::Tick wait = draw_backoff_wait(config_.backoff_base,
-                                           config_.backoff_cap, attempt, rng_);
+  const sim::Tick wait =
+      draw_backoff_wait(kRootBackoffBase, kRootBackoffCap, attempt, rng_);
   latency_.backoff_wait.record(wait);
   if (wait > 0) {
     const sim::Tick start = simulator().now();

@@ -55,9 +55,6 @@ class HistoryRecorder;
 struct RuntimeConfig {
   NestingMode mode = NestingMode::kFlat;
   sim::Tick rpc_timeout = sim::msec(500);
-  /// Randomised exponential backoff applied on full (root) aborts.
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
   /// Pause before retrying an aborted closed-nested scope.  A conflicting
   /// committer holds its write-set protected for roughly one commit round
   /// trip; retrying sooner just burns read rounds against its protection.
@@ -189,15 +186,10 @@ class Txn {
 
   // ----- introspection ---------------------------------------------------
 
-  TxnId scope_id() const { return scope_id_; }
-  std::uint32_t depth() const { return depth_; }
-  bool is_root() const { return parent_ == nullptr; }
   TxnRuntime& runtime() { return rt_; }
   /// Workload randomness helper (deterministic per node).
   Rng& rng();
 
-  std::size_t readset_size() const { return readset_.size(); }
-  std::size_t writeset_size() const { return writeset_.size(); }
   ChkEpoch current_epoch() const { return epoch_; }
   std::uint64_t checkpoints_taken() const { return checkpoints_.size(); }
 
@@ -382,7 +374,6 @@ class TxnRuntime {
   /// with simulator ticks.  nullptr = tracing off: every site is a single
   /// pointer test and the simulated schedule is bit-identical.
   void set_trace_recorder(TraceRecorder* tracer) { tracer_ = tracer; }
-  TraceRecorder* trace_recorder() { return tracer_; }
 
   /// Attach the fault-point registry so tests can steer the coordinator
   /// (e.g. suspend between gathering votes and sending the confirm --
@@ -405,9 +396,6 @@ class TxnRuntime {
 
   /// Allocate a globally unique object id (node-prefixed, no coordination).
   ObjectId allocate_object_id();
-
-  /// QR-Q batch planner (nullptr unless config.mode == kQueued).
-  BatchPlanner* planner() { return planner_.get(); }
 
  private:
   friend class Txn;
@@ -474,6 +462,18 @@ class TxnRuntime {
   const std::vector<net::NodeId>& cohort_read_quorum(std::uint32_t cohort);
   const std::vector<net::NodeId>& cohort_write_quorum(std::uint32_t cohort);
 
+  struct CohortQuorum {
+    std::uint64_t gen = ~0ULL;
+    std::vector<net::NodeId> nodes;
+  };
+  using QuorumFn = std::vector<net::NodeId> (quorum::QuorumProvider::*)(
+      net::NodeId, std::uint32_t) const;
+  /// The memoised body both share: refresh `cache[cohort]` from
+  /// `provider_quorum` when the provider's generation moved.
+  const std::vector<net::NodeId>& cached_quorum(
+      std::vector<CohortQuorum>& cache, std::uint32_t cohort,
+      QuorumFn provider_quorum);
+
   /// The read quorum for `id`'s cohort (single-cohort providers: cohort 0,
   /// the exact pre-shard quorum).
   const std::vector<net::NodeId>& read_quorum(ObjectId id);
@@ -498,10 +498,6 @@ class TxnRuntime {
   TxnId next_scope_id_;
   std::uint64_t next_object_seq_ = 1;
 
-  struct CohortQuorum {
-    std::uint64_t gen = ~0ULL;
-    std::vector<net::NodeId> nodes;
-  };
   std::vector<CohortQuorum> rq_cache_, wq_cache_;  // indexed by cohort
 };
 

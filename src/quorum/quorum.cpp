@@ -277,7 +277,6 @@ ShardedQuorumProvider::ShardedQuorumProvider(Config cfg)
     if (cfg_.inner == Inner::kTree) {
       TreeQuorumProvider::Config tc;
       tc.num_nodes = cfg_.cohort_size;
-      tc.degree = cfg_.tree_degree;
       tc.read_level = cfg_.tree_read_level;
       tc.same_for_all = cfg_.same_for_all;
       inner_.push_back(std::make_unique<TreeQuorumProvider>(tc));

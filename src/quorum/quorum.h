@@ -170,8 +170,6 @@ class TreeQuorumProvider final : public QuorumProvider {
   void on_failure(NodeId dead) override;
   void on_recovery(NodeId node) override;
 
-  std::uint32_t height() const { return height_; }
-
  private:
   std::vector<NodeId> children(NodeId v) const;
   bool alive(NodeId v) const { return !dead_[v]; }
@@ -224,8 +222,6 @@ class FlatFailureAwareProvider final : public QuorumProvider {
   void on_failure(NodeId dead) override;
   void on_recovery(NodeId node) override;
 
-  std::uint32_t failures() const { return failures_; }
-
  private:
   std::uint32_t n_;
   std::uint32_t failures_ = 0;
@@ -249,8 +245,8 @@ class ShardedQuorumProvider final : public QuorumProvider {
     /// Replicas per cohort.  13 mirrors the paper's cluster; cohorts may
     /// overlap when num_shards * cohort_size > num_nodes.
     std::uint32_t cohort_size = 13;
+    /// Inner trees are ternary (TreeQuorumProvider's default degree).
     Inner inner = Inner::kTree;
-    std::uint32_t tree_degree = 3;
     std::uint32_t tree_read_level = 1;
     bool same_for_all = true;
   };

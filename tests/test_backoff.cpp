@@ -2,7 +2,7 @@
 //
 // The original TxnRuntime::backoff jittered the doubled window into
 // [window/2, 1.5*window) and returned that draw unclamped, so a wait could
-// exceed the configured backoff_cap by up to 50 %.  The sweep below proves
+// exceed the configured backoff cap by up to 50 %.  The sweep below proves
 // the shared helper never exceeds the cap for any attempt number, and pins
 // the window/jitter semantics the three retry loops (QR runtime, TFA,
 // Decent-STM) now share.

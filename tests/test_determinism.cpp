@@ -46,13 +46,13 @@ void PrintTo(const Golden& g, std::ostream* os) {
 ExperimentConfig config_for(const char* app, core::NestingMode mode) {
   ExperimentConfig cfg;
   cfg.app = app;
-  cfg.mode = mode;
+  cfg.cluster.runtime.mode = mode;
   cfg.params.read_ratio = 0.2;
   cfg.params.nested_calls = 3;
   cfg.params.num_objects = default_objects(app);
-  cfg.num_nodes = 13;
+  cfg.cluster.num_nodes = 13;
   cfg.clients = 8;
-  cfg.seed = 42;
+  cfg.cluster.seed = 42;
   cfg.duration = sim::sec(5);
   // QR-Q batches only form with several clients per node: co-locate so the
   // goldens pin the interesting (multi-member batch) code path.
@@ -62,7 +62,7 @@ ExperimentConfig config_for(const char* app, core::NestingMode mode) {
 
 // Recorded from the seed kernel (commit 4af34f7) at the configs above,
 // re-recorded after the backoff-cap clamp fix (core/backoff.h): waits that
-// previously overshot backoff_cap by up to 50 % are now clamped, which
+// previously overshot the backoff cap by up to 50 % are now clamped, which
 // shifts retry timing (the RNG draw count per backoff is unchanged).
 constexpr Golden kGolden[] = {
     {"bank", core::NestingMode::kFlat, 42, 122, 0, 0, 1996, 2303},
@@ -126,6 +126,34 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DeterminismGolden,
                            name += core::to_string(info.param.mode);
                            return name;
                          });
+
+// The harness hands ExperimentConfig::cluster to core::Cluster unchanged, so
+// a RuntimeConfig knob set on it shapes the run.  A QR-CN Bank point where
+// every transaction is read-only shows it for cn_local_readonly_commit.
+ExperimentConfig read_only_cn_point(bool local_readonly_commit) {
+  ExperimentConfig cfg;
+  cfg.app = "bank";
+  cfg.cluster.runtime.mode = core::NestingMode::kClosed;
+  cfg.cluster.runtime.cn_local_readonly_commit = local_readonly_commit;
+  cfg.cluster.seed = 9;
+  cfg.params.read_ratio = 1.0;
+  cfg.params.num_objects = default_objects("bank");
+  cfg.duration = sim::sec(2);
+  return cfg;
+}
+
+TEST(Harness, ReadOnlyCommitKnobReachesTheCluster) {
+  const ExperimentResult on = run_experiment(read_only_cn_point(true));
+  ASSERT_GT(on.metrics.commits, 0u);
+  EXPECT_TRUE(on.invariants_ok);
+  EXPECT_EQ(on.metrics.commit_requests, 0u);
+  EXPECT_EQ(on.metrics.local_commits, on.metrics.commits);
+
+  const ExperimentResult off = run_experiment(read_only_cn_point(false));
+  ASSERT_GT(off.metrics.commits, 0u);
+  EXPECT_TRUE(off.invariants_ok);
+  EXPECT_GT(off.metrics.commit_requests, 0u);
+}
 
 }  // namespace
 }  // namespace qrdtm::bench

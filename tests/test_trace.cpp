@@ -252,13 +252,13 @@ TEST(TraceRecorder, WriteRoundTrip) {
 bench::ExperimentConfig small_config() {
   bench::ExperimentConfig cfg;
   cfg.app = "bank";
-  cfg.mode = NestingMode::kClosed;
+  cfg.cluster.runtime.mode = NestingMode::kClosed;
   cfg.params.read_ratio = 0.2;
   cfg.params.nested_calls = 3;
   cfg.params.num_objects = 16;
-  cfg.num_nodes = 5;
+  cfg.cluster.num_nodes = 5;
   cfg.clients = 4;
-  cfg.seed = 11;
+  cfg.cluster.seed = 11;
   cfg.duration = sim::sec(1);
   return cfg;
 }

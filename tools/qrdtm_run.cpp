@@ -7,10 +7,12 @@
 //
 //   $ qrdtm_run --app slist --mode closed --nodes 13 --clients 8
 //               --reads 0.2 --calls 3 --objects 128 --seconds 60 --seed 1
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "bench/harness.h"
 
@@ -55,9 +57,32 @@ void usage() {
       "                    trace-event format (open at ui.perfetto.dev)\n");
 }
 
+/// Largest real any flag accepts: even as seconds, far inside the 64-bit
+/// nanosecond tick range.
+constexpr double kMaxReal = 1e9;
+
+/// Parse all of `val` as an unsigned integer, or as a real in [0,
+/// kMaxReal]; on junk, a sign, overflow or NaN, name the flag and fail.
+template <class T>
+bool number(const std::string& flag, const std::string& val, T& out) {
+  const char* end = val.data() + val.size();
+  const auto [ptr, ec] = std::from_chars(val.data(), end, out);
+  bool ok = ec == std::errc() && ptr == end && !val.empty();
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && out >= 0 && out <= kMaxReal;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(),
+                 val.c_str());
+  }
+  return ok;
+}
+
 bool parse(int argc, char** argv, ExperimentConfig& cfg,
            std::string& metrics_json, std::string& trace_json) {
+  core::ClusterConfig& cc = cfg.cluster;
   cfg.params.num_objects = 0;  // sentinel: fill from default_objects
+  double seconds = 60;
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") return false;
@@ -66,67 +91,67 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
       return false;
     }
     std::string val = argv[++i];
+    bool ok = true;
     if (flag == "--app") {
       cfg.app = val;
     } else if (flag == "--mode") {
       if (val == "flat") {
-        cfg.mode = core::NestingMode::kFlat;
+        cc.runtime.mode = core::NestingMode::kFlat;
       } else if (val == "closed") {
-        cfg.mode = core::NestingMode::kClosed;
+        cc.runtime.mode = core::NestingMode::kClosed;
       } else if (val == "checkpoint" || val == "chk") {
-        cfg.mode = core::NestingMode::kCheckpoint;
+        cc.runtime.mode = core::NestingMode::kCheckpoint;
       } else if (val == "queued") {
-        cfg.mode = core::NestingMode::kQueued;
+        cc.runtime.mode = core::NestingMode::kQueued;
       } else {
         std::fprintf(stderr, "unknown mode %s\n", val.c_str());
         return false;
       }
     } else if (flag == "--nodes") {
-      cfg.num_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.num_nodes);
     } else if (flag == "--clients") {
-      cfg.clients = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cfg.clients);
     } else if (flag == "--reads") {
-      cfg.params.read_ratio = std::atof(val.c_str());
+      ok = number(flag, val, cfg.params.read_ratio);
     } else if (flag == "--calls") {
-      cfg.params.nested_calls =
-          static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cfg.params.nested_calls);
     } else if (flag == "--objects") {
-      cfg.params.num_objects =
-          static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cfg.params.num_objects);
     } else if (flag == "--seconds") {
-      cfg.duration = sim::sec(std::atof(val.c_str()));
+      ok = number(flag, val, seconds);
     } else if (flag == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
+      ok = number(flag, val, cc.seed);
     } else if (flag == "--quorum") {
       if (val == "tree") {
-        cfg.quorum = core::QuorumKind::kTree;
+        cc.quorum = core::QuorumKind::kTree;
       } else if (val == "majority") {
-        cfg.quorum = core::QuorumKind::kMajority;
+        cc.quorum = core::QuorumKind::kMajority;
       } else if (val == "flat-failure") {
-        cfg.quorum = core::QuorumKind::kFlatFailureAware;
+        cc.quorum = core::QuorumKind::kFlatFailureAware;
       } else if (val == "sharded") {
-        cfg.quorum = core::QuorumKind::kSharded;
+        cc.quorum = core::QuorumKind::kSharded;
       } else {
         std::fprintf(stderr, "unknown quorum %s\n", val.c_str());
         return false;
       }
     } else if (flag == "--read-level") {
-      cfg.tree_read_level =
-          static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.tree_read_level);
     } else if (flag == "--shards") {
-      cfg.num_shards = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.num_shards);
     } else if (flag == "--cohort-size") {
-      cfg.cohort_size = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.cohort_size);
     } else if (flag == "--failures") {
-      cfg.failures = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cfg.failures);
     } else if (flag == "--chk-threshold") {
-      cfg.chk_threshold = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.runtime.chk_threshold);
     } else if (flag == "--batch-window") {
-      cfg.batch_window = sim::msec(std::atof(val.c_str()));
+      double ms = 0;
+      ok = number(flag, val, ms);
+      cc.runtime.batch_window = sim::msec(ms);
     } else if (flag == "--batch-max") {
-      cfg.batch_max_txns = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cc.runtime.batch_max_txns);
     } else if (flag == "--client-nodes") {
-      cfg.client_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      ok = number(flag, val, cfg.client_nodes);
     } else if (flag == "--metrics-json") {
       metrics_json = val;
     } else if (flag == "--trace-json") {
@@ -135,7 +160,31 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
+    if (!ok) return false;
   }
+
+  const std::vector<std::string> apps = apps::app_names();
+  if (std::find(apps.begin(), apps.end(), cfg.app) == apps.end()) {
+    std::fprintf(stderr, "unknown app %s\n", cfg.app.c_str());
+    return false;
+  }
+  cfg.duration = sim::sec(seconds);
+  const char* error = nullptr;
+  if (cc.num_nodes < 1) {
+    error = "--nodes must be at least 1";
+  } else if (cfg.failures >= cc.num_nodes) {
+    error = "--failures must be below --nodes";
+  } else if (cfg.params.read_ratio > 1) {
+    error = "--reads must be in [0, 1]";
+  } else if (cfg.duration == 0) {
+    error = "--seconds must be above 0";
+  }
+  if (error != nullptr) {
+    std::fprintf(stderr, "%s\n", error);
+    return false;
+  }
+  // A sharded cohort cannot hold more replicas than the cluster has nodes.
+  cc.cohort_size = std::min(cc.cohort_size, cc.num_nodes);
   if (cfg.params.num_objects == 0) {
     cfg.params.num_objects = default_objects(cfg.app);
   }
@@ -215,8 +264,9 @@ bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
                "{\n  \"app\": \"%s\", \"mode\": \"%s\", \"num_nodes\": %u, "
                "\"clients\": %u, \"seed\": %llu, \"sim_seconds\": %.6f,\n"
                "  %s,\n",
-               cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
-               cfg.clients, static_cast<unsigned long long>(cfg.seed),
+               cfg.app.c_str(), core::to_string(cfg.cluster.runtime.mode),
+               cfg.cluster.num_nodes, cfg.clients,
+               static_cast<unsigned long long>(cfg.cluster.seed),
                sim::to_seconds(cfg.duration), result_json_members(r).c_str());
   write_net_json(f, r.net);
   std::fprintf(f, "  \"aggregate\": {\n");
@@ -236,7 +286,6 @@ bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
 
 int main(int argc, char** argv) {
   ExperimentConfig cfg;
-  cfg.duration = sim::sec(60);
   std::string metrics_json;
   std::string trace_json;
   if (!parse(argc, argv, cfg, metrics_json, trace_json)) {
@@ -249,10 +298,10 @@ int main(int argc, char** argv) {
 
   std::printf("app=%s mode=%s nodes=%u clients=%u reads=%.2f calls=%u "
               "objects=%u seed=%llu\n",
-              cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
-              cfg.clients, cfg.params.read_ratio, cfg.params.nested_calls,
-              cfg.params.num_objects,
-              static_cast<unsigned long long>(cfg.seed));
+              cfg.app.c_str(), core::to_string(cfg.cluster.runtime.mode),
+              cfg.cluster.num_nodes, cfg.clients, cfg.params.read_ratio,
+              cfg.params.nested_calls, cfg.params.num_objects,
+              static_cast<unsigned long long>(cfg.cluster.seed));
 
   ExperimentResult r = run_experiment(cfg);
 
