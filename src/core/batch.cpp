@@ -161,16 +161,18 @@ sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
   // order_ holds every batch object (reads and writes), so the union spans
   // all touched cohorts.
   std::vector<net::NodeId> wq;
+  Abort unformable;
+  bool formed = false;
   try {
-    wq = rt_.union_write_quorum(order_);
-  } catch (AbortException&) {
-    // Unformable quorum under a zombie coordinator: infrastructure
-    // failure, re-fetch everything on the next round.
-    stale->clear();
-    co_return false;
+    // False: unformable quorum under a zombie coordinator.
+    formed = rt_.union_write_quorum(order_, &wq, &unformable);
   } catch (const quorum::QuorumUnavailable&) {
     // Live coordinator but too many members down mid-chaos: equally
-    // transient, same recovery -- retry once membership heals.
+    // transient.
+  }
+  if (!formed) {
+    // Infrastructure failure: re-fetch everything on the next round, once
+    // membership heals.
     stale->clear();
     co_return false;
   }
@@ -219,6 +221,7 @@ sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {
 
   HistoryRecorder* rec = rt_.recorder_;
   std::vector<CommittedTxn> records;
+  const std::coroutine_handle<> self = co_await sim::CurrentHandle{};
   for (std::uint32_t attempt = 0;; ++attempt) {
     const TxnId batch_id = rt_.next_scope_id();
     records.clear();
@@ -227,13 +230,19 @@ sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {
     for (Pending& p : batch) {
       Txn txn(rt_, nullptr);
       txn.batch_ = this;
+      txn.boundary_ = self;
       try {
+        // An abort inside the body resumes us here with the body suspended;
+        // destroying the body's Task (end of this statement) frees its
+        // frames.
         co_await p.body(txn);
-      } catch (AbortException& a) {
-        // Infrastructure abort (unreachable quorum, step guard): no replica
-        // state to diagnose, so the whole round restarts from fresh fetches.
-        exec_ok = false;
-        exec_abort_reason = a.reason;
+        if (txn.abort_) {
+          // Infrastructure abort (unreachable quorum, step guard): no
+          // replica state to diagnose, so the whole round restarts from
+          // fresh fetches.
+          exec_ok = false;
+          exec_abort_reason = std::move(txn.abort_->reason);
+        }
       } catch (const quorum::QuorumUnavailable& e) {
         // Live member, quorum transiently unformable mid-chaos: same
         // restart-from-fresh-fetches treatment as an infrastructure abort.

@@ -47,12 +47,26 @@ const Txn& Txn::root() const {
   return *t;
 }
 
+Txn::Unwind Txn::abort(AbortTarget target, TxnId scope_id, ChkEpoch chk,
+                       const char* reason) {
+  root().abort_ = Abort{target, scope_id, chk, reason};
+  return unwind();
+}
+
+Txn::Unwind Txn::unwind() {
+  const Txn& r = root();
+  QRDTM_DCHECK(r.abort_.has_value() && r.active_->boundary_);
+  return Unwind{r.active_->boundary_};
+}
+
 Txn::OpToken Txn::begin_op() {
   Txn& r = root();
+  if (r.abort_) return OpToken{0, false, /*aborted=*/true};
   const std::uint64_t idx = r.op_seq_++;
   if (++r.ops_this_attempt_ > kMaxOpsPerAttempt) {
     ++rt_.metrics().step_guard_trips;
-    throw AbortException{AbortTarget::kRoot, r.scope_id_, 0, "step guard"};
+    r.abort_ = Abort{AbortTarget::kRoot, r.scope_id_, 0, "step guard"};
+    return OpToken{idx, false, /*aborted=*/true};
   }
   const bool replay = idx < r.replay_until_;
   if (rt_.config().mode == NestingMode::kCheckpoint && !replay) {
@@ -61,11 +75,6 @@ Txn::OpToken Txn::begin_op() {
     r.op_log_.emplace_back();
   }
   return OpToken{idx, replay};
-}
-
-bool Txn::in_fast_forward() const {
-  const Txn& r = root();
-  return r.op_seq_ < r.replay_until_;
 }
 
 void Txn::log_op(const OpToken& token, Bytes data, ObjectId created) {
@@ -89,7 +98,7 @@ const OwnedCopy* Txn::find_local(ObjectId id, bool* from_writeset) const {
   return nullptr;
 }
 
-sim::Task<Txn::Fetched> Txn::quorum_fetch(ObjectId id, bool for_write) {
+sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
   const RuntimeConfig& cfg = rt_.config();
   Txn& r = root();
 
@@ -105,7 +114,13 @@ sim::Task<Txn::Fetched> Txn::quorum_fetch(ObjectId id, bool for_write) {
   Writer w(rt_.rpc_.acquire_buffer(msg::kRead));
   encode_read_request(w, r.scope_id_, cfg.mode, id, for_write, ds);
 
-  const auto& rq = rt_.read_quorum(id);
+  Abort unformable;
+  const std::vector<net::NodeId>* quorum = rt_.read_quorum(id, &unformable);
+  if (quorum == nullptr) {
+    r.abort_ = std::move(unformable);
+    co_await unwind();
+  }
+  const std::vector<net::NodeId>& rq = *quorum;
   ++rt_.metrics().remote_reads;
   rt_.metrics().read_messages += rq.size();
 
@@ -169,22 +184,20 @@ sim::Task<Txn::Fetched> Txn::quorum_fetch(ObjectId id, bool for_write) {
                       fetch_start, rt_.simulator().now(), id, ok_replies);
   }
 
-  Fetched out;
   if (have_abort) {
     ++rt_.metrics().validation_failures;
     if (cfg.mode == NestingMode::kClosed) {
       const TxnId target = abort_scope == 0 ? scope_id_ : abort_scope;
-      out.abort = AbortException{AbortTarget::kScope, target, 0, "rqv"};
+      co_await abort(AbortTarget::kScope, target, 0, "rqv");
     } else if (cfg.mode == NestingMode::kCheckpoint) {
       const ChkEpoch target = std::min(abort_chk, r.epoch_);
-      out.abort = AbortException{AbortTarget::kCheckpoint, r.scope_id_,
-                                 target, "rqv"};
+      co_await abort(AbortTarget::kCheckpoint, r.scope_id_, target, "rqv");
     } else {
-      out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0, "rqv"};
+      co_await abort(AbortTarget::kRoot, r.scope_id_, 0, "rqv");
     }
   } else if (ok_replies == 0) {
-    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                               "read quorum unreachable"};
+    co_await abort(AbortTarget::kRoot, r.scope_id_, 0,
+                   "read quorum unreachable");
   } else if (ok_replies < futures.size()) {
     // Strict gather: quorum intersection (Q1) only covers this fetch if
     // EVERY read-quorum member answered -- the member whose reply was lost
@@ -192,32 +205,30 @@ sim::Task<Txn::Fetched> Txn::quorum_fetch(ObjectId id, bool for_write) {
     // newest version, and a partial snapshot could commit unvalidated under
     // QR-CN's local read-only commit.  Abort and retry against the (possibly
     // reconfigured) quorum.
-    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                               "read quorum incomplete"};
+    co_await abort(AbortTarget::kRoot, r.scope_id_, 0,
+                   "read quorum incomplete");
   } else if (!have_best) {
     // No live replica holds the object: either a stale pointer chased by a
     // zombie flat transaction, or a data-structure bug.  Abort and retry.
-    out.abort = AbortException{AbortTarget::kRoot, r.scope_id_, 0,
-                               "object missing on read quorum"};
-  } else {
-    out.copy = std::move(best);
+    co_await abort(AbortTarget::kRoot, r.scope_id_, 0,
+                   "object missing on read quorum");
   }
-  co_return out;
+  co_return best;
 }
 
-sim::Task<Txn::Fetched> Txn::acquire_copy(ObjectId id, bool for_write) {
+sim::Task<ObjectCopy> Txn::acquire_copy(ObjectId id, bool for_write) {
   BatchPlanner* bp = root().batch_;
   if (bp != nullptr) {
-    Fetched cached;
-    if (bp->lookup(id, &cached.copy)) {
+    ObjectCopy cached;
+    if (bp->lookup(id, &cached)) {
       // Served at the speculative head: one quorum fetch covers every later
       // touch of this object by any batch member.
       ++rt_.metrics().batch_read_hits;
       co_return cached;
     }
-    Fetched f = co_await quorum_fetch(id, for_write);
-    if (!f.abort) bp->admit(f.copy);
-    co_return f;
+    ObjectCopy fetched = co_await quorum_fetch(id, for_write);
+    bp->admit(fetched);
+    co_return fetched;
   }
   co_return co_await quorum_fetch(id, for_write);
 }
@@ -255,8 +266,9 @@ sim::Task<void> Txn::after_fetch_chk() {
 }
 
 sim::Task<Bytes> Txn::read(ObjectId id) {
-  QRDTM_CHECK_MSG(id != store::kNullObject, "read of null object id");
   const OpToken op = begin_op();
+  if (op.aborted) co_await unwind();
+  QRDTM_CHECK_MSG(id != store::kNullObject, "read of null object id");
   if (op.replay) {
     // Fast-forward: the restored snapshot already contains this operation's
     // effects; just reproduce its result.
@@ -267,9 +279,7 @@ sim::Task<Bytes> Txn::read(ObjectId id) {
     log_op(op, c->copy.data, store::kNullObject);
     co_return c->copy.data;
   }
-  Fetched f = co_await acquire_copy(id, /*for_write=*/false);
-  if (f.abort) throw std::move(*f.abort);
-  ObjectCopy& c = f.copy;
+  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/false);
   Bytes data = c.data;
   const Version ver = c.version;
   const ChkEpoch chk = root().epoch_;
@@ -283,8 +293,9 @@ sim::Task<Bytes> Txn::read(ObjectId id) {
 }
 
 sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
-  QRDTM_CHECK_MSG(id != store::kNullObject, "write of null object id");
   const OpToken op = begin_op();
+  if (op.aborted) co_await unwind();
+  QRDTM_CHECK_MSG(id != store::kNullObject, "write of null object id");
   if (op.replay) {
     co_return root().op_log_[op.idx].data;
   }
@@ -315,9 +326,7 @@ sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
     writeset_[id] = std::move(mine);
     co_return data;
   }
-  Fetched f = co_await acquire_copy(id, /*for_write=*/true);
-  if (f.abort) throw std::move(*f.abort);
-  ObjectCopy& c = f.copy;
+  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/true);
   Bytes data = c.data;
   const Version ver = c.version;
   const ChkEpoch chk = root().epoch_;
@@ -331,11 +340,11 @@ sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
 }
 
 void Txn::write(ObjectId id, Bytes data) {
-  if (in_fast_forward()) {
-    // Re-executed pre-checkpoint code: the restored snapshot already holds
-    // this write's effect.
-    return;
-  }
+  const Txn& r = root();
+  // Re-executed pre-checkpoint code: the restored snapshot already holds
+  // this write's effect.  An aborting attempt (create() tripped the step
+  // guard) writes nothing; its next co_awaited operation unwinds.
+  if (r.op_seq_ < r.replay_until_ || r.abort_) return;
   auto it = writeset_.find(id);
   QRDTM_CHECK_MSG(it != writeset_.end(),
                   "write() requires read_for_write() or create() first");
@@ -344,6 +353,7 @@ void Txn::write(ObjectId id, Bytes data) {
 
 ObjectId Txn::create(Bytes data) {
   const OpToken op = begin_op();
+  if (op.aborted) return store::kNullObject;
   Txn& r = root();
   if (op.replay) {
     return r.op_log_[op.idx].created;  // snapshot already holds the object
@@ -358,46 +368,49 @@ ObjectId Txn::create(Bytes data) {
 
 sim::Task<void> Txn::compute(sim::Tick cost) {
   const OpToken op = begin_op();
+  if (op.aborted) co_await unwind();
   if (!op.replay && cost > 0) {
     co_await rt_.simulator().delay(cost);
   }
 }
 
 sim::Task<void> Txn::nested(TxnBody body) {
+  Txn& r = root();
+  if (r.abort_) co_await unwind();  // create() tripped the step guard
   if (rt_.config().mode != NestingMode::kClosed) {
     // Flat nesting ignores inner transactions; QR-CHK transactions are flat
     // with checkpoints (paper §IV-A).
     co_await body(*this);
     co_return;
   }
+  const std::coroutine_handle<> self = co_await sim::CurrentHandle{};
   for (;;) {
     Txn child(rt_, this);
+    child.boundary_ = self;
     const sim::Tick scope_start = rt_.simulator().now();
-    bool retry = false;
-    bool do_propagate = false;
-    AbortException propagate;
-    try {
-      co_await body(child);
-    } catch (AbortException& a) {
-      if (a.target == AbortTarget::kScope && a.scope_id == child.scope_id_) {
-        retry = true;  // abortClosed names this CT: retry just this scope
-      } else {
-        propagate = a;  // abortClosed is an ancestor: keep unwinding
-        do_propagate = true;
-      }
-    }
+    r.active_ = &child;
+    // An abort inside the body resumes us here with the body suspended;
+    // destroying the body's Task (end of this statement) frees its frames.
+    co_await body(child);
+    r.active_ = this;
+    const bool aborted = r.abort_.has_value();
+    // abortClosed naming this CT retries just this scope; any other abort
+    // names an ancestor (or the root) and keeps unwinding.
+    const bool retry = aborted && r.abort_->target == AbortTarget::kScope &&
+                       r.abort_->scope_id == child.scope_id_;
     if (rt_.tracer_ != nullptr) {
-      rt_.tracer_->span(TraceKind::kCtScope, rt_.node(), root().scope_id_,
+      rt_.tracer_->span(TraceKind::kCtScope, rt_.node(), r.scope_id_,
                         scope_start, rt_.simulator().now(), child.scope_id_,
-                        retry || do_propagate ? 0 : 1);
+                        aborted ? 0 : 1);
     }
-    if (do_propagate) {
+    if (aborted && !retry) {
       // The child's sets die with it; drop its materialised entries before
-      // unwinding (ancestor frames truncate their own marks in turn).
+      // forwarding (ancestor boundaries truncate their own marks in turn).
       dataset_truncate(child.dataset_mark_);
-      throw propagate;
+      co_await unwind();
     }
     if (retry) {
+      r.abort_.reset();
       dataset_truncate(child.dataset_mark_);
       ++rt_.metrics().ct_aborts;
       if (HistoryRecorder* rec = rt_.history_recorder()) {
@@ -411,7 +424,7 @@ sim::Task<void> Txn::nested(TxnBody body) {
         const sim::Tick wait_start = rt_.simulator().now();
         co_await rt_.simulator().delay(wait);
         if (rt_.tracer_ != nullptr) {
-          rt_.tracer_->span(TraceKind::kBackoff, rt_.node(), root().scope_id_,
+          rt_.tracer_->span(TraceKind::kBackoff, rt_.node(), r.scope_id_,
                             wait_start, rt_.simulator().now(), 0);
         }
       }
@@ -429,6 +442,7 @@ sim::Task<void> Txn::open_nested(OpenOp op) {
                   "open nesting cannot compose with checkpoint replay");
   QRDTM_CHECK_MSG(rt_.config().mode != NestingMode::kQueued,
                   "open nesting cannot compose with batched speculation");
+  if (abort_) co_await unwind();  // create() tripped the step guard
   // Deterministic per-operation lock order; cross-operation cycles are
   // broken by acquire_abstract_lock's bounded retries (root abort +
   // compensation).
@@ -499,12 +513,6 @@ void Txn::merge_into_parent() {
   }
 }
 
-void Txn::reset_scope() {
-  readset_.clear();
-  writeset_.clear();
-  dataset_truncate(dataset_mark_);
-}
-
 void Txn::reset_full() {
   QRDTM_CHECK(parent_ == nullptr);
   QRDTM_CHECK_MSG(open_log_.empty() && held_locks_.empty(),
@@ -565,9 +573,9 @@ TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
 
 TxnRuntime::~TxnRuntime() = default;
 
-const std::vector<net::NodeId>& TxnRuntime::cached_quorum(
+const std::vector<net::NodeId>* TxnRuntime::cached_quorum(
     std::vector<CohortQuorum>& cache, std::uint32_t cohort,
-    QuorumFn provider_quorum) {
+    QuorumFn provider_quorum, Abort* unformable) {
   if (cache.size() < quorums_.num_cohorts()) {
     cache.resize(quorums_.num_cohorts());
   }
@@ -583,52 +591,54 @@ const std::vector<net::NodeId>& TxnRuntime::cached_quorum(
       q.nodes = (quorums_.*provider_quorum)(node(), cohort);
     } catch (const quorum::QuorumUnavailable& e) {
       if (!rpc_.network().alive(node())) {
-        throw AbortException{AbortTarget::kRoot, 0, 0, e.what()};
+        *unformable = Abort{AbortTarget::kRoot, 0, 0, e.what()};
+        return nullptr;
       }
       throw;
     }
     q.gen = g;
   }
-  return q.nodes;
+  return &q.nodes;
 }
 
-const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
-    std::uint32_t cohort) {
-  return cached_quorum(rq_cache_, cohort,
-                       &quorum::QuorumProvider::cohort_read_quorum);
+const std::vector<net::NodeId>* TxnRuntime::read_quorum(ObjectId id,
+                                                        Abort* unformable) {
+  return cached_quorum(rq_cache_, quorums_.cohort_of(id),
+                       &quorum::QuorumProvider::cohort_read_quorum,
+                       unformable);
 }
 
-const std::vector<net::NodeId>& TxnRuntime::cohort_write_quorum(
-    std::uint32_t cohort) {
-  return cached_quorum(wq_cache_, cohort,
-                       &quorum::QuorumProvider::cohort_write_quorum);
-}
-
-const std::vector<net::NodeId>& TxnRuntime::read_quorum(ObjectId id) {
-  return cohort_read_quorum(quorums_.cohort_of(id));
-}
-
-std::vector<net::NodeId> TxnRuntime::union_write_quorum(
-    const std::vector<ObjectId>& ids) {
+bool TxnRuntime::union_write_quorum(const std::vector<ObjectId>& ids,
+                                    std::vector<net::NodeId>* out,
+                                    Abort* unformable) {
   const std::uint32_t n = quorums_.num_cohorts();
+  const QuorumFn wq_of = &quorum::QuorumProvider::cohort_write_quorum;
   // Single cohort: the exact pre-shard behaviour (a copy of the one write
   // quorum), no per-id hashing.
-  if (n <= 1) return cohort_write_quorum(0);
+  if (n <= 1) {
+    const std::vector<net::NodeId>* wq =
+        cached_quorum(wq_cache_, 0, wq_of, unformable);
+    if (wq == nullptr) return false;
+    *out = *wq;
+    return true;
+  }
   std::vector<bool> seen(n, false);
   std::uint32_t distinct = 0;
-  std::vector<net::NodeId> out;
+  out->clear();
   for (ObjectId id : ids) {
     const std::uint32_t c = quorums_.cohort_of(id);
     if (seen[c]) continue;
     seen[c] = true;
     ++distinct;
-    const auto& wq = cohort_write_quorum(c);
-    out.insert(out.end(), wq.begin(), wq.end());
+    const std::vector<net::NodeId>* wq =
+        cached_quorum(wq_cache_, c, wq_of, unformable);
+    if (wq == nullptr) return false;
+    out->insert(out->end(), wq->begin(), wq->end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
   if (distinct > 1) ++metrics_.cross_shard_rounds;
-  return out;
+  return true;
 }
 
 ObjectId TxnRuntime::allocate_object_id() {
@@ -652,20 +662,17 @@ sim::Task<bool> TxnRuntime::run_txn_impl(TxnBody body,
     co_return co_await planner_->submit(std::move(body), max_attempts);
   }
   Txn root(*this, nullptr);
+  root.boundary_ = co_await sim::CurrentHandle{};
   const sim::Tick txn_start = simulator().now();
   std::uint32_t attempt = 0;
   for (;;) {
     const sim::Tick attempt_start = simulator().now();
-    bool committed = false;
-    bool aborted = false;
-    AbortException abort;
+    root.active_ = &root;  // a thrown error may have left a CT active
     try {
+      // An abort inside the body resumes us here with the body suspended;
+      // destroying the body's Task (end of this statement) frees its frames.
       co_await body(root);
-      co_await commit_root(root);
-      committed = true;
-    } catch (AbortException& a) {
-      abort = a;
-      aborted = true;
+      if (!root.abort_) co_await commit_root(root);
     } catch (const quorum::QuorumUnavailable& e) {
       // A live requester that cannot form a quorum mid-chaos: bounded
       // callers (the fuzz harness, QR-Q batch members) treat it as one
@@ -673,9 +680,9 @@ sim::Task<bool> TxnRuntime::run_txn_impl(TxnBody body,
       // clients keep the raw error -- a permanently lost quorum must
       // surface, not spin forever (Failures.WholeReadQuorumDead...).
       if (max_attempts == 0) throw;
-      abort = AbortException{AbortTarget::kRoot, root.scope_id_, 0, e.what()};
-      aborted = true;
+      root.abort_ = Abort{AbortTarget::kRoot, root.scope_id_, 0, e.what()};
     }
+    const bool committed = !root.abort_;
     if (tracer_ != nullptr) {
       tracer_->span(TraceKind::kAttempt, node(), root.scope_id_, attempt_start,
                     simulator().now(), attempt + 1, committed ? 1 : 0);
@@ -692,7 +699,8 @@ sim::Task<bool> TxnRuntime::run_txn_impl(TxnBody body,
       if (count_commit) ++metrics_.commits;
       co_return true;
     }
-    QRDTM_CHECK(aborted);
+    const Abort abort = std::move(*root.abort_);
+    root.abort_.reset();
     const sim::Tick abort_tick = simulator().now();
     if (tracer_ != nullptr) {
       tracer_->instant(TraceKind::kAbort, node(), root.scope_id_, abort_tick,
@@ -792,8 +800,8 @@ sim::Task<void> TxnRuntime::acquire_abstract_lock(Txn& root,
     if (attempt + 1 >= kMaxLockAttempts) {
       // Could not get the lock: break the (potential) cross-root cycle by
       // aborting this root, which compensates and releases what it holds.
-      throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                           "abstract lock conflict"};
+      co_await root.abort(AbortTarget::kRoot, root.scope_id_, 0,
+                          "abstract lock conflict");
     }
     co_await backoff(attempt + 1, root.scope_id_);
   }
@@ -875,7 +883,12 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
   touched.reserve(req.readset.size() + req.writeset.size());
   for (const CommitReadEntry& e : req.readset) touched.push_back(e.id);
   for (const CommitWriteEntry& e : req.writeset) touched.push_back(e.id);
-  const std::vector<net::NodeId> wq = union_write_quorum(touched);
+  std::vector<net::NodeId> wq;
+  Abort unformable;
+  if (!union_write_quorum(touched, &wq, &unformable)) {
+    root.abort_ = std::move(unformable);
+    co_return;
+  }
   std::vector<ObjectId> stale;
   const bool all_commit =
       co_await commit_vote(req, wq, msg::kCommitRequest, &stale);
@@ -888,8 +901,9 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
     // Crashed before the decision was durable: no confirm left, so the
     // attempt must not be recorded as a commit (the prepared replicas will
     // presumed-abort it once the restarted coordinator answers).
-    throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                         "coordinator crashed before decision log"};
+    root.abort_ = Abort{AbortTarget::kRoot, root.scope_id_, 0,
+                        "coordinator crashed before decision log"};
+    co_return;
   }
 
   if (tracer_ != nullptr) {
@@ -899,8 +913,8 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
 
   if (!all_commit) {
     ++metrics_.vote_aborts;
-    throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                         "commit vote failed"};
+    root.abort_ =
+        Abort{AbortTarget::kRoot, root.scope_id_, 0, "commit vote failed"};
   }
 }
 

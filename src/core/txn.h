@@ -12,8 +12,8 @@
 //   * Closed nesting (QR-CN): `Txn::nested(body)` opens a closed-nested
 //     scope.  Every remote read carries the full data-set for Rqv; an abort
 //     reply names the shallowest invalid scope (abortClosed), which the
-//     runtime unwinds to by exception and retries -- deeper scopes retry
-//     without disturbing their parents, and a CT commit is a local merge.
+//     runtime unwinds to and retries -- deeper scopes retry without
+//     disturbing their parents, and a CT commit is a local merge.
 //     Read-only roots and CTs commit with zero messages.
 //   * Checkpointing (QR-CHK): the runtime auto-creates a checkpoint each
 //     time `chk_threshold` new objects entered the data-set.  An Rqv abort
@@ -22,8 +22,20 @@
 //     checkpoint's cursor are served from the snapshot (no messages, no
 //     compute charge), which reproduces continuation-resume cost (see
 //     DESIGN.md substitution table).
+//
+// Aborts travel as values, not exceptions.  An abort site records the Abort
+// in the root Txn and suspends with a symmetric transfer to the *boundary*:
+// the coroutine awaiting the body of the innermost active scope (nested()
+// for a CT, run_txn_impl for a root, BatchPlanner::run_batch for a QR-Q
+// member).  The boundary finds the abort pending and destroys the body's
+// Task, which frees the whole suspended chain below it (only destructors
+// run).  A nested() boundary the abort does not name closes its scope and
+// forwards the abort with one more transfer, so an abort costs one hop per
+// CT scope crossed.  Genuine errors (QuorumUnavailable, SerdeError, failed
+// checks) still throw.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -150,7 +162,7 @@ class Txn {
   // ----- user operations -------------------------------------------------
 
   /// Read an object (checkParent first, then the read quorum).  Returns the
-  /// object payload.  Throws AbortException on conflict.
+  /// object payload; on conflict the body is aborted and never resumes.
   sim::Task<Bytes> read(ObjectId id);
 
   /// Acquire a writable copy (read-quorum fetch registering the transaction
@@ -163,7 +175,9 @@ class Txn {
   void write(ObjectId id, Bytes data);
 
   /// Create a new object (fresh id, version 0 base); becomes visible to
-  /// other transactions at commit.
+  /// other transactions at commit.  A plain function cannot unwind: when
+  /// the step guard trips here it returns store::kNullObject, later writes
+  /// are ignored, and the body's next co_awaited operation unwinds.
   ObjectId create(Bytes data);
 
   /// Charge `cost` of application compute to the transaction (skipped while
@@ -179,9 +193,9 @@ class Txn {
   /// Run an open-nested operation (QR-ON): acquire its abstract locks, run
   /// and globally commit its body, and register its compensation with this
   /// root.  Only valid at root depth and outside checkpointing mode (a
-  /// replayed partial rollback would re-commit the body).  Throws
-  /// AbortException on unresolvable lock conflicts (the root retries after
-  /// compensating earlier operations).
+  /// replayed partial rollback would re-commit the body).  Aborts the root
+  /// on unresolvable lock conflicts (the root retries after compensating
+  /// earlier operations).
   sim::Task<void> open_nested(OpenOp op);
 
   // ----- introspection ---------------------------------------------------
@@ -225,17 +239,34 @@ class Txn {
 
   struct OpToken {
     std::uint64_t idx = 0;
-    bool replay = false;  // fast-forwarding below replay_until_
+    bool replay = false;   // fast-forwarding below replay_until_
+    bool aborted = false;  // an abort is pending: unwind, do nothing
   };
 
-  /// A quorum fetch's outcome: the copy, or the abort the fetch ended in
-  /// (Rqv, unreachable or incomplete quorum, missing object).  The abort
-  /// travels as a value so read / read_for_write throw it once instead of
-  /// every coroutine frame between them and the fetch rethrowing it.
-  struct Fetched {
-    ObjectCopy copy;
-    std::optional<AbortException> abort;
+  /// Awaiter that ends the calling coroutine chain: a symmetric transfer to
+  /// the innermost active scope's boundary, which destroys the chain.  The
+  /// awaiting frame is never resumed.
+  struct Unwind {
+    std::coroutine_handle<> boundary;
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(
+        std::coroutine_handle<>) const noexcept {
+      return boundary;
+    }
+    [[noreturn]] void await_resume() const {
+      check_failed("false", __FILE__, __LINE__, "aborted frame resumed");
+    }
   };
+
+  /// Record the root's pending abort and unwind to the boundary.  Abort
+  /// sites pass the fields, not an Abort: GCC 12 relocates a by-value class
+  /// argument of a call inside a co_await expression bytewise, which breaks
+  /// the reason string's small-buffer pointer.
+  [[nodiscard]] Unwind abort(AbortTarget target, TxnId scope_id, ChkEpoch chk,
+                             const char* reason);
+
+  /// Unwind to the boundary with the root's pending abort.
+  [[nodiscard]] Unwind unwind();
 
   /// Root-level operation bookkeeping (shared by all scopes of a tree).
   Txn& root();
@@ -266,32 +297,29 @@ class Txn {
     r.dataset_cache_.resize(len);
   }
 
-  /// Fetch from the read quorum with Rqv.  The caller inserts the copy
-  /// into its set, or throws the abort.
-  sim::Task<Fetched> quorum_fetch(ObjectId id, bool for_write);
+  /// Fetch from the read quorum with Rqv; the caller inserts the copy into
+  /// its set.  A failed fetch (Rqv, unreachable or incomplete quorum,
+  /// missing object) aborts here.
+  sim::Task<ObjectCopy> quorum_fetch(ObjectId id, bool for_write);
 
   /// quorum_fetch with the QR-Q batch cache in front: under kQueued the
   /// root's planner serves repeat touches locally at the speculative head
   /// and admits first touches after their (single) quorum fetch.
-  sim::Task<Fetched> acquire_copy(ObjectId id, bool for_write);
+  sim::Task<ObjectCopy> acquire_copy(ObjectId id, bool for_write);
 
   /// QR-CHK: bump counters after a fetch and create a checkpoint when the
   /// threshold is crossed.
   sim::Task<void> after_fetch_chk();
 
-  /// Count an operation; throws when the step guard trips.  Reports the op
-  /// index and whether it falls inside a replay fast-forward window.
+  /// Count an operation.  Reports the op index, whether it falls inside a
+  /// replay fast-forward window, and whether the attempt is aborting (an
+  /// abort is pending, or the step guard trips now and records one).
   OpToken begin_op();
-
-  /// True while re-executing code between fast-forwarded operations; such
-  /// code's writes were already captured by the restored snapshot.
-  bool in_fast_forward() const;
 
   /// Store an operation result in the root's op log (QR-CHK only).
   void log_op(const OpToken& token, Bytes data, ObjectId created);
 
   void merge_into_parent();
-  void reset_scope();       // discard this scope's sets (CT retry)
   void reset_full();        // root: discard everything (full abort)
   void rollback_to(ChkEpoch epoch);  // QR-CHK partial rollback
 
@@ -299,6 +327,8 @@ class Txn {
   Txn* parent_;
   TxnId scope_id_;
   std::uint32_t depth_;
+  /// The coroutine awaiting this scope's body (its abort boundary).
+  std::coroutine_handle<> boundary_;
 
   std::unordered_map<ObjectId, OwnedCopy> readset_;
   std::unordered_map<ObjectId, OwnedCopy> writeset_;
@@ -308,6 +338,10 @@ class Txn {
   std::size_t dataset_mark_ = 0;
 
   // --- root-only state ---
+  /// Innermost scope whose body is running: aborts unwind to its boundary.
+  Txn* active_ = this;
+  /// The abort the attempt is unwinding with, until a boundary handles it.
+  std::optional<Abort> abort_;
   /// QR-Q: set by the BatchPlanner while this root executes as a batch
   /// member; routes acquire_copy through the batch queue cache.
   BatchPlanner* batch_ = nullptr;
@@ -420,7 +454,8 @@ class TxnRuntime {
 
   /// Two-phase commit of the root scope against the write quorum: the vote
   /// and confirm phases below, the confirm sent even for a read-only round.
-  /// Commits locally (no messages) for read-only roots under QR-CN.
+  /// Commits locally (no messages) for read-only roots under QR-CN.  A
+  /// failed round leaves its abort in `root.abort_`.
   sim::Task<void> commit_root(Txn& root);
 
   /// 2PC vote phase, shared by per-transaction commits (tag kCommitRequest)
@@ -454,34 +489,35 @@ class TxnRuntime {
   /// Append the committed root's observable behaviour to the recorder.
   void record_commit_history(const Txn& root);
 
-  /// Memoised quorums, keyed on (generation, cohort): providers derive
-  /// them deterministically from the live set, so recompute only when the
-  /// provider's generation() moves (fail-stop / recovery).  The reference
-  /// stays valid until the next call for the same cohort; commit paths
-  /// that span suspension points take a copy.
-  const std::vector<net::NodeId>& cohort_read_quorum(std::uint32_t cohort);
-  const std::vector<net::NodeId>& cohort_write_quorum(std::uint32_t cohort);
-
   struct CohortQuorum {
     std::uint64_t gen = ~0ULL;
     std::vector<net::NodeId> nodes;
   };
   using QuorumFn = std::vector<net::NodeId> (quorum::QuorumProvider::*)(
       net::NodeId, std::uint32_t) const;
-  /// The memoised body both share: refresh `cache[cohort]` from
-  /// `provider_quorum` when the provider's generation moved.
-  const std::vector<net::NodeId>& cached_quorum(
+  /// Memoised quorums, keyed on (generation, cohort): providers derive
+  /// them deterministically from the live set, so recompute only when the
+  /// provider's generation() moves (fail-stop / recovery).  The pointee
+  /// stays valid until the next call for the same cohort; commit paths
+  /// that span suspension points take a copy.  A zombie coroutine (this
+  /// node was killed mid-transaction, so the provider no longer routes
+  /// under it) that cannot form the quorum gets nullptr and an
+  /// infrastructure abort in `*unformable`; a live requester gets
+  /// QuorumUnavailable thrown.
+  const std::vector<net::NodeId>* cached_quorum(
       std::vector<CohortQuorum>& cache, std::uint32_t cohort,
-      QuorumFn provider_quorum);
+      QuorumFn provider_quorum, Abort* unformable);
 
   /// The read quorum for `id`'s cohort (single-cohort providers: cohort 0,
-  /// the exact pre-shard quorum).
-  const std::vector<net::NodeId>& read_quorum(ObjectId id);
+  /// the exact pre-shard quorum); nullptr as in cached_quorum.
+  const std::vector<net::NodeId>* read_quorum(ObjectId id, Abort* unformable);
 
-  /// Sorted union of the write quorums of every cohort touched by `ids`.
-  /// Returns a fresh copy (commit paths suspend while awaiting votes) and
-  /// counts a cross-shard round when more than one cohort is involved.
-  std::vector<net::NodeId> union_write_quorum(const std::vector<ObjectId>& ids);
+  /// Sorted union of the write quorums of every cohort touched by `ids`,
+  /// as a fresh copy in `*out` (commit paths suspend while awaiting votes).
+  /// Counts a cross-shard round when more than one cohort is involved.
+  /// False as in cached_quorum.
+  bool union_write_quorum(const std::vector<ObjectId>& ids,
+                          std::vector<net::NodeId>* out, Abort* unformable);
 
   net::RpcEndpoint& rpc_;
   quorum::QuorumProvider& quorums_;

@@ -47,10 +47,12 @@ enum class AbortTarget : std::uint8_t {
   kCheckpoint = 2  // QR-CHK: roll back to checkpoint `chk`
 };
 
-/// Control-flow exception implementing partial aborts, mirroring the Java
-/// exception mechanism in the paper (§VI-A): it unwinds through co_await
-/// frames until the scope whose id matches `scope_id` catches it.
-struct AbortException {
+/// A protocol abort (abortClosed, abortChk or a full abort).  The paper's
+/// Java implementation throws it (§VI-A); here it travels as a value: the
+/// abort site records it in the root transaction and hands control to the
+/// innermost scope boundary, which destroys the frames below it and
+/// forwards the abort until the scope it names handles it (core/txn.h).
+struct Abort {
   AbortTarget target = AbortTarget::kRoot;
   TxnId scope_id = 0;    // kScope: closed-nested scope to retry
   ChkEpoch chk = 0;      // kCheckpoint: epoch to roll back to

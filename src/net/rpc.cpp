@@ -32,7 +32,9 @@ sim::Future<RpcResult> RpcEndpoint::call(NodeId dst, MsgKind kind, Bytes req,
                     .payload = std::move(req),
                     .trace = trace_ctx_});
 
-  sim_.schedule_after(timeout, [this, rpc_id, dst]() {
+  // Callers pass one fixed timeout, so deadlines arrive in order and ride
+  // the simulator's FIFO timer lane instead of its heap.
+  sim_.schedule_timer_after(timeout, [this, rpc_id, dst]() {
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       if (pending_[i].rpc_id != rpc_id) continue;
       pending_[i].promise.try_set(

@@ -22,22 +22,9 @@ struct Detached {
 }  // namespace
 
 struct SpawnDriver {
-  // Captures the driver's own handle into the simulator's registry without
-  // actually suspending (await_suspend returning false resumes in place).
-  struct Register {
-    Simulator* sim;
-    std::size_t* slot;
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) noexcept {
-      *slot = sim->register_driver(h);
-      return false;
-    }
-    void await_resume() const noexcept {}
-  };
-
   static Detached drive(Simulator* sim, Task<void> task) {
-    std::size_t slot = 0;
-    co_await Register{sim, &slot};
+    // Record the driver's own handle in the simulator's registry.
+    const std::size_t slot = sim->register_driver(co_await CurrentHandle{});
     try {
       co_await std::move(task);
     } catch (...) {
@@ -66,6 +53,10 @@ Simulator::~Simulator() {
     Event& e = event(he.idx());
     e.discard(e);
   }
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    Event& e = event(lane_at(i).idx());
+    e.discard(e);
+  }
 }
 
 std::size_t Simulator::register_driver(std::coroutine_handle<> h) {
@@ -92,6 +83,14 @@ void Simulator::grow_pool() {
   free_.reserve(free_.capacity() + kChunkSize);
   // Hand out low indices first (cosmetic; any order is correct).
   for (std::uint32_t i = kChunkSize; i-- > 0;) free_.push_back(base + i);
+}
+
+void Simulator::grow_lane() {
+  // Unroll the ring into a buffer twice the size, oldest entry first.
+  std::vector<HeapEntry> grown(lane_.empty() ? 64 : lane_.size() * 2);
+  for (std::size_t i = 0; i < lane_size_; ++i) grown[i] = lane_at(i);
+  lane_ = std::move(grown);
+  lane_head_ = 0;
 }
 
 Simulator::HeapEntry Simulator::heap_pop_min() {
@@ -140,14 +139,24 @@ Tick Simulator::advance_to(Tick deadline) {
 }
 
 void Simulator::drain(Tick deadline) {
-  while (!heap_.empty()) {
+  for (;;) {
     if (failure_) {
       auto f = failure_;
       failure_ = nullptr;
       std::rethrow_exception(f);
     }
-    if (heap_[0].at > deadline) break;
-    const HeapEntry he = heap_pop_min();
+    // Next event: the heap top or the lane front, whichever is first in
+    // (at, seq) order -- the order a single heap would pop them in.
+    HeapEntry he;
+    if (lane_size_ == 0 || (!heap_.empty() && heap_[0].before(lane_at(0)))) {
+      if (heap_.empty() || heap_[0].at > deadline) break;
+      he = heap_pop_min();
+    } else {
+      if (lane_at(0).at > deadline) break;
+      he = lane_at(0);
+      lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+      --lane_size_;
+    }
     Event& e = event(he.idx());
     now_ = he.at;
     ++events_executed_;

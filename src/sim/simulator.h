@@ -13,8 +13,9 @@
 // a free-listed pool of stable slots, each holding a small-buffer-optimised
 // callable (coroutine resumes and timer lambdas -- ~all events -- fit
 // inline, so scheduling and firing performs no heap allocation in steady
-// state), and the ready queue is an indexed d-ary min-heap that sifts 4-byte
-// slot indices instead of whole events.
+// state).  The ready queue is a 4-ary min-heap of packed (tick, seq, slot)
+// keys, plus a FIFO lane beside it for fixed-delay timers, whose deadlines
+// arrive already in order.
 #pragma once
 
 #include <coroutine>
@@ -57,49 +58,29 @@ class Simulator {
   /// allocation); larger ones fall back to a heap box.
   template <class F>
   void schedule_at(Tick at, F&& fn) {
-    QRDTM_CHECK_MSG(at >= now_, "cannot schedule into the past");
-    QRDTM_CHECK_MSG(next_seq_ < (std::uint64_t{1} << (64 - kIdxBits)),
-                    "event sequence space exhausted");
-    using Fn = std::decay_t<F>;
-    const std::uint32_t idx = alloc_event();
-    Event& e = event(idx);
-    const std::uint64_t seq = next_seq_++;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(e.buf)) Fn(std::forward<F>(fn));
-      e.run = [](Event& ev) {
-        Fn* p = std::launder(reinterpret_cast<Fn*>(ev.buf));
-        Fn local(std::move(*p));
-        p->~Fn();
-        local();
-      };
-      e.discard = [](Event& ev) {
-        std::launder(reinterpret_cast<Fn*>(ev.buf))->~Fn();
-      };
-    } else {
-      // Oversized callable: boxed on the heap (rare; nothing in the
-      // repository's hot paths takes this branch -- the AllocRegression
-      // tests would catch one).  qrdtm-lint: allow(hot-naked-new)
-      auto* boxed = new Fn(std::forward<F>(fn));
-      ::new (static_cast<void*>(e.buf)) Fn*(boxed);
-      e.run = [](Event& ev) {
-        Fn* p = *std::launder(reinterpret_cast<Fn**>(ev.buf));
-        Fn local(std::move(*p));
-        delete p;
-        local();
-      };
-      e.discard = [](Event& ev) {
-        delete *std::launder(reinterpret_cast<Fn**>(ev.buf));
-      };
-    }
-    heap_push(HeapEntry{at, (seq << kIdxBits) | idx});
+    heap_push(make_entry(at, std::forward<F>(fn)));
   }
 
   /// Schedule `fn` after a relative delay.
   template <class F>
   void schedule_after(Tick delay, F&& fn) {
     schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Schedule `fn` after `delay` through the FIFO timer lane.  Meant for
+  /// fixed-delay timers (RPC timeouts): their deadlines arrive in order, so
+  /// the lane takes them with an O(1) append instead of a heap sift.  The
+  /// firing order is exactly schedule_after's: an entry that would fire
+  /// before the lane's tail goes to the heap, and drain pops whichever of
+  /// the heap top and the lane front comes first in (at, seq) order.
+  template <class F>
+  void schedule_timer_after(Tick delay, F&& fn) {
+    const HeapEntry e = make_entry(now_ + delay, std::forward<F>(fn));
+    if (lane_size_ == 0 || !e.before(lane_at(lane_size_ - 1))) {
+      lane_push(e);
+    } else {
+      heap_push(e);
+    }
   }
 
   /// Start a detached simulated process.  The process begins executing
@@ -128,9 +109,6 @@ class Simulator {
   bool stopping() const { return stopping_; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-
-  /// Pending (scheduled, not yet fired) events.
-  std::size_t events_pending() const { return heap_.size(); }
 
   /// Awaitable: suspend the current process for `delay` simulated time.
   auto delay(Tick d) {
@@ -218,6 +196,60 @@ class Simulator {
     return idx;
   }
 
+  /// Store `fn` in a pooled slot and return its ordering key (the next
+  /// sequence number at time `at`).
+  template <class F>
+  HeapEntry make_entry(Tick at, F&& fn) {
+    QRDTM_CHECK_MSG(at >= now_, "cannot schedule into the past");
+    QRDTM_CHECK_MSG(next_seq_ < (std::uint64_t{1} << (64 - kIdxBits)),
+                    "event sequence space exhausted");
+    using Fn = std::decay_t<F>;
+    const std::uint32_t idx = alloc_event();
+    Event& e = event(idx);
+    const std::uint64_t seq = next_seq_++;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(e.buf)) Fn(std::forward<F>(fn));
+      e.run = [](Event& ev) {
+        Fn* p = std::launder(reinterpret_cast<Fn*>(ev.buf));
+        Fn local(std::move(*p));
+        p->~Fn();
+        local();
+      };
+      e.discard = [](Event& ev) {
+        std::launder(reinterpret_cast<Fn*>(ev.buf))->~Fn();
+      };
+    } else {
+      // Oversized callable: boxed on the heap (rare; nothing in the
+      // repository's hot paths takes this branch -- the AllocRegression
+      // tests would catch one).  qrdtm-lint: allow(hot-naked-new)
+      auto* boxed = new Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(e.buf)) Fn*(boxed);
+      e.run = [](Event& ev) {
+        Fn* p = *std::launder(reinterpret_cast<Fn**>(ev.buf));
+        Fn local(std::move(*p));
+        delete p;
+        local();
+      };
+      e.discard = [](Event& ev) {
+        delete *std::launder(reinterpret_cast<Fn**>(ev.buf));
+      };
+    }
+    return HeapEntry{at, (seq << kIdxBits) | idx};
+  }
+
+  /// The lane's i-th entry from its front (oldest first).
+  HeapEntry& lane_at(std::size_t i) {
+    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+
+  void lane_push(HeapEntry e) {
+    if (lane_size_ == lane_.size()) grow_lane();
+    lane_at(lane_size_) = e;
+    ++lane_size_;
+  }
+
   void heap_push(HeapEntry e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
@@ -231,6 +263,7 @@ class Simulator {
   }
 
   void grow_pool();
+  void grow_lane();
   HeapEntry heap_pop_min();
   void drain(Tick deadline);
 
@@ -251,6 +284,11 @@ class Simulator {
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
+  // FIFO timer lane: a ring buffer over lane_ (power-of-two size), holding
+  // lane_size_ entries from lane_head_ in ascending (at, seq) order.
+  std::vector<HeapEntry> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
   std::vector<std::coroutine_handle<>> drivers_;  // null = slot free
   std::vector<std::size_t> driver_free_;
 

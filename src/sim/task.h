@@ -4,13 +4,14 @@
 // Simulator::spawn).  When a child task completes, control transfers back to
 // the awaiting coroutine via symmetric transfer, so arbitrarily deep
 // co_await chains use O(1) native stack.  Exceptions thrown inside a task
-// propagate to the awaiter at the co_await expression -- qrdtm's transaction
-// runtimes rely on this to unwind nested transaction scopes exactly like the
-// paper's Java implementation unwinds with exceptions.
+// propagate to the awaiter at the co_await expression (genuine errors only:
+// protocol aborts do not throw, see core/txn.h).
 //
 // Tasks are move-only owners of their coroutine frame (RAII: the frame is
 // destroyed when the Task handle dies, unless the frame already completed
-// and was detached by Simulator::spawn's driver).
+// and was detached by Simulator::spawn's driver).  Destroying a suspended
+// frame destroys the child Task it awaits, and so on down the chain: the
+// transaction runtime cancels an aborted scope's body this way.
 #pragma once
 
 #include <coroutine>
@@ -51,6 +52,18 @@ struct PromiseBase {
 };
 
 }  // namespace detail
+
+/// Awaitable yielding the awaiting coroutine's own handle without suspending
+/// it (await_suspend returns false, so the coroutine resumes in place).
+struct CurrentHandle {
+  std::coroutine_handle<> handle;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    handle = h;
+    return false;
+  }
+  std::coroutine_handle<> await_resume() const noexcept { return handle; }
+};
 
 /// Coroutine task producing a value of type T (or void).
 template <class T = void>

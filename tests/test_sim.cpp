@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,77 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   s.run_until(20);
   EXPECT_EQ(ran, 2);
   EXPECT_TRUE(s.stopping());
+}
+
+// --- FIFO timer lane --------------------------------------------------------
+// schedule_timer_after keeps schedule_after's firing order exactly: events
+// fire in (at, seq) order whichever of the heap or the lane holds them.
+
+TEST(TimerLane, LaneAndHeapEventsAtTheSameTickFireInSequenceOrder) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_timer_after(10, [&] { order.push_back(1); });  // lane
+  s.schedule_at(10, [&] { order.push_back(2); });           // heap
+  s.schedule_timer_after(10, [&] { order.push_back(3); });  // lane
+  s.schedule_at(5, [&] { order.push_back(0); });            // heap
+  s.schedule_after(10, [&] { order.push_back(4); });        // heap
+  s.schedule_timer_after(20, [&] { order.push_back(6); });  // lane
+  s.schedule_at(20, [&] { order.push_back(7); });           // heap
+  s.schedule_at(10, [&] {
+    order.push_back(5);
+    // Scheduled at tick 10 for tick 20: after every entry made at tick 0.
+    s.schedule_timer_after(10, [&] { order.push_back(8); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(s.events_executed(), 9u);
+}
+
+TEST(TimerLane, TimerBeforeTheLaneTailGoesToTheHeapAndFiresInOrder) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_timer_after(50, [&] { order.push_back(50); });  // lane tail
+  // Would fire before the tail: appending it would break the lane's order,
+  // so it must take the heap.
+  s.schedule_timer_after(30, [&] { order.push_back(30); });
+  s.schedule_at(40, [&] { order.push_back(40); });
+  s.schedule_timer_after(50, [&] { order.push_back(51); });  // lane again
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{30, 40, 50, 51}));
+}
+
+TEST(TimerLane, RingGrowthAfterWrapKeepsOrder) {
+  // Pop part of the lane so its head moves, then push past its capacity:
+  // the grown ring must unroll from the head.
+  Simulator s;
+  std::vector<int> order;
+  for (int i = 0; i < 50; ++i) {
+    s.schedule_timer_after(static_cast<Tick>(i + 1),
+                           [&order, i] { order.push_back(i); });
+  }
+  s.advance_to(25);
+  for (int i = 50; i < 200; ++i) {
+    s.schedule_timer_after(static_cast<Tick>(i + 1) - 25,
+                           [&order, i] { order.push_back(i); });
+  }
+  s.run();
+  ASSERT_EQ(order.size(), 200u);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(TimerLane, DestroyedSimulatorFreesPendingLaneCallables) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator s;
+    s.schedule_timer_after(10, [token] {});
+    s.schedule_timer_after(20, [token] {});
+    // An oversized callable is boxed on the heap; discarding frees the box.
+    std::array<char, 128> big{};
+    s.schedule_timer_after(30, [token, big] { (void)big; });
+    s.run_until(5);
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "pending lane callables leaked";
 }
 
 TEST(Task, DelayAdvancesSimulatedTime) {
