@@ -93,22 +93,26 @@ SystemPoint run_qr(std::uint32_t nodes, double ratio, std::uint64_t seed,
   return from_latency(res.throughput, res.latency);
 }
 
-SystemPoint run_tfa(std::uint32_t nodes, double ratio, std::uint64_t seed) {
-  baselines::TfaConfig cfg;
+/// One baseline point: a Bank client per node on a TFA or DecentSTM
+/// cluster.
+template <class Cluster>
+SystemPoint run_baseline(std::uint32_t nodes, double ratio,
+                         std::uint64_t seed) {
+  typename Cluster::Config cfg;
   cfg.num_nodes = nodes;
   cfg.seed = seed;
-  baselines::TfaCluster c(cfg);
+  Cluster c(cfg);
   std::vector<core::ObjectId> accounts;
   for (std::uint32_t i = 0; i < kAccounts; ++i) {
     accounts.push_back(c.seed_new_object(enc_i64(1000)));
   }
   for (std::uint32_t n = 0; n < nodes; ++n) {
-    c.spawn_loop_client(n, [&, ratio](Rng& rng) -> baselines::TfaBody {
+    c.spawn_loop_client(n, [&, ratio](Rng& rng) -> typename Cluster::Body {
       auto plan = draw_plan(rng, ratio);
       // `c` must be by-reference (the cluster is not copyable) and outlives
       // every transaction body: run_for() drains all clients before `c`
       // leaves this scope.  qrdtm-lint: allow(coro-ref-capture)
-      return [&c, plan, accounts](baselines::TfaTxn& t) -> sim::Task<void> {
+      return [&c, plan, accounts](typename Cluster::Txn& t) -> sim::Task<void> {
         for (const BankOp& op : plan) {
           if (op.is_read) {
             (void)co_await t.read(accounts[op.a]);
@@ -125,47 +129,6 @@ SystemPoint run_tfa(std::uint32_t nodes, double ratio, std::uint64_t seed) {
     });
   }
   c.run_for(point_duration());
-  return from_latency(c.metrics().throughput(c.duration()), c.latency());
-}
-
-SystemPoint run_decent(std::uint32_t nodes, double ratio, std::uint64_t seed) {
-  baselines::DecentConfig cfg;
-  cfg.num_nodes = nodes;
-  cfg.seed = seed;
-  baselines::DecentCluster c(cfg);
-  std::vector<core::ObjectId> accounts;
-  for (std::uint32_t i = 0; i < kAccounts; ++i) {
-    accounts.push_back(c.seed_new_object(enc_i64(1000)));
-  }
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    c.spawn_loop_client(n, [&, ratio](Rng& rng) -> baselines::DecentBody {
-      auto plan = draw_plan(rng, ratio);
-      // Same lifetime argument as run_tfa above: run_for() drains the
-      // clients before `c` dies.  qrdtm-lint: allow(coro-ref-capture)
-      return [&c, plan, accounts](baselines::DecentTxn& t) -> sim::Task<void> {
-        for (const BankOp& op : plan) {
-          if (op.is_read) {
-            (void)co_await t.read(accounts[op.a]);
-            (void)co_await t.read(accounts[op.b]);
-          } else {
-            std::int64_t f = dec_i64(co_await t.read_for_write(accounts[op.a]));
-            std::int64_t g = dec_i64(co_await t.read_for_write(accounts[op.b]));
-            t.write(accounts[op.a], enc_i64(f - op.amount));
-            t.write(accounts[op.b], enc_i64(g + op.amount));
-          }
-          co_await c.simulator().delay(kOpCompute);
-        }
-      };
-    });
-  }
-  c.run_for(point_duration());
-  if (std::getenv("QRDTM_FIG9_DEBUG")) {
-    const auto& m = c.metrics();
-    std::printf("  [decent n=%u] commits=%lu aborts=%lu vote_ab=%lu snap_fail=%lu rd=%lu cm=%lu\n",
-                nodes, (unsigned long)m.commits, (unsigned long)m.root_aborts,
-                (unsigned long)m.vote_aborts, (unsigned long)m.validation_failures,
-                (unsigned long)m.read_messages, (unsigned long)m.commit_messages);
-  }
   return from_latency(c.metrics().throughput(c.duration()), c.latency());
 }
 
@@ -177,8 +140,8 @@ void panel(const char* title, double ratio) {
   for (std::uint32_t nodes : {4u, 8u, 13u, 20u, 28u, 40u}) {
     SystemPoint qr = run_qr(nodes, ratio, 46, core::NestingMode::kFlat);
     SystemPoint qq = run_qr(nodes, ratio, 46, core::NestingMode::kQueued);
-    SystemPoint tfa = run_tfa(nodes, ratio, 46);
-    SystemPoint dec = run_decent(nodes, ratio, 46);
+    SystemPoint tfa = run_baseline<baselines::TfaCluster>(nodes, ratio, 46);
+    SystemPoint dec = run_baseline<baselines::DecentCluster>(nodes, ratio, 46);
     std::printf("%5u %s %s %s %s %s %s %s %s %s %s %s %s\n", nodes,
                 fmt(qr.tput).c_str(), fmt(qr.p50_ms, 8).c_str(),
                 fmt(qr.p99_ms, 8).c_str(), fmt(qq.tput, 8).c_str(),

@@ -147,14 +147,6 @@ sim::Task<void> HashmapApp::run_op(Txn& ct,
                        nullptr);
 }
 
-sim::Task<void> HashmapApp::run_op_recording(
-    Txn& ct, const std::vector<ObjectId>& buckets, std::uint32_t num_buckets,
-    OpKind kind, std::uint64_t key, std::int64_t value, sim::Tick compute,
-    Undo* undo) {
-  co_await run_op_impl(ct, buckets, num_buckets, kind, key, value, compute,
-                       undo);
-}
-
 TxnBody HashmapApp::make_txn_open(const WorkloadParams& params, Rng& rng) {
   struct Op {
     OpKind kind;

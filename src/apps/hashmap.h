@@ -27,7 +27,6 @@ class HashmapApp final : public App {
   TxnBody make_txn(const WorkloadParams& params, Rng& rng) override;
   TxnBody make_checker(bool* ok) override;
 
-  std::uint32_t num_buckets() const { return num_buckets_; }
   std::uint64_t key_space() const { return key_space_; }
 
   /// One data-structure operation as a nested-transaction body; exposed for
@@ -50,12 +49,6 @@ class HashmapApp final : public App {
     bool existed = false;
     std::int64_t old_value = 0;
   };
-
-  /// `run_op` variant recording the key's prior state into `undo`.
-  static sim::Task<void> run_op_recording(
-      Txn& ct, const std::vector<ObjectId>& buckets, std::uint32_t num_buckets,
-      OpKind kind, std::uint64_t key, std::int64_t value, sim::Tick compute,
-      Undo* undo);
 
   /// QR-ON workload: each data-structure operation is an open-nested
   /// operation holding the key's abstract lock, with a state-restoring

@@ -4,9 +4,6 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/backoff.h"
-#include "core/history.h"
-#include "net/latency.h"
 
 namespace qrdtm::baselines {
 
@@ -23,15 +20,13 @@ constexpr std::size_t kHistoryDepth = 8;
 /// HyFlow's single-copy model only).
 constexpr sim::Tick kLinkLatency = sim::msec(12);
 constexpr sim::Tick kLinkJitter = sim::msec(5);
-constexpr sim::Tick kServiceTime = sim::usec(60);
-constexpr sim::Tick kRpcTimeout = sim::msec(500);
 
 }  // namespace
 
 /// Replica node: version histories for the objects it replicates.
 ///
 /// Write locks carry a coordinator-liveness lease: a lock held longer than
-/// DecentConfig::lock_lease means the coordinator died between vote and
+/// BaselineConfig::lock_lease means the coordinator died between vote and
 /// apply, so the replica sheds it on the next conflicting vote instead of
 /// leaving the object unwritable forever.  A commit-apply whose transaction
 /// no longer holds the lock is dropped -- the lease already presumed that
@@ -39,9 +34,9 @@ constexpr sim::Tick kRpcTimeout = sim::msec(500);
 /// break the history's timestamp order.
 class DecentNode {
  public:
-  DecentNode(net::RpcEndpoint& rpc, sim::Tick lock_lease)
-      : sim_(rpc.simulator()),
-        lock_lease_(lock_lease) {
+  DecentNode(net::RpcEndpoint& rpc, sim::Tick lock_lease,
+             core::Metrics& metrics)
+      : sim_(rpc.simulator()), lock_lease_(lock_lease), metrics_(metrics) {
     rpc.register_service(kDecentRead, [this](net::NodeId, const Bytes& b) {
       return handle_read(b);
     });
@@ -65,8 +60,6 @@ class DecentNode {
     auto it = objects_.find(id);
     return it != objects_.end() && it->second.locked_by != 0;
   }
-  std::uint64_t lease_breaks() const { return lease_breaks_; }
-  std::uint64_t stale_applies() const { return stale_applies_; }
 
  private:
   struct Entry {
@@ -80,7 +73,7 @@ class DecentNode {
     if (lock_lease_ == 0 || e.locked_by == 0) return;
     if (sim_.now() < e.locked_at + lock_lease_) return;
     e.locked_by = 0;
-    ++lease_breaks_;
+    ++metrics_.lease_breaks;
   }
 
   std::optional<Bytes> handle_read(const Bytes& b) {
@@ -151,7 +144,6 @@ class DecentNode {
       // The lease shed this writer's lock (and possibly granted it to a
       // successor): appending its version now could land behind a newer
       // timestamp and corrupt the history's ordering invariant.
-      ++stale_applies_;
       return;
     }
     if (e.locked_by == txn) e.locked_by = 0;
@@ -166,8 +158,7 @@ class DecentNode {
 
   sim::Simulator& sim_;
   sim::Tick lock_lease_;
-  std::uint64_t lease_breaks_ = 0;
-  std::uint64_t stale_applies_ = 0;
+  core::Metrics& metrics_;
   Version clock_ = 0;  // newest commit timestamp applied here
   std::map<ObjectId, Entry> objects_;
 };
@@ -217,7 +208,7 @@ sim::Task<Bytes> DecentTxn::read_version(ObjectId id, std::uint64_t snapshot,
   if (!found) {
     // No live replica's history covers the snapshot point.
     ++c.metrics_.validation_failures;
-    throw DecentAbort{"snapshot too old for history"};
+    throw BaselineAbort{"snapshot too old for history"};
   }
   // Snapshot-merge bookkeeping (see DecentConfig::snapshot_compute).
   if (c.cfg_.snapshot_compute > 0) {
@@ -257,16 +248,12 @@ void DecentTxn::write(ObjectId id, Bytes data) {
 
 // --------------------------------------------------------- DecentCluster
 
-DecentCluster::DecentCluster(DecentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
+DecentCluster::DecentCluster(DecentConfig cfg)
+    : BaselineCluster(cfg, kLinkLatency, kLinkJitter), cfg_(cfg) {
   QRDTM_CHECK(cfg_.replication >= 1 && cfg_.replication <= cfg_.num_nodes);
-  net_ = std::make_unique<net::Network>(
-      sim_,
-      std::make_unique<net::UniformLatency>(kLinkLatency, kLinkJitter),
-      rng_.next(), kServiceTime);
-  for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
-    endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
-    nodes_.push_back(std::make_unique<DecentNode>(
-        *endpoints_.back(), cfg_.lock_lease));
+  for (auto& rpc : endpoints_) {
+    nodes_.push_back(
+        std::make_unique<DecentNode>(*rpc, cfg_.lock_lease, metrics_));
   }
 }
 
@@ -277,12 +264,6 @@ bool DecentCluster::object_locked(ObjectId id) const {
     if (nodes_[rep]->locked(id)) return true;
   }
   return false;
-}
-
-std::uint64_t DecentCluster::lock_lease_breaks() const {
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n->lease_breaks();
-  return total;
 }
 
 std::vector<net::NodeId> DecentCluster::replicas_of(ObjectId id) const {
@@ -296,34 +277,14 @@ std::vector<net::NodeId> DecentCluster::replicas_of(ObjectId id) const {
   return out;
 }
 
-ObjectId DecentCluster::seed_new_object(const Bytes& data) {
-  ObjectId id = next_object_id_++;
+void DecentCluster::place(ObjectId id, const Bytes& data) {
   for (net::NodeId n : replicas_of(id)) {
     nodes_[n]->seed(id, data);
   }
-  if (recorder_ != nullptr) recorder_->record_seed(id, 1, data);
-  return id;
 }
 
-void DecentCluster::record_commit_history(const DecentTxn& txn,
-                                          Version install_ts) {
-  core::CommittedTxn rec;
-  rec.txn = txn.id_;
-  rec.node = txn.node_;
-  rec.commit_tick = sim_.now();
-  rec.snapshot = txn.snapshot_;
-  for (const auto& [id, entry] : txn.readset_) {
-    // A written object's read_for_write fetched the *newest* version (it may
-    // exceed the pinned snapshot); its base is recorded with the write, so
-    // listing it as a snapshot read would be a false positive.
-    if (txn.writeset_.count(id) != 0) continue;
-    rec.reads.push_back(core::HistoryRead{id, entry.version});
-  }
-  for (const auto& [id, entry] : txn.writeset_) {
-    rec.writes.push_back(
-        core::HistoryWrite{id, entry.base, install_ts, entry.data});
-  }
-  recorder_->record_commit(std::move(rec));
+DecentTxn DecentCluster::begin(net::NodeId node, TxnId id) {
+  return DecentTxn(*this, node, id);
 }
 
 sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
@@ -332,7 +293,8 @@ sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
     // versions valid at that point stay valid forever (commit timestamps
     // are monotone) -- the snapshot is consistent with no communication.
     ++metrics_.local_commits;
-    if (recorder_ != nullptr) record_commit_history(txn, 0);
+    record_commit(txn.id_, txn.node_, txn.snapshot_, txn.readset_,
+                  txn.writeset_, 0);
     co_return true;
   }
   auto* rpc = endpoints_[txn.node_].get();
@@ -403,71 +365,11 @@ sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
       rpc->notify(rep, kDecentApply, std::move(w).take());
     }
   }
-  if (recorder_ != nullptr) record_commit_history(txn, ts);
+  // A written object's read_for_write fetched the *newest* version (it may
+  // exceed the pinned snapshot); record_commit lists it with the write only.
+  record_commit(txn.id_, txn.node_, txn.snapshot_, txn.readset_,
+                txn.writeset_, ts);
   co_return true;
 }
-
-sim::Task<void> DecentCluster::run_transaction(net::NodeId node,
-                                               DecentBody body) {
-  co_await run_transaction_bounded(node, std::move(body), 0);
-}
-
-sim::Task<bool> DecentCluster::run_transaction_bounded(
-    net::NodeId node, DecentBody body, std::uint32_t max_attempts) {
-  const sim::Tick txn_start = sim_.now();
-  std::uint32_t attempt = 0;
-  for (;;) {
-    DecentTxn txn(*this, node, next_txn_id_++);
-    bool aborted = false;
-    std::string reason = "vote failed";
-    try {
-      co_await body(txn);
-      ++metrics_.commit_requests;
-      if (co_await try_commit(txn)) {
-        ++metrics_.commits;
-        latency_.commit_latency.record(sim_.now() - txn_start);
-        co_return true;
-      }
-      aborted = true;
-    } catch (const DecentAbort& a) {
-      reason = a.reason;
-      aborted = true;
-    }
-    QRDTM_CHECK(aborted);
-    ++metrics_.root_aborts;
-    if (recorder_ != nullptr) {
-      recorder_->record_abort(sim_.now(), txn.node_, txn.id_, reason);
-    }
-    ++attempt;
-    if (max_attempts != 0 && attempt >= max_attempts) co_return false;
-    const sim::Tick abort_tick = sim_.now();
-    const sim::Tick wait = core::draw_backoff_wait(
-        core::kRootBackoffBase, core::kRootBackoffCap, attempt, rng_);
-    latency_.backoff_wait.record(wait);
-    if (wait > 0) co_await sim_.delay(wait);
-    latency_.retry_gap.record(sim_.now() - abort_tick);
-  }
-}
-
-void DecentCluster::spawn_client(net::NodeId node, DecentBody body) {
-  sim_.spawn(run_transaction(node, std::move(body)));
-}
-
-void DecentCluster::spawn_loop_client(net::NodeId node, BodyFactory factory) {
-  auto loop = [](DecentCluster* self, net::NodeId n,
-                 BodyFactory f) -> sim::Task<void> {
-    Rng rng = self->rng_.split(n + 1);
-    while (!self->sim_.stopping()) {
-      co_await self->run_transaction(n, f(rng));
-    }
-  };
-  sim_.spawn(loop(this, node, std::move(factory)));
-}
-
-void DecentCluster::run_for(sim::Tick duration) {
-  sim_.run_until(sim_.now() + duration);
-}
-
-void DecentCluster::run_to_completion() { sim_.run(); }
 
 }  // namespace qrdtm::baselines

@@ -22,32 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/metrics.h"
-#include "core/trace.h"
-#include "core/types.h"
-#include "net/rpc.h"
-#include "sim/task.h"
-
-namespace qrdtm::core {
-class HistoryRecorder;
-}
+#include "baselines/baseline.h"
 
 namespace qrdtm::baselines {
-
-using core::Bytes;
-using core::ObjectId;
-using core::TxnId;
-using core::Version;
-
-struct DecentAbort {
-  std::string reason;
-};
 
 class DecentNode;
 class DecentCluster;
@@ -74,74 +54,28 @@ class DecentTxn {
   net::NodeId node_;
   TxnId id_;
   std::uint64_t snapshot_ = 0;
-  struct ReadEntry {
-    Version version;
-    Bytes data;
-  };
-  struct WriteEntry {
-    Version base;
-    Bytes data;
-  };
-  std::map<ObjectId, ReadEntry> readset_;
-  std::map<ObjectId, WriteEntry> writeset_;
+  ReadSet readset_;
+  WriteSet writeset_;
 };
 
 using DecentBody = std::function<sim::Task<void>(DecentTxn&)>;
 
-struct DecentConfig {
-  std::uint32_t num_nodes = 13;
+struct DecentConfig : BaselineConfig {
   std::uint32_t replication = 3;
-  std::uint64_t seed = 1;
-  // The version-history depth, the network (12 ms multicast-class links)
-  // and the RPC timeout are fixed constants in decent.cpp; root-abort
-  // backoff is core/backoff.h's.
+  // The version-history depth and the (12 ms multicast-class) links are
+  // fixed constants in decent.cpp.
   /// Snapshot-algorithm bookkeeping charged per remote operation.
   sim::Tick snapshot_compute = sim::msec(15);
-  /// Coordinator-liveness lease on replica-side write locks: a lock
-  /// outstanding this long is presumed orphaned (its coordinator died
-  /// between vote and apply) and is shed on the next conflicting vote.  Far
-  /// above any legitimate vote->apply gap, so failure-free runs never trip
-  /// it.  0 disables shedding.
-  sim::Tick lock_lease = sim::sec(5);
 };
 
-class DecentCluster {
+/// One simulated DecentSTM deployment: the baseline shell plus one replica
+/// server per node.
+class DecentCluster final : public BaselineCluster<DecentTxn> {
  public:
+  using Config = DecentConfig;
+
   explicit DecentCluster(DecentConfig cfg);
-  ~DecentCluster();
-
-  DecentCluster(const DecentCluster&) = delete;
-  DecentCluster& operator=(const DecentCluster&) = delete;
-
-  ObjectId seed_new_object(const Bytes& data);
-
-  void spawn_client(net::NodeId node, DecentBody body);
-  using BodyFactory = std::function<DecentBody(Rng&)>;
-  void spawn_loop_client(net::NodeId node, BodyFactory factory);
-
-  /// Run one transaction, giving up after `max_attempts` aborts (0 =
-  /// unlimited).  Returns true on commit.  Chaos runs still want the bound:
-  /// a lock orphaned by a dropped vote response is only shed after
-  /// DecentConfig::lock_lease, and a victim stuck behind it would otherwise
-  /// spin in retries for the whole lease window.
-  sim::Task<bool> run_transaction_bounded(net::NodeId node, DecentBody body,
-                                          std::uint32_t max_attempts);
-
-  /// Record commits/aborts into `rec` (nullptr = off); attach before
-  /// seeding.
-  void set_history_recorder(core::HistoryRecorder* rec) { recorder_ = rec; }
-
-  void run_for(sim::Tick duration);
-  void run_to_completion();
-
-  core::Metrics& metrics() { return metrics_; }
-  /// Cluster-wide latency histograms (commit latency, backoff waits, retry
-  /// gaps; reads are unicast to a primary, so read_rtt stays empty).
-  const core::LatencyMetrics& latency() const { return latency_; }
-  net::Network& network() { return *net_; }
-  sim::Simulator& simulator() { return sim_; }
-  sim::Tick duration() const { return sim_.now(); }
-  std::uint32_t num_nodes() const { return cfg_.num_nodes; }
+  ~DecentCluster() override;
 
   /// Replica group of an object (first member is the read primary).
   std::vector<net::NodeId> replicas_of(ObjectId id) const;
@@ -149,27 +83,16 @@ class DecentCluster {
   /// True while any replica of `id` holds a transaction lock on it (test
   /// observability for the lease-shedding path).
   bool object_locked(ObjectId id) const;
-  /// Total locks shed by the coordinator-liveness lease, across all nodes.
-  std::uint64_t lock_lease_breaks() const;
 
  private:
   friend class DecentTxn;
 
-  sim::Task<void> run_transaction(net::NodeId node, DecentBody body);
-  sim::Task<bool> try_commit(DecentTxn& txn);
-  void record_commit_history(const DecentTxn& txn, Version install_ts);
+  DecentTxn begin(net::NodeId node, TxnId id) override;
+  sim::Task<bool> try_commit(DecentTxn& txn) override;
+  void place(ObjectId id, const Bytes& data) override;
 
   DecentConfig cfg_;
-  sim::Simulator sim_;
-  std::unique_ptr<net::Network> net_;
-  std::vector<std::unique_ptr<net::RpcEndpoint>> endpoints_;
   std::vector<std::unique_ptr<DecentNode>> nodes_;
-  core::Metrics metrics_;
-  core::LatencyMetrics latency_;
-  core::HistoryRecorder* recorder_ = nullptr;
-  Rng rng_;
-  TxnId next_txn_id_ = 1;
-  ObjectId next_object_id_ = 1;
   std::uint64_t clock_ = 1;  // global timestamp source for commit ids
 };
 

@@ -4,9 +4,6 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/backoff.h"
-#include "core/history.h"
-#include "net/latency.h"
 
 namespace qrdtm::baselines {
 
@@ -22,8 +19,6 @@ constexpr net::MsgKind kTfaWriteback = 0x0205;  // one-way
 /// round trip on the paper's testbed).
 constexpr sim::Tick kLinkLatency = sim::msec(2);
 constexpr sim::Tick kLinkJitter = sim::msec(1);
-constexpr sim::Tick kServiceTime = sim::usec(60);
-constexpr sim::Tick kRpcTimeout = sim::msec(500);
 
 struct ObjectState {
   Version version = 0;
@@ -38,16 +33,16 @@ struct ObjectState {
 /// the node's TFA clock.
 ///
 /// Locks carry a coordinator-liveness lease: a lock held longer than
-/// TfaConfig::lock_lease means the coordinator died mid-commit (its unlock
-/// or writeback never arrived), so the home node sheds it on the next
+/// BaselineConfig::lock_lease means the coordinator died mid-commit (its
+/// unlock or writeback never arrived), so the home node sheds it on the next
 /// conflicting lock/validate instead of leaving the object unwritable
 /// forever.  A writeback whose transaction no longer holds the lock is
 /// dropped -- the lease already presumed that coordinator dead, and
 /// applying its write over a successor's could roll the version backwards.
 class TfaNode {
  public:
-  TfaNode(net::RpcEndpoint& rpc, sim::Tick lock_lease)
-      : id_(rpc.id()), sim_(rpc.simulator()), lock_lease_(lock_lease) {
+  TfaNode(net::RpcEndpoint& rpc, sim::Tick lock_lease, core::Metrics& metrics)
+      : sim_(rpc.simulator()), lock_lease_(lock_lease), metrics_(metrics) {
     rpc.register_service(kTfaRead, [this](net::NodeId, const Bytes& b) {
       return handle_read(b);
     });
@@ -81,8 +76,6 @@ class TfaNode {
     auto it = objects_.find(id);
     return it != objects_.end() && it->second.locked_by != 0;
   }
-  std::uint64_t lease_breaks() const { return lease_breaks_; }
-  std::uint64_t stale_writebacks() const { return stale_writebacks_; }
 
  private:
   /// Shed a lock whose holder's commit is overdue by the whole lease.
@@ -90,7 +83,7 @@ class TfaNode {
     if (lock_lease_ == 0 || s.locked_by == 0) return;
     if (sim_.now() < s.locked_at + lock_lease_) return;
     s.locked_by = 0;
-    ++lease_breaks_;
+    ++metrics_.lease_breaks;
   }
 
   std::optional<Bytes> handle_read(const Bytes& b) {
@@ -172,7 +165,6 @@ class TfaNode {
       // The lease shed this writer's lock (and possibly granted it to a
       // successor): its writeback is stale and must not clobber state it
       // no longer owns.
-      ++stale_writebacks_;
       return;
     }
     s.version = version;
@@ -181,12 +173,10 @@ class TfaNode {
     clock_ = std::max(clock_, version);
   }
 
-  net::NodeId id_;
   sim::Simulator& sim_;
   sim::Tick lock_lease_;
+  core::Metrics& metrics_;
   std::uint64_t clock_ = 0;
-  std::uint64_t lease_breaks_ = 0;
-  std::uint64_t stale_writebacks_ = 0;
   std::map<ObjectId, ObjectState> objects_;
 };
 
@@ -198,7 +188,7 @@ TfaTxn::TfaTxn(TfaCluster& cluster, net::NodeId node, TxnId id,
   scopes_.emplace_back();  // the root scope
 }
 
-const TfaTxn::ReadEntry* TfaTxn::find_read(ObjectId id) const {
+const ReadEntry* TfaTxn::find_read(ObjectId id) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
     if (auto e = it->readset.find(id); e != it->readset.end()) {
       return &e->second;
@@ -207,7 +197,7 @@ const TfaTxn::ReadEntry* TfaTxn::find_read(ObjectId id) const {
   return nullptr;
 }
 
-const TfaTxn::WriteEntry* TfaTxn::find_write(ObjectId id) const {
+const WriteEntry* TfaTxn::find_write(ObjectId id) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
     if (auto e = it->writeset.find(id); e != it->writeset.end()) {
       return &e->second;
@@ -246,7 +236,7 @@ sim::Task<void> TfaTxn::forward(std::uint64_t to_clock) {
     if (outermost_invalid == 0) break;  // whole transaction doomed
   }
   if (outermost_invalid < scopes_.size()) {
-    throw TfaAbort{"forwarding validation failed", outermost_invalid};
+    throw BaselineAbort{"forwarding validation failed", outermost_invalid};
   }
   clock_ = std::max(clock_, to_clock);
 }
@@ -267,13 +257,13 @@ sim::Task<Bytes> TfaTxn::read(ObjectId id) {
   ++c.metrics_.read_messages;
   auto res = co_await c.endpoints_[node_]->call(
       c.home_of(id), kTfaRead, std::move(w).take(), kRpcTimeout);
-  if (!res.ok) throw TfaAbort{"read timeout", scopes_.size() - 1};
+  if (!res.ok) throw BaselineAbort{"read timeout", scopes_.size() - 1};
   Reader r(res.payload);
   bool found = r.boolean();
   Version version = r.u64();
   Bytes data = r.blob();
   std::uint64_t home_clock = r.u64();
-  if (!found) throw TfaAbort{"object missing", 0};
+  if (!found) throw BaselineAbort{"object missing", 0};
 
   if (home_clock > clock_) {
     co_await forward(home_clock);
@@ -295,7 +285,7 @@ sim::Task<Bytes> TfaTxn::read_for_write(ObjectId id) {
       QRDTM_CHECK(re != nullptr);
       base = re->version;
     }
-    top().writeset[id] = WriteEntry{base, data, false};
+    top().writeset[id] = WriteEntry{base, data};
   }
   co_return data;
 }
@@ -305,7 +295,6 @@ void TfaTxn::write(ObjectId id, Bytes data) {
   QRDTM_CHECK_MSG(it != top().writeset.end(),
                   "write() requires read_for_write() first (in this scope)");
   it->second.data = std::move(data);
-  it->second.dirty = true;
 }
 
 sim::Task<void> TfaTxn::nested(TfaBody body) {
@@ -318,10 +307,10 @@ sim::Task<void> TfaTxn::nested(TfaBody body) {
     scopes_.emplace_back();
     bool retry = false;
     bool propagate = false;
-    TfaAbort saved;
+    BaselineAbort saved;
     try {
       co_await body(*this);
-    } catch (TfaAbort& a) {
+    } catch (BaselineAbort& a) {
       scopes_.pop_back();  // discard this scope's sets
       if (a.scope == my_index) {
         retry = true;
@@ -347,58 +336,31 @@ sim::Task<void> TfaTxn::nested(TfaBody body) {
 
 // ------------------------------------------------------------ TfaCluster
 
-TfaCluster::TfaCluster(TfaConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
-  net_ = std::make_unique<net::Network>(
-      sim_,
-      std::make_unique<net::UniformLatency>(kLinkLatency, kLinkJitter),
-      rng_.next(), kServiceTime);
-  for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
-    endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
+TfaCluster::TfaCluster(TfaConfig cfg)
+    : BaselineCluster(cfg, kLinkLatency, kLinkJitter), cfg_(cfg) {
+  for (auto& rpc : endpoints_) {
     nodes_.push_back(
-        std::make_unique<TfaNode>(*endpoints_.back(), cfg_.lock_lease));
+        std::make_unique<TfaNode>(*rpc, cfg_.lock_lease, metrics_));
   }
 }
+
+TfaCluster::~TfaCluster() = default;
 
 bool TfaCluster::object_locked(ObjectId id) const {
   return nodes_[home_of(id)]->locked(id);
 }
-
-std::uint64_t TfaCluster::lock_lease_breaks() const {
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n->lease_breaks();
-  return total;
-}
-
-TfaCluster::~TfaCluster() = default;
 
 net::NodeId TfaCluster::home_of(ObjectId id) const {
   return static_cast<net::NodeId>((id * 0x9e3779b97f4a7c15ULL >> 32) %
                                   cfg_.num_nodes);
 }
 
-ObjectId TfaCluster::seed_new_object(const Bytes& data) {
-  ObjectId id = next_object_id_++;
+void TfaCluster::place(ObjectId id, const Bytes& data) {
   nodes_[home_of(id)]->seed(id, data);
-  if (recorder_ != nullptr) recorder_->record_seed(id, 1, data);
-  return id;
 }
 
-void TfaCluster::record_commit_history(const TfaTxn& txn, Version commit_ts) {
-  core::CommittedTxn rec;
-  rec.txn = txn.id_;
-  rec.node = txn.node_;
-  rec.commit_tick = sim_.now();
-  rec.snapshot = 0;  // TFA is checked at the serializable level
-  for (const auto& [id, entry] : txn.root_readset()) {
-    // Written objects' reads are covered by their write base.
-    if (txn.root_writeset().contains(id)) continue;
-    rec.reads.push_back(core::HistoryRead{id, entry.version});
-  }
-  for (const auto& [id, entry] : txn.root_writeset()) {
-    rec.writes.push_back(
-        core::HistoryWrite{id, entry.base, commit_ts, entry.data});
-  }
-  recorder_->record_commit(std::move(rec));
+TfaTxn TfaCluster::begin(net::NodeId node, TxnId id) {
+  return TfaTxn(*this, node, id, nodes_[node]->clock());
 }
 
 sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
@@ -410,7 +372,7 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
     // Read-only: every read was (re)validated at its forwarding points;
     // commit needs no communication.
     ++metrics_.local_commits;
-    if (recorder_ != nullptr) record_commit_history(txn, 0);
+    record_commit(txn.id_, txn.node_, 0, readset, writeset, 0);
     co_return true;
   }
   auto* rpc = endpoints_[txn.node_].get();
@@ -487,71 +449,9 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
     rpc->notify(home_of(id), kTfaWriteback, std::move(w).take());
   }
   nodes_[txn.node_]->advance_clock(commit_ts);
-  if (recorder_ != nullptr) record_commit_history(txn, commit_ts);
+  // TFA is checked at the serializable level: no snapshot pin.
+  record_commit(txn.id_, txn.node_, 0, readset, writeset, commit_ts);
   co_return true;
 }
-
-sim::Task<void> TfaCluster::run_transaction(net::NodeId node, TfaBody body) {
-  co_await run_transaction_bounded(node, std::move(body), 0);
-}
-
-sim::Task<bool> TfaCluster::run_transaction_bounded(net::NodeId node,
-                                                    TfaBody body,
-                                                    std::uint32_t max_attempts) {
-  const sim::Tick txn_start = sim_.now();
-  std::uint32_t attempt = 0;
-  for (;;) {
-    TfaTxn txn(*this, node, next_txn_id_++, nodes_[node]->clock());
-    bool aborted = false;
-    std::string reason = "commit validation failed";
-    try {
-      co_await body(txn);
-      ++metrics_.commit_requests;
-      if (co_await try_commit(txn)) {
-        ++metrics_.commits;
-        latency_.commit_latency.record(sim_.now() - txn_start);
-        co_return true;
-      }
-      aborted = true;
-    } catch (const TfaAbort& a) {
-      reason = a.reason;
-      aborted = true;
-    }
-    QRDTM_CHECK(aborted);
-    ++metrics_.root_aborts;
-    if (recorder_ != nullptr) {
-      recorder_->record_abort(sim_.now(), txn.node_, txn.id_, reason);
-    }
-    ++attempt;
-    if (max_attempts != 0 && attempt >= max_attempts) co_return false;
-    const sim::Tick abort_tick = sim_.now();
-    const sim::Tick wait = core::draw_backoff_wait(
-        core::kRootBackoffBase, core::kRootBackoffCap, attempt, rng_);
-    latency_.backoff_wait.record(wait);
-    if (wait > 0) co_await sim_.delay(wait);
-    latency_.retry_gap.record(sim_.now() - abort_tick);
-  }
-}
-
-void TfaCluster::spawn_client(net::NodeId node, TfaBody body) {
-  sim_.spawn(run_transaction(node, std::move(body)));
-}
-
-void TfaCluster::spawn_loop_client(net::NodeId node, BodyFactory factory) {
-  auto loop = [](TfaCluster* self, net::NodeId n,
-                 BodyFactory f) -> sim::Task<void> {
-    Rng rng = self->rng_.split(n + 1);
-    while (!self->sim_.stopping()) {
-      co_await self->run_transaction(n, f(rng));
-    }
-  };
-  sim_.spawn(loop(this, node, std::move(factory)));
-}
-
-void TfaCluster::run_for(sim::Tick duration) {
-  sim_.run_until(sim_.now() + duration);
-}
-
-void TfaCluster::run_to_completion() { sim_.run(); }
 
 }  // namespace qrdtm::baselines

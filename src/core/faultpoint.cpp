@@ -62,13 +62,6 @@ std::size_t FaultPointRegistry::resume(const std::string& name) {
   return released;
 }
 
-std::size_t FaultPointRegistry::resume_all() {
-  std::size_t released = waiters_.size();
-  for (auto& [n, p] : waiters_) p.set(true);
-  waiters_.clear();
-  return released;
-}
-
 std::uint64_t FaultPointRegistry::hits(const std::string& name) const {
   auto it = hits_.find(name);
   return it == hits_.end() ? 0 : it->second;

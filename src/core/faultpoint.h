@@ -116,7 +116,6 @@ class FaultPointRegistry {
 
   /// Release every coroutine parked on `name`; returns how many.
   std::size_t resume(const std::string& name);
-  std::size_t resume_all();
 
   bool armed(const std::string& name) const {
     return armings_.find(name) != armings_.end();

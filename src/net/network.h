@@ -87,7 +87,6 @@ class Network {
   NodeId add_node(Handler h) {
     nodes_.push_back(NodeState{std::move(h), /*alive=*/true,
                                /*busy_until=*/0, /*epoch=*/0});
-    alive_dirty_ = true;
     return static_cast<NodeId>(nodes_.size() - 1);
   }
 
@@ -108,7 +107,6 @@ class Network {
     if (!nodes_[n].alive) return;
     nodes_[n].alive = false;
     ++nodes_[n].epoch;
-    alive_dirty_ = true;
   }
 
   /// Restart a killed node with a fresh incarnation.  Idempotent.  The
@@ -121,26 +119,12 @@ class Network {
     nodes_[n].alive = true;
     ++nodes_[n].epoch;
     nodes_[n].busy_until = 0;
-    alive_dirty_ = true;
   }
 
   /// Liveness-epoch counter for node n (bumped on each kill and revive).
   std::uint32_t epoch(NodeId n) const {
     QRDTM_CHECK(n < nodes_.size());
     return nodes_[n].epoch;
-  }
-
-  /// Live node ids, cached between membership changes.  The reference is
-  /// invalidated by the next kill/revive/add_node.
-  const std::vector<NodeId>& alive_nodes() const {
-    if (alive_dirty_) {
-      alive_cache_.clear();
-      for (NodeId n = 0; n < nodes_.size(); ++n) {
-        if (nodes_[n].alive) alive_cache_.push_back(n);
-      }
-      alive_dirty_ = false;
-    }
-    return alive_cache_;
   }
 
   /// Enqueue a message for delivery.  Never blocks the sender (the paper's
@@ -188,7 +172,6 @@ class Network {
     partition_active_ = true;
   }
   void clear_partition() { partition_active_ = false; }
-  bool partition_active() const { return partition_active_; }
 
   const NetStats& stats() const { return stats_; }
 
@@ -225,8 +208,6 @@ class Network {
   NetStats stats_;
   BufferPool pool_;
   std::array<std::uint32_t, kMsgKindSpace> payload_hint_{};
-  mutable std::vector<NodeId> alive_cache_;
-  mutable bool alive_dirty_ = true;
 };
 
 }  // namespace qrdtm::net

@@ -80,7 +80,6 @@ class RpcEndpoint {
   /// the context immediately before issuing sends, with no suspension in
   /// between; 0 means untraced.
   void set_trace_context(std::uint64_t ctx) { trace_ctx_ = ctx; }
-  std::uint64_t trace_context() const { return trace_ctx_; }
 
   /// Span context of the request currently being served, valid only inside
   /// a registered service invocation (0 otherwise).  Lets server handlers

@@ -48,20 +48,18 @@ std::uint64_t next_salt(std::uint64_t salt, NodeId v) {
 }
 }  // namespace
 
-void TreeQuorumProvider::read_rec(NodeId v, std::uint32_t level,
+bool TreeQuorumProvider::read_rec(NodeId v, std::uint32_t level,
                                   std::uint64_t salt,
                                   std::vector<NodeId>& out) const {
   auto kids = children(v);
   if (level == 0 || kids.empty()) {
     if (alive(v)) {
       out.push_back(v);
-      return;
+      return true;
     }
     // Classic substitution: a dead read-quorum member is replaced by a
-    // majority of its children's read quorums.
-    if (kids.empty()) {
-      throw QuorumUnavailable("dead leaf cannot be substituted");
-    }
+    // majority of its children's read quorums.  A dead leaf has none.
+    if (kids.empty()) return false;
     level = 1;  // fall through to take a majority of children
   }
 
@@ -70,56 +68,47 @@ void TreeQuorumProvider::read_rec(NodeId v, std::uint32_t level,
   const std::size_t start = salt % kids.size();
   for (std::size_t i = 0; i < kids.size() && got < m; ++i) {
     NodeId c = kids[(start + i) % kids.size()];
-    std::vector<NodeId> sub;
-    try {
-      read_rec(c, level - 1, next_salt(salt, c), sub);
-    } catch (const QuorumUnavailable&) {
-      continue;
+    const std::size_t mark = out.size();
+    if (read_rec(c, level - 1, next_salt(salt, c), out)) {
+      ++got;
+    } else {
+      out.resize(mark);  // drop the failed subtree's partial members
     }
-    out.insert(out.end(), sub.begin(), sub.end());
-    ++got;
   }
-  if (got < m) {
-    throw QuorumUnavailable("cannot form read majority at node " +
-                            std::to_string(v));
-  }
+  return got == m;
 }
 
-void TreeQuorumProvider::write_rec(NodeId v, std::uint64_t salt,
+bool TreeQuorumProvider::write_rec(NodeId v, std::uint64_t salt,
                                    std::vector<NodeId>& out) const {
-  if (!alive(v)) {
-    throw QuorumUnavailable("write quorum member " + std::to_string(v) +
-                            " is dead");
-  }
+  if (!alive(v)) return false;
   out.push_back(v);
   auto kids = children(v);
-  if (kids.empty()) return;
+  if (kids.empty()) return true;
 
   const std::size_t m = kids.size() / 2 + 1;
   std::size_t got = 0;
   const std::size_t start = salt % kids.size();
   for (std::size_t i = 0; i < kids.size() && got < m; ++i) {
     NodeId c = kids[(start + i) % kids.size()];
-    std::vector<NodeId> sub;
-    try {
-      write_rec(c, next_salt(salt, c), sub);
-    } catch (const QuorumUnavailable&) {
-      continue;
+    const std::size_t mark = out.size();
+    if (write_rec(c, next_salt(salt, c), out)) {
+      ++got;
+    } else {
+      out.resize(mark);  // drop the failed subtree's partial members
     }
-    out.insert(out.end(), sub.begin(), sub.end());
-    ++got;
   }
-  if (got < m) {
-    throw QuorumUnavailable("cannot form write majority under node " +
-                            std::to_string(v));
-  }
+  return got == m;
 }
 
 std::vector<NodeId> TreeQuorumProvider::cohort_read_quorum(
     NodeId node, std::uint32_t) const {
   std::vector<NodeId> out;
   std::uint64_t salt = cfg_.same_for_all ? 0 : node + 1;
-  read_rec(0, cfg_.read_level, salt, out);
+  if (!read_rec(0, cfg_.read_level, salt, out)) {
+    throw QuorumUnavailable(children(0).empty()
+                                ? "dead leaf cannot be substituted"
+                                : "cannot form read majority at node 0");
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -129,7 +118,11 @@ std::vector<NodeId> TreeQuorumProvider::cohort_write_quorum(
     NodeId node, std::uint32_t) const {
   std::vector<NodeId> out;
   std::uint64_t salt = cfg_.same_for_all ? 0 : node + 1;
-  write_rec(0, salt, out);
+  if (!write_rec(0, salt, out)) {
+    throw QuorumUnavailable(alive(0)
+                                ? "cannot form write majority under node 0"
+                                : "write quorum member 0 is dead");
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

@@ -174,13 +174,16 @@ class TreeQuorumProvider final : public QuorumProvider {
   std::vector<NodeId> children(NodeId v) const;
   bool alive(NodeId v) const { return !dead_[v]; }
 
-  /// Collect a read quorum for the subtree at v: either descend to `level`
-  /// below, or fall back on deeper levels when members are dead.
-  void read_rec(NodeId v, std::uint32_t level, std::uint64_t salt,
+  /// Append a read quorum for the subtree at v to `out`: either descend to
+  /// `level` below, or fall back on deeper levels when members are dead.
+  /// Returns false when none can be formed; `out` then holds partial
+  /// members the caller discards.
+  bool read_rec(NodeId v, std::uint32_t level, std::uint64_t salt,
                 std::vector<NodeId>& out) const;
 
-  /// Collect a rooted write quorum for the subtree at v.
-  void write_rec(NodeId v, std::uint64_t salt, std::vector<NodeId>& out) const;
+  /// Append a rooted write quorum for the subtree at v to `out`; false (with
+  /// partial members in `out`) when the subtree cannot form one.
+  bool write_rec(NodeId v, std::uint64_t salt, std::vector<NodeId>& out) const;
 
   Config cfg_;
   std::uint32_t height_;

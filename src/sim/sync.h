@@ -5,15 +5,12 @@
 //     fulfils the Promise.  Resumption is routed through the event queue at
 //     the current tick so wakeup ordering is deterministic and recursion
 //     depth stays bounded.
-//   * Mailbox<T>  -- unbounded FIFO with awaitable receive.
-//   * WaitGroup   -- await completion of N producers (quorum gather).
 //
-// All of these are single-threaded (one Simulator); they synchronise
+// These are single-threaded (one Simulator); they synchronise
 // *simulated* concurrency, not OS threads.
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -109,78 +106,6 @@ class Future {
   explicit Future(std::shared_ptr<detail::SharedState<T>> s)
       : state_(std::move(s)) {}
   std::shared_ptr<detail::SharedState<T>> state_;
-};
-
-/// Unbounded FIFO channel with awaitable receive (single consumer at a time).
-template <class T>
-class Mailbox {
- public:
-  explicit Mailbox(Simulator& sim) : sim_(&sim) {}
-
-  void push(T v) {
-    queue_.push_back(std::move(v));
-    if (waiter_) {
-      auto h = std::exchange(waiter_, nullptr);
-      sim_->schedule_after(0, [h] { h.resume(); });
-    }
-  }
-
-  std::size_t size() const { return queue_.size(); }
-
-  auto recv() {
-    struct Awaiter {
-      Mailbox* mb;
-      bool await_ready() const { return !mb->queue_.empty(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        QRDTM_CHECK_MSG(!mb->waiter_, "mailbox has two receivers");
-        mb->waiter_ = h;
-      }
-      T await_resume() {
-        QRDTM_CHECK(!mb->queue_.empty());
-        T v = std::move(mb->queue_.front());
-        mb->queue_.pop_front();
-        return v;
-      }
-    };
-    return Awaiter{this};
-  }
-
- private:
-  Simulator* sim_;
-  std::deque<T> queue_;
-  std::coroutine_handle<> waiter_ = nullptr;
-};
-
-/// Awaits N completions (e.g. all members of a quorum responding).
-class WaitGroup {
- public:
-  WaitGroup(Simulator& sim, std::size_t count) : sim_(&sim), pending_(count) {}
-
-  void done() {
-    QRDTM_CHECK_MSG(pending_ > 0, "WaitGroup::done past zero");
-    if (--pending_ == 0 && waiter_) {
-      auto h = std::exchange(waiter_, nullptr);
-      sim_->schedule_after(0, [h] { h.resume(); });
-    }
-  }
-
-  auto wait() {
-    struct Awaiter {
-      WaitGroup* wg;
-      bool await_ready() const { return wg->pending_ == 0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        QRDTM_CHECK_MSG(!wg->waiter_, "WaitGroup awaited twice");
-        wg->waiter_ = h;
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
- private:
-  Simulator* sim_;
-  std::size_t pending_;
-  std::coroutine_handle<> waiter_ = nullptr;
 };
 
 }  // namespace qrdtm::sim

@@ -6,6 +6,7 @@
 #include "baselines/decent.h"
 #include "baselines/tfa.h"
 #include "common/serde.h"
+#include "core/history.h"
 
 namespace qrdtm::baselines {
 namespace {
@@ -235,7 +236,9 @@ TEST(Decent, CommitBroadcastsToAllReplicas) {
 // between, that release never arrives; the lock lease must shed the orphan
 // so the object becomes writable again.
 
-sim::Task<void> tfa_bounded(TfaCluster* c, net::NodeId node, TfaBody body,
+template <class Cluster>
+sim::Task<void> run_bounded(Cluster* c, net::NodeId node,
+                            typename Cluster::Body body,
                             std::uint32_t attempts, bool* committed) {
   *committed =
       co_await c->run_transaction_bounded(node, std::move(body), attempts);
@@ -256,7 +259,7 @@ TEST(Tfa, OrphanedLockShedByLeaseUnwedgesObject) {
   };
 
   bool doomed_committed = false;
-  c.simulator().spawn(tfa_bounded(&c, doomed, bump, 1, &doomed_committed));
+  c.simulator().spawn(run_bounded(&c, doomed, bump, 1, &doomed_committed));
   // Run until the home has granted the lock, then fail-stop the coordinator
   // before its writeback is sent: the lock is now orphaned.
   bool locked = false;
@@ -272,11 +275,11 @@ TEST(Tfa, OrphanedLockShedByLeaseUnwedgesObject) {
   bool committed = false;
   const net::NodeId writer =
       c.home_of(obj) == 2 ? net::NodeId{3} : net::NodeId{2};
-  c.simulator().spawn(tfa_bounded(&c, writer, bump, 50, &committed));
+  c.simulator().spawn(run_bounded(&c, writer, bump, 50, &committed));
   c.run_to_completion();
 
   EXPECT_TRUE(committed) << "object stayed wedged behind the orphaned lock";
-  EXPECT_GT(c.lock_lease_breaks(), 0u);
+  EXPECT_GT(c.metrics().lease_breaks, 0u);
   EXPECT_FALSE(doomed_committed);
   std::int64_t final_v = -1;
   c.spawn_client(4, [&, obj](TfaTxn& t) -> sim::Task<void> {
@@ -284,13 +287,6 @@ TEST(Tfa, OrphanedLockShedByLeaseUnwedgesObject) {
   });
   c.run_to_completion();
   EXPECT_EQ(final_v, 1) << "only the second writer's increment commits";
-}
-
-sim::Task<void> decent_bounded(DecentCluster* c, net::NodeId node,
-                               DecentBody body, std::uint32_t attempts,
-                               bool* committed) {
-  *committed =
-      co_await c->run_transaction_bounded(node, std::move(body), attempts);
 }
 
 TEST(Decent, OrphanedLockShedByLeaseUnwedgesObject) {
@@ -312,7 +308,7 @@ TEST(Decent, OrphanedLockShedByLeaseUnwedgesObject) {
   };
 
   bool doomed_committed = false;
-  c.simulator().spawn(decent_bounded(&c, doomed, bump, 1, &doomed_committed));
+  c.simulator().spawn(run_bounded(&c, doomed, bump, 1, &doomed_committed));
   bool locked = false;
   sim::Tick poll_at = 0;
   for (int i = 0; i < 1000 && !locked; ++i) {
@@ -325,11 +321,11 @@ TEST(Decent, OrphanedLockShedByLeaseUnwedgesObject) {
 
   bool committed = false;
   const net::NodeId writer = doomed == 0 ? net::NodeId{1} : net::NodeId{0};
-  c.simulator().spawn(decent_bounded(&c, writer, bump, 50, &committed));
+  c.simulator().spawn(run_bounded(&c, writer, bump, 50, &committed));
   c.run_to_completion();
 
   EXPECT_TRUE(committed) << "object stayed wedged behind the orphaned lock";
-  EXPECT_GT(c.lock_lease_breaks(), 0u);
+  EXPECT_GT(c.metrics().lease_breaks, 0u);
   EXPECT_FALSE(doomed_committed);
   std::int64_t final_v = -1;
   c.spawn_client(writer, [&, obj](DecentTxn& t) -> sim::Task<void> {
@@ -337,6 +333,42 @@ TEST(Decent, OrphanedLockShedByLeaseUnwedgesObject) {
   });
   c.run_to_completion();
   EXPECT_EQ(final_v, 1) << "only the second writer's increment commits";
+}
+
+// ------------------------------------------------- shared retry loop
+//
+// Both baselines run their transactions through the shell's one retry loop:
+// every abort is counted and recorded, and every abort but the last waits
+// out a root backoff before the next attempt.
+
+template <class Cluster>
+class BaselineShell : public ::testing::Test {};
+using BaselineClusters = ::testing::Types<TfaCluster, DecentCluster>;
+TYPED_TEST_SUITE(BaselineShell, BaselineClusters);
+
+TYPED_TEST(BaselineShell, BoundedRetryGivesUpAfterMaxAttempts) {
+  TypeParam c(typename TypeParam::Config{});
+  core::HistoryRecorder rec;
+  c.set_history_recorder(&rec);
+  const ObjectId missing = c.seed_new_object(enc_i64(0)) + 1;
+  // Neither protocol can serve a never-seeded object: each attempt aborts.
+  typename TypeParam::Body read_missing =
+      [missing](typename TypeParam::Txn& t) -> sim::Task<void> {
+    (void)co_await t.read(missing);
+  };
+  bool committed = true;
+  c.simulator().spawn(run_bounded(&c, 0, read_missing, 3, &committed));
+  c.run_to_completion();
+
+  EXPECT_FALSE(committed);
+  EXPECT_EQ(c.metrics().root_aborts, 3u);
+  EXPECT_EQ(c.metrics().commits, 0u);
+  EXPECT_EQ(c.latency().backoff_wait.count(), 2u);
+  EXPECT_EQ(c.latency().retry_gap.count(), 2u);
+  EXPECT_EQ(rec.events().size(), 3u);
+  for (const core::HistoryEvent& e : rec.events()) {
+    EXPECT_EQ(e.kind, core::HistoryEvent::Kind::kAbort);
+  }
 }
 
 }  // namespace

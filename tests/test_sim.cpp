@@ -273,47 +273,6 @@ TEST(Simulator, AdvanceToDoesNotStop) {
   EXPECT_TRUE(s.stopping());
 }
 
-TEST(Mailbox, DeliversInFifoOrder) {
-  Simulator s;
-  Mailbox<int> mb(s);
-  std::vector<int> got;
-  s.spawn([](Mailbox<int>* m, std::vector<int>* out) -> Task<void> {
-    for (int i = 0; i < 3; ++i) out->push_back(co_await m->recv());
-  }(&mb, &got));
-  s.schedule_at(10, [&] { mb.push(1); });
-  s.schedule_at(10, [&] { mb.push(2); });
-  s.schedule_at(20, [&] { mb.push(3); });
-  s.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(WaitGroup, WaitsForAll) {
-  Simulator s;
-  WaitGroup wg(s, 3);
-  Tick when = 0;
-  s.spawn([](Simulator* sim, WaitGroup* w, Tick* out) -> Task<void> {
-    co_await w->wait();
-    *out = sim->now();
-  }(&s, &wg, &when));
-  s.schedule_at(10, [&] { wg.done(); });
-  s.schedule_at(20, [&] { wg.done(); });
-  s.schedule_at(30, [&] { wg.done(); });
-  s.run();
-  EXPECT_EQ(when, 30u);
-}
-
-TEST(WaitGroup, ZeroCountIsImmediatelyReady) {
-  Simulator s;
-  WaitGroup wg(s, 0);
-  bool done = false;
-  s.spawn([](WaitGroup* w, bool* out) -> Task<void> {
-    co_await w->wait();
-    *out = true;
-  }(&wg, &done));
-  s.run();
-  EXPECT_TRUE(done);
-}
-
 // Determinism property: interleaving of many delayed processes is identical
 // across runs.
 TEST(SimProperty, DeterministicInterleaving) {

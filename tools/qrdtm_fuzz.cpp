@@ -328,12 +328,13 @@ BankOp draw_bank_op(Rng& rng) {
   return op;
 }
 
-sim::Task<void> tfa_client(baselines::TfaCluster* cl, net::NodeId node,
-                           Rng rng, std::uint32_t txns,
-                           std::uint32_t* gave_up) {
+template <class Cluster>
+sim::Task<void> bank_client(Cluster* cl, net::NodeId node, Rng rng,
+                            std::uint32_t txns, std::uint32_t* gave_up) {
   for (std::uint32_t i = 0; i < txns; ++i) {
     const BankOp op = draw_bank_op(rng);
-    baselines::TfaBody body = [op](baselines::TfaTxn& t) -> sim::Task<void> {
+    typename Cluster::Body body =
+        [op](typename Cluster::Txn& t) -> sim::Task<void> {
       if (op.audit) {
         co_await t.read(op.a);
         co_await t.read(op.b);
@@ -358,7 +359,7 @@ sim::Task<void> tfa_checker(baselines::TfaCluster* cl, bool* ok,
   // whole-sum transaction could stall on a home-node lock orphaned by a
   // dropped lock response (its forwarding revalidation re-checks locks;
   // the lock lease sheds the orphan eventually, but only after
-  // TfaConfig::lock_lease of wall-clock the checker would burn in
+  // BaselineConfig::lock_lease of wall-clock the checker would burn in
   // retries).  A single-read transaction forwards before its first
   // read-set entry exists, so it always commits.
   std::int64_t sum = 0;
@@ -380,80 +381,6 @@ sim::Task<void> tfa_checker(baselines::TfaCluster* cl, bool* ok,
   *ok = sum == kBankTotal;
 }
 
-ComboResult run_tfa(const ComboSpec& c) {
-  baselines::TfaConfig cfg;
-  cfg.num_nodes = kNumNodes;
-  cfg.seed = c.seed;
-  baselines::TfaCluster cluster(cfg);
-  ComboResult out;
-  cluster.set_history_recorder(&out.recorder);
-  for (std::uint32_t i = 0; i < kBankAccounts; ++i) {
-    cluster.seed_new_object(apps::enc_i64(1000));
-  }
-
-  const core::FaultSchedule sched = make_schedule(c);
-  sched.arm(cluster.simulator(), cluster.network(), nullptr, &out.recorder);
-
-  std::uint32_t gave_up = 0;
-  for (std::uint32_t n = 0; n < kClients; ++n) {
-    cluster.simulator().spawn(tfa_client(&cluster,
-                                         static_cast<net::NodeId>(n),
-                                         Rng(c.seed).split(200 + n),
-                                         c.txns_per_client, &gave_up));
-  }
-  cluster.run_to_completion();
-
-  cluster.network().set_drop_probability(0.0);
-  cluster.network().clear_partition();
-  for (std::uint32_t n = 0; n < kNumNodes; ++n) {
-    cluster.network().set_node_slowdown(static_cast<net::NodeId>(n), 0);
-  }
-  bool invariant_ok = false;
-  bool checker_committed = false;
-  cluster.simulator().spawn(
-      tfa_checker(&cluster, &invariant_ok, &checker_committed));
-  cluster.run_to_completion();
-
-  const core::CheckResult cr =
-      core::check_history(out.recorder, core::CheckLevel::kSerializable);
-  out.committed = cr.committed;
-  if (!cr.ok) {
-    out.violation = true;
-    out.report = cr.report;
-  } else if (!checker_committed) {
-    out.violation = true;
-    out.report = "bank sum checker could not commit after chaos cleared";
-  } else if (!invariant_ok) {
-    out.violation = true;
-    out.report = "bank balance sum diverged from the seeded total";
-  }
-  return out;
-}
-
-sim::Task<void> decent_client(baselines::DecentCluster* cl, net::NodeId node,
-                              Rng rng, std::uint32_t txns,
-                              std::uint32_t* gave_up) {
-  for (std::uint32_t i = 0; i < txns; ++i) {
-    const BankOp op = draw_bank_op(rng);
-    baselines::DecentBody body =
-        [op](baselines::DecentTxn& t) -> sim::Task<void> {
-      if (op.audit) {
-        co_await t.read(op.a);
-        co_await t.read(op.b);
-        co_await t.read(op.c);
-        co_return;
-      }
-      const core::Bytes da = co_await t.read_for_write(op.a);
-      const core::Bytes db = co_await t.read_for_write(op.b);
-      t.write(op.a, apps::enc_i64(apps::dec_i64(da) - op.amount));
-      t.write(op.b, apps::enc_i64(apps::dec_i64(db) + op.amount));
-    };
-    const bool ok = co_await cl->run_transaction_bounded(node, std::move(body),
-                                                         kMaxAttempts);
-    if (!ok) ++*gave_up;
-  }
-}
-
 sim::Task<void> decent_checker(baselines::DecentCluster* cl, bool* ok,
                                bool* committed) {
   baselines::DecentBody body = [ok](baselines::DecentTxn& t) -> sim::Task<void> {
@@ -466,11 +393,17 @@ sim::Task<void> decent_checker(baselines::DecentCluster* cl, bool* ok,
   *committed = co_await cl->run_transaction_bounded(0, std::move(body), 100);
 }
 
-ComboResult run_decent(const ComboSpec& c) {
-  baselines::DecentConfig cfg;
+/// One baseline combo: Bank clients under the combo's fault schedule, then
+/// `checker` on the quiesced cluster and check_history() at `level`.
+/// Client n draws from Rng(seed).split(salt + n).
+template <class Cluster>
+ComboResult run_baseline(const ComboSpec& c, core::CheckLevel level,
+                         std::uint64_t salt,
+                         sim::Task<void> (*checker)(Cluster*, bool*, bool*)) {
+  typename Cluster::Config cfg;
   cfg.num_nodes = kNumNodes;
   cfg.seed = c.seed;
-  baselines::DecentCluster cluster(cfg);
+  Cluster cluster(cfg);
   ComboResult out;
   cluster.set_history_recorder(&out.recorder);
   for (std::uint32_t i = 0; i < kBankAccounts; ++i) {
@@ -482,10 +415,10 @@ ComboResult run_decent(const ComboSpec& c) {
 
   std::uint32_t gave_up = 0;
   for (std::uint32_t n = 0; n < kClients; ++n) {
-    cluster.simulator().spawn(decent_client(&cluster,
-                                            static_cast<net::NodeId>(n),
-                                            Rng(c.seed).split(300 + n),
-                                            c.txns_per_client, &gave_up));
+    cluster.simulator().spawn(bank_client(&cluster,
+                                          static_cast<net::NodeId>(n),
+                                          Rng(c.seed).split(salt + n),
+                                          c.txns_per_client, &gave_up));
   }
   cluster.run_to_completion();
 
@@ -497,13 +430,10 @@ ComboResult run_decent(const ComboSpec& c) {
   bool invariant_ok = false;
   bool checker_committed = false;
   cluster.simulator().spawn(
-      decent_checker(&cluster, &invariant_ok, &checker_committed));
+      checker(&cluster, &invariant_ok, &checker_committed));
   cluster.run_to_completion();
 
-  // DecentSTM provides snapshot isolation: write skew is legal, lost
-  // updates and phantom versions are not.
-  const core::CheckResult cr =
-      core::check_history(out.recorder, core::CheckLevel::kSnapshotReads);
+  const core::CheckResult cr = core::check_history(out.recorder, level);
   out.committed = cr.committed;
   if (!cr.ok) {
     out.violation = true;
@@ -520,8 +450,16 @@ ComboResult run_decent(const ComboSpec& c) {
 
 ComboResult run_combo(const ComboSpec& c) {
   if (c.protocol == "qr") return run_qr(c);
-  if (c.protocol == "tfa") return run_tfa(c);
-  if (c.protocol == "decent") return run_decent(c);
+  if (c.protocol == "tfa") {
+    return run_baseline<baselines::TfaCluster>(
+        c, core::CheckLevel::kSerializable, 200, tfa_checker);
+  }
+  if (c.protocol == "decent") {
+    // DecentSTM provides snapshot isolation: write skew is legal, lost
+    // updates and phantom versions are not.
+    return run_baseline<baselines::DecentCluster>(
+        c, core::CheckLevel::kSnapshotReads, 300, decent_checker);
+  }
   std::fprintf(stderr, "unknown protocol %s\n", c.protocol.c_str());
   std::exit(2);
 }
