@@ -5,7 +5,11 @@
 //   * fixed-width little-endian integers (u8/u16/u32/u64, i64),
 //   * doubles as their IEEE-754 bit pattern,
 //   * strings and byte blobs as u32 length + raw bytes,
-//   * vectors as u32 count + elements.
+//   * vectors as u32 count + elements,
+//   * runs of fixed-size records as u32 count + count * stride bytes
+//     (encode_records / decode_records): written with one buffer extension,
+//     bounds-checked as a whole on decode and then read in place through a
+//     RecordView, record by record, without a decoded copy.
 // Decoding is fully bounds-checked and throws SerdeError on malformed input
 // (a replica must never crash on a corrupt message).
 //
@@ -17,6 +21,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -65,13 +70,23 @@ class Writer {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  void blob(const Bytes& b) {
+  void blob(std::span<const std::uint8_t> b) {
     u32(static_cast<std::uint32_t>(b.size()));
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
   /// Raw append without a length prefix (for nested pre-encoded sections).
   void raw(const Bytes& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+
+  /// Append `n` zeroed bytes and return where they start, for a caller
+  /// that fills them at fixed offsets (encode_records).  The pointer is
+  /// valid until the next append.
+  std::uint8_t* extend(std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n) grow(n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   Bytes take() && { return std::move(buf_); }
   const Bytes& bytes() const { return buf_; }
@@ -80,10 +95,7 @@ class Writer {
  private:
   template <class T>
   void put_le(T v) {
-    if (buf_.capacity() - buf_.size() < sizeof(T)) grow(sizeof(T));
-    const std::size_t at = buf_.size();
-    buf_.resize(at + sizeof(T));
-    std::memcpy(buf_.data() + at, &v, sizeof(T));
+    std::memcpy(extend(sizeof(T)), &v, sizeof(T));
   }
   // Growth happens here, out of line, so the resize above never reallocates
   // where the optimiser can see it.  GCC 12 at -Wall -Wextra reports false
@@ -129,9 +141,17 @@ class Reader {
   }
 
   Bytes blob() {
-    std::uint32_t n = u32();
+    const std::span<const std::uint8_t> b = blob_view();
+    return Bytes(b.begin(), b.end());
+  }
+
+  /// A blob left in place: the span borrows the Reader's buffer.
+  std::span<const std::uint8_t> blob_view() { return borrow(u32()); }
+
+  /// The next `n` bytes, borrowed in place.
+  std::span<const std::uint8_t> borrow(std::size_t n) {
     need(n);
-    Bytes b(buf_ + pos_, buf_ + pos_ + n);
+    const std::span<const std::uint8_t> b(buf_ + pos_, n);
     pos_ += n;
     return b;
   }
@@ -163,6 +183,87 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// Fixed-offset encoder over one record of `size` bytes that encode_records
+/// has already appended, with Writer's fixed-width integer fields.  Writing
+/// past the record's end throws; with the record encoder inlined the
+/// offsets are constants and the checks fold away.
+class RecordWriter {
+ public:
+  RecordWriter(std::uint8_t* at, std::size_t size) : at_(at), size_(size) {}
+
+  void u8(std::uint8_t v) { put_le(v); }
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
+
+  bool full() const { return pos_ == size_; }
+
+ private:
+  template <class T>
+  void put_le(T v) {
+    if (size_ - pos_ < sizeof(T)) throw SerdeError("record overflow");
+    std::memcpy(at_ + pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
+  }
+  std::uint8_t* at_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+};
+
+/// Encode `v` as a u32 count plus one kStride-byte record per element: the
+/// buffer is extended once, then `enc(RecordWriter&, const T&)` fills each
+/// record at its fixed offset.  The record encoder must write exactly
+/// kStride bytes.
+template <std::size_t kStride, class T, class EncodeFn>
+void encode_records(Writer& w, const std::vector<T>& v, EncodeFn&& enc) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  std::uint8_t* at = w.extend(v.size() * kStride);
+  for (const T& e : v) {
+    RecordWriter rec(at, kStride);
+    enc(rec, e);
+    if (!rec.full()) throw SerdeError("record short of its stride");
+    at += kStride;
+  }
+}
+
+/// A run of kStride-byte records left in place in a decoded buffer (which
+/// must outlive the view).  decode_records checked the run's bounds as a
+/// whole; operator[] decodes record i with Decode over exactly its kStride
+/// bytes.
+template <std::size_t kStride, class T, T (*Decode)(Reader&)>
+class RecordView {
+ public:
+  RecordView() = default;
+  RecordView(const std::uint8_t* data, std::size_t count)
+      : data_(data), count_(count) {}
+
+  std::size_t size() const { return count_; }
+
+  T operator[](std::size_t i) const {
+    Reader rec(data_ + i * kStride, kStride);
+    T v = Decode(rec);
+    rec.expect_done();
+    return v;
+  }
+
+ private:
+  const std::uint8_t* data_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+/// Decode the count written by encode_records and borrow its records in
+/// place.  A count whose records overrun the buffer throws SerdeError here,
+/// before any record is read.
+template <std::size_t kStride, class T, T (*Decode)(Reader&)>
+RecordView<kStride, T, Decode> decode_records(Reader& r) {
+  static_assert(kStride > 0);
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / kStride) {
+    throw SerdeError("record count exceeds buffer");
+  }
+  return {r.borrow(n * kStride).data(), n};
+}
+
 /// Encode a vector with a u32 count prefix using a per-element encoder.
 template <class T, class EncodeFn>
 void encode_vec(Writer& w, const std::vector<T>& v, EncodeFn&& enc) {
@@ -171,19 +272,15 @@ void encode_vec(Writer& w, const std::vector<T>& v, EncodeFn&& enc) {
 }
 
 /// Decode a vector written by encode_vec.  The element decoder returns T.
-/// `reuse` lends its storage (cleared first): a caller that decodes into the
-/// same vector every time (`v = decode_vec<T>(r, dec, std::move(v))`)
-/// allocates only when a count outgrows every earlier one.
 template <class T, class DecodeFn>
-std::vector<T> decode_vec(Reader& r, DecodeFn&& dec,
-                          std::vector<T> reuse = {}) {
+std::vector<T> decode_vec(Reader& r, DecodeFn&& dec) {
   std::uint32_t n = r.u32();
   // Guard against absurd counts from corrupt input before reserving.
   if (n > r.remaining()) throw SerdeError("vector count exceeds buffer");
-  reuse.clear();
-  reuse.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) reuse.push_back(dec(r));
-  return reuse;
+  std::vector<T> v;
+  v.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) v.push_back(dec(r));
+  return v;
 }
 
 }  // namespace qrdtm

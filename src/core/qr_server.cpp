@@ -33,13 +33,14 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
-  // Replies are encoded into pooled buffers and reads decode into one
-  // reused request: in steady state a replica serves reads and votes
-  // without touching the allocator (an OK read copies its value).
+  // Replies are encoded into pooled buffers, and a read is validated in
+  // place in its request buffer and answered straight from the store entry:
+  // in steady state a replica serves reads and votes without touching the
+  // allocator.
   rpc.register_service(msg::kRead,
                        [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-                         read_req_.decode_into(b);
-                         ReadResponse resp = handle_read(read_req_);
+                         const ReadResponseView resp =
+                             handle_read(ReadRequest::decode_view(b));
                          if (tracer_ != nullptr) {
                            tracer_->instant(TraceKind::kServerRead, id_,
                                             rpc_.inbound_trace(),
@@ -47,7 +48,7 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
                                             static_cast<std::uint64_t>(resp.status));
                          }
                          Writer w(rpc_.acquire_buffer(msg::kRead));
-                         resp.encode_into(w);
+                         encode_read_response(w, resp);
                          return std::move(w).take();
                        });
   // Per-transaction commits and QR-Q batches share one 2PC handler pair;
@@ -208,7 +209,7 @@ bool QrServer::stale_or_protected(ObjectId id, Version seen, TxnId txn) {
   return local->is_protected && check_protected(id, txn);
 }
 
-std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
+std::optional<ReadResponseView> QrServer::validate(const ReadRequestView& req) {
   // No Rqv under flat QR; QR-Q also ships no data-set (batch-cache reads are
   // validated wholesale at the batch vote).
   if (req.mode == NestingMode::kFlat || req.mode == NestingMode::kQueued) {
@@ -222,7 +223,8 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   // Checkpointing: the minimum invalid checkpoint epoch (Alg. 4).
   ChkEpoch abort_chk = std::numeric_limits<ChkEpoch>::max();
 
-  for (const DataSetEntry& e : req.dataset) {
+  for (std::size_t i = 0; i < req.dataset.size(); ++i) {
+    const DataSetEntry e = req.dataset[i];
     if (!stale_or_protected(e.id, e.version, req.root)) continue;
     any_invalid = true;
     if (req.mode == NestingMode::kClosed) {
@@ -237,7 +239,7 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
 
   if (!any_invalid) return std::nullopt;
 
-  ReadResponse resp;
+  ReadResponseView resp;
   resp.status = ReadStatus::kAbort;
   if (req.mode == NestingMode::kClosed) {
     resp.abort_scope = abort_scope;
@@ -248,25 +250,17 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   return resp;
 }
 
-ReadResponse QrServer::handle_read(const ReadRequest& req) {
+ReadResponseView QrServer::handle_read(const ReadRequestView& req) {
   // While catching up this replica's copies may be stale; kMissing makes the
   // reader lean on the rest of its quorum (Q1 holds -- a syncing node is not
   // yet counted live by the provider, so quorums that include it are larger
-  // than needed, never smaller).
-  if (syncing_) {
-    ReadResponse missing;
-    missing.status = ReadStatus::kMissing;
-    return missing;
-  }
+  // than needed, never smaller).  A default-constructed reply is kMissing.
+  if (syncing_) return ReadResponseView{};
 
   if (auto abort = validate(req)) return *abort;
 
-  ReadResponse resp;
   const store::ReplicaEntry* e = store_.find(req.object);
-  if (e == nullptr) {
-    resp.status = ReadStatus::kMissing;
-    return resp;
-  }
+  if (e == nullptr) return ReadResponseView{};
   // A protected object is mid-2PC: its next version is decided but not yet
   // applied.  Under Rqv (QR-CN / QR-CHK) serving the old copy would hand the
   // requester a doomed version, so report a conflict instead (the same rule
@@ -278,7 +272,7 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
   if ((req.mode == NestingMode::kClosed ||
        req.mode == NestingMode::kCheckpoint) &&
       check_protected(req.object, req.root)) {
-    ReadResponse abort;
+    ReadResponseView abort;
     abort.status = ReadStatus::kAbort;
     if (req.mode == NestingMode::kClosed) {
       // The conflict is on the object being fetched: the fetching scope
@@ -291,10 +285,9 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
     return abort;
   }
 
-  resp.status = ReadStatus::kOk;
-  resp.version = e->version;
-  resp.data = e->data;
-  return resp;
+  // The reply borrows the stored value; the service encodes it at once.
+  return ReadResponseView{
+      .status = ReadStatus::kOk, .version = e->version, .data = e->data};
 }
 
 VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {

@@ -154,7 +154,9 @@ class QrServer {
     bool coord_no_decision_newer = false;
   };
 
-  ReadResponse handle_read(const ReadRequest& req);
+  /// Serve one read.  An OK reply borrows the stored value, valid until the
+  /// store next changes.
+  ReadResponseView handle_read(const ReadRequestView& req);
   /// 2PC vote for one transaction or one QR-Q batch: validate every read
   /// version and write base, report each stale id, protect + prepare the
   /// write-set on a commit vote.
@@ -164,7 +166,7 @@ class QrServer {
 
   /// Rqv (Alg. 1 + Alg. 4): returns an abort-carrying response when any
   /// data-set entry is invalid on this replica, nullopt when valid.
-  std::optional<ReadResponse> validate(const ReadRequest& req);
+  std::optional<ReadResponseView> validate(const ReadRequestView& req);
 
   /// protected_against with the coordinator-liveness lease applied: an
   /// expired merely-protected entry is shed (counted) and reads as
@@ -232,9 +234,6 @@ class QrServer {
   sim::Tick protection_lease_ = 0;
   bool syncing_ = false;
   bool skip_commit_validation_ = false;
-  /// Every kRead decodes into this one request (decode_into), so serving a
-  /// read reuses the data-set's storage instead of allocating it.
-  ReadRequest read_req_;
 
   // --- cooperative termination state (DESIGN.md §17) ---
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -77,11 +78,11 @@ Txn::OpToken Txn::begin_op() {
   return OpToken{idx, replay};
 }
 
-void Txn::log_op(const OpToken& token, Bytes data, ObjectId created) {
+void Txn::log_op(const OpToken& token, const Bytes& data, ObjectId created) {
   if (rt_.config().mode != NestingMode::kCheckpoint) return;
   Txn& r = root();
   QRDTM_CHECK(token.idx < r.op_log_.size());
-  r.op_log_[token.idx] = OpRecord{std::move(data), created};
+  r.op_log_[token.idx] = OpRecord{data, created};
 }
 
 const OwnedCopy* Txn::find_local(ObjectId id, bool* from_writeset) const {
@@ -134,8 +135,12 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
   if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
   rt_.rpc_.release_buffer(std::move(encoded));
 
+  // The winning OK reply's buffer is kept and its value copied out once,
+  // after the gather; every other reply is parsed in place and released.
   bool have_best = false;
-  ObjectCopy best;
+  Version best_version = 0;
+  Bytes best_reply;
+  std::span<const std::uint8_t> best_value;  // into best_reply
   bool have_abort = false;
   TxnId abort_scope = 0;
   std::uint32_t abort_depth = kDepthMax;
@@ -147,8 +152,7 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
     rt_.report_rpc_outcome(res.from, res.ok);
     if (!res.ok) continue;  // dead member or lost reply
     ++ok_replies;
-    ReadResponse resp = ReadResponse::decode(res.payload);
-    rt_.rpc_.release_buffer(std::move(res.payload));
+    const ReadResponseView resp = ReadResponse::decode_view(res.payload);
     switch (resp.status) {
       case ReadStatus::kAbort:
         have_abort = true;
@@ -166,15 +170,22 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
         }
         break;
       case ReadStatus::kOk:
-        if (!have_best || resp.version > best.version) {
-          best = ObjectCopy{id, resp.version, std::move(resp.data)};
+        if (!have_best || resp.version > best_version) {
+          // Moving a vector keeps its storage, so the span stays valid.
+          best_version = resp.version;
+          best_value = resp.data;
+          std::swap(best_reply, res.payload);
           have_best = true;
         }
         break;
       case ReadStatus::kMissing:
         break;
     }
+    rt_.rpc_.release_buffer(std::move(res.payload));
   }
+  ObjectCopy best{id, best_version,
+                  Bytes(best_value.begin(), best_value.end())};
+  rt_.rpc_.release_buffer(std::move(best_reply));
 
   // Record the fetch before the abort checks so aborted fetches still count
   // toward read RTT (they cost the same wall-clock round trip).

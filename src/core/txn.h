@@ -316,8 +316,9 @@ class Txn {
   /// abort is pending, or the step guard trips now and records one).
   OpToken begin_op();
 
-  /// Store an operation result in the root's op log (QR-CHK only).
-  void log_op(const OpToken& token, Bytes data, ObjectId created);
+  /// Store an operation result in the root's op log (QR-CHK only).  Takes
+  /// the result by reference: the other modes keep no log and copy nothing.
+  void log_op(const OpToken& token, const Bytes& data, ObjectId created);
 
   void merge_into_parent();
   void reset_full();        // root: discard everything (full abort)

@@ -6,7 +6,6 @@ namespace {
 
 // Exact encoded sizes, used to reserve() writers before encoding so even a
 // cold (unpooled) buffer allocates at most once.
-constexpr std::size_t kEntryBytes = 8 + 8 + 8 + 4 + 8;      // DataSetEntry
 constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
 constexpr std::size_t kReadEntryBytes = 8 + 8;              // CommitReadEntry
@@ -34,7 +33,7 @@ CommitWriteEntry decode_write(Reader& r) {
   return e;
 }
 
-void encode_entry(Writer& w, const DataSetEntry& e) {
+void encode_dataset_entry(RecordWriter& w, const DataSetEntry& e) {
   w.u64(e.id);
   w.u64(e.version);
   w.u64(e.owner);
@@ -52,27 +51,17 @@ E checked_enum(std::uint8_t raw, E last) {
   return static_cast<E>(raw);
 }
 
-DataSetEntry decode_entry(Reader& r) {
-  DataSetEntry e;
-  e.id = r.u64();
-  e.version = r.u64();
-  e.owner = r.u64();
-  e.owner_depth = r.u32();
-  e.owner_chk = r.u64();
-  return e;
-}
-
 }  // namespace
 
 void encode_read_request(Writer& w, TxnId root, NestingMode mode,
                          ObjectId object, bool for_write,
                          const std::vector<DataSetEntry>& dataset) {
-  w.reserve(w.size() + kReadReqHeader + dataset.size() * kEntryBytes);
+  w.reserve(w.size() + kReadReqHeader + dataset.size() * kDataSetEntryBytes);
   w.u64(root);
   w.u8(static_cast<std::uint8_t>(mode));
   w.u64(object);
   w.boolean(for_write);
-  encode_vec(w, dataset, encode_entry);
+  encode_records<kDataSetEntryBytes>(w, dataset, encode_dataset_entry);
 }
 
 void ReadRequest::encode_into(Writer& w) const {
@@ -85,30 +74,51 @@ Bytes ReadRequest::encode() const {
   return std::move(w).take();
 }
 
-void ReadRequest::decode_into(const Bytes& b) {
+ReadRequestView ReadRequest::decode_view(const Bytes& b) {
   Reader r(b);
-  root = r.u64();
-  mode = checked_enum(r.u8(), NestingMode::kQueued);
-  object = r.u64();
-  for_write = r.boolean();
-  dataset = decode_vec<DataSetEntry>(r, decode_entry, std::move(dataset));
+  ReadRequestView v;
+  v.root = r.u64();
+  v.mode = checked_enum(r.u8(), NestingMode::kQueued);
+  v.object = r.u64();
+  v.for_write = r.boolean();
+  v.dataset =
+      decode_records<kDataSetEntryBytes, DataSetEntry, decode_dataset_entry>(
+          r);
   r.expect_done();
+  return v;
 }
 
 ReadRequest ReadRequest::decode(const Bytes& b) {
+  const ReadRequestView v = decode_view(b);
   ReadRequest req;
-  req.decode_into(b);
+  req.root = v.root;
+  req.mode = v.mode;
+  req.object = v.object;
+  req.for_write = v.for_write;
+  req.dataset.reserve(v.dataset.size());
+  for (std::size_t i = 0; i < v.dataset.size(); ++i) {
+    req.dataset.push_back(v.dataset[i]);
+  }
   return req;
 }
 
+void encode_read_response(Writer& w, const ReadResponseView& resp) {
+  w.reserve(w.size() + kReadRespHeader + resp.data.size());
+  w.u8(static_cast<std::uint8_t>(resp.status));
+  w.u64(resp.version);
+  w.blob(resp.data);
+  w.u64(resp.abort_scope);
+  w.u32(resp.abort_depth);
+  w.u64(resp.abort_chk);
+}
+
 void ReadResponse::encode_into(Writer& w) const {
-  w.reserve(w.size() + kReadRespHeader + data.size());
-  w.u8(static_cast<std::uint8_t>(status));
-  w.u64(version);
-  w.blob(data);
-  w.u64(abort_scope);
-  w.u32(abort_depth);
-  w.u64(abort_chk);
+  encode_read_response(w, ReadResponseView{.status = status,
+                                           .version = version,
+                                           .data = data,
+                                           .abort_scope = abort_scope,
+                                           .abort_depth = abort_depth,
+                                           .abort_chk = abort_chk});
 }
 
 Bytes ReadResponse::encode() const {
@@ -117,17 +127,27 @@ Bytes ReadResponse::encode() const {
   return std::move(w).take();
 }
 
-ReadResponse ReadResponse::decode(const Bytes& b) {
+ReadResponseView ReadResponse::decode_view(const Bytes& b) {
   Reader r(b);
-  ReadResponse resp;
-  resp.status = checked_enum(r.u8(), ReadStatus::kAbort);
-  resp.version = r.u64();
-  resp.data = r.blob();
-  resp.abort_scope = r.u64();
-  resp.abort_depth = r.u32();
-  resp.abort_chk = r.u64();
+  ReadResponseView v;
+  v.status = checked_enum(r.u8(), ReadStatus::kAbort);
+  v.version = r.u64();
+  v.data = r.blob_view();
+  v.abort_scope = r.u64();
+  v.abort_depth = r.u32();
+  v.abort_chk = r.u64();
   r.expect_done();
-  return resp;
+  return v;
+}
+
+ReadResponse ReadResponse::decode(const Bytes& b) {
+  const ReadResponseView v = decode_view(b);
+  return ReadResponse{.status = v.status,
+                      .version = v.version,
+                      .data = Bytes(v.data.begin(), v.data.end()),
+                      .abort_scope = v.abort_scope,
+                      .abort_depth = v.abort_depth,
+                      .abort_chk = v.abort_chk};
 }
 
 void CommitRequest::encode_into(Writer& w) const {

@@ -5,10 +5,19 @@
 // including every ancestor's) so the replica can validate incrementally
 // before serving the object (paper Alg. 1, 2, 4).  Under flat QR the
 // data-set is empty and replicas skip validation.
+//
+// The read round trip is parsed in place.  ReadRequest::decode_view leaves
+// the data-set in the request buffer as fixed 36-byte records, which the
+// replica validates one by one without building a vector; an OK reply is
+// encoded straight from the store entry; and the requester parses replies
+// with ReadResponse::decode_view, copying out only the winning value.  The
+// owning decode() of each message is its view plus a copy-out, so each has
+// one parser.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/serde.h"
@@ -46,6 +55,28 @@ struct DataSetEntry {
   ChkEpoch owner_chk = 0;
 };
 
+/// Encoded size of one DataSetEntry record: id, version, owner, owner_depth,
+/// owner_chk.
+inline constexpr std::size_t kDataSetEntryBytes = 8 + 8 + 8 + 4 + 8;
+
+/// Reads one data-set record: the decode half of encode_dataset_entry in
+/// wire.cpp.
+inline DataSetEntry decode_dataset_entry(Reader& r) {
+  DataSetEntry e;
+  e.id = r.u64();
+  e.version = r.u64();
+  e.owner = r.u64();
+  e.owner_depth = r.u32();
+  e.owner_chk = r.u64();
+  return e;
+}
+
+/// A request's data-set left in place in its buffer.
+using DataSetView =
+    RecordView<kDataSetEntryBytes, DataSetEntry, decode_dataset_entry>;
+
+struct ReadRequestView;
+
 struct ReadRequest {
   /// Root transaction id: the Rqv protection key (a protection held by the
   /// requester's own root does not block its reads).
@@ -59,13 +90,21 @@ struct ReadRequest {
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
+  /// decode_view plus a copy of the data-set.
   static ReadRequest decode(const Bytes& b);
-  /// Decode `b` over this request, reusing the data-set's capacity: a
-  /// replica that decodes every read into one ReadRequest allocates no
-  /// data-set vector in steady state.  Throws SerdeError like decode(); the
-  /// request is then partly overwritten and must be decoded again before
-  /// use.
-  void decode_into(const Bytes& b);
+  /// The one parser: checks the whole message (mode byte, data-set count
+  /// against the buffer, no trailing bytes) and throws SerdeError before
+  /// any data-set record is read.  The view borrows `b`.
+  static ReadRequestView decode_view(const Bytes& b);
+};
+
+/// A ReadRequest whose data-set stays in the request buffer.
+struct ReadRequestView {
+  TxnId root = 0;
+  NestingMode mode = NestingMode::kFlat;
+  ObjectId object = 0;
+  bool for_write = false;
+  DataSetView dataset;
 };
 
 /// Encode a ReadRequest straight from its fields, with the data-set borrowed
@@ -82,6 +121,21 @@ enum class ReadStatus : std::uint8_t {
   kAbort = 2     // Rqv validation failed; abort info attached
 };
 
+/// A ReadResponse whose value is borrowed: from the store entry when a
+/// replica encodes it, from the reply buffer when a requester parses it.
+struct ReadResponseView {
+  ReadStatus status = ReadStatus::kMissing;
+  Version version = 0;
+  std::span<const std::uint8_t> data;
+  TxnId abort_scope = 0;
+  std::uint32_t abort_depth = 0;
+  ChkEpoch abort_chk = 0;
+};
+
+/// Encode a read reply from a view, so a replica ships its stored value
+/// without copying it into a ReadResponse first.
+void encode_read_response(Writer& w, const ReadResponseView& resp);
+
 struct ReadResponse {
   ReadStatus status = ReadStatus::kMissing;
   Version version = 0;
@@ -93,7 +147,10 @@ struct ReadResponse {
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
+  /// decode_view plus a copy of the value.
   static ReadResponse decode(const Bytes& b);
+  /// The one parser; the view's value borrows `b`.
+  static ReadResponseView decode_view(const Bytes& b);
 };
 
 /// One read-set entry validated at commit time.

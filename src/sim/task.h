@@ -12,14 +12,22 @@
 // and was detached by Simulator::spawn's driver).  Destroying a suspended
 // frame destroys the child Task it awaits, and so on down the chain: the
 // transaction runtime cancels an aborted scope's body this way.
+//
+// Frames are recycled: the promise's class operator new/delete go through
+// FramePool's per-thread size-class free lists (common/pool.h), so a warm
+// co_await chain allocates nothing.  Under AddressSanitizer the pool is
+// compiled out and every frame goes back to the heap, where ASan sees a
+// use of a destroyed frame.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 #include <variant>
 
 #include "common/check.h"
+#include "common/pool.h"
 
 namespace qrdtm::sim {
 
@@ -31,6 +39,11 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;  // who co_awaits us (may be null)
   std::exception_ptr exception;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::release(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -131,11 +131,10 @@ const std::vector<LoggedWrite>* CommitLog::find_pending(TxnId txn) const {
 
 void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
                     bool carry_in_flight) {
-  // Snapshot the committed image, ids ascending (the store map is
-  // unordered; the disk bytes must not depend on hash order).
+  // Snapshot the committed image, ids ascending (the disk bytes must not
+  // depend on the store's insertion order).
   std::vector<ObjectId> ids;
   ids.reserve(store.num_objects());
-  // Collect-then-sort below.  qrdtm-lint: allow(det-unordered-iter)
   for (const auto& [id, e] : store.entries()) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
 

@@ -13,11 +13,16 @@
 // An object a replica has never heard of behaves as version 0: validation
 // treats the replica as maximally stale for it, which is safe (Q1 guarantees
 // some quorum member is up to date).
+//
+// Every Rqv read probes the store once per data-set entry, so lookup is a
+// flat index: open addressing with linear probing over a power-of-two slot
+// array, each slot holding an id beside a pointer to its entry.  Entries
+// live in a deque and never move, and nothing is erased except by
+// clear_all(), so a ReplicaEntry* stays valid across any later insert.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "common/bytes.h"
@@ -28,7 +33,6 @@ namespace qrdtm::store {
 struct ReplicaEntry {
   Version version = 0;
   Bytes data;
-  bool is_protected = false;
   TxnId protector = 0;
   /// Simulation tick when the current protection was taken; the coordinator-
   /// liveness lease (QrServer) sheds protections older than the lease.
@@ -38,13 +42,29 @@ struct ReplicaEntry {
   /// cooperative termination protocol (DESIGN.md §17) instead of being shed
   /// silently -- shedding it could lose an acknowledged commit.
   bool prepared = false;
+  bool is_protected = false;
+};
+
+/// One stored object: its id beside its entry.
+struct StoredObject {
+  ObjectId id = kNullObject;
+  ReplicaEntry entry;
 };
 
 class ReplicaStore {
  public:
+  ReplicaStore() { clear_all(); }
+  // Index slots point into objects_: a copy would alias the original, but a
+  // move hands over the deque's storage with every entry in place.  A
+  // moved-from store may only be destroyed or assigned to.
+  ReplicaStore(const ReplicaStore&) = delete;
+  ReplicaStore& operator=(const ReplicaStore&) = delete;
+  ReplicaStore(ReplicaStore&&) = default;
+  ReplicaStore& operator=(ReplicaStore&&) = default;
+
   /// Looks up an entry; nullptr when the replica has no copy.
-  const ReplicaEntry* find(ObjectId id) const;
-  ReplicaEntry* find_mut(ObjectId id);
+  const ReplicaEntry* find(ObjectId id) const { return probe(id); }
+  ReplicaEntry* find_mut(ObjectId id) { return probe(id); }
 
   /// The replica's version for validation purposes (0 when absent).
   Version version_of(ObjectId id) const;
@@ -96,24 +116,52 @@ class ReplicaStore {
   /// Wipe EVERYTHING, committed versions included.  Models a crash: memory
   /// is volatile, the CommitLog is the disk, and recovery rebuilds the store
   /// via CommitLog::replay_into.
-  void clear_all() { entries_.clear(); }
+  void clear_all();
 
-  std::size_t num_objects() const { return entries_.size(); }
+  std::size_t num_objects() const { return objects_.size(); }
 
   /// Always 0: the store keeps no per-transaction reader/writer entries.
   /// Kept only because benchmark/main.cpp still reports it.
   std::size_t tracked_txn_entries() const { return 0; }
 
-  /// Whole-store view for recovery catch-up serving; iteration order is
-  /// unspecified, so consumers building wire payloads must sort by id.
-  const std::unordered_map<ObjectId, ReplicaEntry>& entries() const {
-    return entries_;
-  }
+  /// Whole-store view for recovery catch-up serving, in first-insert
+  /// order; consumers building wire payloads sort by id.
+  const std::deque<StoredObject>& entries() const { return objects_; }
 
  private:
-  ReplicaEntry& get_or_create(ObjectId id);
+  /// An index slot; id kNullObject (never stored) marks it empty, with a
+  /// null entry.
+  struct Slot {
+    ObjectId id = kNullObject;
+    ReplicaEntry* entry = nullptr;
+  };
 
-  std::unordered_map<ObjectId, ReplicaEntry> entries_;
+  /// Fibonacci hashing: the top bits of id * 2^64/phi pick the home slot,
+  /// so ids that differ only in their high (node) bits still spread.
+  std::size_t home_of(ObjectId id) const {
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// The entry for `id`, or nullptr.  The index is at most half full, so
+  /// the probe always reaches an empty slot, which ends it with nullptr (a
+  /// lookup of kNullObject stops at the first one).
+  ReplicaEntry* probe(ObjectId id) const {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = home_of(id);; i = (i + 1) & mask) {
+      const Slot& s = index_[i];
+      if (s.id == id || s.id == kNullObject) return s.entry;
+    }
+  }
+
+  ReplicaEntry& get_or_create(ObjectId id);
+  /// Index `o` in the first empty slot from its home.
+  void place(StoredObject& o);
+  /// Double the slot array and re-home every object.
+  void grow_index();
+
+  std::deque<StoredObject> objects_;
+  std::vector<Slot> index_;  // power-of-two size, at most half full
+  unsigned shift_ = 0;       // 64 - log2(index_.size())
 };
 
 }  // namespace qrdtm::store

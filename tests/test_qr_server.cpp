@@ -197,9 +197,10 @@ TEST(QrServer, RqvStaleEntryShortCircuitsTheLeaseCheck) {
 }
 
 // --- allocation regression -------------------------------------------------
-// A replica decodes every read into one reused request and encodes the reply
-// into a pooled buffer: in steady state, serving an Rqv read allocates
-// nothing when validation fails, and only the value copy when it succeeds.
+// A replica validates every read's data-set in place in the request buffer
+// and encodes the reply into a pooled buffer, an OK reply straight from the
+// store entry: in steady state, serving an Rqv read allocates nothing,
+// whether validation fails or succeeds.
 
 /// Allocations per served read, after warm-up: `req` is delivered as a
 /// one-way message, so the count covers the server side only (decode,
@@ -221,7 +222,7 @@ double allocs_per_served_read(Rig& rig, const ReadRequest& req) {
          kServed;
 }
 
-TEST(AllocRegression, RqvReadServingAllocatesOnlyTheValueCopy) {
+TEST(AllocRegression, RqvReadServingIsAllocationFree) {
   if (!qrdtm::testing::alloc_hook_active()) {
     GTEST_SKIP() << "allocation counting unavailable (sanitizer build intercepts\n operator new, or replacement not linked in)";
   }
@@ -233,9 +234,11 @@ TEST(AllocRegression, RqvReadServingAllocatesOnlyTheValueCopy) {
     rig.store().seed(id, Bytes{}, 5);
     req.dataset.push_back(DataSetEntry{id, 5, 100, 0, 0});
   }
-  EXPECT_EQ(allocs_per_served_read(rig, req), 1.0)
-      << "an OK read allocates only ReadResponse::data";
+  ASSERT_EQ(rig.read(req).status, ReadStatus::kOk);
+  EXPECT_EQ(allocs_per_served_read(rig, req), 0.0)
+      << "an OK read is encoded from the store entry, with no value copy";
   req.dataset.back().version = 4;  // stale: validation fails
+  ASSERT_EQ(rig.read(req).status, ReadStatus::kAbort);
   EXPECT_EQ(allocs_per_served_read(rig, req), 0.0)
       << "a failed Rqv read allocates nothing";
 }

@@ -346,5 +346,40 @@ TEST(AllocRegression, SteadyStateDelayResumeIsAllocationFree) {
   EXPECT_EQ(after_measure, after_warm);
 }
 
+// Frames come from FramePool: once each frame size has been allocated and
+// freed, a three-deep co_await chain (the shape of Txn::read ->
+// acquire_copy -> quorum_fetch) allocates nothing.
+Task<int> chain_leaf(Simulator* sim, int v) {
+  co_await sim->delay(1);
+  co_return v + 1;
+}
+Task<int> chain_mid(Simulator* sim, int v) {
+  co_return co_await chain_leaf(sim, v) * 2;
+}
+Task<int> chain_top(Simulator* sim, int v) {
+  co_return co_await chain_mid(sim, v) - 1;
+}
+
+TEST(AllocRegression, SteadyStateTaskChainIsAllocationFree) {
+  if (!qrdtm::testing::alloc_hook_active()) {
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build intercepts\n operator new, or replacement not linked in)";
+  }
+  Simulator s;
+  std::uint64_t after_warm = 0;
+  std::uint64_t after_measure = 0;
+  long sum = 0;
+  s.spawn([](Simulator* sim, std::uint64_t* warm, std::uint64_t* measure,
+             long* total) -> Task<void> {
+    for (int i = 0; i < 1024; ++i) *total += co_await chain_top(sim, i);
+    *warm = qrdtm::testing::alloc_count();
+    for (int i = 0; i < 1024; ++i) *total += co_await chain_top(sim, i);
+    *measure = qrdtm::testing::alloc_count();
+  }(&s, &after_warm, &after_measure, &sum));
+  s.run();
+  ASSERT_NE(after_measure, 0u);
+  EXPECT_EQ(after_measure, after_warm);
+  EXPECT_EQ(sum, 2 * (1024L * 1023L + 1024L));  // sum of 2(i+1)-1, twice
+}
+
 }  // namespace
 }  // namespace qrdtm::sim

@@ -1,13 +1,19 @@
 // Wire-format tests for the QR protocol messages: exact bytes, round trips,
-// the replica's reused read decode, and fuzzing the decoders with random/
-// truncated bytes (a replica must reject corrupt input with SerdeError,
-// never crash or accept garbage silently).
+// the in-place read views, and fuzzing the decoders with random/truncated
+// bytes (a replica must reject corrupt input with SerdeError, never crash or
+// accept garbage silently).  The read-request sweeps run every input through
+// ReadRequest::decode and through a live replica's kRead service, which
+// validates the data-set in place.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/rng.h"
+#include "core/qr_server.h"
 #include "core/wire.h"
+#include "net/latency.h"
 
 namespace qrdtm::core {
 namespace {
@@ -26,6 +32,60 @@ ReadRequest sample_read_request(Rng& rng) {
   }
   return req;
 }
+
+/// One replica behind a two-endpoint network, fed raw kRead payloads.  Its
+/// protection lease is 1 us, so a served Rqv read sheds (and counts in
+/// Metrics::lease_breaks) every lease-expired protection its data-set names
+/// at a current version: arm() makes every data-set record a tripwire that
+/// shows whether the replica read it.
+struct ReadServiceRig {
+  sim::Simulator sim;
+  std::unique_ptr<net::Network> net;
+  std::unique_ptr<net::RpcEndpoint> client_ep;
+  std::unique_ptr<net::RpcEndpoint> server_ep;
+  Metrics metrics;
+  std::unique_ptr<QrServer> server;
+
+  ReadServiceRig() {
+    net = std::make_unique<net::Network>(
+        sim, std::make_unique<net::UniformLatency>(sim::msec(1)), 1,
+        sim::usec(10));
+    client_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
+    server_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
+    server = std::make_unique<QrServer>(*server_ep, metrics);
+    server->set_protection_lease(sim::usec(1));
+  }
+
+  /// Store every data-set entry of `req` at its version, protected by a
+  /// transaction other than the requester's root since tick 0.
+  void arm(const ReadRequest& req) {
+    for (const DataSetEntry& e : req.dataset) {
+      server->store().seed(e.id, Bytes{}, e.version);
+      server->store().protect(e.id, req.root + 1, /*now=*/0);
+    }
+  }
+
+  /// Deliver `wire` to the kRead service.  False when the service rejected
+  /// it with SerdeError.
+  bool serve(const Bytes& wire) {
+    client_ep->notify(server_ep->id(), msg::kRead, wire);
+    try {
+      sim.run();
+    } catch (const SerdeError&) {
+      return false;
+    }
+    return true;
+  }
+
+  /// True when no armed protection of `req` was read and shed.
+  bool untouched(const ReadRequest& req) {
+    if (metrics.lease_breaks != 0) return false;
+    for (const DataSetEntry& e : req.dataset) {
+      if (!server->store().protected_against(e.id, req.root)) return false;
+    }
+    return true;
+  }
+};
 
 TEST(Wire, ReadRequestRoundTrip) {
   Rng rng(1);
@@ -189,68 +249,102 @@ TEST(WireFormat, VoteResponseBytes) {
             "0807060504030201" "1817161514131211");
 }
 
-// --- decode_into: the replica's reused read decode ----------------------------
+// --- the in-place views ------------------------------------------------------
 
-TEST(Wire, DecodeIntoReplacesEveryFieldAndReusesTheDataSet) {
-  ReadRequest big;
-  big.root = 1;
-  big.mode = NestingMode::kCheckpoint;
-  big.object = 2;
-  big.for_write = true;
+TEST(Wire, ReadRequestViewReadsTheDataSetInPlace) {
+  ReadRequest req;
+  req.root = 1;
+  req.mode = NestingMode::kCheckpoint;
+  req.object = 2;
+  req.for_write = true;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    big.dataset.push_back(DataSetEntry{10 + i, 20 + i, 30 + i, 1, 40 + i});
+    req.dataset.push_back(DataSetEntry{10 + i, 20 + i, 30 + i, 1, 40 + i});
   }
-  ReadRequest small;
-  small.root = 5;
-  small.mode = NestingMode::kClosed;
-  small.object = 6;
-  small.dataset.push_back(DataSetEntry{7, 8, 9, 0, 11});
-
-  ReadRequest into;
-  into.decode_into(big.encode());
-  ASSERT_EQ(into.dataset.size(), 3u);
-  const DataSetEntry* storage = into.dataset.data();
-
-  into.decode_into(small.encode());
-  EXPECT_EQ(into.root, 5u);
-  EXPECT_EQ(into.mode, NestingMode::kClosed);
-  EXPECT_EQ(into.object, 6u);
-  EXPECT_FALSE(into.for_write);
-  ASSERT_EQ(into.dataset.size(), 1u) << "no entry of the longer request left";
-  EXPECT_EQ(into.dataset[0].id, 7u);
-  EXPECT_EQ(into.dataset[0].version, 8u);
-  EXPECT_EQ(into.dataset[0].owner, 9u);
-  EXPECT_EQ(into.dataset[0].owner_depth, 0u);
-  EXPECT_EQ(into.dataset[0].owner_chk, 11u);
-  EXPECT_EQ(into.dataset.data(), storage) << "the data-set storage is reused";
+  Bytes wire = req.encode();
+  const ReadRequestView v = ReadRequest::decode_view(wire);
+  EXPECT_EQ(v.root, 1u);
+  EXPECT_EQ(v.mode, NestingMode::kCheckpoint);
+  EXPECT_EQ(v.object, 2u);
+  EXPECT_TRUE(v.for_write);
+  ASSERT_EQ(v.dataset.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const DataSetEntry e = v.dataset[i];
+    EXPECT_EQ(e.id, req.dataset[i].id);
+    EXPECT_EQ(e.version, req.dataset[i].version);
+    EXPECT_EQ(e.owner, req.dataset[i].owner);
+    EXPECT_EQ(e.owner_depth, req.dataset[i].owner_depth);
+    EXPECT_EQ(e.owner_chk, req.dataset[i].owner_chk);
+  }
+  // The records are read from the buffer itself, not from a copy: the last
+  // record's owner_chk is the message's final 8 bytes.
+  wire[wire.size() - 8] = 0x7f;
+  EXPECT_EQ(v.dataset[2].owner_chk, 0x7fu);
 }
 
-TEST(WireFuzz, DecodeIntoThrowsOnCorruptInputAndRecovers) {
+TEST(Wire, ReadResponseViewBorrowsTheValue) {
+  ReadResponse resp;
+  resp.status = ReadStatus::kOk;
+  resp.version = 9;
+  resp.data = Bytes{1, 2, 3};
+  const Bytes wire = resp.encode();
+  const ReadResponseView v = ReadResponse::decode_view(wire);
+  EXPECT_EQ(v.status, ReadStatus::kOk);
+  EXPECT_EQ(v.version, 9u);
+  ASSERT_EQ(v.data.size(), 3u);
+  EXPECT_EQ(v.data.data(), wire.data() + 1 + 8 + 4) << "borrowed in place";
+  EXPECT_EQ(Bytes(v.data.begin(), v.data.end()), resp.data);
+}
+
+TEST(WireFuzz, DecodeViewThrowsOnCorruptInput) {
   Rng rng(5);
-  ReadRequest into;
   for (int iter = 0; iter < 200; ++iter) {
     ReadRequest req = sample_read_request(rng);
     Bytes wire = req.encode();
     Bytes cut(wire.begin(), wire.begin() + rng.below(wire.size()));
-    EXPECT_THROW(into.decode_into(cut), SerdeError);
+    EXPECT_THROW((void)ReadRequest::decode_view(cut), SerdeError);
     Bytes flipped = wire;
     flipped[rng.below(flipped.size())] ^=
         static_cast<std::uint8_t>(1u << rng.below(8));
     try {
-      into.decode_into(flipped);
+      const ReadRequestView v = ReadRequest::decode_view(flipped);
+      // A flip that still parses leaves a record count that fits.
+      EXPECT_EQ(v.dataset.size(), req.dataset.size());
     } catch (const SerdeError&) {
       // rejected: fine
     }
-    // Whatever the failed decodes left behind, the next valid one is exact.
-    into.decode_into(wire);
-    EXPECT_EQ(into.root, req.root);
-    EXPECT_EQ(into.mode, req.mode);
-    EXPECT_EQ(into.object, req.object);
-    EXPECT_EQ(into.for_write, req.for_write);
-    ASSERT_EQ(into.dataset.size(), req.dataset.size());
+    const ReadRequestView v = ReadRequest::decode_view(wire);
+    EXPECT_EQ(v.root, req.root);
+    EXPECT_EQ(v.mode, req.mode);
+    EXPECT_EQ(v.object, req.object);
+    EXPECT_EQ(v.for_write, req.for_write);
+    ASSERT_EQ(v.dataset.size(), req.dataset.size());
     for (std::size_t i = 0; i < req.dataset.size(); ++i) {
-      EXPECT_EQ(into.dataset[i].id, req.dataset[i].id);
-      EXPECT_EQ(into.dataset[i].owner_chk, req.dataset[i].owner_chk);
+      EXPECT_EQ(v.dataset[i].id, req.dataset[i].id);
+      EXPECT_EQ(v.dataset[i].owner_chk, req.dataset[i].owner_chk);
+    }
+  }
+}
+
+// A data-set count that disagrees with the records present is rejected
+// before any record is read, by the decoder and by the replica.
+TEST(WireFuzz, WrongDataSetCountThrows) {
+  Rng rng(6);
+  for (int iter = 0; iter < 50; ++iter) {
+    ReadRequest req = sample_read_request(rng);
+    req.mode = NestingMode::kClosed;
+    const Bytes wire = req.encode();
+    constexpr std::size_t kCountAt = 8 + 1 + 8 + 1;
+    const auto n = static_cast<std::uint32_t>(req.dataset.size());
+    for (std::uint32_t bad : {n + 1, n + 2, n == 0 ? 0xffffffffu : n - 1,
+                              0xffffffffu, 0x80000000u}) {
+      if (bad == n) continue;
+      Bytes b = wire;
+      std::memcpy(b.data() + kCountAt, &bad, sizeof(bad));
+      EXPECT_THROW((void)ReadRequest::decode(b), SerdeError) << bad;
+      ReadServiceRig rig;
+      rig.arm(req);
+      EXPECT_FALSE(rig.serve(b)) << bad;
+      EXPECT_TRUE(rig.untouched(req)) << "count " << bad;
     }
   }
 }
@@ -262,12 +356,18 @@ TEST(WireFuzz, DecodeIntoThrowsOnCorruptInputAndRecovers) {
 TEST(WireFuzz, OutOfRangeNestingModeThrows) {
   ReadRequest req;
   req.mode = NestingMode::kQueued;
+  req.dataset.push_back(DataSetEntry{1, 2, 3, 0, 4});
   Bytes wire = req.encode();
   EXPECT_NO_THROW(ReadRequest::decode(wire));
-  wire[8] = static_cast<std::uint8_t>(NestingMode::kQueued) + 1;  // mode byte
-  EXPECT_THROW(ReadRequest::decode(wire), SerdeError);
-  wire[8] = 0xff;
-  EXPECT_THROW(ReadRequest::decode(wire), SerdeError);
+  for (std::uint8_t bad :
+       {static_cast<std::uint8_t>(NestingMode::kQueued) + 1, 0xff}) {
+    wire[8] = bad;  // mode byte
+    EXPECT_THROW(ReadRequest::decode(wire), SerdeError);
+    ReadServiceRig rig;
+    rig.arm(req);
+    EXPECT_FALSE(rig.serve(wire));
+    EXPECT_TRUE(rig.untouched(req));
+  }
 }
 
 TEST(WireFuzz, OutOfRangeReadStatusThrows) {
@@ -293,23 +393,37 @@ TEST(WireFuzz, OutOfRangeTxnStatusThrows) {
   EXPECT_THROW(TxnStatusResponse::decode(wire), SerdeError);
 }
 
-// Fuzz: truncations of valid messages must throw SerdeError, never crash.
+// Fuzz: truncations of valid messages must throw SerdeError, never crash,
+// and the replica must reject them before it reads any data-set record.
 TEST(WireFuzz, TruncatedMessagesThrow) {
   Rng rng(2);
   for (int iter = 0; iter < 50; ++iter) {
-    Bytes full = sample_read_request(rng).encode();
+    const ReadRequest req = sample_read_request(rng);
+    const Bytes full = req.encode();
+    ReadServiceRig rig;
+    rig.arm(req);
     for (std::size_t len = 0; len < full.size(); ++len) {
       Bytes cut(full.begin(), full.begin() + len);
       EXPECT_THROW(ReadRequest::decode(cut), SerdeError)
           << "len " << len << "/" << full.size();
+      EXPECT_FALSE(rig.serve(cut)) << "len " << len << "/" << full.size();
     }
+    EXPECT_TRUE(rig.untouched(req));
+    // Control: the whole request is served, and under Rqv it reads (and
+    // sheds the protection of) every record.
+    EXPECT_TRUE(rig.serve(full));
+    const bool rqv = req.mode == NestingMode::kClosed ||
+                     req.mode == NestingMode::kCheckpoint;
+    EXPECT_EQ(rig.metrics.lease_breaks, rqv ? req.dataset.size() : 0u);
   }
 }
 
 // Fuzz: random byte strings either decode (structurally-valid garbage) or
-// throw SerdeError; nothing else.
+// throw SerdeError; nothing else.  The replica's kRead service agrees with
+// ReadRequest::decode on every one.
 TEST(WireFuzz, RandomBytesNeverCrash) {
   Rng rng(3);
+  ReadServiceRig rig;
   int decoded = 0, rejected = 0;
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes junk(rng.below(64), 0);
@@ -317,8 +431,10 @@ TEST(WireFuzz, RandomBytesNeverCrash) {
     try {
       (void)ReadRequest::decode(junk);
       ++decoded;
+      EXPECT_TRUE(rig.serve(junk));
     } catch (const SerdeError&) {
       ++rejected;
+      EXPECT_FALSE(rig.serve(junk));
     }
     try {
       (void)CommitRequest::decode(junk);
@@ -337,18 +453,22 @@ TEST(WireFuzz, RandomBytesNeverCrash) {
   (void)decoded;  // structurally-valid garbage is acceptable
 }
 
-// Fuzz: bit flips in valid messages must not crash the decoder.
+// Fuzz: bit flips in valid messages must not crash the decoder or the
+// replica, which accepts exactly what the decoder accepts.
 TEST(WireFuzz, BitFlipsNeverCrash) {
   Rng rng(4);
+  ReadServiceRig rig;
   for (int iter = 0; iter < 300; ++iter) {
     Bytes wire = sample_read_request(rng).encode();
     std::size_t pos = rng.below(wire.size());
     wire[pos] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+    bool decodes = true;
     try {
       (void)ReadRequest::decode(wire);
     } catch (const SerdeError&) {
-      // rejected: fine
+      decodes = false;  // rejected: fine
     }
+    EXPECT_EQ(rig.serve(wire), decodes);
   }
 }
 

@@ -28,6 +28,13 @@ bool is_keyword(std::string_view s) {
          s == "sizeof" || s == "catch" || s == "do" || s == "else";
 }
 
+/// Stream parameter types: a Writer, or the RecordWriter that fills one
+/// fixed-size record of encode_records, on the encode side; a Reader on the
+/// decode side.
+bool is_stream_type(std::string_view s, bool encode) {
+  return encode ? (s == "Writer" || s == "RecordWriter") : s == "Reader";
+}
+
 CodecOp::Kind writer_op(std::string_view s, bool* found) {
   *found = true;
   if (s == "u8") return CodecOp::kU8;
@@ -37,7 +44,7 @@ CodecOp::Kind writer_op(std::string_view s, bool* found) {
   if (s == "i64") return CodecOp::kI64;
   if (s == "f64") return CodecOp::kF64;
   if (s == "boolean") return CodecOp::kBool;
-  if (s == "blob") return CodecOp::kBlob;
+  if (s == "blob" || s == "blob_view") return CodecOp::kBlob;
   if (s == "str") return CodecOp::kStr;
   if (s == "raw") return CodecOp::kRaw;
   *found = false;
@@ -99,7 +106,7 @@ bool parse_lambda_codec(const std::vector<Token>& t, std::size_t b,
   // Stream variable: identifier following "Writer &" / "Reader &".
   std::string var;
   for (std::size_t k = cap_end + 1; k + 2 < params_end; ++k) {
-    if (is_ident(t[k], encode ? "Writer" : "Reader") &&
+    if (t[k].kind == Tok::kIdent && is_stream_type(t[k].text, encode) &&
         is_punct(t[k + 1], "&") && t[k + 2].kind == Tok::kIdent) {
       var = std::string(t[k + 2].text);
       break;
@@ -117,8 +124,9 @@ bool parse_lambda_codec(const std::vector<Token>& t, std::size_t b,
 }
 
 /// Extract the ordered codec ops from a body range given the Writer/Reader
-/// variable name.  Handles primitive ops, encode_vec/decode_vec (named
-/// helper or inline lambda element codec), and free-encoder delegation.
+/// variable name.  Handles primitive ops, encode_vec/decode_vec and
+/// encode_records/decode_records (named helper or inline lambda element
+/// codec), and free-encoder delegation.
 void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
                      const std::string& var, bool encode,
                      std::vector<CodecOp>* ops) {
@@ -145,8 +153,12 @@ void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
       continue;
     }
 
-    // encode_vec(w, field, elem) / decode_vec<T>(r, elem).
-    if (is_ident(t[k], encode ? "encode_vec" : "decode_vec")) {
+    // encode_vec(w, field, elem) / decode_vec<T>(r, elem), and the
+    // fixed-record pair encode_records<N>(w, field, elem) /
+    // decode_records<N, T, elem>(r), whose decoder is the last template
+    // argument.  Both write a u32 count and then the elements.
+    if (is_ident(t[k], encode ? "encode_vec" : "decode_vec") ||
+        is_ident(t[k], encode ? "encode_records" : "decode_records")) {
       std::size_t j = k + 1;
       std::string tmpl_type;
       if (j < e && is_punct(t[j], "<")) {
@@ -514,8 +526,9 @@ void collect_symbols(const std::string& file, const LexResult& lexed,
 
     // ---- codec bodies ------------------------------------------------
     // Function definition with a Writer& or Reader& parameter, or a member
-    // `X::decode(const Bytes&)` / `X::decode_into(const Bytes&)` (the
-    // in-place form a decode may delegate to).
+    // `X::decode(const Bytes&)` or one of the in-place forms a decode may
+    // delegate to, `X::decode_into(const Bytes&)` and
+    // `X::decode_view(const Bytes&)`.
     if (i + 1 < t.size() && is_punct(t[i + 1], "(") && !is_keyword(name)) {
       std::size_t close = skip_balanced(t, i + 1);
       if (close == npos) continue;
@@ -547,10 +560,11 @@ void collect_symbols(const std::string& file, const LexResult& lexed,
           for (std::size_t k = pb; k < pe; ++k) {
             if (t[k].kind != Tok::kIdent) continue;
             if (t[k].text == "Bytes") bytes_param = true;
-            if ((t[k].text == "Writer" || t[k].text == "Reader") &&
+            const bool enc = is_stream_type(t[k].text, true);
+            if ((enc || is_stream_type(t[k].text, false)) &&
                 k + 2 < pe && is_punct(t[k + 1], "&") &&
                 t[k + 2].kind == Tok::kIdent) {
-              if (t[k].text == "Writer") {
+              if (enc) {
                 writer_var = std::string(t[k + 2].text);
               } else {
                 reader_var = std::string(t[k + 2].text);
@@ -586,12 +600,15 @@ void collect_symbols(const std::string& file, const LexResult& lexed,
       }
 
       const bool member_decode =
-          member && (name == "decode" || name == "decode_into") &&
+          member &&
+          (name == "decode" || name == "decode_into" ||
+           name == "decode_view") &&
           bytes_param;
       if (member_decode && reader_var.empty()) {
         // `X X::decode(const Bytes& b) { Reader r(b); ... }`: find the
-        // Reader local.  A decode that delegates to decode_into has none
-        // and records no body; decode_into's stands for the struct.
+        // Reader local.  A decode that delegates to decode_into or
+        // decode_view has none and records no body; the delegate's stands
+        // for the struct.
         for (std::size_t k = body + 1; k + 2 < body_end; ++k) {
           if (is_ident(t[k], "Reader") && t[k + 1].kind == Tok::kIdent &&
               is_punct(t[k + 2], "(")) {
