@@ -1,15 +1,17 @@
 // Hot-path microbenchmarks for the simulation substrate itself: raw kernel
-// event throughput, RPC round-trips, and Rqv remote reads as the carried
-// data-set grows.  These are the three paths every experiment in the
-// reproduction funnels through; --benchmark_out here (and the end-to-end
-// point qrdtm_run --metrics-json writes) tracks their trajectory across
-// perf changes.
+// event throughput, RPC round-trips, Rqv remote reads as the carried
+// data-set grows, and a replica serving 2PC rounds.  These are the paths
+// every experiment in the reproduction funnels through; --benchmark_out
+// here (and the end-to-end point qrdtm_run --metrics-json writes) tracks
+// their trajectory across perf changes.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/qr_server.h"
+#include "core/wire.h"
 #include "net/latency.h"
 #include "net/network.h"
 #include "net/rpc.h"
@@ -136,6 +138,53 @@ void BM_ReadWithDataSet(benchmark::State& state) {
       static_cast<double>(state.items_processed()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReadWithDataSet)->Arg(4)->Arg(32)->Arg(128);
+
+// ------------------------------------------------------ 2PC, replica side
+
+/// One replica serving a commit vote and its confirm per iteration, on a
+/// write-set of the given size with 32-byte values: the decode, validation,
+/// protection, WAL prepare and confirm, and apply that a write-quorum member
+/// does per 2PC round.  Both messages are one-way and encoded into pooled
+/// buffers, so the count is the server side plus two small encodes.
+void BM_CommitVoteConfirm(benchmark::State& state) {
+  const auto writes = static_cast<core::ObjectId>(state.range(0));
+  sim::Simulator s;
+  net::Network net(s, std::make_unique<net::UniformLatency>(sim::usec(10), 0),
+                   /*seed=*/7, /*service_time=*/sim::usec(1));
+  net::RpcEndpoint client(s, net);
+  net::RpcEndpoint server_ep(s, net);
+  core::Metrics metrics;
+  core::QrServer server(server_ep, metrics);
+  // Cut the log like a cluster replica does (RuntimeConfig's default).
+  server.set_max_tail_bytes(core::RuntimeConfig{}.log_max_tail_bytes);
+  core::CommitRequest req;
+  for (core::ObjectId id = 1; id <= writes; ++id) {
+    server.seed_object(id, Bytes(32, 0xAB));
+    req.writeset.push_back(core::CommitWriteEntry{id, 1, Bytes(32, 0xCD)});
+  }
+  core::CommitConfirm confirm;
+  confirm.commit = true;
+  const auto send = [&](net::MsgKind kind, const auto& message) {
+    Writer w(client.acquire_buffer(kind));
+    message.encode_into(w);
+    client.notify(server_ep.id(), kind, std::move(w).take());
+  };
+  core::TxnId txn = 1;
+  for (auto _ : state) {
+    req.txn = txn++;
+    confirm.txn = req.txn;
+    confirm.writeset = req.writeset;
+    send(core::msg::kCommitRequest, req);
+    send(core::msg::kCommitConfirm, confirm);
+    s.run();
+    for (core::CommitWriteEntry& e : req.writeset) ++e.base;
+  }
+  benchmark::DoNotOptimize(server.store().version_of(writes));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["rounds_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.items_processed()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CommitVoteConfirm)->Arg(1)->Arg(16);
 
 }  // namespace
 }  // namespace qrdtm

@@ -9,7 +9,11 @@
 //   * runs of fixed-size records as u32 count + count * stride bytes
 //     (encode_records / decode_records): written with one buffer extension,
 //     bounds-checked as a whole on decode and then read in place through a
-//     RecordView, record by record, without a decoded copy.
+//     RecordView, record by record, without a decoded copy,
+//   * runs of variable-length entries as u32 count + entries (encode_vec on
+//     the write side, decode_entries on the read side): walked once on
+//     decode to check every entry's bounds, then read in place through an
+//     EntryRun whose entries borrow their blobs from the buffer.
 // Decoding is fully bounds-checked and throws SerdeError on malformed input
 // (a replica must never crash on a corrupt message).
 //
@@ -48,6 +52,14 @@ class Writer {
   /// with a BufferPool to encode without allocating in steady state.
   explicit Writer(Bytes reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
+  /// Adopt `buf` and append after what it already holds (a log tail that
+  /// frames each record in place).
+  static Writer appending(Bytes buf) {
+    Writer w;
+    w.buf_ = std::move(buf);
+    return w;
+  }
+
   /// Pre-size the buffer for an encode of known (or estimated) size.
   void reserve(std::size_t n) { buf_.reserve(n); }
 
@@ -76,7 +88,18 @@ class Writer {
   }
 
   /// Raw append without a length prefix (for nested pre-encoded sections).
-  void raw(const Bytes& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+  void raw(std::span<const std::uint8_t> b) {
+    buf_.insert(buf_.end(), b.begin(), b.end());
+  }
+
+  /// Overwrite the u32 at byte offset `at`, written earlier: a length
+  /// prefix filled in once its payload is encoded.
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    if (at > buf_.size() || buf_.size() - at < sizeof(v)) {
+      throw SerdeError("patch past the end");
+    }
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  }
 
   /// Append `n` zeroed bytes and return where they start, for a caller
   /// that fills them at fixed offsets (encode_records).  The pointer is
@@ -158,6 +181,8 @@ class Reader {
 
   bool done() const { return pos_ == size_; }
   std::size_t remaining() const { return size_ - pos_; }
+  /// Where the next read starts.
+  const std::uint8_t* cursor() const { return buf_ + pos_; }
 
   /// Throws unless the whole buffer was consumed; call at the end of a
   /// message decode to catch trailing-garbage bugs.
@@ -262,6 +287,82 @@ RecordView<kStride, T, Decode> decode_records(Reader& r) {
     throw SerdeError("record count exceeds buffer");
   }
   return {r.borrow(n * kStride).data(), n};
+}
+
+/// A run of variable-length entries left in place in a decoded buffer
+/// (which must outlive the run): the u32 count, then `count` entries each
+/// read by Decode, whose spans borrow the buffer.  decode_entries walked the
+/// whole run once, so iterating it stays in bounds; each step decodes one
+/// entry, and iterator::raw() is that entry's encoded bytes.
+template <class T, T (*Decode)(Reader&)>
+class EntryRun {
+ public:
+  class iterator {
+   public:
+    iterator(const std::uint8_t* at, const std::uint8_t* end,
+             std::size_t left)
+        : at_(at), end_(end), left_(left) {
+      load();
+    }
+    const T& operator*() const { return cur_; }
+    const T* operator->() const { return &cur_; }
+    iterator& operator++() {
+      at_ = next_;
+      --left_;
+      load();
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return left_ == o.left_; }
+    /// The current entry as encoded.
+    std::span<const std::uint8_t> raw() const { return {at_, next_}; }
+
+   private:
+    void load() {
+      if (left_ == 0) return;
+      Reader r(at_, static_cast<std::size_t>(end_ - at_));
+      cur_ = Decode(r);
+      next_ = r.cursor();
+    }
+    const std::uint8_t* at_;
+    const std::uint8_t* end_;
+    const std::uint8_t* next_ = nullptr;
+    std::size_t left_;
+    T cur_{};
+  };
+
+  EntryRun() = default;
+  /// `run` holds the u32 count and the entries; decode_entries checked it.
+  EntryRun(std::span<const std::uint8_t> run, std::size_t count)
+      : run_(run), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  iterator begin() const {
+    if (count_ == 0) return end();
+    return {run_.data() + 4, run_.data() + run_.size(), count_};
+  }
+  iterator end() const {
+    return {run_.data() + run_.size(), run_.data() + run_.size(), 0};
+  }
+  /// The whole run as encoded, count included.
+  std::span<const std::uint8_t> bytes() const { return run_; }
+
+ private:
+  std::span<const std::uint8_t> run_;
+  std::size_t count_ = 0;
+};
+
+/// Decode the count written by encode_vec and walk its entries with Decode,
+/// leaving them in place.  A count past the buffer, or any entry that
+/// overruns it, throws SerdeError here, before the caller reads an entry:
+/// exactly the inputs decode_vec with the owning element decoder rejects.
+template <class T, T (*Decode)(Reader&)>
+EntryRun<T, Decode> decode_entries(Reader& r) {
+  const std::uint8_t* start = r.cursor();
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining()) throw SerdeError("vector count exceeds buffer");
+  for (std::uint32_t i = 0; i < n; ++i) (void)Decode(r);
+  return {{start, r.cursor()}, n};
 }
 
 /// Encode a vector with a u32 count prefix using a per-element encoder.

@@ -314,10 +314,10 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
           if (!resp.ok) continue;  // peer is itself still syncing
           ++current;
           metrics_.recovery_delta_objects += resp.entries.size();
-          for (SyncEntry& e : resp.entries) {
+          for (const SyncEntry& e : resp.entries) {
             // apply() keeps only strictly-newer copies, so merging the
             // whole quorum's stores is order-independent.
-            server.store().apply(e.id, e.version, std::move(e.data));
+            server.store().apply(e.id, e.version, e.data);
           }
         }
         if (current != futures.size()) all_current = false;

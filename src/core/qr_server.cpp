@@ -33,10 +33,11 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
-  // Replies are encoded into pooled buffers, and a read is validated in
-  // place in its request buffer and answered straight from the store entry:
-  // in steady state a replica serves reads and votes without touching the
-  // allocator.
+  // Replies are encoded into pooled buffers, a read is validated in place
+  // in its request buffer and answered straight from the store entry, and
+  // a vote or confirm reads its sets in place and logs the write-set by
+  // copying its bytes: in steady state a replica serves reads, votes and
+  // confirms without touching the allocator.
   rpc.register_service(msg::kRead,
                        [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
                          const ReadResponseView resp =
@@ -55,7 +56,8 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
   // each tag replies through its own buffer-size hint.
   const auto vote_service = [this](net::MsgKind kind) {
     return [this, kind](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-      VoteResponse vote = handle_commit_request(CommitRequest::decode(b));
+      const VoteResponse& vote =
+          handle_commit_request(CommitRequest::decode_view(b));
       if (tracer_ != nullptr) {
         tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
                          rpc_.simulator().now(), vote.commit ? 1 : 0);
@@ -67,7 +69,7 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
   };
   const auto confirm_service =
       [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-    handle_commit_confirm(CommitConfirm::decode(b));
+    handle_commit_confirm(CommitConfirm::decode_view(b));
     return std::nullopt;  // one-way
   };
   rpc.register_service(msg::kCommitRequest, vote_service(msg::kCommitRequest));
@@ -290,12 +292,17 @@ ReadResponseView QrServer::handle_read(const ReadRequestView& req) {
       .status = ReadStatus::kOk, .version = e->version, .data = e->data};
 }
 
-VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
+const VoteResponse& QrServer::handle_commit_request(
+    const CommitRequestView& req) {
+  vote_.stale.clear();
   // A syncing replica's versions are untrustworthy in both directions: a
   // stale version would let a conflicting write pass validation.  Abort with
   // no stale report and let the coordinator retry once the quorum refreshes
   // (a QR-Q coordinator refetches everything when a vote has no diagnosis).
-  if (syncing_) return VoteResponse{.commit = false, .stale = {}};
+  if (syncing_) {
+    vote_.commit = false;
+    return vote_;
+  }
 
   // Decide commit/abort from local object state (paper §II): every read-set
   // version and write-set base must still be current here, and nothing in
@@ -304,21 +311,22 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // only the stale queues.  The test-only bypass votes commit
   // unconditionally -- the broken protocol the history checker must catch
   // (stale reads and competing writers both slip through).
-  VoteResponse resp{.commit = true, .stale = {}};
+  vote_.commit = true;
   if (!skip_commit_validation_) {
-    for (const CommitReadEntry& e : req.readset) {
+    for (std::size_t i = 0; i < req.readset.size(); ++i) {
+      const CommitReadEntry e = req.readset[i];
       if (stale_or_protected(e.id, e.version, req.txn)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
+        vote_.commit = false;
+        vote_.stale.push_back(e.id);
       }
     }
-    for (const CommitWriteEntry& e : req.writeset) {
+    for (const CommitWriteView& e : req.writeset) {
       if (stale_or_protected(e.id, e.base, req.txn)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
+        vote_.commit = false;
+        vote_.stale.push_back(e.id);
       }
     }
-    if (!resp.commit) return resp;
+    if (!vote_.commit) return vote_;
     // Commit vote: lock the write-set (paper: object field protected =
     // true).  The test-only bypass skips the locks too: with validation off
     // two competing writers may both reach this point, and stacking
@@ -326,7 +334,7 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
     // invariant -- the broken protocol must fail by committing conflicting
     // versions, not by crashing the replica.  unprotect() at confirm is a
     // lenient no-op.
-    for (const CommitWriteEntry& e : req.writeset) {
+    for (const CommitWriteView& e : req.writeset) {
       // A cross-shard commit multicast reaches the union of the touched
       // cohorts' write quorums; each member only locks what it replicates.
       if (!replicated_here(e.id)) continue;
@@ -336,19 +344,17 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // WAL discipline: the vote is durable before the reply leaves the node.
   // Read-only write-sets log nothing (there is nothing to replay).
   if (!req.writeset.empty() && fault(fp::kLogPrepare) != FaultAction::kSkip) {
-    std::vector<store::LoggedWrite> writes;
-    writes.reserve(req.writeset.size());
-    for (const CommitWriteEntry& e : req.writeset) {
-      if (!replicated_here(e.id)) continue;
-      writes.push_back(store::LoggedWrite{e.id, e.base, e.steps, e.data});
+    std::size_t local = 0;
+    for (const CommitWriteView& e : req.writeset) {
+      if (replicated_here(e.id)) ++local;
     }
-    if (!writes.empty()) {
+    if (local > 0) {
       // The protection is now prepared-backed: only a confirm or a
       // termination-round decision may release it.  Record the
       // coordinator's liveness epoch as seen at vote time so a later
       // termination round can tell "still deciding" from "restarted".
-      for (const store::LoggedWrite& lw : writes) {
-        store_.mark_prepared(lw.id, req.txn);
+      for (const CommitWriteView& e : req.writeset) {
+        if (replicated_here(e.id)) store_.mark_prepared(e.id, req.txn);
       }
       const net::NodeId coord =
           coordinator_of(req.txn, rpc_.network().num_nodes());
@@ -356,7 +362,7 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
           coord, coord < rpc_.network().num_nodes()
                      ? rpc_.network().epoch(coord)
                      : 0};
-      log_.append_prepare(req.txn, std::move(writes), liveness_epoch());
+      log_prepare(req, local);
       maybe_autocut();
     }
   }
@@ -364,18 +370,36 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // reply is cut at send, so a kPanic here means the coordinator never
   // hears this vote).
   fault(fp::kServerVote);
-  return resp;
+  return vote_;
 }
 
-void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
+void QrServer::log_prepare(const CommitRequestView& req, std::size_t local) {
+  // A commit request encodes its write-set in the log's write layout, so a
+  // replica that holds every written object logs those bytes as they came.
+  if (local == req.writeset.size()) {
+    log_.append_encoded_prepare(req.txn, req.writeset.bytes(),
+                                liveness_epoch());
+    return;
+  }
+  // Under sharded cohorts: the run of the entries replicated here.
+  Writer w(std::move(prepare_scratch_));
+  w.u32(static_cast<std::uint32_t>(local));
+  for (auto it = req.writeset.begin(); it != req.writeset.end(); ++it) {
+    if (replicated_here(it->id)) w.raw(it.raw());
+  }
+  prepare_scratch_ = std::move(w).take();
+  log_.append_encoded_prepare(req.txn, prepare_scratch_, liveness_epoch());
+}
+
+void QrServer::handle_commit_confirm(const CommitConfirmView& confirm) {
   // At-least-once delivery: recovered coordinators and resolving peers
   // retransmit confirms, so a repeat within the same liveness epoch is
   // counted and dropped, never double-applied.  A live local prepare
   // (protection held / pending log entry) marks the confirm as the outcome
   // of a FRESH 2PC round -- a retried root reuses its id -- so it must be
   // applied, not deduped against the previous round's outcome.
-  bool live_prepare = log_.find_pending(confirm.txn) != nullptr;
-  for (const CommitWriteEntry& e : confirm.writeset) {
+  bool live_prepare = log_.has_pending(confirm.txn);
+  for (const CommitWriteView& e : confirm.writeset) {
     if (store_.holds_protection(e.id, confirm.txn)) {
       live_prepare = true;
       break;
@@ -391,14 +415,14 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
   // transactions that logged a local prepare (some write replicated here)
   // need an outcome record.
   bool any_local = false;
-  for (const CommitWriteEntry& e : confirm.writeset) {
+  for (const CommitWriteView& e : confirm.writeset) {
     if (replicated_here(e.id)) any_local = true;
   }
   if (any_local && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
     maybe_autocut();
   }
-  for (const CommitWriteEntry& e : confirm.writeset) {
+  for (const CommitWriteView& e : confirm.writeset) {
     if (!replicated_here(e.id)) continue;
     store_.unprotect(e.id, confirm.txn);
     // The writer read `base` through a read quorum, so by Q1 it was the
@@ -412,32 +436,29 @@ void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
 }
 
 bool QrServer::confirm_is_duplicate(TxnId txn) {
-  const auto it = outcomes_.find(txn);
-  if (it == outcomes_.end() || it->second.first != liveness_epoch()) {
-    return false;
-  }
+  const store::ConfirmOutcome* o = outcomes_.find(txn);
+  if (o == nullptr || o->epoch != liveness_epoch()) return false;
   ++metrics_.confirm_duplicates;
   return true;
 }
 
 void QrServer::record_outcome(TxnId txn, bool commit) {
-  outcomes_[txn] = {liveness_epoch(), commit};
+  outcomes_[txn] = store::ConfirmOutcome{liveness_epoch(), commit};
   prepared_.erase(txn);
   term_.erase(txn);
 }
 
 void QrServer::start_termination(TxnId txn) {
   if (term_.find(txn) != term_.end()) return;  // already running
-  const auto pit = prepared_.find(txn);
-  if (pit == prepared_.end()) return;  // no vote metadata here
-  if (quorums_ == nullptr && pit->second.coordinator >=
-                                 rpc_.network().num_nodes()) {
+  const PreparedMeta* meta = prepared_.find(txn);
+  if (meta == nullptr) return;  // no vote metadata here
+  if (quorums_ == nullptr && meta->coordinator >= rpc_.network().num_nodes()) {
     return;  // standalone rig with hand-rolled ids: nobody to ask
   }
 
   Termination t;
-  t.coordinator = pit->second.coordinator;
-  t.coord_epoch = pit->second.coord_epoch;
+  t.coordinator = meta->coordinator;
+  t.coord_epoch = meta->coord_epoch;
   // Query targets: the coordinator plus the union of the write quorums of
   // every locally-prepared object (under sharded cohorts the in-doubt
   // transaction may span shards; any member of any touched cohort may have
@@ -446,8 +467,8 @@ void QrServer::start_termination(TxnId txn) {
     t.targets.push_back(t.coordinator);
   }
   if (quorums_ != nullptr) {
-    if (const auto* writes = log_.find_pending(txn)) {
-      for (const store::LoggedWrite& lw : *writes) {
+    if (const auto writes = log_.find_pending(txn)) {
+      for (const store::LoggedWriteView& lw : *writes) {
         // Mid-chaos the provider may be unable to form a quorum (too many
         // members dead or syncing); ask whoever it can name and let the
         // bounded retry rounds pick up the rest after recoveries.
@@ -523,15 +544,13 @@ void QrServer::handle_txn_status_request(net::NodeId from,
   TxnStatusResponse resp;
   resp.txn = req.txn;
   resp.epoch = liveness_epoch();
-  const auto oit = outcomes_.find(req.txn);
-  if (oit != outcomes_.end()) {
+  if (const store::ConfirmOutcome* o = outcomes_.find(req.txn)) {
     // Applied here: an applied commit is proof of a commit decision.
-    resp.status =
-        oit->second.second ? TxnStatus::kCommitted : TxnStatus::kAborted;
+    resp.status = o->commit ? TxnStatus::kCommitted : TxnStatus::kAborted;
   } else if (const auto verdict = log_.decision_verdict(req.txn)) {
     // This node coordinated the transaction and holds the durable decision.
     resp.status = *verdict ? TxnStatus::kCommitted : TxnStatus::kAborted;
-  } else if (log_.find_pending(req.txn) != nullptr) {
+  } else if (log_.has_pending(req.txn)) {
     resp.status = TxnStatus::kPrepared;
   } else {
     resp.status = TxnStatus::kUnknown;
@@ -570,13 +589,17 @@ void QrServer::handle_txn_status_response(net::NodeId from,
 void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // Copy the pending writes FIRST: append_confirm settles the pending entry
   // in the log, and the writes live only there.
-  std::vector<store::LoggedWrite> writes;
-  if (const auto* pending = log_.find_pending(txn)) writes = *pending;
+  Bytes run;
+  store::LoggedWrites writes;
+  if (const auto pending = log_.find_pending(txn)) {
+    run.assign(pending->bytes().begin(), pending->bytes().end());
+    writes = store::read_logged_writes(run);
+  }
   if (!writes.empty() && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  for (const store::LoggedWrite& lw : writes) {
+  for (const store::LoggedWriteView& lw : writes) {
     store_.unprotect(lw.id, txn);
     if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
@@ -599,9 +622,9 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     confirm.txn = txn;
     confirm.commit = commit;
     confirm.writeset.reserve(writes.size());
-    for (const store::LoggedWrite& lw : writes) {
-      confirm.writeset.push_back(
-          CommitWriteEntry{lw.id, lw.base, lw.data, lw.steps});
+    for (const store::LoggedWriteView& lw : writes) {
+      confirm.writeset.push_back(CommitWriteEntry{
+          lw.id, lw.base, Bytes(lw.data.begin(), lw.data.end()), lw.steps});
     }
     Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
     confirm.encode_into(w);

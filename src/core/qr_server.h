@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "core/faultpoint.h"
 #include "core/metrics.h"
@@ -71,6 +72,11 @@ class QrServer {
   /// by construction (crash = wiping the ReplicaStore, never the log).
   store::CommitLog& commit_log() { return log_; }
   const store::CommitLog& commit_log() const { return log_; }
+
+  /// Transactions this replica voted yes for and awaits the confirm of,
+  /// and the applied 2PC outcomes it remembers (for tests).
+  std::size_t prepared_txns() const { return prepared_.size(); }
+  std::size_t applied_outcomes() const { return outcomes_.size(); }
 
   /// Attach the fault-point registry (nullptr = all points unarmed).
   void set_fault_points(FaultPointRegistry* faults) { faults_ = faults; }
@@ -159,10 +165,16 @@ class QrServer {
   ReadResponseView handle_read(const ReadRequestView& req);
   /// 2PC vote for one transaction or one QR-Q batch: validate every read
   /// version and write base, report each stale id, protect + prepare the
-  /// write-set on a commit vote.
-  VoteResponse handle_commit_request(const CommitRequest& req);
-  /// Apply (base + steps) or roll back the protected write-set.
-  void handle_commit_confirm(const CommitConfirm& confirm);
+  /// write-set on a commit vote.  The request is read in place; the vote
+  /// is vote_, valid until the next vote.
+  const VoteResponse& handle_commit_request(const CommitRequestView& req);
+  /// Apply (base + steps) or roll back the protected write-set, each value
+  /// copied from the confirm buffer into its store entry.
+  void handle_commit_confirm(const CommitConfirmView& confirm);
+  /// Log the prepare of a commit vote: the request's write-set bytes
+  /// verbatim when every write is replicated here, else the entries that
+  /// are.  `local` counts those.
+  void log_prepare(const CommitRequestView& req, std::size_t local);
 
   /// Rqv (Alg. 1 + Alg. 4): returns an abort-carrying response when any
   /// data-set entry is invalid on this replica, nullopt when valid.
@@ -239,14 +251,20 @@ class QrServer {
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the
   /// idempotence set that lets confirms be retransmitted at-least-once.
   /// Rebuilt from the log's confirm records at replay.
-  std::unordered_map<TxnId, std::pair<std::uint32_t, bool>> outcomes_;
+  FlatTable<store::ConfirmOutcome> outcomes_;
   /// Prepared (yes-voted, WAL'd) transactions awaiting their confirm.
-  std::unordered_map<TxnId, PreparedMeta> prepared_;
+  FlatTable<PreparedMeta> prepared_;
   /// In-doubt transactions with a termination round in flight.
   std::unordered_map<TxnId, Termination> term_;
   /// Jitters the between-round backoff; seeded per node so the schedule is
   /// deterministic and distinct across replicas.
   Rng term_rng_{1};
+
+  // --- 2PC scratch, reused so a served round allocates nothing ---
+  /// The last vote; its stale list keeps its capacity.
+  VoteResponse vote_;
+  /// A prepare's write run when only some writes are replicated here.
+  Bytes prepare_scratch_;
 };
 
 }  // namespace qrdtm::core

@@ -8,7 +8,6 @@ namespace {
 // cold (unpooled) buffer allocates at most once.
 constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
-constexpr std::size_t kReadEntryBytes = 8 + 8;              // CommitReadEntry
 constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4 + 4;    // + data
 
 std::size_t writeset_bytes(const std::vector<CommitWriteEntry>& ws) {
@@ -24,13 +23,22 @@ void encode_write(Writer& w, const CommitWriteEntry& e) {
   w.blob(e.data);
 }
 
-CommitWriteEntry decode_write(Reader& r) {
-  CommitWriteEntry e;
-  e.id = r.u64();
-  e.base = r.u64();
-  e.steps = r.u32();
-  e.data = r.blob();
-  return e;
+void encode_read_entry(RecordWriter& w, const CommitReadEntry& e) {
+  w.u64(e.id);
+  w.u64(e.version);
+}
+
+/// The owning copy of a write-set read in place.
+std::vector<CommitWriteEntry> copy_writeset(const WriteSetView& ws) {
+  std::vector<CommitWriteEntry> out;
+  out.reserve(ws.size());
+  for (const CommitWriteView& e : ws) {
+    out.push_back(CommitWriteEntry{.id = e.id,
+                                   .base = e.base,
+                                   .data = Bytes(e.data.begin(), e.data.end()),
+                                   .steps = e.steps});
+  }
+  return out;
 }
 
 void encode_dataset_entry(RecordWriter& w, const DataSetEntry& e) {
@@ -151,13 +159,10 @@ ReadResponse ReadResponse::decode(const Bytes& b) {
 }
 
 void CommitRequest::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 4 + readset.size() * kReadEntryBytes +
+  w.reserve(w.size() + 8 + 4 + readset.size() * kCommitReadEntryBytes +
             writeset_bytes(writeset));
   w.u64(txn);
-  encode_vec(w, readset, [](Writer& w2, const CommitReadEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.version);
-  });
+  encode_records<kCommitReadEntryBytes>(w, readset, encode_read_entry);
   encode_vec(w, writeset, encode_write);
 }
 
@@ -167,18 +172,26 @@ Bytes CommitRequest::encode() const {
   return std::move(w).take();
 }
 
-CommitRequest CommitRequest::decode(const Bytes& b) {
+CommitRequestView CommitRequest::decode_view(const Bytes& b) {
   Reader r(b);
-  CommitRequest req;
-  req.txn = r.u64();
-  req.readset = decode_vec<CommitReadEntry>(r, [](Reader& r2) {
-    CommitReadEntry e;
-    e.id = r2.u64();
-    e.version = r2.u64();
-    return e;
-  });
-  req.writeset = decode_vec<CommitWriteEntry>(r, decode_write);
+  CommitRequestView v;
+  v.txn = r.u64();
+  v.readset = decode_records<kCommitReadEntryBytes, CommitReadEntry,
+                             decode_read_entry>(r);
+  v.writeset = decode_entries<CommitWriteView, decode_write_view>(r);
   r.expect_done();
+  return v;
+}
+
+CommitRequest CommitRequest::decode(const Bytes& b) {
+  const CommitRequestView v = decode_view(b);
+  CommitRequest req;
+  req.txn = v.txn;
+  req.readset.reserve(v.readset.size());
+  for (std::size_t i = 0; i < v.readset.size(); ++i) {
+    req.readset.push_back(v.readset[i]);
+  }
+  req.writeset = copy_writeset(v.writeset);
   return req;
 }
 
@@ -320,13 +333,22 @@ Bytes CommitConfirm::encode() const {
   return std::move(w).take();
 }
 
-CommitConfirm CommitConfirm::decode(const Bytes& b) {
+CommitConfirmView CommitConfirm::decode_view(const Bytes& b) {
   Reader r(b);
-  CommitConfirm c;
-  c.txn = r.u64();
-  c.commit = r.boolean();
-  c.writeset = decode_vec<CommitWriteEntry>(r, decode_write);
+  CommitConfirmView v;
+  v.txn = r.u64();
+  v.commit = r.boolean();
+  v.writeset = decode_entries<CommitWriteView, decode_write_view>(r);
   r.expect_done();
+  return v;
+}
+
+CommitConfirm CommitConfirm::decode(const Bytes& b) {
+  const CommitConfirmView v = decode_view(b);
+  CommitConfirm c;
+  c.txn = v.txn;
+  c.commit = v.commit;
+  c.writeset = copy_writeset(v.writeset);
   return c;
 }
 

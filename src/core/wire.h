@@ -10,9 +10,15 @@
 // the data-set in the request buffer as fixed 36-byte records, which the
 // replica validates one by one without building a vector; an OK reply is
 // encoded straight from the store entry; and the requester parses replies
-// with ReadResponse::decode_view, copying out only the winning value.  The
-// owning decode() of each message is its view plus a copy-out, so each has
-// one parser.
+// with ReadResponse::decode_view, copying out only the winning value.
+//
+// The replica half of 2PC is parsed in place too.  CommitRequest::
+// decode_view leaves the read-set as fixed 16-byte records and the
+// write-set as a checked run of {id, base, steps, data} entries whose
+// values borrow the request buffer; CommitConfirm::decode_view does the
+// same for the confirm.  Each view checks the whole message before the
+// replica acts on any of it.  The owning decode() of every message is its
+// view plus a copy-out, so each has one parser.
 #pragma once
 
 #include <cstdint>
@@ -159,6 +165,22 @@ struct CommitReadEntry {
   Version version = 0;
 };
 
+/// Encoded size of one CommitReadEntry record: id, version.
+inline constexpr std::size_t kCommitReadEntryBytes = 8 + 8;
+
+/// Reads one read-set record: the decode half of encode_read_entry in
+/// wire.cpp.
+inline CommitReadEntry decode_read_entry(Reader& r) {
+  CommitReadEntry e;
+  e.id = r.u64();
+  e.version = r.u64();
+  return e;
+}
+
+/// A commit message's read-set left in place in its buffer.
+using ReadSetView =
+    RecordView<kCommitReadEntryBytes, CommitReadEntry, decode_read_entry>;
+
 /// One write-set entry: `base` is the version the writer read through a read
 /// quorum; the committed version becomes base+steps (globally fresh by Q1 --
 /// see qr_server.cpp).  A per-transaction commit writes one step.  A QR-Q
@@ -171,6 +193,32 @@ struct CommitWriteEntry {
   std::uint32_t steps = 1;
 };
 
+/// A CommitWriteEntry read in place: `data` borrows the message buffer.
+struct CommitWriteView {
+  ObjectId id = 0;
+  Version base = 0;
+  std::uint32_t steps = 1;
+  std::span<const std::uint8_t> data;
+};
+
+/// Reads one write entry in place: the decode half of encode_write in
+/// wire.cpp.  The entry layout (u64 id, u64 base, u32 steps, u32 length +
+/// value) is also the commit log's write layout (store::LoggedWrite), so a
+/// replica logs a request's write-set by copying its bytes.
+inline CommitWriteView decode_write_view(Reader& r) {
+  CommitWriteView e;
+  e.id = r.u64();
+  e.base = r.u64();
+  e.steps = r.u32();
+  e.data = r.blob_view();
+  return e;
+}
+
+/// A commit message's write-set left in place in its buffer.
+using WriteSetView = EntryRun<CommitWriteView, decode_write_view>;
+
+struct CommitRequestView;
+
 /// 2PC vote request, for one transaction or one QR-Q batch (`txn` is then
 /// the batch id).  `readset` holds objects only read; written objects are
 /// validated through their CommitWriteEntry base.
@@ -181,7 +229,19 @@ struct CommitRequest {
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
+  /// decode_view plus a copy of both sets.
   static CommitRequest decode(const Bytes& b);
+  /// The one parser: checks the read-set count against the buffer, every
+  /// write entry's bounds and the trailing bytes, and throws SerdeError
+  /// before the caller reads any entry.  The view borrows `b`.
+  static CommitRequestView decode_view(const Bytes& b);
+};
+
+/// A CommitRequest whose read-set and write-set stay in the request buffer.
+struct CommitRequestView {
+  TxnId txn = 0;
+  ReadSetView readset;
+  WriteSetView writeset;
 };
 
 /// Reply to a 2PC vote.  On an abort vote `stale` names every entry that
@@ -277,6 +337,8 @@ struct TxnStatusResponse {
   static TxnStatusResponse decode(const Bytes& b);
 };
 
+struct CommitConfirmView;
+
 /// One-way confirm broadcast to the write quorum after gathering votes.
 struct CommitConfirm {
   TxnId txn = 0;
@@ -285,7 +347,18 @@ struct CommitConfirm {
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
+  /// decode_view plus a copy of the write-set.
   static CommitConfirm decode(const Bytes& b);
+  /// The one parser, checking the whole message like
+  /// CommitRequest::decode_view.  The view borrows `b`.
+  static CommitConfirmView decode_view(const Bytes& b);
+};
+
+/// A CommitConfirm whose write-set stays in the confirm buffer.
+struct CommitConfirmView {
+  TxnId txn = 0;
+  bool commit = false;
+  WriteSetView writeset;
 };
 
 }  // namespace qrdtm::core

@@ -61,6 +61,7 @@ struct NetStats {
   std::uint64_t dropped_chaos = 0;
   std::uint64_t dropped_stale = 0;      // epoch mismatch (pre-crash traffic)
   std::uint64_t dropped_partition = 0;  // crossed an active partition cut
+  std::uint64_t dropped_malformed = 0;  // a service rejected it (SerdeError)
 
   std::uint64_t sent_by_kind(MsgKind k) const { return sent_by_kind_[k]; }
   std::uint64_t bytes_by_kind(MsgKind k) const { return bytes_by_kind_[k]; }
@@ -174,6 +175,10 @@ class Network {
   void clear_partition() { partition_active_ = false; }
 
   const NetStats& stats() const { return stats_; }
+
+  /// Count a delivered request that its service rejected as malformed and
+  /// dropped (RpcEndpoint::handle).
+  void count_malformed() { ++stats_.dropped_malformed; }
 
   /// Service time charged per handled message at the destination replica.
   sim::Tick service_time() const { return service_time_; }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/serde.h"
 
 namespace qrdtm::net {
 
@@ -90,7 +91,16 @@ void RpcEndpoint::handle(Message&& m) {
   QRDTM_CHECK_MSG(m.kind < kMsgKindSpace && services_[m.kind],
                   "no service for message kind");
   inbound_trace_ = m.trace;
-  std::optional<Bytes> reply = services_[m.kind](m.src, m.payload);
+  std::optional<Bytes> reply;
+  try {
+    reply = services_[m.kind](m.src, m.payload);
+  } catch (const SerdeError&) {
+    // A malformed request is this message's fault, not the run's: drop it
+    // with no reply (a caller times out, as for a lost message) and keep
+    // its buffer in the pool.  Services parse the whole message before
+    // acting on it, so the drop leaves the replica unchanged.
+    net_.count_malformed();
+  }
   inbound_trace_ = 0;
   net_.pool().release(std::move(m.payload));
   if (reply.has_value()) {

@@ -38,8 +38,12 @@ struct RpcResult {
 class RpcEndpoint {
  public:
   /// A service consumes a request payload and returns a response payload,
-  /// or nullopt for one-way messages that take no reply.  Registered once
-  /// per node at setup; only invoked on the per-message path.
+  /// or nullopt for one-way messages that take no reply.  A service that
+  /// throws SerdeError rejects the payload as malformed: the message is
+  /// dropped with no reply and counted in NetStats::dropped_malformed, so a
+  /// service must parse the whole payload before it changes any state.
+  /// Registered once per node at setup; only invoked on the per-message
+  /// path.
   using Service =  // qrdtm-lint: allow(hot-std-function)
       std::function<std::optional<Bytes>(NodeId src, const Bytes& req)>;
 

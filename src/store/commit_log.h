@@ -43,16 +43,27 @@
 // coordinator appends a decision record {txn, commit|abort, encoded confirm,
 // members}.  Unsettled decisions are carried across cuts and re-driven after
 // a restart (at-least-once delivery; receivers dedupe on (txn, epoch)).
+//
+// Appends frame each record straight into the tail: a zero length prefix,
+// the payload, then the prefix filled in.  A prepare's write-set travels as
+// one encoded run (u32 count, then per write u64 id, u64 base, u32 steps and
+// a u32-length-prefixed value), which is also how commit messages encode
+// their write-set (core/wire.h): a replica hands the run over verbatim
+// (append_encoded_prepare), the pending prepare keeps a copy of it, and a
+// cut copies that copy into the image.  The pending prepares, the verdicts
+// and replay's outcomes are flat TxnId-keyed tables (common/flat_table.h).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/flat_table.h"
+#include "common/serde.h"
 #include "store/object.h"
 #include "store/replica_store.h"
 
@@ -65,6 +76,43 @@ struct LoggedWrite {
   Version base = 0;
   std::uint32_t steps = 1;
   Bytes data;
+};
+
+/// A LoggedWrite read in place: `data` borrows the encoded run.
+struct LoggedWriteView {
+  ObjectId id = 0;
+  Version base = 0;
+  std::uint32_t steps = 1;
+  std::span<const std::uint8_t> data;
+};
+
+/// Reads one write of an encoded prepare run in place.
+inline LoggedWriteView decode_logged_write(Reader& r) {
+  LoggedWriteView w;
+  w.id = r.u64();
+  w.base = r.u64();
+  w.steps = r.u32();
+  w.data = r.blob_view();
+  return w;
+}
+
+/// A prepare's write-set as one encoded run, read in place.
+using LoggedWrites = EntryRun<LoggedWriteView, decode_logged_write>;
+
+/// Reads the encoded run that is all of `run`; SerdeError if malformed.
+inline LoggedWrites read_logged_writes(std::span<const std::uint8_t> run) {
+  Reader r(run.data(), run.size());
+  const LoggedWrites writes =
+      decode_entries<LoggedWriteView, decode_logged_write>(r);
+  r.expect_done();
+  return writes;
+}
+
+/// An applied 2PC outcome: the liveness epoch it was applied in, and the
+/// verdict.
+struct ConfirmOutcome {
+  std::uint32_t epoch = 0;
+  bool commit = false;
 };
 
 /// A coordinator's durable 2PC decision (DESIGN.md §17): written after the
@@ -90,6 +138,12 @@ class CommitLog {
   /// Append a 2PC prepare (commit vote taken, write-set protected).
   void append_prepare(TxnId txn, std::vector<LoggedWrite> writes,
                       std::uint32_t epoch);
+
+  /// The same, with the write-set already encoded as a run (see the file
+  /// comment) and copied verbatim.  A malformed run throws SerdeError
+  /// before anything is appended.
+  void append_encoded_prepare(TxnId txn, std::span<const std::uint8_t> writes,
+                              std::uint32_t epoch);
 
   /// Append the one-way 2PC outcome for `txn`.
   void append_confirm(TxnId txn, bool commit, std::uint32_t epoch);
@@ -118,9 +172,13 @@ class CommitLog {
   /// termination rounds may ask about long-finished transactions.
   std::optional<bool> decision_verdict(TxnId txn) const;
 
-  /// The in-flight (prepared, unconfirmed) writes of `txn`, or nullptr.
+  /// The in-flight (prepared, unconfirmed) writes of `txn`, or nullopt.
   /// A replica resolving an in-doubt transaction to commit applies these.
-  const std::vector<LoggedWrite>* find_pending(TxnId txn) const;
+  /// The run borrows the log: it is valid until the next append or cut.
+  std::optional<LoggedWrites> find_pending(TxnId txn) const;
+
+  /// Whether `txn` has an in-flight prepare here.
+  bool has_pending(TxnId txn) const { return pending_.contains(txn); }
 
   /// Checkpoint cut: replace the image with a snapshot of `store`, carry
   /// the in-flight prepares forward (unless `carry_in_flight` is false --
@@ -134,10 +192,8 @@ class CommitLog {
   /// When `outcomes` is non-null, every honoured confirm record is also
   /// recorded there as txn -> (epoch, commit) so the server can rebuild its
   /// idempotence applied-set across restarts.
-  std::size_t replay_into(
-      ReplicaStore& store,
-      std::unordered_map<TxnId, std::pair<std::uint32_t, bool>>* outcomes =
-          nullptr) const;
+  std::size_t replay_into(ReplicaStore& store,
+                          FlatTable<ConfirmOutcome>* outcomes = nullptr) const;
 
   // ----- observability ----------------------------------------------------
 
@@ -164,16 +220,43 @@ class CommitLog {
   void truncate_tail_for_test(std::size_t bytes);
 
  private:
+  /// An in-flight prepare: its write run lies at runs_[at, at + size).
   struct Pending {
     std::uint32_t epoch = 0;
-    std::vector<LoggedWrite> writes;
+    std::size_t at = 0;
+    std::size_t size = 0;
   };
+
+  /// Start a record in the tail: a zero length prefix, the type and the
+  /// epoch, with room made for `body` more bytes.  `*len_at` receives the
+  /// prefix's offset for close_record.
+  Writer open_record(std::uint8_t type, std::uint32_t epoch, std::size_t body,
+                     std::size_t* len_at);
+  /// Fill in the length prefix and hand the tail back.
+  void close_record(Writer&& w, std::size_t len_at);
+  /// Keep a copy of the write run that ends the tail from `run_at` as
+  /// txn's pending prepare.
+  void track_prepare(TxnId txn, std::uint32_t epoch, std::size_t run_at);
+  /// Forget `txn`'s in-flight prepare, if any.
+  void drop_pending(TxnId txn);
+  /// Copy the live runs to the front of a fresh buffer, dropping the ones
+  /// whose prepare was confirmed.
+  void compact_runs();
+  std::span<const std::uint8_t> run_of(const Pending& p) const {
+    return {runs_.data() + p.at, p.size};
+  }
 
   Bytes image_;  // checkpoint snapshot: objects + carried prepares/decisions
   Bytes tail_;   // length-prefixed records appended since the cut
   // In-flight prepares, maintained at append time so cut() can carry them.
   // Derived state: a replay of the durable bytes reconstructs it.
-  std::unordered_map<TxnId, Pending> pending_;
+  FlatTable<Pending> pending_;
+  // The pending prepares' write runs, appended in prepare order.  A
+  // confirmed prepare's run stays until the next compaction (a cut, the
+  // last pending prepare settling, or dead runs outgrowing live ones).
+  Bytes runs_;
+  Bytes spare_runs_;  // compact_runs' target, kept for its capacity
+  std::size_t live_run_bytes_ = 0;
   // Unsettled coordinator decisions (append_decision without a matching
   // settle_decision), carried across cuts like pending_.
   std::map<TxnId, Decision> decisions_;
@@ -183,7 +266,7 @@ class CommitLog {
   // transaction has no live in-doubt holder left to ask about it, so
   // rebuilding the map from the open decisions after a crash is sufficient
   // -- and the cut image stays bounded by the store size.
-  std::unordered_map<TxnId, bool> verdicts_;
+  FlatTable<bool> verdicts_;
   Version high_version_ = 0;
   std::uint64_t tail_records_ = 0;
   std::uint64_t cuts_ = 0;

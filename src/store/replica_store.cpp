@@ -56,11 +56,12 @@ void ReplicaStore::seed(ObjectId id, Bytes data, Version version) {
   e.is_protected = false;
 }
 
-void ReplicaStore::apply(ObjectId id, Version version, Bytes data) {
+void ReplicaStore::apply(ObjectId id, Version version,
+                         std::span<const std::uint8_t> data) {
   ReplicaEntry& e = get_or_create(id);
   if (version > e.version) {
     e.version = version;
-    e.data = std::move(data);
+    e.data.assign(data.begin(), data.end());
   }
 }
 

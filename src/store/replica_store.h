@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -78,7 +79,9 @@ class ReplicaStore {
 
   /// Apply a committed write: fast-forwards the copy iff `version` is newer
   /// (a stale replica may receive confirms out of order across objects).
-  void apply(ObjectId id, Version version, Bytes data);
+  /// The value is copied from where it lies (a confirm buffer, the commit
+  /// log) into the entry's own buffer, whose capacity it reuses.
+  void apply(ObjectId id, Version version, std::span<const std::uint8_t> data);
 
   /// 2PC vote bookkeeping.  `now` is recorded so the protection can later be
   /// lease-expired if the coordinator dies between vote and confirm.  No

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "apps/app.h"
 #include "apps/bank.h"
@@ -151,10 +152,16 @@ TEST(RbTreeRef, ManyInsertsKeepRedBlackInvariants) {
 
 // ----------------------------------------------------- concurrent sweeps
 
+// gtest's default printer puts SweepParam's raw bytes into every registered
+// test name. The app name is held inline, and the struct has no padding, so
+// those bytes (and the names) are the same in every build; a `const char*`
+// here would put the literal's ASLR address into the names.
 struct SweepParam {
-  const char* app;
+  char app[15];
   NestingMode mode;
 };
+static_assert(sizeof(SweepParam) == 16);
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class AppModeSweep : public ::testing::TestWithParam<SweepParam> {};
 

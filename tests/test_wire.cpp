@@ -1,14 +1,19 @@
 // Wire-format tests for the QR protocol messages: exact bytes, round trips,
-// the in-place read views, and fuzzing the decoders with random/truncated
-// bytes (a replica must reject corrupt input with SerdeError, never crash or
+// the in-place views, and fuzzing the decoders with random/truncated bytes
+// (a replica must reject corrupt input with SerdeError, never crash or
 // accept garbage silently).  The read-request sweeps run every input through
 // ReadRequest::decode and through a live replica's kRead service, which
-// validates the data-set in place.
+// validates the data-set in place; the commit sweeps do the same for
+// CommitRequest / CommitConfirm and the kCommitRequest / kCommitConfirm
+// services.  A service that rejects a message drops it (counted in
+// NetStats::dropped_malformed) and leaves the replica as it was.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/qr_server.h"
@@ -33,12 +38,29 @@ ReadRequest sample_read_request(Rng& rng) {
   return req;
 }
 
-/// One replica behind a two-endpoint network, fed raw kRead payloads.  Its
-/// protection lease is 1 us, so a served Rqv read sheds (and counts in
-/// Metrics::lease_breaks) every lease-expired protection its data-set names
-/// at a current version: arm() makes every data-set record a tripwire that
-/// shows whether the replica read it.
-struct ReadServiceRig {
+/// One replica behind a two-endpoint network, fed raw kRead,
+/// kCommitRequest and kCommitConfirm payloads.  Its protection lease is
+/// 1 us, and arm() stores every object a message names at the version it
+/// names, protected since tick 0 by a transaction other than the message's:
+/// a served Rqv read or vote sheds (and counts in Metrics::lease_breaks)
+/// each such protection it reads, and a served confirm logs its outcome.
+/// state() captures everything a served message can change, so serve()
+/// checks that a rejected message left it equal.
+struct ServiceRig {
+  struct State {
+    std::vector<std::tuple<ObjectId, Version, Bytes, TxnId, bool, bool,
+                           std::uint64_t>>
+        entries;
+    std::size_t log_bytes = 0;
+    std::uint64_t log_records = 0;
+    std::size_t log_in_flight = 0;
+    Version log_high = 0;
+    std::size_t prepared = 0;
+    std::size_t outcomes = 0;
+    Metrics metrics;
+    bool operator==(const State&) const = default;
+  };
+
   sim::Simulator sim;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::RpcEndpoint> client_ep;
@@ -46,7 +68,7 @@ struct ReadServiceRig {
   Metrics metrics;
   std::unique_ptr<QrServer> server;
 
-  ReadServiceRig() {
+  ServiceRig() {
     net = std::make_unique<net::Network>(
         sim, std::make_unique<net::UniformLatency>(sim::msec(1)), 1,
         sim::usec(10));
@@ -56,31 +78,70 @@ struct ReadServiceRig {
     server->set_protection_lease(sim::usec(1));
   }
 
-  /// Store every data-set entry of `req` at its version, protected by a
-  /// transaction other than the requester's root since tick 0.
+  void arm_object(ObjectId id, Version v, TxnId owner) {
+    if (id == store::kNullObject) return;  // never stored
+    server->store().seed(id, Bytes{}, v);
+    server->store().protect(id, owner + 1, /*now=*/0);
+  }
   void arm(const ReadRequest& req) {
     for (const DataSetEntry& e : req.dataset) {
-      server->store().seed(e.id, Bytes{}, e.version);
-      server->store().protect(e.id, req.root + 1, /*now=*/0);
+      arm_object(e.id, e.version, req.root);
+    }
+  }
+  void arm(const CommitRequest& req) {
+    for (const CommitReadEntry& e : req.readset) {
+      arm_object(e.id, e.version, req.txn);
+    }
+    for (const CommitWriteEntry& e : req.writeset) {
+      arm_object(e.id, e.base, req.txn);
+    }
+  }
+  void arm(const CommitConfirm& c) {
+    for (const CommitWriteEntry& e : c.writeset) {
+      arm_object(e.id, e.base, c.txn);
     }
   }
 
-  /// Deliver `wire` to the kRead service.  False when the service rejected
-  /// it with SerdeError.
-  bool serve(const Bytes& wire) {
-    client_ep->notify(server_ep->id(), msg::kRead, wire);
-    try {
-      sim.run();
-    } catch (const SerdeError&) {
-      return false;
+  State state() const {
+    State s;
+    for (const store::StoredObject& o : server->store().entries()) {
+      const store::ReplicaEntry& e = o.entry;
+      s.entries.emplace_back(o.id, e.version, e.data, e.protector,
+                             e.is_protected, e.prepared, e.protect_tick);
     }
-    return true;
+    const store::CommitLog& log = server->commit_log();
+    s.log_bytes = log.size_bytes();
+    s.log_records = log.tail_records();
+    s.log_in_flight = log.in_flight();
+    s.log_high = log.high_version();
+    s.prepared = server->prepared_txns();
+    s.outcomes = server->applied_outcomes();
+    s.metrics = metrics;
+    return s;
   }
+
+  /// Deliver `wire` as `kind`.  False when the service rejected it as
+  /// malformed, which drops the message, counts the drop and changes
+  /// nothing else.
+  bool serve(net::MsgKind kind, const Bytes& wire) {
+    const State before = state();
+    const std::uint64_t dropped = net->stats().dropped_malformed;
+    client_ep->notify(server_ep->id(), kind, wire);
+    sim.run();
+    const bool accepted = net->stats().dropped_malformed == dropped;
+    if (!accepted) {
+      EXPECT_EQ(net->stats().dropped_malformed, dropped + 1);
+      EXPECT_TRUE(state() == before) << "a dropped message changed the replica";
+    }
+    return accepted;
+  }
+  bool serve(const Bytes& wire) { return serve(msg::kRead, wire); }
 
   /// True when no armed protection of `req` was read and shed.
   bool untouched(const ReadRequest& req) {
     if (metrics.lease_breaks != 0) return false;
     for (const DataSetEntry& e : req.dataset) {
+      if (e.id == store::kNullObject) continue;
       if (!server->store().protected_against(e.id, req.root)) return false;
     }
     return true;
@@ -341,7 +402,7 @@ TEST(WireFuzz, WrongDataSetCountThrows) {
       Bytes b = wire;
       std::memcpy(b.data() + kCountAt, &bad, sizeof(bad));
       EXPECT_THROW((void)ReadRequest::decode(b), SerdeError) << bad;
-      ReadServiceRig rig;
+      ServiceRig rig;
       rig.arm(req);
       EXPECT_FALSE(rig.serve(b)) << bad;
       EXPECT_TRUE(rig.untouched(req)) << "count " << bad;
@@ -363,7 +424,7 @@ TEST(WireFuzz, OutOfRangeNestingModeThrows) {
        {static_cast<std::uint8_t>(NestingMode::kQueued) + 1, 0xff}) {
     wire[8] = bad;  // mode byte
     EXPECT_THROW(ReadRequest::decode(wire), SerdeError);
-    ReadServiceRig rig;
+    ServiceRig rig;
     rig.arm(req);
     EXPECT_FALSE(rig.serve(wire));
     EXPECT_TRUE(rig.untouched(req));
@@ -400,7 +461,7 @@ TEST(WireFuzz, TruncatedMessagesThrow) {
   for (int iter = 0; iter < 50; ++iter) {
     const ReadRequest req = sample_read_request(rng);
     const Bytes full = req.encode();
-    ReadServiceRig rig;
+    ServiceRig rig;
     rig.arm(req);
     for (std::size_t len = 0; len < full.size(); ++len) {
       Bytes cut(full.begin(), full.begin() + len);
@@ -423,7 +484,7 @@ TEST(WireFuzz, TruncatedMessagesThrow) {
 // ReadRequest::decode on every one.
 TEST(WireFuzz, RandomBytesNeverCrash) {
   Rng rng(3);
-  ReadServiceRig rig;
+  ServiceRig rig;
   int decoded = 0, rejected = 0;
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes junk(rng.below(64), 0);
@@ -457,7 +518,7 @@ TEST(WireFuzz, RandomBytesNeverCrash) {
 // replica, which accepts exactly what the decoder accepts.
 TEST(WireFuzz, BitFlipsNeverCrash) {
   Rng rng(4);
-  ReadServiceRig rig;
+  ServiceRig rig;
   for (int iter = 0; iter < 300; ++iter) {
     Bytes wire = sample_read_request(rng).encode();
     std::size_t pos = rng.below(wire.size());
@@ -469,6 +530,224 @@ TEST(WireFuzz, BitFlipsNeverCrash) {
       decodes = false;  // rejected: fine
     }
     EXPECT_EQ(rig.serve(wire), decodes);
+  }
+}
+
+// --- commit messages through a live replica --------------------------------
+
+CommitRequest sample_commit_request(Rng& rng) {
+  CommitRequest req;
+  req.txn = rng.next();
+  const int nr = static_cast<int>(rng.below(4));
+  for (int i = 0; i < nr; ++i) {
+    req.readset.push_back(CommitReadEntry{rng.next(), rng.next()});
+  }
+  const int nw = static_cast<int>(rng.below(4));
+  for (int i = 0; i < nw; ++i) {
+    Bytes data(rng.below(6));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    req.writeset.push_back(CommitWriteEntry{
+        rng.next(), rng.next(), std::move(data),
+        static_cast<std::uint32_t>(1 + rng.below(4))});
+  }
+  return req;
+}
+
+CommitConfirm sample_confirm(Rng& rng) {
+  const CommitRequest req = sample_commit_request(rng);
+  return CommitConfirm{
+      .txn = req.txn, .commit = rng.chance(0.5), .writeset = req.writeset};
+}
+
+bool decodes_request(const Bytes& b) {
+  try {
+    (void)CommitRequest::decode(b);
+    return true;
+  } catch (const SerdeError&) {
+    return false;
+  }
+}
+
+bool decodes_confirm(const Bytes& b) {
+  try {
+    (void)CommitConfirm::decode(b);
+    return true;
+  } catch (const SerdeError&) {
+    return false;
+  }
+}
+
+TEST(Wire, CommitViewsReadTheSetsInPlace) {
+  CommitRequest req;
+  req.txn = 7;
+  req.readset = {{1, 2}, {3, 4}};
+  req.writeset.push_back(CommitWriteEntry{5, 6, Bytes{9, 8}, 1});
+  req.writeset.push_back(CommitWriteEntry{10, 11, Bytes{7}, 4});
+  const Bytes wire = req.encode();
+  const CommitRequestView v = CommitRequest::decode_view(wire);
+  EXPECT_EQ(v.txn, 7u);
+  ASSERT_EQ(v.readset.size(), 2u);
+  EXPECT_EQ(v.readset[1].id, 3u);
+  EXPECT_EQ(v.readset[1].version, 4u);
+  ASSERT_EQ(v.writeset.size(), 2u);
+  auto it = v.writeset.begin();
+  EXPECT_EQ(it->id, 5u);
+  EXPECT_EQ(it->steps, 1u);
+  EXPECT_EQ(it.raw().size(), 8u + 8 + 4 + 4 + 2);
+  ++it;
+  EXPECT_EQ(it->base, 11u);
+  EXPECT_EQ(it->steps, 4u);
+  ASSERT_EQ(it->data.size(), 1u);
+  EXPECT_EQ(it->data.data(), wire.data() + wire.size() - 1)
+      << "the value is borrowed in place";
+  ++it;
+  EXPECT_TRUE(it == v.writeset.end());
+  // The write-set run is the message's tail: count plus entries.
+  EXPECT_EQ(v.writeset.bytes().data() + v.writeset.bytes().size(),
+            wire.data() + wire.size());
+  EXPECT_EQ(v.writeset.bytes().size(), 4u + 2 * (8 + 8 + 4 + 4) + 3);
+
+  const CommitConfirm confirm{.txn = 8, .commit = true, .writeset = req.writeset};
+  const Bytes cwire = confirm.encode();
+  const CommitConfirmView cv = CommitConfirm::decode_view(cwire);
+  EXPECT_EQ(cv.txn, 8u);
+  EXPECT_TRUE(cv.commit);
+  ASSERT_EQ(cv.writeset.size(), 2u);
+  EXPECT_EQ(Bytes(cv.writeset.begin()->data.begin(),
+                  cv.writeset.begin()->data.end()),
+            (Bytes{9, 8}));
+}
+
+// A replica logs a request's write-set by copying its bytes: the log it
+// writes that way is byte for byte the log a LoggedWrite vector writes.
+TEST(Wire, CommitWriteSetIsTheLogWriteLayout) {
+  Rng rng(9);
+  for (int iter = 0; iter < 50; ++iter) {
+    const CommitRequest req = sample_commit_request(rng);
+    store::CommitLog verbatim;
+    store::CommitLog rebuilt;
+    verbatim.append_encoded_prepare(
+        req.txn, CommitRequest::decode_view(req.encode()).writeset.bytes(), 3);
+    std::vector<store::LoggedWrite> writes;
+    for (const CommitWriteEntry& e : req.writeset) {
+      writes.push_back(store::LoggedWrite{e.id, e.base, e.steps, e.data});
+    }
+    rebuilt.append_prepare(req.txn, writes, 3);
+    EXPECT_EQ(verbatim.size_bytes(), rebuilt.size_bytes());
+    EXPECT_EQ(verbatim.high_version(), rebuilt.high_version());
+    store::ReplicaStore a;
+    store::ReplicaStore b;
+    verbatim.cut(a, 0);
+    rebuilt.cut(b, 0);
+    verbatim.append_confirm(req.txn, true, 3);
+    rebuilt.append_confirm(req.txn, true, 3);
+    verbatim.replay_into(a);
+    rebuilt.replay_into(b);
+    ASSERT_EQ(a.num_objects(), b.num_objects());
+    for (const store::StoredObject& o : b.entries()) {
+      ASSERT_NE(a.find(o.id), nullptr);
+      EXPECT_EQ(a.find(o.id)->version, o.entry.version);
+      EXPECT_EQ(a.find(o.id)->data, o.entry.data);
+    }
+  }
+}
+
+TEST(WireFuzz, TruncatedCommitMessagesAreDropped) {
+  Rng rng(10);
+  for (int iter = 0; iter < 30; ++iter) {
+    const CommitRequest req = sample_commit_request(rng);
+    const CommitConfirm confirm = sample_confirm(rng);
+    const Bytes full = req.encode();
+    const Bytes cfull = confirm.encode();
+    ServiceRig rig;
+    rig.arm(req);
+    rig.arm(confirm);
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      const Bytes cut(full.begin(), full.begin() + len);
+      EXPECT_FALSE(decodes_request(cut)) << len;
+      EXPECT_FALSE(rig.serve(msg::kCommitRequest, cut)) << len;
+      EXPECT_FALSE(rig.serve(msg::kBatchCommitRequest, cut)) << len;
+    }
+    for (std::size_t len = 0; len < cfull.size(); ++len) {
+      const Bytes cut(cfull.begin(), cfull.begin() + len);
+      EXPECT_FALSE(decodes_confirm(cut)) << len;
+      EXPECT_FALSE(rig.serve(msg::kCommitConfirm, cut)) << len;
+      EXPECT_FALSE(rig.serve(msg::kBatchCommitConfirm, cut)) << len;
+    }
+    // Control: the whole messages are served, and change the replica.
+    const auto before = rig.state();
+    EXPECT_TRUE(rig.serve(msg::kCommitRequest, full));
+    EXPECT_TRUE(rig.serve(msg::kCommitConfirm, cfull));
+    EXPECT_FALSE(rig.state() == before);
+  }
+}
+
+TEST(WireFuzz, WrongCommitCountsAreDropped) {
+  Rng rng(11);
+  for (int iter = 0; iter < 30; ++iter) {
+    const CommitRequest req = sample_commit_request(rng);
+    const CommitConfirm confirm = sample_confirm(rng);
+    const auto nr = static_cast<std::uint32_t>(req.readset.size());
+    const auto nw = static_cast<std::uint32_t>(req.writeset.size());
+    const auto nc = static_cast<std::uint32_t>(confirm.writeset.size());
+    struct Case {
+      net::MsgKind kind;
+      Bytes wire;
+      std::size_t count_at;
+      std::uint32_t n;
+    };
+    const Case cases[] = {
+        {msg::kCommitRequest, req.encode(), 8, nr},
+        {msg::kCommitRequest, req.encode(), 8 + 4 + 16 * std::size_t{nr}, nw},
+        {msg::kCommitConfirm, confirm.encode(), 8 + 1, nc}};
+    for (const Case& c : cases) {
+      ServiceRig rig;
+      rig.arm(req);
+      rig.arm(confirm);
+      for (std::uint32_t bad : {c.n + 1, c.n + 2, c.n == 0 ? 0xffffffffu : c.n - 1,
+                                0xffffffffu, 0x80000000u}) {
+        if (bad == c.n) continue;
+        Bytes b = c.wire;
+        std::memcpy(b.data() + c.count_at, &bad, sizeof(bad));
+        const bool decodes = c.kind == msg::kCommitRequest
+                                 ? decodes_request(b)
+                                 : decodes_confirm(b);
+        EXPECT_FALSE(decodes) << "count " << bad;
+        EXPECT_EQ(rig.serve(c.kind, b), decodes) << "count " << bad;
+      }
+    }
+  }
+}
+
+// Random bytes and bit flips: each commit service accepts exactly what the
+// owning decode() accepts, and a rejected message changes nothing.
+TEST(WireFuzz, CommitServicesAcceptExactlyWhatDecodeAccepts) {
+  Rng rng(12);
+  int rejected = 0;
+  ServiceRig rig;
+  for (int iter = 0; iter < 1000; ++iter) {
+    Bytes junk(rng.below(64), 0);
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
+    const bool req_ok = decodes_request(junk);
+    const bool confirm_ok = decodes_confirm(junk);
+    rejected += (req_ok ? 0 : 1) + (confirm_ok ? 0 : 1);
+    EXPECT_EQ(rig.serve(msg::kCommitRequest, junk), req_ok);
+    EXPECT_EQ(rig.serve(msg::kCommitConfirm, junk), confirm_ok);
+  }
+  EXPECT_GT(rejected, 0);
+  for (int iter = 0; iter < 300; ++iter) {
+    const CommitRequest req = sample_commit_request(rng);
+    const CommitConfirm confirm = sample_confirm(rng);
+    ServiceRig armed;
+    armed.arm(req);
+    armed.arm(confirm);
+    Bytes wire = req.encode();
+    wire[rng.below(wire.size())] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+    EXPECT_EQ(armed.serve(msg::kCommitRequest, wire), decodes_request(wire));
+    Bytes cwire = confirm.encode();
+    cwire[rng.below(cwire.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.below(8));
+    EXPECT_EQ(armed.serve(msg::kCommitConfirm, cwire), decodes_confirm(cwire));
   }
 }
 

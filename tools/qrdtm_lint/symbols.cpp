@@ -124,9 +124,9 @@ bool parse_lambda_codec(const std::vector<Token>& t, std::size_t b,
 }
 
 /// Extract the ordered codec ops from a body range given the Writer/Reader
-/// variable name.  Handles primitive ops, encode_vec/decode_vec and
-/// encode_records/decode_records (named helper or inline lambda element
-/// codec), and free-encoder delegation.
+/// variable name.  Handles primitive ops, encode_vec/decode_vec,
+/// encode_records/decode_records and decode_entries (named helper or inline
+/// lambda element codec), and free-encoder delegation.
 void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
                      const std::string& var, bool encode,
                      std::vector<CodecOp>* ops) {
@@ -156,9 +156,13 @@ void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
     // encode_vec(w, field, elem) / decode_vec<T>(r, elem), and the
     // fixed-record pair encode_records<N>(w, field, elem) /
     // decode_records<N, T, elem>(r), whose decoder is the last template
-    // argument.  Both write a u32 count and then the elements.
+    // argument.  All write a u32 count and then the elements.  A run of
+    // variable-length entries read in place, decode_entries<T, elem>(r),
+    // is the decode half of an encode_vec and names its entry decoder the
+    // same way.
     if (is_ident(t[k], encode ? "encode_vec" : "decode_vec") ||
-        is_ident(t[k], encode ? "encode_records" : "decode_records")) {
+        is_ident(t[k], encode ? "encode_records" : "decode_records") ||
+        (!encode && is_ident(t[k], "decode_entries"))) {
       std::size_t j = k + 1;
       std::string tmpl_type;
       if (j < e && is_punct(t[j], "<")) {
