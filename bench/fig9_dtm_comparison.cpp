@@ -11,6 +11,7 @@
 // Decent's snapshot overhead is the calibrated `snapshot_compute` cost.
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "baselines/decent.h"
 #include "baselines/tfa.h"
@@ -32,7 +33,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

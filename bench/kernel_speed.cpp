@@ -1,6 +1,7 @@
 // Hot-path microbenchmarks for the simulation substrate itself: raw kernel
 // event throughput, RPC round-trips, Rqv remote reads as the carried
-// data-set grows, and a replica serving 2PC rounds.  These are the paths
+// data-set grows, the client's transaction tree (remote reads, CT merges and
+// aborts), and a replica serving 2PC rounds.  These are the paths
 // every experiment in the reproduction funnels through; --benchmark_out
 // here (and the end-to-end point qrdtm_run --metrics-json writes) tracks
 // their trajectory across perf changes.
@@ -126,7 +127,7 @@ void BM_ReadWithDataSet(benchmark::State& state) {
     // qrdtm-lint: allow(coro-ref-capture)
     cluster.spawn_client(0, [&ids](core::Txn& t) -> sim::Task<void> {
       for (core::ObjectId id : ids) {
-        Bytes b = co_await t.read(id);
+        const core::ValueSpan b = co_await t.read(id);
         benchmark::DoNotOptimize(b.size());
       }
     });
@@ -138,6 +139,101 @@ void BM_ReadWithDataSet(benchmark::State& state) {
       static_cast<double>(state.items_processed()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReadWithDataSet)->Arg(4)->Arg(32)->Arg(128);
+
+// --------------------------------------------- the client's transaction tree
+
+/// A QR-CN cluster on fast links with `objects` seeded 16-byte objects.
+struct TreeRig {
+  explicit TreeRig(std::uint32_t objects) : cluster(config()) {
+    ids.reserve(objects);
+    for (std::uint32_t i = 0; i < objects; ++i) {
+      ids.push_back(cluster.seed_new_object(Bytes(16, 0xAB)));
+    }
+  }
+  static core::ClusterConfig config() {
+    core::ClusterConfig cc;
+    cc.num_nodes = 4;
+    cc.runtime.mode = core::NestingMode::kClosed;
+    cc.link_latency = sim::usec(10);
+    cc.link_jitter = 0;
+    cc.service_time = sim::usec(1);
+    return cc;
+  }
+  /// Apply `id` one version newer on every replica, so the next Rqv
+  /// validation of a copy fetched before fails.
+  void bump(core::ObjectId id) {
+    const core::Version next = cluster.server(0).store().version_of(id) + 1;
+    for (net::NodeId n = 0; n < cluster.num_nodes(); ++n) {
+      cluster.server(n).store().apply(id, next, value);
+    }
+  }
+
+  core::Cluster cluster;
+  std::vector<core::ObjectId> ids;
+  const Bytes value = Bytes(16, 0xCD);
+  bool bumped = false;
+};
+
+/// The client half of a remote read: one root transaction per iteration
+/// reading the given number of objects through the read quorum (Rqv under
+/// QR-CN), then committing locally (read-only).  Counts the runtime's
+/// per-read work -- request encode from the data-set, multicast and gather,
+/// the winning value into the transaction's sets, the value handed to the
+/// body -- next to the replica and network work BM_ReadWithDataSet covers.
+void BM_ClientRemoteRead(benchmark::State& state) {
+  const auto reads = static_cast<std::uint32_t>(state.range(0));
+  TreeRig rig(reads);
+  TreeRig* r = &rig;
+  const core::TxnBody body = [r](core::Txn& t) -> sim::Task<void> {
+    for (core::ObjectId id : r->ids) {
+      const auto value = co_await t.read(id);
+      benchmark::DoNotOptimize(value.size());
+    }
+  };
+  for (auto _ : state) {
+    rig.cluster.spawn_client(0, body);
+    rig.cluster.run_to_completion();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(reads));
+  state.counters["reads_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.items_processed()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ClientRemoteRead)->Arg(1)->Arg(16);
+
+/// Closed-nested scopes merging and aborting: per iteration one root whose
+/// first CT reads four objects and merges, and whose second CT reads one,
+/// finds it invalidated (Rqv), aborts, retries and merges.  The root is
+/// read-only and commits locally.
+void BM_CtMergeAbort(benchmark::State& state) {
+  TreeRig rig(6);
+  TreeRig* r = &rig;
+  const core::TxnBody body = [r](core::Txn& t) -> sim::Task<void> {
+    co_await t.nested([r](core::Txn& ct) -> sim::Task<void> {
+      for (std::size_t i = 0; i < 4; ++i) (void)co_await ct.read(r->ids[i]);
+    });
+    co_await t.nested([r](core::Txn& ct) -> sim::Task<void> {
+      (void)co_await ct.read(r->ids[4]);
+      if (!r->bumped) {
+        r->bumped = true;
+        r->bump(r->ids[4]);
+      }
+      (void)co_await ct.read(r->ids[5]);
+    });
+  };
+  for (auto _ : state) {
+    rig.bumped = false;
+    rig.cluster.spawn_client(0, body);
+    rig.cluster.run_to_completion();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["ct_aborts_per_root"] =
+      static_cast<double>(rig.cluster.metrics().ct_aborts) /
+      static_cast<double>(state.iterations());
+  state.counters["roots_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.items_processed()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CtMergeAbort);
 
 // ------------------------------------------------------ 2PC, replica side
 

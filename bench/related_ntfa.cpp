@@ -10,6 +10,7 @@
 // quorum multicasts validated on every read, so saving re-reads pays much
 // more.  This bench reproduces that contrast on the same Bank workload.
 #include <cstdio>
+#include <span>
 
 #include "baselines/tfa.h"
 #include "bench/bench_util.h"
@@ -29,7 +30,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -100,7 +100,8 @@ Point run_point(std::uint32_t shards, double cross_ratio, double skew,
   const ZipfSampler zipf(kObjects, skew);
 
   auto bump = [](core::Txn& t, core::ObjectId id) -> sim::Task<void> {
-    core::Bytes b = co_await t.read_for_write(id);
+    const core::ValueSpan v = co_await t.read_for_write(id);
+    core::Bytes b(v.begin(), v.end());
     b[0] += 1;
     t.write(id, b);
   };

@@ -6,6 +6,7 @@
 // Prints the checkpoint count, the rollback target, and the remote-read
 // savings versus a flat restart.
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "common/serde.h"
@@ -25,7 +26,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

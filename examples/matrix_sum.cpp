@@ -10,6 +10,7 @@
 // visible, exactly as the paper argues in §I-A.
 #include <cstdio>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/serde.h"
@@ -30,7 +31,7 @@ Bytes enc_matrix(const std::vector<std::int64_t>& cells) {
   return std::move(w).take();
 }
 
-std::vector<std::int64_t> dec_matrix(const Bytes& b) {
+std::vector<std::int64_t> dec_matrix(std::span<const std::uint8_t> b) {
   Reader r(b);
   return decode_vec<std::int64_t>(r, [](Reader& r2) { return r2.i64(); });
 }

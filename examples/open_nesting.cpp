@@ -9,6 +9,7 @@
 //
 //   $ ./build/examples/open_nesting
 #include <cstdio>
+#include <span>
 
 #include "common/serde.h"
 #include "core/cluster.h"
@@ -28,7 +29,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

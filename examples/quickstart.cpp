@@ -7,6 +7,7 @@
 // replicated objects, running transactions (with a closed-nested scope per
 // transfer), and reading the metrics.
 #include <cstdio>
+#include <span>
 
 #include "common/serde.h"
 #include "core/cluster.h"
@@ -25,7 +26,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -11,13 +11,15 @@
 
 namespace qrdtm::apps {
 
-Bytes enc_i64(std::int64_t v) {
-  Writer w;
+I64Value i64_value(std::int64_t v) {
+  I64Value w;
   w.i64(v);
-  return std::move(w).take();
+  return w;
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+Bytes enc_i64(std::int64_t v) { return i64_value(v).to_bytes(); }
+
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -13,10 +13,12 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "core/cluster.h"
 
 namespace qrdtm::apps {
@@ -69,7 +71,14 @@ std::vector<std::string> app_names();
 
 // --- small shared encoding helpers (serde payload schemas) ---
 
+/// An encoded i64 held inline: Txn::write takes it as a span, so writing a
+/// balance allocates nothing.
+using I64Value = InlineWriter<8>;
+I64Value i64_value(std::int64_t v);
+
+/// An owning encoded i64, for seeding and the baselines' Bytes writes.
 Bytes enc_i64(std::int64_t v);
-std::int64_t dec_i64(const Bytes& b);
+/// Decodes an i64 payload in place (a span Txn::read lent, or Bytes).
+std::int64_t dec_i64(std::span<const std::uint8_t> b);
 
 }  // namespace qrdtm::apps

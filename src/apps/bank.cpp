@@ -51,8 +51,8 @@ TxnBody BankApp::make_txn(const WorkloadParams& params, Rng& rng) {
           std::int64_t from = dec_i64(co_await ct.read_for_write(op.a));
           std::int64_t to = dec_i64(co_await ct.read_for_write(op.b));
           co_await ct.compute(compute);
-          ct.write(op.a, enc_i64(from - op.amount));
-          ct.write(op.b, enc_i64(to + op.amount));
+          ct.write(op.a, i64_value(from - op.amount));
+          ct.write(op.b, i64_value(to + op.amount));
         }
       });
     }

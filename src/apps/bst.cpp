@@ -18,17 +18,17 @@ struct Node {
   bool deleted = false;
 };
 
-Bytes enc_node(const Node& n) {
-  Writer w;
+InlineWriter<33> enc_node(const Node& n) {
+  InlineWriter<33> w;
   w.u64(n.key);
   w.i64(n.value);
   w.u64(n.left);
   w.u64(n.right);
   w.boolean(n.deleted);
-  return std::move(w).take();
+  return w;
 }
 
-Node dec_node(const Bytes& b) {
+Node dec_node(std::span<const std::uint8_t> b) {
   Reader r(b);
   Node n;
   n.key = r.u64();
@@ -39,13 +39,13 @@ Node dec_node(const Bytes& b) {
   return n;
 }
 
-Bytes enc_holder(ObjectId root) {
-  Writer w;
+InlineWriter<8> enc_holder(ObjectId root) {
+  InlineWriter<8> w;
   w.u64(root);
-  return std::move(w).take();
+  return w;
 }
 
-ObjectId dec_holder(const Bytes& b) {
+ObjectId dec_holder(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.u64();
 }
@@ -72,10 +72,10 @@ void BstApp::setup(Cluster& cluster, const WorkloadParams& params, Rng& rng) {
     n.value = static_cast<std::int64_t>(sorted[mid]);
     n.left = build(lo, mid);
     n.right = build(mid + 1, hi);
-    return cluster.seed_new_object(enc_node(n));
+    return cluster.seed_new_object(enc_node(n).to_bytes());
   };
   ObjectId root = build(0, sorted.size());
-  root_holder_ = cluster.seed_new_object(enc_holder(root));
+  root_holder_ = cluster.seed_new_object(enc_holder(root).to_bytes());
 }
 
 sim::Task<void> BstApp::run_op(Txn& ct, ObjectId root_holder, OpKind kind,

@@ -10,12 +10,12 @@ namespace qrdtm::apps {
 namespace {
 
 // Bucket head payload: {first_entry_id}.
-Bytes enc_head(ObjectId first) {
-  Writer w;
+InlineWriter<8> enc_head(ObjectId first) {
+  InlineWriter<8> w;
   w.u64(first);
-  return std::move(w).take();
+  return w;
 }
-ObjectId dec_head(const Bytes& b) {
+ObjectId dec_head(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.u64();
 }
@@ -26,14 +26,14 @@ struct Entry {
   std::int64_t value;
   ObjectId next;
 };
-Bytes enc_entry(const Entry& e) {
-  Writer w;
+InlineWriter<24> enc_entry(const Entry& e) {
+  InlineWriter<24> w;
   w.u64(e.key);
   w.i64(e.value);
   w.u64(e.next);
-  return std::move(w).take();
+  return w;
 }
-Entry dec_entry(const Bytes& b) {
+Entry dec_entry(std::span<const std::uint8_t> b) {
   Reader r(b);
   Entry e;
   e.key = r.u64();
@@ -71,9 +71,9 @@ void HashmapApp::setup(Cluster& cluster, const WorkloadParams& params,
     ObjectId next = store::kNullObject;
     for (std::uint64_t k : chains[b]) {
       next = cluster.seed_new_object(
-          enc_entry(Entry{k, static_cast<std::int64_t>(k), next}));
+          enc_entry(Entry{k, static_cast<std::int64_t>(k), next}).to_bytes());
     }
-    buckets_.push_back(cluster.seed_new_object(enc_head(next)));
+    buckets_.push_back(cluster.seed_new_object(enc_head(next).to_bytes()));
   }
 }
 

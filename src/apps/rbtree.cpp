@@ -24,8 +24,8 @@ struct Node {
   bool deleted = false;
 };
 
-Bytes enc_node(const Node& n) {
-  Writer w;
+InlineWriter<42> enc_node(const Node& n) {
+  InlineWriter<42> w;
   w.u64(n.key);
   w.i64(n.value);
   w.u8(n.color);
@@ -33,10 +33,10 @@ Bytes enc_node(const Node& n) {
   w.u64(n.right);
   w.u64(n.parent);
   w.boolean(n.deleted);
-  return std::move(w).take();
+  return w;
 }
 
-Node dec_node(const Bytes& b) {
+Node dec_node(std::span<const std::uint8_t> b) {
   Reader r(b);
   Node n;
   n.key = r.u64();
@@ -49,13 +49,13 @@ Node dec_node(const Bytes& b) {
   return n;
 }
 
-Bytes enc_holder(ObjectId root) {
-  Writer w;
+InlineWriter<8> enc_holder(ObjectId root) {
+  InlineWriter<8> w;
   w.u64(root);
-  return std::move(w).take();
+  return w;
 }
 
-ObjectId dec_holder(const Bytes& b) {
+ObjectId dec_holder(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.u64();
 }
@@ -295,10 +295,10 @@ void RbTreeApp::setup(Cluster& cluster, const WorkloadParams& params,
     // recolour.
     for (auto& [id, n] : staged) {
       if (id == root) n.color = kBlack;
-      cluster.seed_object(id, enc_node(n));
+      cluster.seed_object(id, enc_node(n).to_bytes());
     }
   }
-  root_holder_ = cluster.seed_new_object(enc_holder(root));
+  root_holder_ = cluster.seed_new_object(enc_holder(root).to_bytes());
 }
 
 sim::Task<void> RbTreeApp::run_op(Txn& ct, ObjectId root_holder, OpKind kind,

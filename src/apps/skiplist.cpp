@@ -1,6 +1,6 @@
 #include "apps/skiplist.h"
 
-#include <map>
+#include <array>
 #include <set>
 
 #include "common/check.h"
@@ -11,31 +11,54 @@ namespace qrdtm::apps {
 namespace {
 
 // Node payload: {key, value, height, next[height]}.  The head sentinel uses
-// key 0 (workload keys are >= 1) and height kMaxLevel.
+// key 0 (workload keys are >= 1) and height kMaxLevel.  A decoded node keeps
+// its successors in a fixed kMaxLevel array, so decoding allocates nothing.
 struct Node {
   std::uint64_t key = 0;
   std::int64_t value = 0;
-  std::vector<ObjectId> next;  // size = height
+  std::uint32_t height = 0;
+  std::array<ObjectId, SkipListApp::kMaxLevel> next{};  // [0, height) used
 };
 
-Bytes enc_node(const Node& n) {
-  Writer w;
+/// Encoded size of the tallest node.
+constexpr std::size_t kMaxNodeBytes = 8 + 8 + 4 + 8 * SkipListApp::kMaxLevel;
+
+InlineWriter<kMaxNodeBytes> enc_node(const Node& n) {
+  InlineWriter<kMaxNodeBytes> w;
   w.u64(n.key);
   w.i64(n.value);
-  w.u32(static_cast<std::uint32_t>(n.next.size()));
-  for (ObjectId id : n.next) w.u64(id);
-  return std::move(w).take();
+  w.u32(n.height);
+  for (std::uint32_t l = 0; l < n.height; ++l) w.u64(n.next[l]);
+  return w;
 }
 
-Node dec_node(const Bytes& b) {
+Node dec_node(std::span<const std::uint8_t> b) {
   Reader r(b);
   Node n;
   n.key = r.u64();
   n.value = r.i64();
-  std::uint32_t h = r.u32();
-  n.next.reserve(h);
-  for (std::uint32_t i = 0; i < h; ++i) n.next.push_back(r.u64());
+  n.height = r.u32();
+  if (n.height > SkipListApp::kMaxLevel) {
+    throw SerdeError("skiplist node taller than kMaxLevel");
+  }
+  for (std::uint32_t l = 0; l < n.height; ++l) n.next[l] = r.u64();
   return n;
+}
+
+/// A predecessor staged for mutation: the node is written back once even
+/// when several levels share it.
+struct Staged {
+  ObjectId id = store::kNullObject;
+  Node node;
+};
+
+/// The staged node of `id`, or nullptr.
+Node* find_staged(std::array<Staged, SkipListApp::kMaxLevel>& staged,
+                  std::uint32_t count, ObjectId id) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (staged[i].id == id) return &staged[i].node;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -62,20 +85,22 @@ void SkipListApp::setup(Cluster& cluster, const WorkloadParams& params,
   }
 
   // Build back-to-front so next pointers are known at seed time.
-  std::vector<ObjectId> level_next(kMaxLevel, store::kNullObject);
+  std::array<ObjectId, kMaxLevel> level_next{};
   for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
     std::uint32_t h = height_of(*it);
     Node n;
     n.key = *it;
     n.value = static_cast<std::int64_t>(*it);
-    n.next.assign(level_next.begin(), level_next.begin() + h);
-    ObjectId id = cluster.seed_new_object(enc_node(n));
+    n.height = h;
+    n.next = level_next;  // levels past h stay unused
+    ObjectId id = cluster.seed_new_object(enc_node(n).to_bytes());
     for (std::uint32_t l = 0; l < h; ++l) level_next[l] = id;
   }
   Node head;
   head.key = 0;
-  head.next = level_next;  // full height
-  head_ = cluster.seed_new_object(enc_node(head));
+  head.height = kMaxLevel;
+  head.next = level_next;
+  head_ = cluster.seed_new_object(enc_node(head).to_bytes());
 }
 
 sim::Task<void> SkipListApp::run_op(Txn& ct, ObjectId head, OpKind kind,
@@ -84,13 +109,12 @@ sim::Task<void> SkipListApp::run_op(Txn& ct, ObjectId head, OpKind kind,
   // Search: collect the predecessor *id* at every level (the classic
   // update[] array), reading each node on the path exactly once remotely
   // (repeat reads hit the transaction-local data-set).
-  std::vector<ObjectId> preds(kMaxLevel, head);
-  Node head_node = dec_node(co_await ct.read(head));
-
+  std::array<ObjectId, kMaxLevel> preds;
+  preds.fill(head);
   ObjectId cur_id = head;
-  Node cur = head_node;
+  Node cur = dec_node(co_await ct.read(head));
   for (std::uint32_t l = kMaxLevel; l-- > 0;) {
-    while (l < cur.next.size() && cur.next[l] != store::kNullObject) {
+    while (l < cur.height && cur.next[l] != store::kNullObject) {
       Node nxt = dec_node(co_await ct.read(cur.next[l]));
       if (nxt.key >= key) break;
       cur_id = cur.next[l];
@@ -104,7 +128,7 @@ sim::Task<void> SkipListApp::run_op(Txn& ct, ObjectId head, OpKind kind,
   Node cand;
   {
     Node pred0 = dec_node(co_await ct.read(preds[0]));
-    if (!pred0.next.empty() && pred0.next[0] != store::kNullObject) {
+    if (pred0.height > 0 && pred0.next[0] != store::kNullObject) {
       Node maybe = dec_node(co_await ct.read(pred0.next[0]));
       if (maybe.key == key) {
         cand_id = pred0.next[0];
@@ -115,6 +139,12 @@ sim::Task<void> SkipListApp::run_op(Txn& ct, ObjectId head, OpKind kind,
   const bool found = cand_id != store::kNullObject;
   co_await ct.compute(compute);
 
+  // Stage per-predecessor mutations (several levels may share one
+  // predecessor object; mutate the staged copy, write once).  One array
+  // serves both mutating cases, which keeps the frame small enough for the
+  // frame pool.
+  std::array<Staged, kMaxLevel> staged;
+  std::uint32_t nstaged = 0;
   switch (kind) {
     case OpKind::kGet:
       break;
@@ -126,44 +156,49 @@ sim::Task<void> SkipListApp::run_op(Txn& ct, ObjectId head, OpKind kind,
         break;
       }
       const std::uint32_t h = height_of(key);
-      // Stage per-predecessor mutations (several levels may share one
-      // predecessor object; mutate the staged copy, write once).
-      std::map<ObjectId, Node> staged;
       for (std::uint32_t l = 0; l < h; ++l) {
-        if (!staged.contains(preds[l])) {
-          staged[preds[l]] = dec_node(co_await ct.read_for_write(preds[l]));
+        if (find_staged(staged, nstaged, preds[l]) == nullptr) {
+          staged[nstaged].id = preds[l];
+          staged[nstaged].node =
+              dec_node(co_await ct.read_for_write(preds[l]));
+          ++nstaged;
         }
       }
       Node fresh;
       fresh.key = key;
       fresh.value = value;
-      fresh.next.resize(h);
+      fresh.height = h;
       for (std::uint32_t l = 0; l < h; ++l) {
-        Node& p = staged[preds[l]];
-        QRDTM_CHECK(l < p.next.size());
+        const Node& p = *find_staged(staged, nstaged, preds[l]);
+        QRDTM_CHECK(l < p.height);
         fresh.next[l] = p.next[l];
       }
       ObjectId fresh_id = ct.create(enc_node(fresh));
       for (std::uint32_t l = 0; l < h; ++l) {
-        staged[preds[l]].next[l] = fresh_id;
+        find_staged(staged, nstaged, preds[l])->next[l] = fresh_id;
       }
-      for (auto& [id, node] : staged) ct.write(id, enc_node(node));
+      for (std::uint32_t i = 0; i < nstaged; ++i) {
+        ct.write(staged[i].id, enc_node(staged[i].node));
+      }
       break;
     }
     case OpKind::kRemove: {
       if (!found) break;
-      std::map<ObjectId, Node> staged;
-      const std::uint32_t h = static_cast<std::uint32_t>(cand.next.size());
-      for (std::uint32_t l = 0; l < h; ++l) {
-        if (!staged.contains(preds[l])) {
-          staged[preds[l]] = dec_node(co_await ct.read_for_write(preds[l]));
+      for (std::uint32_t l = 0; l < cand.height; ++l) {
+        Node* p = find_staged(staged, nstaged, preds[l]);
+        if (p == nullptr) {
+          staged[nstaged].id = preds[l];
+          staged[nstaged].node =
+              dec_node(co_await ct.read_for_write(preds[l]));
+          p = &staged[nstaged++].node;
         }
-        Node& p = staged[preds[l]];
-        if (l < p.next.size() && p.next[l] == cand_id) {
-          p.next[l] = cand.next[l];
+        if (l < p->height && p->next[l] == cand_id) {
+          p->next[l] = cand.next[l];
         }
       }
-      for (auto& [id, node] : staged) ct.write(id, enc_node(node));
+      for (std::uint32_t i = 0; i < nstaged; ++i) {
+        ct.write(staged[i].id, enc_node(staged[i].node));
+      }
       break;
     }
   }
@@ -221,7 +256,7 @@ TxnBody SkipListApp::make_lookup(std::uint64_t key, std::int64_t* value,
   return [head, key, value, found](Txn& t) -> sim::Task<void> {
     *found = false;
     Node h = dec_node(co_await t.read(head));
-    ObjectId cur = h.next.empty() ? store::kNullObject : h.next[0];
+    ObjectId cur = h.height == 0 ? store::kNullObject : h.next[0];
     while (cur != store::kNullObject) {
       Node n = dec_node(co_await t.read(cur));
       if (n.key == key) {
@@ -230,7 +265,7 @@ TxnBody SkipListApp::make_lookup(std::uint64_t key, std::int64_t* value,
         break;
       }
       if (n.key > key) break;
-      cur = n.next.empty() ? store::kNullObject : n.next[0];
+      cur = n.height == 0 ? store::kNullObject : n.next[0];
     }
   };
 }
@@ -244,7 +279,7 @@ TxnBody SkipListApp::make_checker(bool* ok) {
     std::set<std::uint64_t> level0;
     Node h = dec_node(co_await t.read(head));
     std::uint64_t last = 0;
-    ObjectId cur = h.next.empty() ? store::kNullObject : h.next[0];
+    ObjectId cur = h.height == 0 ? store::kNullObject : h.next[0];
     std::size_t steps = 0;
     while (cur != store::kNullObject) {
       Node n = dec_node(co_await t.read(cur));
@@ -255,11 +290,11 @@ TxnBody SkipListApp::make_checker(bool* ok) {
         *ok = false;
         break;
       }
-      cur = n.next.empty() ? store::kNullObject : n.next[0];
+      cur = n.height == 0 ? store::kNullObject : n.next[0];
     }
     for (std::uint32_t l = 1; l < SkipListApp::kMaxLevel; ++l) {
       std::uint64_t prev = 0;
-      ObjectId c = l < h.next.size() ? h.next[l] : store::kNullObject;
+      ObjectId c = l < h.height ? h.next[l] : store::kNullObject;
       std::size_t lsteps = 0;
       while (c != store::kNullObject) {
         Node n = dec_node(co_await t.read(c));
@@ -269,7 +304,7 @@ TxnBody SkipListApp::make_checker(bool* ok) {
           *ok = false;
           break;
         }
-        c = l < n.next.size() ? n.next[l] : store::kNullObject;
+        c = l < n.height ? n.next[l] : store::kNullObject;
       }
     }
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 #include "common/check.h"
 #include "common/serde.h"
@@ -16,15 +17,15 @@ struct Resource {
   std::int64_t price = 0;
 };
 
-Bytes enc_resource(const Resource& r) {
-  Writer w;
+InlineWriter<16> enc_resource(const Resource& r) {
+  InlineWriter<16> w;
   w.u32(r.total);
   w.u32(r.avail);
   w.i64(r.price);
-  return std::move(w).take();
+  return w;
 }
 
-Resource dec_resource(const Bytes& b) {
+Resource dec_resource(std::span<const std::uint8_t> b) {
   Reader r(b);
   Resource res;
   res.total = r.u32();
@@ -38,23 +39,45 @@ struct Reservation {
   std::uint32_t index = 0;
 };
 
-Bytes enc_customer(const std::vector<Reservation>& rs) {
-  Writer w;
-  encode_vec(w, rs, [](Writer& w2, const Reservation& r) {
-    w2.u8(r.table);
-    w2.u32(r.index);
-  });
-  return std::move(w).take();
+/// Encoded size of one Reservation: table, index.
+constexpr std::size_t kReservationBytes = 1 + 4;
+
+Reservation decode_reservation(Reader& r) {
+  Reservation res;
+  res.table = r.u8();
+  res.index = r.u32();
+  return res;
 }
 
-std::vector<Reservation> dec_customer(const Bytes& b) {
+/// A customer's reservations left in place in its value.
+using Reservations =
+    RecordView<kReservationBytes, Reservation, decode_reservation>;
+
+Reservations dec_customer(std::span<const std::uint8_t> b) {
   Reader r(b);
-  return decode_vec<Reservation>(r, [](Reader& r2) {
-    Reservation res;
-    res.table = r2.u8();
-    res.index = r2.u32();
-    return res;
-  });
+  Reservations rs =
+      decode_records<kReservationBytes, Reservation, decode_reservation>(r);
+  r.expect_done();
+  return rs;
+}
+
+/// A customer value: `rs` with record `skip` left out (none when skip is
+/// past the end), then `extra` reservations appended.
+Bytes enc_customer(const Reservations& rs, std::size_t skip,
+                   std::span<const Reservation> extra) {
+  const std::size_t kept = rs.size() - (skip < rs.size() ? 1 : 0);
+  Writer w;
+  w.reserve(4 + (kept + extra.size()) * kReservationBytes);
+  w.u32(static_cast<std::uint32_t>(kept + extra.size()));
+  auto put = [&w](const Reservation& r) {
+    w.u8(r.table);
+    w.u32(r.index);
+  };
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (i != skip) put(rs[i]);
+  }
+  for (const Reservation& r : extra) put(r);
+  return std::move(w).take();
 }
 
 enum class OpKind : std::uint8_t { kQuery, kReserve, kCancel };
@@ -65,22 +88,26 @@ void VacationApp::setup(Cluster& cluster, const WorkloadParams& params,
                         Rng& rng) {
   QRDTM_CHECK(params.num_objects >= kCandidates);
   per_table_ = params.num_objects;
-  tables_.assign(kTables, {});
+  auto layout = std::make_shared<Layout>();
+  std::vector<std::vector<ObjectId>>& tables = layout->tables;
+  tables.assign(kTables, {});
   for (std::uint32_t t = 0; t < kTables; ++t) {
-    tables_[t].reserve(per_table_);
+    tables[t].reserve(per_table_);
     for (std::uint32_t i = 0; i < per_table_; ++i) {
       Resource r;
       r.total = static_cast<std::uint32_t>(rng.range(5, 10));
       r.avail = r.total;
       r.price = rng.range(50, 500);
-      tables_[t].push_back(cluster.seed_new_object(enc_resource(r)));
+      tables[t].push_back(
+          cluster.seed_new_object(enc_resource(r).to_bytes()));
     }
   }
-  customers_.clear();
-  customers_.reserve(params.num_objects);
+  layout->customers.reserve(params.num_objects);
   for (std::uint32_t i = 0; i < params.num_objects; ++i) {
-    customers_.push_back(cluster.seed_new_object(enc_customer({})));
+    layout->customers.push_back(
+        cluster.seed_new_object(enc_customer(Reservations{}, 0, {})));
   }
+  layout_ = std::move(layout);
 }
 
 TxnBody VacationApp::make_txn(const WorkloadParams& params, Rng& rng) {
@@ -93,7 +120,7 @@ TxnBody VacationApp::make_txn(const WorkloadParams& params, Rng& rng) {
   std::vector<Op> plan;
   plan.reserve(params.nested_calls);
   const std::uint32_t customer =
-      static_cast<std::uint32_t>(rng.below(customers_.size()));
+      static_cast<std::uint32_t>(rng.below(layout_->customers.size()));
   for (std::uint32_t i = 0; i < params.nested_calls; ++i) {
     Op op;
     op.customer = customer;  // one itinerary per root transaction
@@ -108,12 +135,12 @@ TxnBody VacationApp::make_txn(const WorkloadParams& params, Rng& rng) {
     }
     plan.push_back(op);
   }
-  const auto tables = tables_;  // shared table ids (cheap copies of vectors)
-  const auto customers = customers_;
   const sim::Tick compute = params.op_compute;
 
-  return [plan = std::move(plan), tables, customers,
+  return [plan = std::move(plan), layout = layout_,
           compute](Txn& t) -> sim::Task<void> {
+    const auto& tables = layout->tables;
+    const auto& customers = layout->customers;
     for (const Op& op : plan) {
       // The [&] lambda coroutine is safe here: nested() takes the closure by
       // value and is co_awaited within the same full expression, so the closure
@@ -149,24 +176,30 @@ TxnBody VacationApp::make_txn(const WorkloadParams& params, Rng& rng) {
             if (r.avail == 0) break;  // raced within our own data-set
             r.avail -= 1;
             ct.write(table[best_idx], enc_resource(r));
-            auto res = dec_customer(
+            const Reservations res = dec_customer(
                 co_await ct.read_for_write(customers[op.customer]));
-            res.push_back(Reservation{op.table, best_idx});
-            ct.write(customers[op.customer], enc_customer(res));
+            const Reservation added{op.table, best_idx};
+            ct.write(customers[op.customer],
+                     enc_customer(res, res.size(), {&added, 1}));
             break;
           }
           case OpKind::kCancel: {
-            auto res = dec_customer(
+            // The lent value stays valid across compute(): nothing writes
+            // the customer in between.
+            const Reservations res = dec_customer(
                 co_await ct.read_for_write(customers[op.customer]));
             co_await ct.compute(compute);
             // Cancel the most recent reservation in this table, if any.
-            auto it = std::find_if(
-                res.rbegin(), res.rend(),
-                [&](const Reservation& r) { return r.table == op.table; });
-            if (it == res.rend()) break;
-            const std::uint32_t idx = it->index;
-            res.erase(std::next(it).base());
-            ct.write(customers[op.customer], enc_customer(res));
+            std::size_t at = res.size();
+            for (std::size_t i = res.size(); i-- > 0;) {
+              if (res[i].table == op.table) {
+                at = i;
+                break;
+              }
+            }
+            if (at == res.size()) break;
+            const std::uint32_t idx = res[at].index;
+            ct.write(customers[op.customer], enc_customer(res, at, {}));
             Resource r = dec_resource(co_await ct.read_for_write(table[idx]));
             r.avail += 1;
             ct.write(table[idx], enc_resource(r));
@@ -179,9 +212,9 @@ TxnBody VacationApp::make_txn(const WorkloadParams& params, Rng& rng) {
 }
 
 TxnBody VacationApp::make_checker(bool* ok) {
-  const auto tables = tables_;
-  const auto customers = customers_;
-  return [tables, customers, ok](Txn& t) -> sim::Task<void> {
+  return [layout = layout_, ok](Txn& t) -> sim::Task<void> {
+    const auto& tables = layout->tables;
+    const auto& customers = layout->customers;
     *ok = true;
     // Count reservations per resource across all customers.
     std::vector<std::vector<std::uint32_t>> reserved(tables.size());
@@ -189,7 +222,9 @@ TxnBody VacationApp::make_checker(bool* ok) {
       reserved[tb].assign(tables[tb].size(), 0);
     }
     for (ObjectId cust : customers) {
-      for (const Reservation& r : dec_customer(co_await t.read(cust))) {
+      const Reservations rs = dec_customer(co_await t.read(cust));
+      for (std::size_t i = 0; i < rs.size(); ++i) {
+        const Reservation r = rs[i];
         if (r.table >= tables.size() || r.index >= reserved[r.table].size()) {
           *ok = false;
           co_return;

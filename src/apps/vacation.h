@@ -31,10 +31,15 @@ class VacationApp final : public App {
   static constexpr std::uint32_t kTables = 3;  // car, room, flight
   static constexpr std::uint32_t kCandidates = 2;
 
+  /// Object ids of the seeded tables, shared (not copied) by every body.
+  struct Layout {
+    std::vector<std::vector<ObjectId>> tables;  // [table][index] -> resource
+    std::vector<ObjectId> customers;
+  };
+
  private:
   std::uint32_t per_table_ = 0;
-  std::vector<std::vector<ObjectId>> tables_;  // [table][index] -> resource
-  std::vector<ObjectId> customers_;
+  std::shared_ptr<const Layout> layout_;
 };
 
 }  // namespace qrdtm::apps

@@ -184,8 +184,9 @@ sim::Task<Bytes> DecentTxn::read_version(ObjectId id, std::uint64_t snapshot,
   // and take the newest fitting version (replicas can lag behind).
   const auto replicas = c.replicas_of(id);
   c.metrics_.read_messages += replicas.size();
-  auto futures = c.endpoints_[node_]->multicast(
-      replicas, kDecentRead, w.bytes(), kRpcTimeout);
+  std::vector<sim::Future<net::RpcResult>> futures;
+  c.endpoints_[node_]->multicast(replicas, kDecentRead, w.bytes(), kRpcTimeout,
+                                 &futures);
   bool found = false;
   Version ts = 0;
   Bytes data;

@@ -10,8 +10,8 @@
 //     touching the allocator.  One pool per Network; all nodes of a
 //     simulation share it (the simulation is single-threaded).
 //   * PoolAllocator -- a std-compatible allocator backed by a per-type,
-//     per-thread free list.  Used for the Promise shared state (one per RPC)
-//     and the transaction read/write-set map nodes (one per fetched object).
+//     per-thread free list.  Used for the Promise shared state (one per
+//     RPC, allocate_shared's control block and state in one node).
 //     Thread-local is the right scope: sweeps parallelise across Simulators,
 //     one per thread, and a thread's free list survives across experiment
 //     points.

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <span>
@@ -134,7 +135,9 @@ class Writer {
 /// the Reader.
 class Reader {
  public:
-  explicit Reader(const Bytes& buf) : buf_(buf.data()), size_(buf.size()) {}
+  /// Reads a Bytes or a borrowed span (a value Txn::read lent).
+  explicit Reader(std::span<const std::uint8_t> buf)
+      : buf_(buf.data()), size_(buf.size()) {}
   Reader(const std::uint8_t* data, std::size_t size)
       : buf_(data), size_(size) {}
 
@@ -235,15 +238,45 @@ class RecordWriter {
   std::size_t pos_ = 0;
 };
 
-/// Encode `v` as a u32 count plus one kStride-byte record per element: the
-/// buffer is extended once, then `enc(RecordWriter&, const T&)` fills each
-/// record at its fixed offset.  The record encoder must write exactly
-/// kStride bytes.
-template <std::size_t kStride, class T, class EncodeFn>
-void encode_records(Writer& w, const std::vector<T>& v, EncodeFn&& enc) {
+/// Fixed-capacity encoder for a small value (an app's object payload): the
+/// Writer's fixed-width fields appended into an inline array, so encoding a
+/// value allocates nothing.  Appending past kCapacity throws SerdeError.
+/// The encoded bytes are borrowed through bytes() (or the implicit span
+/// conversion, so an InlineWriter passes straight to Txn::write).
+template <std::size_t kCapacity>
+class InlineWriter {
+ public:
+  void u8(std::uint8_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
+  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+
+  std::span<const std::uint8_t> bytes() const { return {buf_.data(), size_}; }
+  operator std::span<const std::uint8_t>() const { return bytes(); }
+  /// An owning copy, for APIs that store the value (cluster seeding).
+  Bytes to_bytes() const { return Bytes(buf_.begin(), buf_.begin() + size_); }
+
+ private:
+  template <class T>
+  void put_le(T v) {
+    if (kCapacity - size_ < sizeof(T)) throw SerdeError("inline overflow");
+    std::memcpy(buf_.data() + size_, &v, sizeof(T));
+    size_ += sizeof(T);
+  }
+  std::array<std::uint8_t, kCapacity> buf_{};
+  std::size_t size_ = 0;
+};
+
+/// Encode `v` (a vector or span) as a u32 count plus one kStride-byte record
+/// per element: the buffer is extended once, then `enc(RecordWriter&, const
+/// T&)` fills each record at its fixed offset.  The record encoder must
+/// write exactly kStride bytes.
+template <std::size_t kStride, class Range, class EncodeFn>
+void encode_records(Writer& w, const Range& v, EncodeFn&& enc) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   std::uint8_t* at = w.extend(v.size() * kStride);
-  for (const T& e : v) {
+  for (const auto& e : v) {
     RecordWriter rec(at, kStride);
     enc(rec, e);
     if (!rec.full()) throw SerdeError("record short of its stride");
@@ -365,11 +398,12 @@ EntryRun<T, Decode> decode_entries(Reader& r) {
   return {{start, r.cursor()}, n};
 }
 
-/// Encode a vector with a u32 count prefix using a per-element encoder.
-template <class T, class EncodeFn>
-void encode_vec(Writer& w, const std::vector<T>& v, EncodeFn&& enc) {
+/// Encode a vector (or span) with a u32 count prefix using a per-element
+/// encoder.
+template <class Range, class EncodeFn>
+void encode_vec(Writer& w, const Range& v, EncodeFn&& enc) {
   w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const T& e : v) enc(w, e);
+  for (const auto& e : v) enc(w, e);
 }
 
 /// Decode a vector written by encode_vec.  The element decoder returns T.

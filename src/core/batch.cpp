@@ -24,23 +24,42 @@ sim::Future<bool> BatchPlanner::submit(TxnBody body,
   return fut;
 }
 
-bool BatchPlanner::lookup(ObjectId id, ObjectCopy* out) const {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return false;
-  const BatchObject& bo = it->second;
-  *out = ObjectCopy{id, bo.base + bo.steps, bo.data};
-  return true;
+std::optional<BatchPlanner::Head> BatchPlanner::lookup(ObjectId id) const {
+  const std::uint32_t* i = index_.find(id);
+  if (i == nullptr) return std::nullopt;
+  const BatchObject& bo = objects_[*i];
+  return Head{bo.base + bo.steps, bo.data};
 }
 
-void BatchPlanner::admit(const ObjectCopy& fetched) {
-  auto [it, inserted] = objects_.try_emplace(fetched.id);
-  QRDTM_CHECK_MSG(inserted, "object admitted to the batch cache twice");
-  BatchObject& bo = it->second;
-  bo.base = fetched.version;
-  bo.base_data = fetched.data;
-  bo.data = fetched.data;
+BatchPlanner::BatchObject& BatchPlanner::entry(ObjectId id) {
+  if (const std::uint32_t* i = index_.find(id)) return objects_[*i];
+  if (nobjects_ == objects_.size()) objects_.emplace_back();
+  BatchObject& bo = objects_[nobjects_];
+  bo.id = id;
+  bo.base = 0;
+  bo.steps = 0;
+  bo.base_data.clear();
+  bo.data.clear();
+  bo.written = false;
+  bo.fetched = false;
+  index_[id] = static_cast<std::uint32_t>(nobjects_++);
+  return bo;
+}
+
+void BatchPlanner::admit(ObjectId id, Version version,
+                         std::span<const std::uint8_t> data) {
+  QRDTM_CHECK_MSG(!index_.contains(id),
+                  "object admitted to the batch cache twice");
+  BatchObject& bo = entry(id);
+  bo.base = version;
+  assign_bytes(bo.base_data, data);
+  assign_bytes(bo.data, data);
   bo.fetched = true;
-  order_.push_back(fetched.id);
+}
+
+void BatchPlanner::clear_cache() {
+  nobjects_ = 0;
+  index_.clear();
 }
 
 sim::Task<void> BatchPlanner::run_loop() {
@@ -72,100 +91,91 @@ sim::Task<void> BatchPlanner::run_loop() {
 }
 
 void BatchPlanner::absorb(Txn& txn, std::vector<CommittedTxn>* records) {
+  // The member's sets, ids ascending: the write fold mutates the queue
+  // cache, so it must run in a fixed order.
+  std::vector<CommitReadEntry>& reads = round_.readset;
+  std::vector<CommitWriteView>& writes = round_.writeset;
+  txn.log_->commit_sets(&reads, &writes);
   CommittedTxn rec;
   if (records != nullptr) {
     rec.txn = txn.scope_id_;
     rec.node = rt_.node();
-    rec.reads.reserve(txn.readset_.size());
-    // Collect-then-sort: recorded order is by object id regardless of the
-    // sets' hash order.  qrdtm-lint: allow(det-unordered-iter)
-    for (const auto& [id, oc] : txn.readset_) {
-      rec.reads.push_back(HistoryRead{id, oc.copy.version});
+    rec.reads.reserve(reads.size());
+    for (const CommitReadEntry& e : reads) {
+      rec.reads.push_back(HistoryRead{e.id, e.version});
     }
-    std::sort(rec.reads.begin(), rec.reads.end(),
-              [](const HistoryRead& a, const HistoryRead& b) {
-                return a.id < b.id;
-              });
   }
-  // The write fold mutates the queue cache, so it must run in a fixed
-  // order; collect-then-sort the ids first.
-  std::vector<ObjectId> wids;
-  wids.reserve(txn.writeset_.size());
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, oc] : txn.writeset_) wids.push_back(id);
-  std::sort(wids.begin(), wids.end());
-  for (ObjectId id : wids) {
-    const OwnedCopy& oc = txn.writeset_.find(id)->second;
-    auto [it, inserted] = objects_.try_emplace(id);
-    BatchObject& bo = it->second;
-    if (inserted) {
-      // Created inside the batch: base version 0, nothing fetched.
-      order_.push_back(id);
-    }
+  for (const CommitWriteView& w : writes) {
+    // An object first seen in a write record was created inside the batch:
+    // base version 0, nothing fetched.
+    BatchObject& bo = entry(w.id);
     // Sequential speculation: the member acquired the copy at the current
     // speculative head.
-    QRDTM_DCHECK(oc.copy.version == bo.base + bo.steps);
+    QRDTM_DCHECK(w.base == bo.base + bo.steps);
     if (records != nullptr) {
-      rec.writes.push_back(HistoryWrite{id, oc.copy.version,
-                                        oc.copy.version + 1, oc.copy.data});
+      rec.writes.push_back(HistoryWrite{w.id, w.base, w.base + 1,
+                                        Bytes(w.data.begin(), w.data.end())});
     }
     ++bo.steps;
-    bo.data = oc.copy.data;
+    assign_bytes(bo.data, w.data);
     bo.written = true;
   }
   if (records != nullptr) records->push_back(std::move(rec));
 }
 
-void BatchPlanner::rollback_cache(const std::vector<ObjectId>& stale) {
+void BatchPlanner::rollback_cache(std::span<const ObjectId> stale) {
   // An empty stale set means the round failed without a diagnosis (dead
   // member, syncing replica): invalidate everything.
   if (stale.empty()) {
-    objects_.clear();
-    order_.clear();
+    clear_cache();
     return;
   }
-  std::vector<ObjectId> keep;
-  keep.reserve(order_.size());
-  for (ObjectId id : order_) {
-    BatchObject& bo = objects_[id];
-    if (!bo.fetched || std::binary_search(stale.begin(), stale.end(), id)) {
+  index_.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < nobjects_; ++i) {
+    BatchObject& bo = objects_[i];
+    if (!bo.fetched || std::binary_search(stale.begin(), stale.end(), bo.id)) {
       // Stale queues are re-fetched on next touch; created objects get
       // fresh ids when the bodies re-execute.
-      objects_.erase(id);
       continue;
     }
     bo.steps = 0;
     bo.written = false;
-    bo.data = bo.base_data;
-    keep.push_back(id);
+    assign_bytes(bo.data, bo.base_data);
+    // Swapping keeps both entries' buffers for reuse.
+    if (kept != i) std::swap(objects_[kept], bo);
+    index_[objects_[kept].id] = static_cast<std::uint32_t>(kept);
+    ++kept;
   }
-  order_ = std::move(keep);
+  nobjects_ = kept;
 }
 
-sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
-                                           std::vector<ObjectId>* stale) {
-  CommitRequest req;
-  req.txn = batch_id;
-  for (ObjectId id : order_) {
-    const BatchObject& bo = objects_.find(id)->second;
+sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id) {
+  CommitScratch& round = round_;
+  round.readset.clear();
+  round.writeset.clear();
+  round.touched.clear();
+  for (std::size_t i = 0; i < nobjects_; ++i) {
+    const BatchObject& bo = objects_[i];
+    round.touched.push_back(bo.id);
     if (bo.written) {
-      req.writeset.push_back(CommitWriteEntry{id, bo.base, bo.data, bo.steps});
+      round.writeset.push_back(CommitWriteView{
+          .id = bo.id, .base = bo.base, .steps = bo.steps, .data = bo.data});
     } else {
-      req.readset.push_back(CommitReadEntry{id, bo.base});
+      round.readset.push_back(CommitReadEntry{bo.id, bo.base});
     }
   }
   const sim::Tick commit_start = rt_.simulator().now();
 
-  // Copy of the memoised quorum: the confirm must reach the same members
-  // the request went to even if a failure regenerates the cache mid-round.
-  // order_ holds every batch object (reads and writes), so the union spans
-  // all touched cohorts.
-  std::vector<net::NodeId> wq;
+  // round.wq is a copy of the memoised quorum: the confirm must reach the
+  // same members the request went to even if a failure regenerates the
+  // cache mid-round.  round.touched holds every batch object (reads and
+  // writes), so the union spans all touched cohorts.
   Abort unformable;
   bool formed = false;
   try {
     // False: unformable quorum under a zombie coordinator.
-    formed = rt_.union_write_quorum(order_, &wq, &unformable);
+    formed = rt_.union_write_quorum(round.touched, &round.wq, &unformable);
   } catch (const quorum::QuorumUnavailable&) {
     // Live coordinator but too many members down mid-chaos: equally
     // transient.
@@ -173,25 +183,23 @@ sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
   if (!formed) {
     // Infrastructure failure: re-fetch everything on the next round, once
     // membership heals.
-    stale->clear();
+    round.stale.clear();
     co_return false;
   }
   const bool all_commit =
-      co_await rt_.commit_vote(req, wq, msg::kBatchCommitRequest, stale);
+      co_await rt_.commit_vote(batch_id, round, msg::kBatchCommitRequest);
 
   // With no writes nothing was protected and nothing is applied: the vote
   // alone validates the read bases, so the confirm phase is skipped.
-  const std::uint64_t nwrites = req.writeset.size();
+  const std::uint64_t nwrites = round.writeset.size();
   if (nwrites > 0) {
-    const bool sent =
-        co_await rt_.commit_confirm(batch_id, all_commit,
-                                    std::move(req.writeset), wq,
-                                    msg::kBatchCommitConfirm);
+    const bool sent = co_await rt_.commit_confirm(batch_id, all_commit, round,
+                                                  msg::kBatchCommitConfirm);
     if (!sent) {
       // Crashed before the decision was durable: no confirm left and the
       // batch must not succeed -- members retry (and stall against the dead
       // node) while the prepared replicas presumed-abort.
-      stale->clear();
+      round.stale.clear();
       co_return false;
     }
   }
@@ -254,14 +262,13 @@ sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {
     }
 
     bool committed = false;
-    std::vector<ObjectId> stale;
     if (exec_ok) {
-      if (objects_.empty()) {
+      if (nobjects_ == 0) {
         // Nothing read or written by any member: local commit, no messages.
         rt_.metrics().local_commits += batch.size();
         committed = true;
       } else {
-        committed = co_await commit_round(batch_id, &stale);
+        committed = co_await commit_round(batch_id);
         if (!committed) ++rt_.metrics().vote_aborts;
       }
     }
@@ -291,8 +298,7 @@ sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {
                             p.enqueue_tick, now, attempt + 1);
         }
       }
-      objects_.clear();
-      order_.clear();
+      clear_cache();
       co_return;
     }
 
@@ -309,12 +315,12 @@ sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {
       rt_.tracer_->instant(TraceKind::kAbort, rt_.node(), batch_id, abort_tick,
                            attempt + 1);
     }
-    rollback_cache(exec_ok ? stale : std::vector<ObjectId>{});
+    rollback_cache(exec_ok ? std::span<const ObjectId>(round_.stale)
+                           : std::span<const ObjectId>());
 
     if (!unlimited && attempt + 1 >= budget) {
       for (Pending& p : batch) p.done.set(false);
-      objects_.clear();
-      order_.clear();
+      clear_cache();
       co_return;
     }
     co_await rt_.backoff(attempt + 1, batch_id);

@@ -29,9 +29,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "core/txn.h"
 #include "sim/sync.h"
@@ -54,13 +56,20 @@ class BatchPlanner {
   /// exhausted by speculation rollbacks.
   sim::Future<bool> submit(TxnBody body, std::uint32_t max_attempts);
 
-  /// Batch-cache read for an executing member: fills `out` with the current
-  /// speculative copy (version = quorum base + absorbed writes).  False when
-  /// the object is not cached yet (the caller quorum-fetches and admits).
-  bool lookup(ObjectId id, ObjectCopy* out) const;
+  /// A speculative head lent by lookup(): valid until the cache next
+  /// changes (admit, absorb, rollback).
+  struct Head {
+    Version version = 0;  // quorum base + absorbed writes
+    std::span<const std::uint8_t> data;
+  };
+
+  /// Batch-cache read for an executing member: the object's current
+  /// speculative head, or nullopt when it is not cached yet (the caller
+  /// quorum-fetches and admits).
+  std::optional<Head> lookup(ObjectId id) const;
 
   /// Admit a quorum-fetched copy as a new per-object queue.
-  void admit(const ObjectCopy& fetched);
+  void admit(ObjectId id, Version version, std::span<const std::uint8_t> data);
 
   /// Transactions waiting for the next batch (test observability).
   std::size_t pending() const { return pending_.size(); }
@@ -76,6 +85,7 @@ class BatchPlanner {
   /// One per-object queue, collapsed: the quorum base plus the speculative
   /// head after `steps` absorbed writes.
   struct BatchObject {
+    ObjectId id = 0;
     Version base = 0;
     std::uint32_t steps = 0;  // writes absorbed this round
     Bytes base_data;          // value at `base` (restored on rollback)
@@ -93,26 +103,40 @@ class BatchPlanner {
   sim::Task<void> run_batch(std::vector<Pending> batch);
 
   /// One batch 2PC round; the confirm phase runs only when the batch wrote
-  /// something.  Returns true on commit; on abort fills `stale` with the
-  /// union of replica-reported stale ids (empty = diagnose nothing,
+  /// something.  Returns true on commit; on abort leaves in round_.stale
+  /// the union of replica-reported stale ids (empty = diagnose nothing,
   /// invalidate everything).
-  sim::Task<bool> commit_round(TxnId batch_id, std::vector<ObjectId>* stale);
+  sim::Task<bool> commit_round(TxnId batch_id);
 
   /// Fold one executed member's sets into the queue cache (and, when a
   /// recorder is attached, into the member's pending commit record).
   void absorb(Txn& txn, std::vector<CommittedTxn>* records);
 
   /// Roll the cache back after a failed round: drop stale and created
-  /// entries, restore the rest to their quorum base.
-  void rollback_cache(const std::vector<ObjectId>& stale);
+  /// entries, restore the rest to their quorum base.  Empty `stale` drops
+  /// everything.
+  void rollback_cache(std::span<const ObjectId> stale);
+
+  /// Empty the cache, keeping every entry's buffers.
+  void clear_cache();
+
+  /// The cache entry for `id`, appended (value-initialised but for its
+  /// buffers) when absent.
+  BatchObject& entry(ObjectId id);
 
   TxnRuntime& rt_;
   Rng order_rng_;  // batch-order shuffle; split off the runtime stream
   std::vector<Pending> pending_;
   bool loop_active_ = false;
 
-  std::unordered_map<ObjectId, BatchObject> objects_;
-  std::vector<ObjectId> order_;  // cache admission order (deterministic)
+  /// Queue cache in admission order (deterministic); entries past
+  /// nobjects_ are spares whose buffers the next admissions reuse.
+  std::vector<BatchObject> objects_;
+  std::size_t nobjects_ = 0;
+  FlatTable<std::uint32_t> index_;  // id -> position in objects_
+  /// The batch 2PC round's storage; absorb() borrows its set vectors for
+  /// each member's sets before the round fills them.
+  CommitScratch round_;
 };
 
 }  // namespace qrdtm::core

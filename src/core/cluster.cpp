@@ -302,8 +302,9 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
         Writer reqw(rpc.acquire_buffer(msg::kSyncPull));
         pullreq.encode_into(reqw);
         Bytes req = std::move(reqw).take();
-        auto futures = rpc.multicast(peers, msg::kSyncPull, req,
-                                     cfg_.runtime.rpc_timeout);
+        std::vector<sim::Future<net::RpcResult>> futures;
+        rpc.multicast(peers, msg::kSyncPull, req, cfg_.runtime.rpc_timeout,
+                      &futures);
         rpc.release_buffer(std::move(req));
         std::size_t current = 0;
         for (auto& f : futures) {

@@ -30,23 +30,25 @@ constexpr std::uint32_t kMaxLockAttempts = 8;
 Txn::Txn(TxnRuntime& rt, Txn* parent)
     : rt_(rt),
       parent_(parent),
+      root_(parent != nullptr ? parent->root_ : this),
+      log_(parent != nullptr ? parent->log_ : nullptr),
       scope_id_(rt.next_scope_id()),
-      depth_(parent ? parent->depth_ + 1 : 0),
-      dataset_mark_(parent ? parent->root().dataset_cache_.size() : 0) {}
+      depth_(parent != nullptr ? parent->depth_ + 1 : 0) {
+  if (parent == nullptr) {
+    pool_ = rt.logs_;
+    owned_log_ = pool_->acquire();
+    log_ = owned_log_.get();
+  } else {
+    record_mark_ = log_->size();
+    dataset_mark_ = log_->dataset.size();
+  }
+}
+
+Txn::~Txn() {
+  if (owned_log_ != nullptr) pool_->release(std::move(owned_log_));
+}
 
 Rng& Txn::rng() { return rt_.rng(); }
-
-Txn& Txn::root() {
-  Txn* t = this;
-  while (t->parent_ != nullptr) t = t->parent_;
-  return *t;
-}
-
-const Txn& Txn::root() const {
-  const Txn* t = this;
-  while (t->parent_ != nullptr) t = t->parent_;
-  return *t;
-}
 
 Txn::Unwind Txn::abort(AbortTarget target, TxnId scope_id, ChkEpoch chk,
                        const char* reason) {
@@ -71,35 +73,21 @@ Txn::OpToken Txn::begin_op() {
   }
   const bool replay = idx < r.replay_until_;
   if (rt_.config().mode == NestingMode::kCheckpoint && !replay) {
-    QRDTM_CHECK_MSG(r.op_log_.size() == idx,
-                    "op log out of sync with op sequence");
-    r.op_log_.emplace_back();
+    QRDTM_CHECK_MSG(log_->ops() == idx, "op log out of sync with op sequence");
+    (void)log_->push_op();
   }
   return OpToken{idx, replay};
 }
 
-void Txn::log_op(const OpToken& token, const Bytes& data, ObjectId created) {
+void Txn::log_op(const OpToken& token, ValueSpan data, ObjectId created) {
   if (rt_.config().mode != NestingMode::kCheckpoint) return;
-  Txn& r = root();
-  QRDTM_CHECK(token.idx < r.op_log_.size());
-  r.op_log_[token.idx] = OpRecord{data, created};
+  QRDTM_CHECK(token.idx < log_->ops());
+  TxnOpResult& o = log_->op(token.idx);
+  assign_bytes(o.data, data);
+  o.created = created;
 }
 
-const OwnedCopy* Txn::find_local(ObjectId id, bool* from_writeset) const {
-  for (const Txn* t = this; t != nullptr; t = t->parent_) {
-    if (auto it = t->writeset_.find(id); it != t->writeset_.end()) {
-      if (from_writeset) *from_writeset = true;
-      return &it->second;
-    }
-    if (auto it = t->readset_.find(id); it != t->readset_.end()) {
-      if (from_writeset) *from_writeset = false;
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
+sim::Task<Version> Txn::quorum_fetch(ObjectId id, bool for_write) {
   const RuntimeConfig& cfg = rt_.config();
   Txn& r = root();
 
@@ -130,24 +118,27 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
   // Stamp the span context right before the sends; multicast issues them
   // without suspending, so no other client on this shared endpoint can
   // interleave and be mis-attributed.
+  std::vector<sim::Future<net::RpcResult>>& replies = log_->gather;
   if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(r.scope_id_);
-  auto futures = rt_.rpc_.multicast(rq, msg::kRead, encoded, cfg.rpc_timeout);
+  rt_.rpc_.multicast(rq, msg::kRead, encoded, cfg.rpc_timeout, &replies);
   if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
   rt_.rpc_.release_buffer(std::move(encoded));
 
-  // The winning OK reply's buffer is kept and its value copied out once,
-  // after the gather; every other reply is parsed in place and released.
+  // The winning OK reply's buffer is kept and its value copied into the
+  // new record once, after the gather; every other reply is parsed in place
+  // and released.
   bool have_best = false;
   Version best_version = 0;
   Bytes best_reply;
-  std::span<const std::uint8_t> best_value;  // into best_reply
+  ValueSpan best_value;  // into best_reply
   bool have_abort = false;
   TxnId abort_scope = 0;
   std::uint32_t abort_depth = kDepthMax;
   ChkEpoch abort_chk = kChkMax;
   std::size_t ok_replies = 0;
+  const std::size_t members = replies.size();
 
-  for (auto& f : futures) {
+  for (auto& f : replies) {
     net::RpcResult res = co_await f;
     rt_.report_rpc_outcome(res.from, res.ok);
     if (!res.ok) continue;  // dead member or lost reply
@@ -183,8 +174,8 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
     }
     rt_.rpc_.release_buffer(std::move(res.payload));
   }
-  ObjectCopy best{id, best_version,
-                  Bytes(best_value.begin(), best_value.end())};
+  replies.clear();
+  if (have_best && !have_abort) assign_bytes(log_->next_value(), best_value);
   rt_.rpc_.release_buffer(std::move(best_reply));
 
   // Record the fetch before the abort checks so aborted fetches still count
@@ -209,7 +200,7 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
   } else if (ok_replies == 0) {
     co_await abort(AbortTarget::kRoot, r.scope_id_, 0,
                    "read quorum unreachable");
-  } else if (ok_replies < futures.size()) {
+  } else if (ok_replies < members) {
     // Strict gather: quorum intersection (Q1) only covers this fetch if
     // EVERY read-quorum member answered -- the member whose reply was lost
     // (dropped message, mid-fetch kill) may be exactly the one holding the
@@ -224,22 +215,22 @@ sim::Task<ObjectCopy> Txn::quorum_fetch(ObjectId id, bool for_write) {
     co_await abort(AbortTarget::kRoot, r.scope_id_, 0,
                    "object missing on read quorum");
   }
-  co_return best;
+  co_return best_version;
 }
 
-sim::Task<ObjectCopy> Txn::acquire_copy(ObjectId id, bool for_write) {
+sim::Task<Version> Txn::acquire_copy(ObjectId id, bool for_write) {
   BatchPlanner* bp = root().batch_;
   if (bp != nullptr) {
-    ObjectCopy cached;
-    if (bp->lookup(id, &cached)) {
+    if (const std::optional<BatchPlanner::Head> head = bp->lookup(id)) {
       // Served at the speculative head: one quorum fetch covers every later
       // touch of this object by any batch member.
       ++rt_.metrics().batch_read_hits;
-      co_return cached;
+      assign_bytes(log_->next_value(), head->data);
+      co_return head->version;
     }
-    ObjectCopy fetched = co_await quorum_fetch(id, for_write);
-    bp->admit(fetched);
-    co_return fetched;
+    const Version version = co_await quorum_fetch(id, for_write);
+    bp->admit(id, version, log_->next_value());
+    co_return version;
   }
   co_return co_await quorum_fetch(id, for_write);
 }
@@ -247,54 +238,48 @@ sim::Task<ObjectCopy> Txn::acquire_copy(ObjectId id, bool for_write) {
 sim::Task<void> Txn::after_fetch_chk() {
   Txn& r = root();
   if (++r.objs_since_chk_ < rt_.config().chk_threshold) co_return;
-  // Automatic checkpoint: charge creation cost (fixed + per snapshotted
-  // object), snapshot the data-set and the execution cursor, open a new
-  // epoch.
+  // Automatic checkpoint: charge creation cost (fixed + per object in the
+  // read/write sets, which the paper's implementation copies), mark the
+  // logs and the execution cursor, open a new epoch.
   const sim::Tick chk_start = rt_.simulator().now();
-  const sim::Tick cost =
-      rt_.config().chk_create_cost +
-      rt_.config().chk_create_cost_per_obj *
-          static_cast<sim::Tick>(r.readset_.size() + r.writeset_.size());
+  const std::size_t objects = log_->set_sizes();
+  const sim::Tick cost = rt_.config().chk_create_cost +
+                         rt_.config().chk_create_cost_per_obj *
+                             static_cast<sim::Tick>(objects);
   if (cost > 0) {
     co_await rt_.simulator().delay(cost);
   }
   if (rt_.tracer_ != nullptr) {
     rt_.tracer_->span(TraceKind::kChkCreate, rt_.node(), r.scope_id_,
-                      chk_start, rt_.simulator().now(), r.epoch_ + 1,
-                      r.readset_.size() + r.writeset_.size());
+                      chk_start, rt_.simulator().now(), r.epoch_ + 1, objects);
   }
   ++r.epoch_;
-  Snapshot s;
-  s.epoch = r.epoch_;
-  s.op_cursor = r.op_seq_;
-  s.objs_since_chk = 0;
-  s.dataset_len = r.dataset_cache_.size();
-  s.readset = r.readset_;
-  s.writeset = r.writeset_;
-  r.checkpoints_.push_back(std::move(s));
+  log_->mark_checkpoint(r.epoch_, r.op_seq_);
   r.objs_since_chk_ = 0;
   ++rt_.metrics().checkpoints_created;
 }
 
-sim::Task<Bytes> Txn::read(ObjectId id) {
+sim::Task<ValueSpan> Txn::read(ObjectId id) {
   const OpToken op = begin_op();
   if (op.aborted) co_await unwind();
   QRDTM_CHECK_MSG(id != store::kNullObject, "read of null object id");
   if (op.replay) {
-    // Fast-forward: the restored snapshot already contains this operation's
+    // Fast-forward: the restored records already contain this operation's
     // effects; just reproduce its result.
-    co_return root().op_log_[op.idx].data;
+    co_return ValueSpan(log_->op(op.idx).data);
   }
-  if (const OwnedCopy* c = find_local(id, nullptr)) {
+  if (const std::uint32_t i = log_->latest(id); i != kNoRecord) {
     ++rt_.metrics().local_read_hits;
-    log_op(op, c->copy.data, store::kNullObject);
-    co_return c->copy.data;
+    const ValueSpan data = log_->at(i).value;
+    log_op(op, data, store::kNullObject);
+    co_return data;
   }
-  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/false);
-  Bytes data = c.data;
-  const Version ver = c.version;
+  const Version ver = co_await acquire_copy(id, /*for_write=*/false);
   const ChkEpoch chk = root().epoch_;
-  readset_[id] = OwnedCopy{std::move(c), scope_id_, depth_, chk};
+  const ValueSpan data =
+      log_->append(id, ver, scope_id_, depth_, chk, /*read=*/true,
+                   /*write=*/false)
+          .value;
   dataset_append(id, ver, chk);
   log_op(op, data, store::kNullObject);
   if (rt_.config().mode == NestingMode::kCheckpoint) {
@@ -303,45 +288,50 @@ sim::Task<Bytes> Txn::read(ObjectId id) {
   co_return data;
 }
 
-sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
+sim::Task<ValueSpan> Txn::read_for_write(ObjectId id) {
   const OpToken op = begin_op();
   if (op.aborted) co_await unwind();
   QRDTM_CHECK_MSG(id != store::kNullObject, "write of null object id");
   if (op.replay) {
-    co_return root().op_log_[op.idx].data;
+    co_return ValueSpan(log_->op(op.idx).data);
   }
-  if (auto it = writeset_.find(id); it != writeset_.end()) {
+  if (const std::uint32_t i = log_->latest(id); i != kNoRecord) {
     ++rt_.metrics().local_read_hits;
-    log_op(op, it->second.copy.data, store::kNullObject);
-    co_return it->second.copy.data;
-  }
-  bool from_writeset = false;
-  if (const OwnedCopy* c = find_local(id, &from_writeset)) {
-    // Local upgrade / copy-on-write from an ancestor scope.  The base
-    // version (and the QR-CHK fetch epoch) travel with the copy so commit
-    // and rollback semantics are unchanged.
-    OwnedCopy mine = *c;
-    const bool same_scope = mine.owner == scope_id_;
-    mine.owner = scope_id_;
-    mine.owner_depth = depth_;
-    ++rt_.metrics().local_read_hits;
-    Bytes data = mine.copy.data;
-    log_op(op, data, store::kNullObject);
-    // A same-scope upgrade (read then read_for_write) already has its
-    // data-set entry with the same id/version/owner; re-appending would
-    // duplicate it.  Cross-scope upgrades append under the new owner (the
-    // duplicate that leaves after a CT merge is compacted there).
-    if (!same_scope) {
-      dataset_append(id, mine.copy.version, mine.owner_chk);
+    if (log_->at(i).owner == scope_id_) {
+      // Already this scope's: a write-set hit, or a same-scope upgrade of
+      // its read (read then read_for_write), whose data-set entry already
+      // has this id/version/owner.
+      if (!log_->at(i).write) {
+        log_->save_for_rollback(i);  // QR-CHK: keep it for a rollback
+        log_->at(i).write = true;
+      }
+      const ValueSpan data = log_->at(i).value;
+      log_op(op, data, store::kNullObject);
+      co_return data;
     }
-    writeset_[id] = std::move(mine);
+    // Copy-on-write from an ancestor scope: a record of this scope hides
+    // the ancestor's until this scope merges or aborts.  The base version
+    // (and the QR-CHK fetch epoch) travel with the copy so commit and
+    // rollback semantics are unchanged.  The data-set gains an entry under
+    // the new owner (the duplicate that leaves after a CT merge is
+    // compacted there).
+    assign_bytes(log_->next_value(), log_->at(i).value);
+    const Version ver = log_->at(i).version;
+    const ChkEpoch chk = log_->at(i).owner_chk;
+    const ValueSpan data =
+        log_->append(id, ver, scope_id_, depth_, chk, /*read=*/false,
+                     /*write=*/true)
+            .value;
+    dataset_append(id, ver, chk);
+    log_op(op, data, store::kNullObject);
     co_return data;
   }
-  ObjectCopy c = co_await acquire_copy(id, /*for_write=*/true);
-  Bytes data = c.data;
-  const Version ver = c.version;
+  const Version ver = co_await acquire_copy(id, /*for_write=*/true);
   const ChkEpoch chk = root().epoch_;
-  writeset_[id] = OwnedCopy{std::move(c), scope_id_, depth_, chk};
+  const ValueSpan data =
+      log_->append(id, ver, scope_id_, depth_, chk, /*read=*/false,
+                   /*write=*/true)
+          .value;
   dataset_append(id, ver, chk);
   log_op(op, data, store::kNullObject);
   if (rt_.config().mode == NestingMode::kCheckpoint) {
@@ -350,29 +340,34 @@ sim::Task<Bytes> Txn::read_for_write(ObjectId id) {
   co_return data;
 }
 
-void Txn::write(ObjectId id, Bytes data) {
+void Txn::write(ObjectId id, ValueSpan data) {
   const Txn& r = root();
-  // Re-executed pre-checkpoint code: the restored snapshot already holds
+  // Re-executed pre-checkpoint code: the restored records already hold
   // this write's effect.  An aborting attempt (create() tripped the step
   // guard) writes nothing; its next co_awaited operation unwinds.
   if (r.op_seq_ < r.replay_until_ || r.abort_) return;
-  auto it = writeset_.find(id);
-  QRDTM_CHECK_MSG(it != writeset_.end(),
+  // The scope's write-set holds the id exactly when its latest record is
+  // this scope's write record (records of merged CTs are this scope's).
+  const std::uint32_t i = log_->latest(id);
+  QRDTM_CHECK_MSG(i != kNoRecord && log_->at(i).owner == scope_id_ &&
+                      log_->at(i).write,
                   "write() requires read_for_write() or create() first");
-  it->second.copy.data = std::move(data);
+  log_->save_for_rollback(i);
+  assign_bytes(log_->at(i).value, data);
 }
 
-ObjectId Txn::create(Bytes data) {
+ObjectId Txn::create(ValueSpan data) {
   const OpToken op = begin_op();
   if (op.aborted) return store::kNullObject;
   Txn& r = root();
   if (op.replay) {
-    return r.op_log_[op.idx].created;  // snapshot already holds the object
+    return log_->op(op.idx).created;  // the records already hold the object
   }
   ObjectId id = rt_.allocate_object_id();
-  log_op(op, Bytes{}, id);
-  writeset_[id] = OwnedCopy{ObjectCopy{id, 0, std::move(data)}, scope_id_,
-                            depth_, r.epoch_};
+  log_op(op, ValueSpan{}, id);
+  assign_bytes(log_->next_value(), data);
+  (void)log_->append(id, 0, scope_id_, depth_, r.epoch_, /*read=*/false,
+                     /*write=*/true);
   dataset_append(id, 0, r.epoch_);
   return id;
 }
@@ -414,15 +409,15 @@ sim::Task<void> Txn::nested(TxnBody body) {
                         scope_start, rt_.simulator().now(), child.scope_id_,
                         aborted ? 0 : 1);
     }
-    if (aborted && !retry) {
-      // The child's sets die with it; drop its materialised entries before
-      // forwarding (ancestor boundaries truncate their own marks in turn).
+    if (aborted) {
+      // The child's sets die with it: drop its records and materialised
+      // entries (ancestor boundaries truncate their own marks in turn).
+      log_->truncate(child.record_mark_);
       dataset_truncate(child.dataset_mark_);
-      co_await unwind();
     }
+    if (aborted && !retry) co_await unwind();
     if (retry) {
       r.abort_.reset();
-      dataset_truncate(child.dataset_mark_);
       ++rt_.metrics().ct_aborts;
       if (HistoryRecorder* rec = rt_.history_recorder()) {
         rec->record_abort(rt_.simulator().now(), rt_.node(), child.scope_id_,
@@ -476,26 +471,14 @@ sim::Task<void> Txn::open_nested(OpenOp op) {
 void Txn::merge_into_parent() {
   QRDTM_CHECK(parent_ != nullptr);
   // Ownership transfers to the parent: a later conflict on these objects
-  // must abort the parent, since this CT no longer exists (Alg. 3).
-  // Visit order does not matter: the merge is a keyed overwrite into the
-  // parent's maps, so the result is identical under any iteration order.
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (auto& [id, oc] : readset_) {
-    oc.owner = parent_->scope_id_;
-    oc.owner_depth = parent_->depth_;
-    parent_->readset_[id] = std::move(oc);
-  }
-  // Keyed overwrite as above.  qrdtm-lint: allow(det-unordered-iter)
-  for (auto& [id, oc] : writeset_) {
-    oc.owner = parent_->scope_id_;
-    oc.owner_depth = parent_->depth_;
-    parent_->writeset_[id] = std::move(oc);
-  }
-  readset_.clear();
-  writeset_.clear();
+  // must abort the parent, since this CT no longer exists (Alg. 3).  The
+  // records stay where they are; a merged copy-on-write record keeps
+  // hiding the parent's older record of the same id, so the parent now
+  // reads and commits the CT's value.
+  log_->rehome(record_mark_, parent_->scope_id_, parent_->depth_);
   // Re-home this scope's materialised entries (everything appended since the
   // scope opened, including already-merged grandchildren's).
-  auto& cache = root().dataset_cache_;
+  auto& cache = log_->dataset;
   for (std::size_t i = dataset_mark_; i < cache.size(); ++i) {
     cache[i].owner = parent_->scope_id_;
     cache[i].owner_depth = parent_->depth_;
@@ -528,11 +511,7 @@ void Txn::reset_full() {
   QRDTM_CHECK(parent_ == nullptr);
   QRDTM_CHECK_MSG(open_log_.empty() && held_locks_.empty(),
                   "open-nesting state must be settled before a reset");
-  readset_.clear();
-  writeset_.clear();
-  dataset_cache_.clear();
-  checkpoints_.clear();
-  op_log_.clear();
+  log_->clear();
   epoch_ = 0;
   objs_since_chk_ = 0;
   op_seq_ = 0;
@@ -543,22 +522,21 @@ void Txn::reset_full() {
 void Txn::rollback_to(ChkEpoch epoch) {
   QRDTM_CHECK(parent_ == nullptr);
   QRDTM_CHECK_MSG(epoch >= 1, "rollback to epoch 0 is a full abort");
-  while (!checkpoints_.empty() && checkpoints_.back().epoch > epoch) {
-    checkpoints_.pop_back();
+  std::vector<TxnCheckpoint>& chks = log_->checkpoints;
+  while (!chks.empty() && chks.back().epoch > epoch) {
+    chks.pop_back();
   }
-  QRDTM_CHECK_MSG(
-      !checkpoints_.empty() && checkpoints_.back().epoch == epoch,
-      "rollback target checkpoint not found");
-  const Snapshot& s = checkpoints_.back();
-  readset_ = s.readset;
-  writeset_ = s.writeset;
-  dataset_cache_.resize(s.dataset_len);
-  epoch_ = s.epoch;
-  objs_since_chk_ = s.objs_since_chk;
-  replay_until_ = s.op_cursor;
-  // Drop log entries from the abandoned suffix; the replay's fresh
-  // execution appends new ones from the cursor on.
-  op_log_.resize(s.op_cursor);
+  QRDTM_CHECK_MSG(!chks.empty() && chks.back().epoch == epoch,
+                  "rollback target checkpoint not found");
+  const TxnCheckpoint& c = chks.back();
+  log_->restore(c);
+  log_->dataset.resize(c.dataset_len);
+  epoch_ = c.epoch;
+  objs_since_chk_ = c.objs_since_chk;
+  replay_until_ = c.op_cursor;
+  // Drop results of the abandoned suffix; the replay's fresh execution
+  // logs new ones from the cursor on.
+  log_->truncate_ops(c.op_cursor);
   op_seq_ = 0;
   ops_this_attempt_ = 0;
 }
@@ -571,6 +549,9 @@ TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
     : rpc_(rpc),
       quorums_(quorums),
       metrics_(metrics),
+      // Once per node, not per transaction.
+      // qrdtm-lint: allow(hot-make-shared)
+      logs_(std::make_shared<TxnLogPool>()),
       local_log_(local_log),
       config_(config),
       rng_(seed),
@@ -762,24 +743,20 @@ void TxnRuntime::record_commit_history(const Txn& root) {
   rec.txn = root.scope_id_;
   rec.node = node();
   rec.commit_tick = simulator().now();
-  rec.reads.reserve(root.readset_.size());
-  // Collect-then-sort: the recorded order is by object id regardless of the
-  // sets' hash order.  qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, oc] : root.readset_) {
-    rec.reads.push_back(HistoryRead{id, oc.copy.version});
+  // The commit sets come sorted by object id.
+  std::vector<CommitReadEntry> reads;
+  std::vector<CommitWriteView> writes;
+  root.log_->commit_sets(&reads, &writes);
+  rec.reads.reserve(reads.size());
+  for (const CommitReadEntry& e : reads) {
+    rec.reads.push_back(HistoryRead{e.id, e.version});
   }
-  rec.writes.reserve(root.writeset_.size());
-  // Sorted below as well.  qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, oc] : root.writeset_) {
+  rec.writes.reserve(writes.size());
+  for (const CommitWriteView& e : writes) {
     // QR installs base+1 (see QrServer::handle_commit_confirm).
-    rec.writes.push_back(
-        HistoryWrite{id, oc.copy.version, oc.copy.version + 1, oc.copy.data});
+    rec.writes.push_back(HistoryWrite{e.id, e.base, e.base + 1,
+                                      Bytes(e.data.begin(), e.data.end())});
   }
-  std::sort(rec.reads.begin(), rec.reads.end(),
-            [](const HistoryRead& a, const HistoryRead& b) { return a.id < b.id; });
-  std::sort(
-      rec.writes.begin(), rec.writes.end(),
-      [](const HistoryWrite& a, const HistoryWrite& b) { return a.id < b.id; });
   recorder_->record_commit(std::move(rec));
 }
 
@@ -844,12 +821,14 @@ sim::Task<void> TxnRuntime::finish_open(Txn& root, bool committed) {
 }
 
 sim::Task<void> TxnRuntime::commit_root(Txn& root) {
+  CommitScratch& round = root.log_->commit;
+  root.log_->commit_sets(&round.readset, &round.writeset);
   // An empty transaction (no reads, no writes) has nothing to validate, and
   // Rqv makes read-only commits free under QR-CN (paper §III-A); flat QR
   // and QR-CHK always run the 2PC (QR-CHK commit "exactly the same as flat",
   // §IV-A).
-  if (root.writeset_.empty() &&
-      (root.readset_.empty() || (config_.mode == NestingMode::kClosed &&
+  if (round.writeset.empty() &&
+      (round.readset.empty() || (config_.mode == NestingMode::kClosed &&
                                  config_.cn_local_readonly_commit))) {
     ++metrics_.local_commits;
     if (tracer_ != nullptr) {
@@ -860,54 +839,29 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
   }
   const sim::Tick commit_start = simulator().now();
 
-  CommitRequest req;
-  req.txn = root.scope_id_;
-  req.readset.reserve(root.readset_.size());
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, oc] : root.readset_) {
-    req.readset.push_back(CommitReadEntry{id, oc.copy.version});
+  // round.wq is a copy of the memoised quorum: a failure mid-commit may
+  // regenerate the cache while we await votes, and the confirm must reach
+  // the same members the request went to.  The multicast spans the write
+  // quorums of every cohort the transaction touched -- the read-set cohorts
+  // included, since read validation only happens on nodes replicating
+  // those objects.
+  round.touched.clear();
+  for (const CommitReadEntry& e : round.readset) round.touched.push_back(e.id);
+  for (const CommitWriteView& e : round.writeset) {
+    round.touched.push_back(e.id);
   }
-  req.writeset.reserve(root.writeset_.size());
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (const auto& [id, oc] : root.writeset_) {
-    req.writeset.push_back(CommitWriteEntry{id, oc.copy.version, oc.copy.data});
-  }
-  // The sets come straight out of hash maps: fix the wire order so the
-  // encoded request bytes (and the order replicas walk the entries in when
-  // voting and applying) are identical across standard-library hash
-  // implementations.
-  std::sort(req.readset.begin(), req.readset.end(),
-            [](const CommitReadEntry& a, const CommitReadEntry& b) {
-              return a.id < b.id;
-            });
-  std::sort(req.writeset.begin(), req.writeset.end(),
-            [](const CommitWriteEntry& a, const CommitWriteEntry& b) {
-              return a.id < b.id;
-            });
-
-  // Copy of the memoised quorum: a failure mid-commit may regenerate the
-  // cache while we await votes, and the confirm must reach the same members
-  // the request went to.  The multicast spans the write quorums of every
-  // cohort the transaction touched -- the read-set cohorts included, since
-  // read validation only happens on nodes replicating those objects.
-  std::vector<ObjectId> touched;
-  touched.reserve(req.readset.size() + req.writeset.size());
-  for (const CommitReadEntry& e : req.readset) touched.push_back(e.id);
-  for (const CommitWriteEntry& e : req.writeset) touched.push_back(e.id);
-  std::vector<net::NodeId> wq;
   Abort unformable;
-  if (!union_write_quorum(touched, &wq, &unformable)) {
+  if (!union_write_quorum(round.touched, &round.wq, &unformable)) {
     root.abort_ = std::move(unformable);
     co_return;
   }
-  std::vector<ObjectId> stale;
   const bool all_commit =
-      co_await commit_vote(req, wq, msg::kCommitRequest, &stale);
+      co_await commit_vote(root.scope_id_, round, msg::kCommitRequest);
 
   // The confirm goes out even for a read-only round or an abort: voters
   // that protected the write-set must release it on abort.
-  const bool sent = co_await commit_confirm(
-      req.txn, all_commit, std::move(req.writeset), wq, msg::kCommitConfirm);
+  const bool sent = co_await commit_confirm(root.scope_id_, all_commit, round,
+                                            msg::kCommitConfirm);
   if (!sent) {
     // Crashed before the decision was durable: no confirm left, so the
     // attempt must not be recorded as a commit (the prepared replicas will
@@ -919,7 +873,7 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
 
   if (tracer_ != nullptr) {
     tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_, commit_start,
-                  simulator().now(), root.writeset_.size(), /*local=*/0);
+                  simulator().now(), round.writeset.size(), /*local=*/0);
   }
 
   if (!all_commit) {
@@ -929,43 +883,49 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
   }
 }
 
-sim::Task<bool> TxnRuntime::commit_vote(const CommitRequest& req,
-                                        const std::vector<net::NodeId>& wq,
-                                        net::MsgKind tag,
-                                        std::vector<ObjectId>* stale) {
+sim::Task<bool> TxnRuntime::commit_vote(TxnId txn, CommitScratch& round,
+                                        net::MsgKind tag) {
   ++metrics_.commit_requests;
-  metrics_.commit_messages += wq.size();
+  metrics_.commit_messages += round.wq.size();
   Writer reqw(rpc_.acquire_buffer(tag));
-  req.encode_into(reqw);
+  encode_commit_request(reqw, txn, round.readset, round.writeset);
   Bytes reqbytes = std::move(reqw).take();
-  if (tracer_ != nullptr) rpc_.set_trace_context(req.txn);
-  auto futures = rpc_.multicast(wq, tag, reqbytes, config_.rpc_timeout);
+  if (tracer_ != nullptr) rpc_.set_trace_context(txn);
+  rpc_.multicast(round.wq, tag, reqbytes, config_.rpc_timeout, &round.gather);
   if (tracer_ != nullptr) rpc_.set_trace_context(0);
   rpc_.release_buffer(std::move(reqbytes));
 
+  // Each vote is read in place; abort votes fold their stale ids straight
+  // into the sorted, unique union.
   bool all_commit = true;
-  for (auto& f : futures) {
+  round.stale.clear();
+  for (auto& f : round.gather) {
     net::RpcResult res = co_await f;
     report_rpc_outcome(res.from, res.ok);
     if (!res.ok) {
       all_commit = false;  // dead or unreachable member counts as abort
       continue;
     }
-    VoteResponse vote = VoteResponse::decode(res.payload);
-    rpc_.release_buffer(std::move(res.payload));
+    const VoteResponseView vote = VoteResponse::decode_view(res.payload);
     if (!vote.commit) {
       all_commit = false;
-      stale->insert(stale->end(), vote.stale.begin(), vote.stale.end());
+      for (std::size_t i = 0; i < vote.stale.size(); ++i) {
+        const ObjectId id = vote.stale[i];
+        const auto at =
+            std::lower_bound(round.stale.begin(), round.stale.end(), id);
+        if (at == round.stale.end() || *at != id) round.stale.insert(at, id);
+      }
     }
+    rpc_.release_buffer(std::move(res.payload));
   }
-  std::sort(stale->begin(), stale->end());
-  stale->erase(std::unique(stale->begin(), stale->end()), stale->end());
+  round.gather.clear();
   co_return all_commit;
 }
 
-sim::Task<bool> TxnRuntime::commit_confirm(
-    TxnId txn, bool commit, std::vector<CommitWriteEntry> writeset,
-    const std::vector<net::NodeId>& wq, net::MsgKind tag) {
+sim::Task<bool> TxnRuntime::commit_confirm(TxnId txn, bool commit,
+                                           const CommitScratch& round,
+                                           net::MsgKind tag) {
+  const std::vector<net::NodeId>& wq = round.wq;
   // The canonical checkpoint/recovery race window: votes are gathered (the
   // write quorum has protected + durably prepared the write-set) but the
   // confirm has not been sent.  Tests park the coordinator here, cut
@@ -975,12 +935,8 @@ sim::Task<bool> TxnRuntime::commit_confirm(
     co_await faults_->suspend(fp::kCommitBeforeConfirm, node());
   }
 
-  CommitConfirm confirm;
-  confirm.txn = txn;
-  confirm.commit = commit;
-  confirm.writeset = std::move(writeset);
   Writer cw(rpc_.acquire_buffer(tag));
-  confirm.encode_into(cw);
+  encode_commit_confirm(cw, txn, commit, round.writeset);
   Bytes encoded = std::move(cw).take();
 
   // Durable decision record (DESIGN.md §17): the outcome -- commit AND
@@ -990,7 +946,7 @@ sim::Task<bool> TxnRuntime::commit_confirm(
   // sent => in-doubt replicas may presumed-abort safely.  Read-only rounds
   // (empty writeset) take no protections and log nothing.  One decision
   // covers a whole QR-Q batch.
-  const bool log_decision = !confirm.writeset.empty();
+  const bool log_decision = !round.writeset.empty();
   if (log_decision) {
     const FaultAction at_decision =
         faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())

@@ -18,10 +18,20 @@
 //   * Checkpointing (QR-CHK): the runtime auto-creates a checkpoint each
 //     time `chk_threshold` new objects entered the data-set.  An Rqv abort
 //     names abortChk, the minimum invalid checkpoint epoch; the runtime
-//     restores that snapshot and *replays* the body: operations before the
-//     checkpoint's cursor are served from the snapshot (no messages, no
+//     restores that checkpoint and *replays* the body: operations before
+//     the checkpoint's cursor return their logged results (no messages, no
 //     compute charge), which reproduces continuation-resume cost (see
 //     DESIGN.md substitution table).
+//
+// A root and all its scopes keep their read- and write-sets in one flat
+// record log (core/txn_log.h): a scope is a mark into it, a CT merge
+// re-homes the scope's records, a CT abort truncates them, and a checkpoint
+// is a mark plus an undo log.  read() and read_for_write() lend the value
+// in place as a span into the object's record (or, during a replay, into
+// the op log).  The span stays valid until the same object is next written
+// through write() -- which may reallocate the buffer -- or until the scope
+// that owns the record aborts or the attempt ends; later reads, CT merges
+// and log growth leave it alone.  Copy what must outlive that.
 //
 // Aborts travel as values, not exceptions.  An abort site records the Abort
 // in the root Txn and suspends with a symmetric transfer to the *boundary*:
@@ -40,7 +50,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -50,6 +60,7 @@
 #include "core/faultpoint.h"
 #include "core/metrics.h"
 #include "core/trace.h"
+#include "core/txn_log.h"
 #include "core/types.h"
 #include "core/wire.h"
 #include "net/rpc.h"
@@ -85,7 +96,7 @@ struct RuntimeConfig {
   /// QR-CHK: objects added to the data-set between automatic checkpoints.
   std::uint32_t chk_threshold = 1;
   /// QR-CHK checkpoint-creation cost: fixed part plus a per-object part
-  /// covering the snapshot copy of the read/write sets (the paper's
+  /// covering a copy of the read/write sets (the paper's
   /// implementation captures a Java Continuation *and* a transaction copy
   /// per checkpoint, so creation cost grows with the data-set).  The
   /// defaults are calibrated so a conflict-free run shows the paper's ~6 %
@@ -141,44 +152,43 @@ struct OpenOp {
   TxnBody compensation;  // may be empty for read-only operations
 };
 
-/// A transaction-local object entry (member of a read- or write-set).
-struct OwnedCopy {
-  ObjectCopy copy;       // id, version (write-set: base version), data
-  TxnId owner = 0;       // scope that fetched it (QR-CN)
-  std::uint32_t owner_depth = 0;
-  ChkEpoch owner_chk = 0;  // epoch current at fetch (QR-CHK)
-};
+/// A value lent by Txn::read / read_for_write (see the lifetime rule above).
+using ValueSpan = std::span<const std::uint8_t>;
 
 /// One transaction scope: the root transaction, or a closed-nested scope.
 /// Scopes form a parent chain; the data-set of a scope is its own sets plus
-/// all ancestors' (paper getDataSet).
+/// all ancestors' (paper getDataSet), kept in the root's TxnLog.
 class Txn {
  public:
   Txn(TxnRuntime& rt, Txn* parent);
+  ~Txn();
 
   Txn(const Txn&) = delete;
   Txn& operator=(const Txn&) = delete;
 
   // ----- user operations -------------------------------------------------
 
-  /// Read an object (checkParent first, then the read quorum).  Returns the
-  /// object payload; on conflict the body is aborted and never resumes.
-  sim::Task<Bytes> read(ObjectId id);
+  /// Read an object (checkParent first, then the read quorum).  Lends the
+  /// object payload in place; on conflict the body is aborted and never
+  /// resumes.
+  sim::Task<ValueSpan> read(ObjectId id);
 
   /// Acquire a writable copy (read-quorum fetch registering the transaction
-  /// as a potential writer), returning the current payload.  A copy already
-  /// in scope is upgraded locally.
-  sim::Task<Bytes> read_for_write(ObjectId id);
+  /// as a potential writer), lending the current payload in place.  A copy
+  /// already in scope is upgraded locally.
+  sim::Task<ValueSpan> read_for_write(ObjectId id);
 
   /// Buffer a new value for an object previously acquired with
-  /// read_for_write (or created).  Purely local.
-  void write(ObjectId id, Bytes data);
+  /// read_for_write (or created), copying `data` into the object's record.
+  /// `data` may be a span this transaction lent.  Purely local.
+  void write(ObjectId id, ValueSpan data);
 
-  /// Create a new object (fresh id, version 0 base); becomes visible to
-  /// other transactions at commit.  A plain function cannot unwind: when
-  /// the step guard trips here it returns store::kNullObject, later writes
-  /// are ignored, and the body's next co_awaited operation unwinds.
-  ObjectId create(Bytes data);
+  /// Create a new object (fresh id, version 0 base) holding a copy of
+  /// `data`; it becomes visible to other transactions at commit.  A plain
+  /// function cannot unwind: when the step guard trips here it returns
+  /// store::kNullObject, later writes are ignored, and the body's next
+  /// co_awaited operation unwinds.
+  ObjectId create(ValueSpan data);
 
   /// Charge `cost` of application compute to the transaction (skipped while
   /// fast-forwarding a checkpoint replay).
@@ -204,39 +214,32 @@ class Txn {
   /// Workload randomness helper (deterministic per node).
   Rng& rng();
 
-  ChkEpoch current_epoch() const { return epoch_; }
-  std::uint64_t checkpoints_taken() const { return checkpoints_.size(); }
+  ChkEpoch current_epoch() const { return root_->epoch_; }
+  std::uint64_t checkpoints_taken() const { return log_->checkpoints.size(); }
 
   /// The root's materialised Rqv data-set (what remote reads ship), exposed
   /// for tests asserting its shape (e.g. entry uniqueness after CT merges).
   const std::vector<DataSetEntry>& dataset_entries() const {
-    return root().dataset_cache_;
+    return log_->dataset;
+  }
+
+  /// The root's commit sets as the next 2PC request would carry them, ids
+  /// ascending, for tests pinning the set semantics.
+  void commit_sets(std::vector<CommitReadEntry>* readset,
+                   std::vector<CommitWriteView>* writeset) const {
+    log_->commit_sets(readset, writeset);
   }
 
  private:
   friend class TxnRuntime;
   friend class BatchPlanner;
 
-  struct Snapshot {
-    ChkEpoch epoch = 0;
-    std::uint64_t op_cursor = 0;  // op_seq at creation (replay fast-forward)
-    std::uint32_t objs_since_chk = 0;
-    std::size_t dataset_len = 0;  // materialised data-set length at creation
-    std::unordered_map<ObjectId, OwnedCopy> readset;
-    std::unordered_map<ObjectId, OwnedCopy> writeset;
-  };
-
   /// QR-CHK replay support: the result of every operation is logged by op
-  /// index.  When a rollback replays the body, operations below the
-  /// checkpoint's cursor return their logged results and mutate nothing --
-  /// the snapshot already contains all their effects -- which reproduces
-  /// continuation-resume semantics exactly (no double-applied writes, no
-  /// divergent reads).
-  struct OpRecord {
-    Bytes data;                             // read / read_for_write result
-    ObjectId created = store::kNullObject;  // create() result
-  };
-
+  /// index (TxnLog::op).  When a rollback replays the body, operations below
+  /// the checkpoint's cursor return their logged results and mutate nothing
+  /// -- the restored records already contain all their effects -- which
+  /// reproduces continuation-resume semantics exactly (no double-applied
+  /// writes, no divergent reads).
   struct OpToken {
     std::uint64_t idx = 0;
     bool replay = false;   // fast-forwarding below replay_until_
@@ -269,43 +272,36 @@ class Txn {
   [[nodiscard]] Unwind unwind();
 
   /// Root-level operation bookkeeping (shared by all scopes of a tree).
-  Txn& root();
-  const Txn& root() const;
-
-  /// Look up an object in this scope and its ancestors.  Returns nullptr if
-  /// absent; `from_writeset` reports which set matched.
-  const OwnedCopy* find_local(ObjectId id, bool* from_writeset) const;
+  Txn& root() { return *root_; }
+  const Txn& root() const { return *root_; }
 
   /// The full data-set (root..self) for Rqv.  Maintained incrementally on
   /// the root as objects enter the sets, so shipping it with every remote
   /// read is O(1) instead of an O(data-set) rebuild per fetch.
-  const std::vector<DataSetEntry>& dataset() const {
-    return root().dataset_cache_;
-  }
+  const std::vector<DataSetEntry>& dataset() const { return log_->dataset; }
 
   /// Record a set insertion in the root's materialised data-set.
   void dataset_append(ObjectId id, Version version, ChkEpoch chk) {
-    root().dataset_cache_.push_back(
-        DataSetEntry{id, version, scope_id_, depth_, chk});
+    log_->dataset.push_back(DataSetEntry{id, version, scope_id_, depth_, chk});
   }
 
   /// Drop materialised entries appended at or after `len` (scope abort,
   /// checkpoint rollback, full reset).
   void dataset_truncate(std::size_t len) {
-    Txn& r = root();
-    QRDTM_DCHECK(len <= r.dataset_cache_.size());
-    r.dataset_cache_.resize(len);
+    QRDTM_DCHECK(len <= log_->dataset.size());
+    log_->dataset.resize(len);
   }
 
-  /// Fetch from the read quorum with Rqv; the caller inserts the copy into
-  /// its set.  A failed fetch (Rqv, unreachable or incomplete quorum,
-  /// missing object) aborts here.
-  sim::Task<ObjectCopy> quorum_fetch(ObjectId id, bool for_write);
+  /// Fetch from the read quorum with Rqv, writing the winning value into
+  /// the log's next record (TxnLog::next_value) and returning its version;
+  /// the caller appends the record.  A failed fetch (Rqv, unreachable or
+  /// incomplete quorum, missing object) aborts here.
+  sim::Task<Version> quorum_fetch(ObjectId id, bool for_write);
 
   /// quorum_fetch with the QR-Q batch cache in front: under kQueued the
   /// root's planner serves repeat touches locally at the speculative head
   /// and admits first touches after their (single) quorum fetch.
-  sim::Task<ObjectCopy> acquire_copy(ObjectId id, bool for_write);
+  sim::Task<Version> acquire_copy(ObjectId id, bool for_write);
 
   /// QR-CHK: bump counters after a fetch and create a checkpoint when the
   /// threshold is crossed.
@@ -316,9 +312,9 @@ class Txn {
   /// abort is pending, or the step guard trips now and records one).
   OpToken begin_op();
 
-  /// Store an operation result in the root's op log (QR-CHK only).  Takes
-  /// the result by reference: the other modes keep no log and copy nothing.
-  void log_op(const OpToken& token, const Bytes& data, ObjectId created);
+  /// Store an operation result in the root's op log (QR-CHK only; the
+  /// other modes keep no log and copy nothing).
+  void log_op(const OpToken& token, ValueSpan data, ObjectId created);
 
   void merge_into_parent();
   void reset_full();        // root: discard everything (full abort)
@@ -326,16 +322,19 @@ class Txn {
 
   TxnRuntime& rt_;
   Txn* parent_;
+  Txn* root_;
+  /// The root's pooled log (pool_, owned_log_), shared by the whole tree.
+  std::shared_ptr<TxnLogPool> pool_;
+  std::unique_ptr<TxnLog> owned_log_;
+  TxnLog* log_;
   TxnId scope_id_;
   std::uint32_t depth_;
   /// The coroutine awaiting this scope's body (its abort boundary).
   std::coroutine_handle<> boundary_;
 
-  std::unordered_map<ObjectId, OwnedCopy> readset_;
-  std::unordered_map<ObjectId, OwnedCopy> writeset_;
-
-  /// Index into the root's dataset_cache_ at which this scope's entries
-  /// start; everything at or beyond it is truncated if this scope aborts.
+  /// Log and data-set lengths when this scope opened: its records and
+  /// entries start there, and are truncated there if the scope aborts.
+  std::size_t record_mark_ = 0;
   std::size_t dataset_mark_ = 0;
 
   // --- root-only state ---
@@ -346,17 +345,6 @@ class Txn {
   /// QR-Q: set by the BatchPlanner while this root executes as a batch
   /// member; routes acquire_copy through the batch queue cache.
   BatchPlanner* batch_ = nullptr;
-  /// Materialised Rqv data-set: one entry per set insertion anywhere in the
-  /// scope tree, appended on fetch/create, owner-patched on CT merge, and
-  /// truncated on scope abort / checkpoint rollback.  Entry order differs
-  /// from a root->self set walk (it is chronological); that is harmless,
-  /// replica validation is per-entry and order-independent (qr_server
-  /// combines via shallowest-depth / min-epoch).  Object ids are unique:
-  /// same-scope upgrades skip the re-append and merge_into_parent compacts
-  /// the duplicate a CT upgrade of an ancestor's object would otherwise
-  /// leave (keeping the ancestor's entry -- the shallowest owner is the
-  /// scope abortClosed must name).
-  std::vector<DataSetEntry> dataset_cache_;
   /// QR-ON: compensations for globally-committed open-nested bodies (run in
   /// reverse order if this root aborts) and the abstract locks held.
   std::vector<TxnBody> open_log_;
@@ -367,8 +355,6 @@ class Txn {
   std::uint64_t ops_this_attempt_ = 0;
   ChkEpoch epoch_ = 0;
   std::uint32_t objs_since_chk_ = 0;
-  std::vector<Snapshot> checkpoints_;
-  std::vector<OpRecord> op_log_;
 };
 
 /// Per-node client runtime: runs complete transactions with retry, 2PC
@@ -460,22 +446,21 @@ class TxnRuntime {
   sim::Task<void> commit_root(Txn& root);
 
   /// 2PC vote phase, shared by per-transaction commits (tag kCommitRequest)
-  /// and QR-Q batches (tag kBatchCommitRequest): multicast `req` to `wq` and
-  /// gather the votes.  True when every member voted commit; otherwise
-  /// `stale` holds the sorted, unique ids the replicas reported stale
-  /// (empty = no diagnosis, e.g. a dead member or a syncing replica).
-  sim::Task<bool> commit_vote(const CommitRequest& req,
-                              const std::vector<net::NodeId>& wq,
-                              net::MsgKind tag, std::vector<ObjectId>* stale);
+  /// and QR-Q batches (tag kBatchCommitRequest): multicast the request for
+  /// `txn` over `round`'s read- and write-set to `round.wq` and gather the
+  /// votes, each read in place.  True when every member voted commit;
+  /// otherwise `round.stale` holds the sorted, unique ids the replicas
+  /// reported stale (empty = no diagnosis, e.g. a dead member or a syncing
+  /// replica).
+  sim::Task<bool> commit_vote(TxnId txn, CommitScratch& round,
+                              net::MsgKind tag);
 
   /// 2PC confirm phase: park at fp::kCommitBeforeConfirm, durably log the
-  /// decision, broadcast the confirm for `txn` to `wq` under `tag`, then
-  /// charge commit_settle.  False, with nothing sent, when the coordinator
-  /// crashed before its decision was durable.
+  /// decision, broadcast the confirm for `txn` over `round.writeset` to
+  /// `round.wq` under `tag`, then charge commit_settle.  False, with nothing
+  /// sent, when the coordinator crashed before its decision was durable.
   sim::Task<bool> commit_confirm(TxnId txn, bool commit,
-                                 std::vector<CommitWriteEntry> writeset,
-                                 const std::vector<net::NodeId>& wq,
-                                 net::MsgKind tag);
+                                 const CommitScratch& round, net::MsgKind tag);
 
   /// QR-ON: after the root commits, release its abstract locks; after a
   /// root abort, run the registered compensations (reverse order, each as
@@ -523,6 +508,8 @@ class TxnRuntime {
   net::RpcEndpoint& rpc_;
   quorum::QuorumProvider& quorums_;
   Metrics& metrics_;
+  /// Recycled root logs: a warm root allocates no set storage.
+  std::shared_ptr<TxnLogPool> logs_;
   std::unique_ptr<BatchPlanner> planner_;  // kQueued only
   store::CommitLog& local_log_;  // co-located replica's WAL
   FailureDetector* failure_detector_ = nullptr;

@@ -10,13 +10,17 @@ constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
 constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4 + 4;    // + data
 
-std::size_t writeset_bytes(const std::vector<CommitWriteEntry>& ws) {
+/// Encoded size of a write-set of CommitWriteEntry or CommitWriteView.
+template <class WriteSet>
+std::size_t writeset_bytes(const WriteSet& ws) {
   std::size_t n = 4;
-  for (const CommitWriteEntry& e : ws) n += kWriteEntryHeader + e.data.size();
+  for (const auto& e : ws) n += kWriteEntryHeader + e.data.size();
   return n;
 }
 
-void encode_write(Writer& w, const CommitWriteEntry& e) {
+/// One write entry, owned (CommitWriteEntry) or borrowed (CommitWriteView).
+template <class Entry>
+void encode_write(Writer& w, const Entry& e) {
   w.u64(e.id);
   w.u64(e.base);
   w.u32(e.steps);
@@ -26,6 +30,32 @@ void encode_write(Writer& w, const CommitWriteEntry& e) {
 void encode_read_entry(RecordWriter& w, const CommitReadEntry& e) {
   w.u64(e.id);
   w.u64(e.version);
+}
+
+void encode_stale_id(RecordWriter& w, ObjectId id) { w.u64(id); }
+
+/// The one CommitRequest encoder, over an owned or a borrowed write-set.
+template <class WriteSet>
+void encode_commit_request_from(Writer& w, TxnId txn,
+                                std::span<const CommitReadEntry> readset,
+                                const WriteSet& writeset) {
+  w.reserve(w.size() + 8 + 4 + readset.size() * kCommitReadEntryBytes +
+            writeset_bytes(writeset));
+  w.u64(txn);
+  encode_records<kCommitReadEntryBytes>(w, readset, encode_read_entry);
+  encode_vec(w, writeset,
+             [](Writer& w2, const auto& e) { encode_write(w2, e); });
+}
+
+/// The one CommitConfirm encoder, over an owned or a borrowed write-set.
+template <class WriteSet>
+void encode_commit_confirm_from(Writer& w, TxnId txn, bool commit,
+                                const WriteSet& writeset) {
+  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset));
+  w.u64(txn);
+  w.boolean(commit);
+  encode_vec(w, writeset,
+             [](Writer& w2, const auto& e) { encode_write(w2, e); });
 }
 
 /// The owning copy of a write-set read in place.
@@ -159,11 +189,13 @@ ReadResponse ReadResponse::decode(const Bytes& b) {
 }
 
 void CommitRequest::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 4 + readset.size() * kCommitReadEntryBytes +
-            writeset_bytes(writeset));
-  w.u64(txn);
-  encode_records<kCommitReadEntryBytes>(w, readset, encode_read_entry);
-  encode_vec(w, writeset, encode_write);
+  encode_commit_request_from(w, txn, readset, writeset);
+}
+
+void encode_commit_request(Writer& w, TxnId txn,
+                           std::span<const CommitReadEntry> readset,
+                           std::span<const CommitWriteView> writeset) {
+  encode_commit_request_from(w, txn, readset, writeset);
 }
 
 Bytes CommitRequest::encode() const {
@@ -198,7 +230,7 @@ CommitRequest CommitRequest::decode(const Bytes& b) {
 void VoteResponse::encode_into(Writer& w) const {
   w.reserve(w.size() + 1 + 4 + stale.size() * 8);
   w.boolean(commit);
-  encode_vec(w, stale, [](Writer& w2, ObjectId id) { w2.u64(id); });
+  encode_records<8>(w, stale, encode_stale_id);
 }
 
 Bytes VoteResponse::encode() const {
@@ -207,13 +239,24 @@ Bytes VoteResponse::encode() const {
   return std::move(w).take();
 }
 
-VoteResponse VoteResponse::decode(const Bytes& b) {
+VoteResponseView VoteResponse::decode_view(const Bytes& b) {
   Reader r(b);
-  VoteResponse v;
+  VoteResponseView v;
   v.commit = r.boolean();
-  v.stale = decode_vec<ObjectId>(r, [](Reader& r2) { return r2.u64(); });
+  v.stale = decode_records<8, ObjectId, decode_stale_id>(r);
   r.expect_done();
   return v;
+}
+
+VoteResponse VoteResponse::decode(const Bytes& b) {
+  const VoteResponseView v = decode_view(b);
+  VoteResponse vote;
+  vote.commit = v.commit;
+  vote.stale.reserve(v.stale.size());
+  for (std::size_t i = 0; i < v.stale.size(); ++i) {
+    vote.stale.push_back(v.stale[i]);
+  }
+  return vote;
 }
 
 void SyncPullRequest::encode_into(Writer& w) const {
@@ -321,10 +364,12 @@ TxnStatusResponse TxnStatusResponse::decode(const Bytes& b) {
 }
 
 void CommitConfirm::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset));
-  w.u64(txn);
-  w.boolean(commit);
-  encode_vec(w, writeset, encode_write);
+  encode_commit_confirm_from(w, txn, commit, writeset);
+}
+
+void encode_commit_confirm(Writer& w, TxnId txn, bool commit,
+                           std::span<const CommitWriteView> writeset) {
+  encode_commit_confirm_from(w, txn, commit, writeset);
 }
 
 Bytes CommitConfirm::encode() const {

@@ -17,8 +17,11 @@
 // write-set as a checked run of {id, base, steps, data} entries whose
 // values borrow the request buffer; CommitConfirm::decode_view does the
 // same for the confirm.  Each view checks the whole message before the
-// replica acts on any of it.  The owning decode() of every message is its
-// view plus a copy-out, so each has one parser.
+// replica acts on any of it.  The coordinator reads each vote in place too
+// (VoteResponse::decode_view), and encodes its request and confirm from
+// views of the sets it holds (encode_commit_request / encode_commit_confirm).
+// The owning decode() of every message is its view plus a copy-out, so each
+// has one parser.
 #pragma once
 
 #include <cstdint>
@@ -219,6 +222,14 @@ using WriteSetView = EntryRun<CommitWriteView, decode_write_view>;
 
 struct CommitRequestView;
 
+/// Encode a CommitRequest straight from its sets, with the write values
+/// borrowed (from a coordinator's transaction records or QR-Q batch cache)
+/// rather than copied into a CommitRequest first.  Byte-identical to
+/// CommitRequest::encode_into over the same entries.
+void encode_commit_request(Writer& w, TxnId txn,
+                           std::span<const CommitReadEntry> readset,
+                           std::span<const CommitWriteView> writeset);
+
 /// 2PC vote request, for one transaction or one QR-Q batch (`txn` is then
 /// the batch id).  `readset` holds objects only read; written objects are
 /// validated through their CommitWriteEntry base.
@@ -244,6 +255,8 @@ struct CommitRequestView {
   WriteSetView writeset;
 };
 
+struct VoteResponseView;
+
 /// Reply to a 2PC vote.  On an abort vote `stale` names every entry that
 /// failed validation on this replica, so a QR-Q coordinator invalidates (and
 /// re-fetches) only those queues before re-speculating -- the targeted
@@ -254,7 +267,23 @@ struct VoteResponse {
 
   Bytes encode() const;
   void encode_into(Writer& w) const;
+  /// decode_view plus a copy of the stale list.
   static VoteResponse decode(const Bytes& b);
+  /// The one parser: checks the stale count against the buffer and the
+  /// trailing bytes before the caller reads an id.  The view borrows `b`.
+  static VoteResponseView decode_view(const Bytes& b);
+};
+
+/// Reads one stale id: the decode half of encode_stale_id in wire.cpp.
+inline ObjectId decode_stale_id(Reader& r) { return r.u64(); }
+
+/// A vote's stale list left in place in the reply buffer (8-byte ids).
+using StaleView = RecordView<8, ObjectId, decode_stale_id>;
+
+/// A VoteResponse whose stale list stays in the reply buffer.
+struct VoteResponseView {
+  bool commit = false;
+  StaleView stale;
 };
 
 /// One committed copy shipped during recovery catch-up.
@@ -338,6 +367,11 @@ struct TxnStatusResponse {
 };
 
 struct CommitConfirmView;
+
+/// Encode a CommitConfirm straight from its write-set views, as
+/// encode_commit_request does for the request.
+void encode_commit_confirm(Writer& w, TxnId txn, bool commit,
+                           std::span<const CommitWriteView> writeset);
 
 /// One-way confirm broadcast to the write quorum after gathering votes.
 struct CommitConfirm {

@@ -59,18 +59,16 @@ void RpcEndpoint::notify(NodeId dst, MsgKind kind, Bytes payload) {
                     .trace = trace_ctx_});
 }
 
-std::vector<sim::Future<RpcResult>> RpcEndpoint::multicast(
-    const std::vector<NodeId>& members, MsgKind kind, const Bytes& req,
-    sim::Tick timeout) {
-  std::vector<sim::Future<RpcResult>> futures;
-  futures.reserve(members.size());
+void RpcEndpoint::multicast(const std::vector<NodeId>& members, MsgKind kind,
+                            const Bytes& req, sim::Tick timeout,
+                            std::vector<sim::Future<RpcResult>>* gather) {
+  gather->clear();
   for (NodeId m : members) {
     // Per-member copy lands in a pooled buffer, not a fresh allocation.
     Bytes copy = net_.pool().acquire(req.size());
     copy.assign(req.begin(), req.end());
-    futures.push_back(call(m, kind, std::move(copy), timeout));
+    gather->push_back(call(m, kind, std::move(copy), timeout));
   }
-  return futures;
 }
 
 void RpcEndpoint::handle(Message&& m) {

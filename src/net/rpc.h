@@ -64,11 +64,13 @@ class RpcEndpoint {
   /// Fire-and-forget one-way message.
   void notify(NodeId dst, MsgKind kind, Bytes payload);
 
-  /// Fan `req` out to every member and return the futures in member order.
-  /// Await them all to implement multicast-and-gather.
-  std::vector<sim::Future<RpcResult>> multicast(
-      const std::vector<NodeId>& members, MsgKind kind, const Bytes& req,
-      sim::Tick timeout);
+  /// Fan `req` out to every member and put the futures, in member order,
+  /// into `*gather` (cleared first).  Await them all to implement
+  /// multicast-and-gather.  The caller owns the gather storage, so a caller
+  /// that keeps it across rounds multicasts without allocating.
+  void multicast(const std::vector<NodeId>& members, MsgKind kind,
+                 const Bytes& req, sim::Tick timeout,
+                 std::vector<sim::Future<RpcResult>>* gather);
 
   /// Acquire a pooled payload buffer pre-reserved from the running size
   /// high-watermark for `kind`.

@@ -87,7 +87,8 @@ TEST(FaultSchedule, AtMostOneSpikePerNode) {
 
 core::TxnBody bump_body(core::ObjectId id) {
   return [id](core::Txn& t) -> sim::Task<void> {
-    core::Bytes b = co_await t.read_for_write(id);
+    const core::ValueSpan v = co_await t.read_for_write(id);
+    core::Bytes b(v.begin(), v.end());
     b[0] += 1;
     t.write(id, b);
   };

@@ -1,5 +1,6 @@
 // Integration tests of the flat QR protocol on a simulated cluster.
 #include <gtest/gtest.h>
+#include <span>
 
 #include "common/serde.h"
 #include "core/cluster.h"
@@ -13,7 +14,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

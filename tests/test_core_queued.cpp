@@ -4,6 +4,7 @@
 // conflicts, history certification, and the bounded give-up path.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 
 #include "common/serde.h"
@@ -19,7 +20,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

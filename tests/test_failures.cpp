@@ -1,6 +1,7 @@
 // Fault-tolerance tests: fail-stop nodes before and during workloads and
 // check the cluster keeps committing with invariants intact (paper §VI-D).
 #include <gtest/gtest.h>
+#include <span>
 
 #include "apps/bank.h"
 #include "common/serde.h"
@@ -15,7 +16,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -122,7 +122,8 @@ namespace {
 
 TxnBody bump_body(ObjectId id) {
   return [id](Txn& t) -> sim::Task<void> {
-    Bytes b = co_await t.read_for_write(id);
+    const ValueSpan v = co_await t.read_for_write(id);
+    Bytes b(v.begin(), v.end());
     b[0] += 1;
     t.write(id, b);
   };

@@ -144,9 +144,9 @@ core::TxnBody transfer_body(core::ObjectId from, core::ObjectId to,
                             bool nested) {
   return [from, to, nested](core::Txn& t) -> sim::Task<void> {
     auto move_one = [from, to](core::Txn& scope) -> sim::Task<void> {
-      const core::Bytes a = co_await scope.read_for_write(from);
-      const core::Bytes b = co_await scope.read_for_write(to);
-      core::Bytes a2 = a, b2 = b;
+      const core::ValueSpan a = co_await scope.read_for_write(from);
+      const core::ValueSpan b = co_await scope.read_for_write(to);
+      core::Bytes a2(a.begin(), a.end()), b2(b.begin(), b.end());
       a2[0] -= 1;
       b2[0] += 1;
       scope.write(from, a2);

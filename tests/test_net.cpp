@@ -211,7 +211,8 @@ TEST(Rpc, MulticastGathersAllReplies) {
   std::vector<RpcResult> got;
   s.spawn([](RpcEndpoint* cl, std::vector<NodeId> m,
              std::vector<RpcResult>* out) -> Task<void> {
-    auto futs = cl->multicast(m, 7, Bytes{}, sim::sec(1));
+    std::vector<sim::Future<RpcResult>> futs;
+    cl->multicast(m, 7, Bytes{}, sim::sec(1), &futs);
     for (auto& f : futs) out->push_back(co_await f);
   }(&client, members, &got));
   s.run();

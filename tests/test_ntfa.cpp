@@ -1,6 +1,7 @@
 // N-TFA tests: closed nesting over the TFA baseline (related work the
 // paper compares against -- Turcu, Ravindran & Saad's N-TFA).
 #include <gtest/gtest.h>
+#include <span>
 
 #include "baselines/tfa.h"
 #include "common/serde.h"
@@ -14,7 +15,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -1,6 +1,7 @@
 // QR-ON (open nesting) tests: global early commit, abstract-lock semantic
 // isolation, and compensation on root abort.
 #include <gtest/gtest.h>
+#include <span>
 
 #include "apps/hashmap.h"
 #include "common/serde.h"
@@ -15,7 +16,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

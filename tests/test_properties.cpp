@@ -7,6 +7,7 @@
 //     equivalent to some serial order (counter totals).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 
 #include "apps/bank.h"
@@ -22,7 +23,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

@@ -25,7 +25,8 @@ ClusterConfig sharded_cfg(std::uint32_t nodes, std::uint32_t shards,
 
 TxnBody bump_body(ObjectId id) {
   return [id](Txn& t) -> sim::Task<void> {
-    Bytes b = co_await t.read_for_write(id);
+    const ValueSpan v = co_await t.read_for_write(id);
+    Bytes b(v.begin(), v.end());
     b[0] += 1;
     t.write(id, b);
   };
@@ -81,8 +82,9 @@ TEST(Sharded, SingleAndCrossShardCommits) {
 
   committed = false;
   TxnBody both = [a, b](Txn& t) -> sim::Task<void> {
-    Bytes ba = co_await t.read_for_write(a);
-    Bytes bb = co_await t.read_for_write(b);
+    const ValueSpan va = co_await t.read_for_write(a);
+    const ValueSpan vb = co_await t.read_for_write(b);
+    Bytes ba(va.begin(), va.end()), bb(vb.begin(), vb.end());
     ba[0] += 1;
     bb[0] += 1;
     t.write(a, ba);
@@ -134,7 +136,8 @@ TEST(Sharded, CrossShardReadValidationAborts) {
   }
   c.spawn_loop_client(14, [a, b](Rng&) {
     return TxnBody([a, b](Txn& t) -> sim::Task<void> {
-      const Bytes va = co_await t.read(a);
+      // The span lent for `a` stays valid across the read_for_write of b.
+      const ValueSpan va = co_await t.read(a);
       (void)co_await t.read_for_write(b);
       t.write(b, va);
     });
@@ -165,11 +168,13 @@ TEST(Sharded, ChurnWithRecoveryStaysSerializable) {
         const ObjectId x = objs[rng.below(objs.size())];
         const ObjectId y = objs[rng.below(objs.size())];
         return [x, y](Txn& t) -> sim::Task<void> {
-          Bytes bx = co_await t.read_for_write(x);
+          const ValueSpan vx = co_await t.read_for_write(x);
+          Bytes bx(vx.begin(), vx.end());
           bx[0] += 1;
           t.write(x, bx);
           if (y != x) {
-            Bytes by = co_await t.read_for_write(y);
+            const ValueSpan vy = co_await t.read_for_write(y);
+            Bytes by(vy.begin(), vy.end());
             by[0] += 1;
             t.write(y, by);
           }

@@ -1,6 +1,7 @@
 // Metric-space topology tests: the Cluster option placing nodes on a unit
 // square (cc DTM assumes a metric-space network, paper §I).
 #include <gtest/gtest.h>
+#include <span>
 
 #include "common/serde.h"
 #include "core/cluster.h"
@@ -14,7 +15,7 @@ Bytes enc_i64(std::int64_t v) {
   return std::move(w).take();
 }
 
-std::int64_t dec_i64(const Bytes& b) {
+std::int64_t dec_i64(std::span<const std::uint8_t> b) {
   Reader r(b);
   return r.i64();
 }

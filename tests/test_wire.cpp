@@ -751,5 +751,84 @@ TEST(WireFuzz, CommitServicesAcceptExactlyWhatDecodeAccepts) {
   }
 }
 
+// A coordinator reads every vote in place (VoteResponse::decode_view).
+// The view must accept exactly the replies the element-by-element parse of
+// the stale list accepts (decode_vec, what decode() did before it became
+// the view plus a copy), and read the same ids.
+bool decodes_vote_by_element(const Bytes& b, std::vector<ObjectId>* stale) {
+  try {
+    Reader r(b);
+    (void)r.boolean();
+    *stale = decode_vec<ObjectId>(r, [](Reader& r2) { return r2.u64(); });
+    r.expect_done();
+    return true;
+  } catch (const SerdeError&) {
+    return false;
+  }
+}
+
+TEST(WireFuzz, VoteViewAcceptsExactlyWhatDecodeAccepts) {
+  Rng rng(14);
+  int accepted = 0;
+  int rejected = 0;
+  const auto check = [&](const Bytes& wire) {
+    std::vector<ObjectId> expect;
+    const bool ok = decodes_vote_by_element(wire, &expect);
+    bool view_ok = true;
+    VoteResponseView v;
+    try {
+      v = VoteResponse::decode_view(wire);
+    } catch (const SerdeError&) {
+      view_ok = false;
+    }
+    bool decode_ok = true;
+    try {
+      (void)VoteResponse::decode(wire);
+    } catch (const SerdeError&) {
+      decode_ok = false;
+    }
+    EXPECT_EQ(view_ok, ok) << hex(wire);
+    EXPECT_EQ(decode_ok, ok) << hex(wire);
+    if (ok && view_ok) {
+      ASSERT_EQ(v.stale.size(), expect.size());
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(v.stale[i], expect[i]);
+      }
+      EXPECT_EQ(v.commit, wire[0] != 0);
+    }
+    ++(ok ? accepted : rejected);
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes junk(rng.below(48), 0);
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
+    check(junk);
+  }
+  for (int iter = 0; iter < 500; ++iter) {
+    VoteResponse vote;
+    vote.commit = rng.chance(0.5);
+    for (std::uint64_t i = rng.below(5); i > 0; --i) {
+      vote.stale.push_back(rng.next());
+    }
+    const Bytes wire = vote.encode();
+    check(wire);
+    Bytes flipped = wire;
+    flipped[rng.below(flipped.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.below(8));
+    check(flipped);
+    check(Bytes(wire.begin(),
+                wire.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.below(wire.size()))));
+    for (const std::uint32_t count :
+         {static_cast<std::uint32_t>(vote.stale.size() + 1),
+          static_cast<std::uint32_t>(vote.stale.size() - 1), 0xffffffffu}) {
+      Bytes recounted = wire;
+      std::memcpy(recounted.data() + 1, &count, sizeof(count));
+      check(recounted);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 }  // namespace
 }  // namespace qrdtm::core

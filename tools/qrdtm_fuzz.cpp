@@ -341,10 +341,10 @@ sim::Task<void> bank_client(Cluster* cl, net::NodeId node, Rng rng,
         co_await t.read(op.c);
         co_return;
       }
-      const core::Bytes da = co_await t.read_for_write(op.a);
-      const core::Bytes db = co_await t.read_for_write(op.b);
-      t.write(op.a, apps::enc_i64(apps::dec_i64(da) - op.amount));
-      t.write(op.b, apps::enc_i64(apps::dec_i64(db) + op.amount));
+      const std::int64_t va = apps::dec_i64(co_await t.read_for_write(op.a));
+      const std::int64_t vb = apps::dec_i64(co_await t.read_for_write(op.b));
+      t.write(op.a, apps::enc_i64(va - op.amount));
+      t.write(op.b, apps::enc_i64(vb + op.amount));
     };
     const bool ok = co_await cl->run_transaction_bounded(node, std::move(body),
                                                          kMaxAttempts);
@@ -469,8 +469,8 @@ ComboResult run_combo(const ComboSpec& c) {
 sim::Task<void> torn_txn(core::Cluster* cl, core::ObjectId obj,
                          bool* committed) {
   core::TxnBody body = [obj](core::Txn& t) -> sim::Task<void> {
-    const core::Bytes b = co_await t.read_for_write(obj);
-    t.write(obj, apps::enc_i64(apps::dec_i64(b) + 1));
+    const std::int64_t v = apps::dec_i64(co_await t.read_for_write(obj));
+    t.write(obj, apps::i64_value(v + 1));
   };
   *committed = co_await cl->runtime(0).run_transaction_bounded(std::move(body),
                                                                kMaxAttempts);
