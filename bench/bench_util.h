@@ -6,7 +6,7 @@
 #include <string>
 
 #include "bench/harness.h"
-#include "common/stats.h"
+#include "bench/stats.h"
 
 namespace qrdtm::bench {
 

@@ -95,6 +95,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.net = cluster.network().stats();
   res.throughput = res.metrics.throughput(cluster.duration());
   res.latency = cluster.merged_latency();
+  for (net::NodeId n = 0; n < num_nodes; ++n) {
+    const store::CommitLog& log = cluster.server(n).commit_log();
+    res.log_bytes += log.size_bytes();
+    res.log_capacity_bytes += log.capacity_bytes();
+  }
   if (cfg.collect_per_node_latency) {
     res.node_latency.reserve(num_nodes);
     for (net::NodeId n = 0; n < num_nodes; ++n) {

@@ -79,6 +79,12 @@ struct ExperimentResult {
   /// ExperimentConfig::collect_per_node_latency is set.
   std::vector<core::LatencyMetrics> node_latency;
 
+  /// Commit-log memory at the deadline, summed over the nodes: the
+  /// durable bytes (image + tail) and the bytes held for them (the image
+  /// and the tail segments).
+  std::size_t log_bytes = 0;
+  std::size_t log_capacity_bytes = 0;
+
   /// Kernel-side cost of the point: host wall-clock for the workload phase
   /// (excludes the quiesce/checker runs) and simulator events executed,
   /// giving an events/sec figure comparable across kernel changes.

@@ -163,8 +163,8 @@ TxnBody BstApp::make_txn(const WorkloadParams& params, Rng& rng) {
 
   return [plan = std::move(plan), holder, compute](Txn& t) -> sim::Task<void> {
     for (const Op& op : plan) {
-      // The [&] lambda coroutine is safe here: nested() takes the closure by
-      // value and is co_awaited within the same full expression, so the closure
+      // The [&] lambda coroutine is safe here: nested() borrows the closure,
+      // a temporary co_awaited within the same full expression, so the closure
       // and the by-reference captures (locals of this suspended coroutine
       // frame) both outlive the child.  qrdtm-lint: allow(coro-ref-capture)
       co_await t.nested([&](Txn& ct) -> sim::Task<void> {

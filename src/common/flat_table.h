@@ -1,14 +1,16 @@
 // Flat hash table keyed by a 64-bit id (a TxnId).
 //
 // Open addressing with linear probing over a power-of-two slot array that
-// is at most half full; the home slot is the top bits of key * 2^64/phi
-// (Fibonacci hashing), so keys that differ only in their high bits still
-// spread.  Erase shifts the following run of the probe chain back (no
+// is at most half full (see below); the home slot is the top bits of
+// key * 2^64/phi (Fibonacci hashing), so keys that differ only in their
+// high bits still spread.  Erase shifts the following run of the probe chain back (no
 // tombstones), so a lookup always ends at the first empty slot.  Slots hold
 // the key beside the value and nothing else: key 0 marks an empty slot, and
 // the one entry whose key is 0 lives beside the array.  Nothing is
 // allocated per entry; the slot array only grows, by doubling, when an
-// insert would pass half full, and a default-constructed table has none.
+// insert would pass half full (three quarters for a table built with
+// late growth, whose owner grows it with reserve at its own quiet
+// points), and a default-constructed table has none.
 //
 // The layout depends only on the keys and the order of the operations, so
 // iteration (for_each) is deterministic, though not sorted.
@@ -26,6 +28,13 @@ template <class V>
 class FlatTable {
  public:
   using Key = std::uint64_t;
+
+  FlatTable() = default;
+  /// With `late_growth`, an insert grows the table only past three
+  /// quarters full, for an owner that calls reserve(size()) at its own
+  /// quiet points (a log cut) to bring it back to half full: the table
+  /// then grows there rather than on an insert.
+  explicit FlatTable(bool late_growth) : late_growth_(late_growth) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -51,7 +60,10 @@ class FlatTable {
       zero_ = V{};
       return zero_;
     }
-    if (2 * size_ > slots_.size()) grow();
+    if (late_growth_ ? 4 * size_ > 3 * slots_.size()
+                     : 2 * size_ > slots_.size()) {
+      grow(slots_.empty() ? kInitialSlots : 2 * slots_.size());
+    }
     Slot& s = slots_[free_slot(k)];
     s.key = k;
     s.value = V{};
@@ -83,6 +95,14 @@ class FlatTable {
     slots_[hole] = Slot{};
     --size_;
     return true;
+  }
+
+  /// Make room for `n` entries at most half full, so inserts up to that
+  /// size do not grow the slot array.
+  void reserve(std::size_t n) {
+    std::size_t slots = slots_.empty() ? kInitialSlots : slots_.size();
+    while (2 * n > slots) slots *= 2;
+    if (slots > slots_.size()) grow(slots);
   }
 
   /// Empty the table, keeping its slot array.
@@ -122,8 +142,8 @@ class FlatTable {
     return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
-  /// The slot holding `k` (not 0), or kNone.  The array is at most half
-  /// full, so the probe always reaches an empty slot.
+  /// The slot holding `k` (not 0), or kNone.  The array is at most three
+  /// quarters full, so the probe always reaches an empty slot.
   std::size_t locate(Key k) const {
     if (slots_.empty()) return kNone;
     const std::size_t mask = slots_.size() - 1;
@@ -141,10 +161,10 @@ class FlatTable {
     return i;
   }
 
-  /// Double the slot array (or make the first one) and re-home every entry.
-  void grow() {
+  /// Replace the slot array with one of `n` slots (a larger power of two)
+  /// and re-home every entry.
+  void grow(std::size_t n) {
     std::vector<Slot> old = std::move(slots_);
-    const std::size_t n = old.empty() ? kInitialSlots : old.size() * 2;
     slots_.assign(n, Slot{});
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
     for (Slot& s : old) {
@@ -157,6 +177,7 @@ class FlatTable {
   bool has_zero_ = false;
   std::size_t size_ = 0;
   unsigned shift_ = 0;
+  bool late_growth_ = false;
 };
 
 }  // namespace qrdtm

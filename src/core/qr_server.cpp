@@ -121,6 +121,9 @@ void QrServer::cut_checkpoint() {
   // post-cut confirm resolves against nothing and its writes are lost.
   const bool carry = fault(fp::kChkCutCarry) != FaultAction::kSkip;
   log_.cut(store_, liveness_epoch(), carry);
+  // The outcomes grow here, back to half full, rather than inside a 2PC
+  // round (the table is built with late growth).
+  outcomes_.reserve(outcomes_.size());
 }
 
 std::size_t QrServer::replay_commit_log() {
@@ -641,16 +644,14 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
 }
 
 std::size_t QrServer::redrive_open_decisions() {
-  // Collect first: settle_decision mutates the map we iterate.
-  std::vector<TxnId> txns;
-  txns.reserve(log_.open_decisions().size());
-  for (const auto& [txn, d] : log_.open_decisions()) txns.push_back(txn);
+  // Collect first: settle_decision mutates the table the txns come from.
+  const std::vector<TxnId> txns = log_.open_decisions();
   for (TxnId txn : txns) {
-    const store::Decision& d = log_.open_decisions().at(txn);
-    for (std::uint32_t m : d.members) {
+    const store::DecisionView d = *log_.open_decision(txn);
+    for (std::size_t i = 0; i < d.members.size(); ++i) {
       Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
       copy.assign(d.payload.begin(), d.payload.end());
-      rpc_.notify(static_cast<net::NodeId>(m), msg::kCommitConfirm,
+      rpc_.notify(static_cast<net::NodeId>(d.members[i]), msg::kCommitConfirm,
                   std::move(copy));
     }
     metrics_.commit_messages += d.members.size();

@@ -251,7 +251,8 @@ class QrServer {
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the
   /// idempotence set that lets confirms be retransmitted at-least-once.
   /// Rebuilt from the log's confirm records at replay.
-  FlatTable<store::ConfirmOutcome> outcomes_;
+  /// Grown at cuts (cut_checkpoint), not inside a 2PC round.
+  FlatTable<store::ConfirmOutcome> outcomes_{/*late_growth=*/true};
   /// Prepared (yes-voted, WAL'd) transactions awaiting their confirm.
   FlatTable<PreparedMeta> prepared_;
   /// In-doubt transactions with a termination round in flight.

@@ -31,12 +31,28 @@ sim::Tick LatencyHistogram::percentile(double p) const {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
+  if (other.counts_.empty()) return;  // no buckets: all zero
+  if (counts_.empty()) counts_.resize(kBuckets);
   for (std::uint32_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.min_ < min_) min_ = other.min_;
   if (other.max_ > max_) max_ = other.max_;
+}
+
+bool LatencyHistogram::operator==(const LatencyHistogram& o) const {
+  if (count_ != o.count_ || sum_ != o.sum_ || min_ != o.min_ ||
+      max_ != o.max_) {
+    return false;
+  }
+  const auto all_zero = [](const std::vector<std::uint64_t>& c) {
+    return std::all_of(c.begin(), c.end(),
+                       [](std::uint64_t n) { return n == 0; });
+  };
+  if (counts_.empty() || o.counts_.empty()) {
+    return all_zero(counts_) && all_zero(o.counts_);
+  }
+  return counts_ == o.counts_;
 }
 
 namespace {

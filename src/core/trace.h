@@ -6,11 +6,13 @@
 //   * LatencyHistogram / LatencyMetrics -- fixed-bucket log-scale
 //     histograms for the latency distributions the paper's argument is
 //     about (commit latency, read RTT, backoff waits, abort-to-retry
-//     gaps).  Recording is branch-light integer math into a fixed
-//     std::array: no allocation ever, no sort on query, so the histograms
-//     can live on the per-event hot path without perturbing the
-//     AllocRegression tests.  A percentile query is a cumulative scan
-//     over the buckets (O(buckets), query-time only).
+//     gaps).  Recording is branch-light integer math into a fixed bucket
+//     array, allocated on a histogram's first sample (a node that never
+//     records one -- no client, no QR-Q batch -- holds no buckets) and
+//     never again, with no sort on query, so the histograms can live on
+//     the per-event hot path without perturbing the AllocRegression tests.
+//     A percentile query is a cumulative scan over the buckets
+//     (O(buckets), query-time only).
 //
 //   * TraceRecorder -- structured spans (one per root transaction, with
 //     child spans for CT scopes, checkpoint create/rollback, read-quorum
@@ -46,8 +48,10 @@ class LatencyHistogram {
   static constexpr std::uint32_t kOctaves = 64 - kSubBits;
   static constexpr std::uint32_t kBuckets = kSub + kOctaves * kSub;
 
-  /// O(1), allocation-free; safe on the per-event hot path.
+  /// O(1); allocates the buckets on the first sample only, so it is safe
+  /// on the per-event hot path.
   void record(sim::Tick v) {
+    if (counts_.empty()) counts_.resize(kBuckets);
     ++counts_[bucket_index(v)];
     ++count_;
     sum_ += v;
@@ -72,8 +76,9 @@ class LatencyHistogram {
   void merge(const LatencyHistogram& other);
 
   /// Exact-state equality; the determinism tests assert two same-seed runs
-  /// produce identical histograms.
-  bool operator==(const LatencyHistogram&) const = default;
+  /// produce identical histograms.  A histogram without buckets equals one
+  /// whose buckets are all zero.
+  bool operator==(const LatencyHistogram& o) const;
 
   /// Bucket index for `v` (exposed for the bucket-boundary unit tests).
   static std::uint32_t bucket_index(sim::Tick v) {
@@ -96,7 +101,7 @@ class LatencyHistogram {
   }
 
  private:
-  std::array<std::uint64_t, kBuckets> counts_{};
+  std::vector<std::uint64_t> counts_;  // kBuckets once a sample arrived
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   sim::Tick min_ = ~sim::Tick{0};

@@ -380,7 +380,7 @@ sim::Task<void> Txn::compute(sim::Tick cost) {
   }
 }
 
-sim::Task<void> Txn::nested(TxnBody body) {
+sim::Task<void> Txn::nested(TxnBodyRef body) {
   Txn& r = root();
   if (r.abort_) co_await unwind();  // create() tripped the step guard
   if (rt_.config().mode != NestingMode::kClosed) {
@@ -958,12 +958,8 @@ sim::Task<bool> TxnRuntime::commit_confirm(TxnId txn, bool commit,
     if (at_decision != FaultAction::kSkip) {
       // kSkip = the --break-termination canary: confirms go out with no
       // durable decision, so a restart presumed-aborts an acked commit.
-      store::Decision d;
-      d.epoch = rpc_.network().epoch(node());
-      d.commit = commit;
-      d.members.assign(wq.begin(), wq.end());
-      d.payload = encoded;
-      local_log_.append_decision(txn, std::move(d));
+      local_log_.append_decision(txn, rpc_.network().epoch(node()), commit, wq,
+                                 encoded);
     }
   }
 

@@ -45,12 +45,14 @@
 // checks) still throw.
 #pragma once
 
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -140,6 +142,30 @@ class TxnRuntime;
 // qrdtm-lint: allow(hot-std-function)
 using TxnBody = std::function<sim::Task<void>(Txn&)>;
 
+/// A borrowed `sim::Task<void>(Txn&)` callable: the body nested() runs.
+/// It refers to the caller's closure without copying it, so a closed-nested
+/// call allocates nothing whatever the closure captures.  The closure must
+/// outlive the call, which holds for the one way nested() is used:
+/// `co_await t.nested([&](Txn& ct) -> sim::Task<void> {...})`, where the
+/// temporary closure lives until the co_await completes.
+class TxnBodyRef {
+ public:
+  template <class F>
+    requires(!std::same_as<std::remove_cvref_t<F>, TxnBodyRef> &&
+             std::invocable<F&, Txn&>)
+  TxnBodyRef(F&& f)  // NOLINT(google-explicit-constructor): a borrow
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Txn& t) -> sim::Task<void> {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(t);
+        }) {}
+
+  sim::Task<void> operator()(Txn& t) const { return call_(obj_, t); }
+
+ private:
+  void* obj_;
+  sim::Task<void> (*call_)(void*, Txn&);
+};
+
 /// One open-nested operation (QR-ON, an extension beyond the paper
 /// following TFA-ON's model -- see DESIGN.md §6).  The body runs as an
 /// independent transaction and commits *globally* before the enclosing
@@ -197,8 +223,9 @@ class Txn {
   /// Run `body` as a closed-nested transaction under QR-CN; under flat and
   /// checkpointing modes the scope is flattened into this one (paper: flat
   /// nesting ignores inner transactions; QR-CHK transactions are flat with
-  /// checkpoints).
-  sim::Task<void> nested(TxnBody body);
+  /// checkpoints).  `body` is borrowed (see TxnBodyRef): co_await the call
+  /// in the expression that makes the closure.
+  sim::Task<void> nested(TxnBodyRef body);
 
   /// Run an open-nested operation (QR-ON): acquire its abstract locks, run
   /// and globally commit its body, and register its compensation with this

@@ -14,8 +14,10 @@ RpcEndpoint::RpcEndpoint(sim::Simulator& sim, Network& net)
 
 void RpcEndpoint::register_service(MsgKind kind, Service service) {
   QRDTM_CHECK_MSG(kind < kMsgKindSpace, "message kind out of range");
-  QRDTM_CHECK_MSG(!services_[kind], "duplicate service registration");
-  services_[kind] = std::move(service);
+  QRDTM_CHECK_MSG(service_slot_[kind] == 0, "duplicate service registration");
+  QRDTM_CHECK_MSG(services_.size() < 0xff, "too many services");
+  services_.push_back(std::move(service));
+  service_slot_[kind] = static_cast<std::uint8_t>(services_.size());
 }
 
 sim::Future<RpcResult> RpcEndpoint::call(NodeId dst, MsgKind kind, Bytes req,
@@ -86,12 +88,12 @@ void RpcEndpoint::handle(Message&& m) {
     return;
   }
 
-  QRDTM_CHECK_MSG(m.kind < kMsgKindSpace && services_[m.kind],
-                  "no service for message kind");
+  const std::uint8_t slot = m.kind < kMsgKindSpace ? service_slot_[m.kind] : 0;
+  QRDTM_CHECK_MSG(slot != 0, "no service for message kind");
   inbound_trace_ = m.trace;
   std::optional<Bytes> reply;
   try {
-    reply = services_[m.kind](m.src, m.payload);
+    reply = services_[slot - 1](m.src, m.payload);
   } catch (const SerdeError&) {
     // A malformed request is this message's fault, not the run's: drop it
     // with no reply (a caller times out, as for a lost message) and keep

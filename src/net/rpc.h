@@ -12,7 +12,8 @@
 //
 // Hot-path notes: the in-flight call table is a small flat vector (a client
 // has a handful of outstanding RPCs; linear scan + swap-remove beats a hash
-// map), services are a flat array indexed by kind, and payload buffers are
+// map); the service table holds only the services a node registered, found
+// in O(1) through a one-byte slot per message kind; and payload buffers are
 // recycled through the network's BufferPool (request payloads after the
 // service consumed them, response payloads after the caller decoded them).
 #pragma once
@@ -106,7 +107,10 @@ class RpcEndpoint {
   std::uint64_t next_rpc_id_ = 1;
   std::uint64_t trace_ctx_ = 0;
   std::uint64_t inbound_trace_ = 0;
-  std::array<Service, kMsgKindSpace> services_;
+  // services_[service_slot_[kind] - 1] serves `kind`; slot 0 = none.  A
+  // node registers about ten of the kMsgKindSpace kinds.
+  std::array<std::uint8_t, kMsgKindSpace> service_slot_{};
+  std::vector<Service> services_;
   std::vector<Pending> pending_;
 };
 

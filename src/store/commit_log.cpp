@@ -15,28 +15,21 @@ constexpr std::uint8_t kPrepare = 2;
 constexpr std::uint8_t kConfirm = 3;
 constexpr std::uint8_t kDecision = 4;
 
-/// A decision after its epoch: the tail record's header carries the epoch.
-void put_decision_body(Writer& w, TxnId txn, const Decision& d) {
-  w.u64(txn);
-  w.boolean(d.commit);
-  encode_vec(w, d.members, [](Writer& w2, std::uint32_t n) { w2.u32(n); });
-  w.blob(d.payload);
-}
+// Record header: u32 length prefix, u8 type, u32 epoch.
+constexpr std::size_t kHeaderBytes = 4 + 1 + 4;
 
-void put_decision(Writer& w, TxnId txn, const Decision& d) {
-  w.u32(d.epoch);
-  put_decision_body(w, txn, d);
-}
+// Segment slots made on a log's first append: a 1 MiB tail (the default
+// auto-cut) in 32 KiB segments, so the slot vector rarely regrows.
+constexpr std::size_t kSegmentSlots = 32;
 
-std::pair<TxnId, Decision> get_decision(Reader& r) {
-  Decision d;
-  d.epoch = r.u32();
-  const TxnId txn = r.u64();
-  d.commit = r.boolean();
-  d.members =
-      decode_vec<std::uint32_t>(r, [](Reader& r2) { return r2.u32(); });
-  d.payload = r.blob();
-  return {txn, std::move(d)};
+/// Walks one carried decision of an image (u32 epoch, then the decision
+/// record's body) to keep the image walk aligned and check its bytes.
+void skip_decision(Reader& r) {
+  r.u32();  // epoch
+  r.u64();  // txn
+  r.boolean();
+  (void)decode_records<4, std::uint32_t, decode_member>(r);
+  (void)r.blob_view();
 }
 
 void put_write(Writer& w, const LoggedWrite& lw) {
@@ -51,9 +44,16 @@ LoggedWrites read_run(Reader& r) {
   return decode_entries<LoggedWriteView, decode_logged_write>(r);
 }
 
-/// Dead runs tolerated before a compaction, beyond as many bytes as the
-/// live ones hold.
-constexpr std::size_t kRunSlack = 1024;
+/// The keys of `table`, ascending (the disk bytes and the re-drive order
+/// must not depend on the table's layout).
+template <class V>
+std::vector<TxnId> sorted_keys(const FlatTable<V>& table) {
+  std::vector<TxnId> keys;
+  keys.reserve(table.size());
+  table.for_each([&](TxnId k, const V&) { keys.push_back(k); });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
 
 }  // namespace
 
@@ -62,12 +62,19 @@ constexpr std::size_t kRunSlack = 1024;
 // of misparsing it; it is written as zero and filled in once the payload is.
 Writer CommitLog::open_record(std::uint8_t type, std::uint32_t epoch,
                               std::size_t body, std::size_t* len_at) {
-  // Room for the whole record, growing the tail as one append of it would.
-  const std::size_t record = 4 + 1 + 4 + body;
-  if (tail_.capacity() - tail_.size() < record) {
-    tail_.reserve(tail_.size() + std::max(tail_.size(), record));
+  const std::size_t record = kHeaderBytes + body;
+  if (segments_.empty() ||
+      segments_.back().capacity() - segments_.back().size() < record) {
+    // The last segment is full or the log has none: start one.  Records
+    // never span segments, so a record larger than a segment gets its own
+    // (an empty last segment is grown into it rather than left empty).
+    if (segments_.capacity() == 0) segments_.reserve(kSegmentSlots);
+    if (segments_.empty() || !segments_.back().empty()) {
+      segments_.emplace_back();
+    }
+    segments_.back().reserve(std::max(kSegmentBytes, record));
   }
-  Writer w = Writer::appending(std::move(tail_));
+  Writer w = Writer::appending(std::move(segments_.back()));
   *len_at = w.size();
   w.u32(0);
   w.u8(type);
@@ -76,9 +83,24 @@ Writer CommitLog::open_record(std::uint8_t type, std::uint32_t epoch,
 }
 
 void CommitLog::close_record(Writer&& w, std::size_t len_at) {
-  w.patch_u32(len_at, static_cast<std::uint32_t>(w.size() - len_at - 4));
-  tail_ = std::move(w).take();
+  const std::size_t record = w.size() - len_at;
+  w.patch_u32(len_at, static_cast<std::uint32_t>(record - 4));
+  segments_.back() = std::move(w).take();
+  tail_bytes_ += record;
   ++tail_records_;
+}
+
+CommitLog::Loc CommitLog::tail_loc(std::size_t at) const {
+  return {static_cast<std::uint32_t>(segments_.size() - 1),
+          static_cast<std::uint32_t>(at),
+          static_cast<std::uint32_t>(segments_.back().size() - at)};
+}
+
+std::span<const std::uint8_t> CommitLog::bytes_at(const Loc& loc) const {
+  const Bytes& buf = loc.seg == Loc::kImage        ? image_
+                     : loc.seg == Loc::kUncarried ? uncarried_
+                                                  : segments_[loc.seg];
+  return {buf.data() + loc.at, loc.size};
 }
 
 void CommitLog::append_apply(ObjectId id, Version version, const Bytes& data,
@@ -128,36 +150,8 @@ void CommitLog::append_encoded_prepare(TxnId txn,
 
 void CommitLog::track_prepare(TxnId txn, std::uint32_t epoch,
                               std::size_t run_at) {
-  const std::span<const std::uint8_t> run(tail_.data() + run_at,
-                                          tail_.size() - run_at);
-  drop_pending(txn);  // a re-prepare replaces the earlier run
-  if (runs_.size() > kRunSlack + 2 * live_run_bytes_) compact_runs();
-  Pending& p = pending_[txn];
-  p.epoch = epoch;
-  p.at = runs_.size();
-  p.size = run.size();
-  runs_.insert(runs_.end(), run.begin(), run.end());
-  live_run_bytes_ += run.size();
-}
-
-void CommitLog::drop_pending(TxnId txn) {
-  const Pending* p = pending_.find(txn);
-  if (p == nullptr) return;
-  live_run_bytes_ -= p->size;
-  pending_.erase(txn);
-  if (pending_.empty()) runs_.clear();
-}
-
-void CommitLog::compact_runs() {
-  spare_runs_.clear();
-  // Runs are copied in slot order, which is deterministic; where each lands
-  // changes no byte the log writes.
-  pending_.for_each([&](TxnId, Pending& p) {
-    const std::span<const std::uint8_t> run = run_of(p);
-    p.at = spare_runs_.size();
-    spare_runs_.insert(spare_runs_.end(), run.begin(), run.end());
-  });
-  std::swap(runs_, spare_runs_);
+  // A re-prepare replaces the earlier run.
+  pending_[txn] = Pending{epoch, tail_loc(run_at)};
 }
 
 void CommitLog::append_confirm(TxnId txn, bool commit, std::uint32_t epoch) {
@@ -166,22 +160,46 @@ void CommitLog::append_confirm(TxnId txn, bool commit, std::uint32_t epoch) {
   w.u64(txn);
   w.boolean(commit);
   close_record(std::move(w), len_at);
-  drop_pending(txn);
+  pending_.erase(txn);
 }
 
-void CommitLog::append_decision(TxnId txn, Decision d) {
+void CommitLog::append_decision(TxnId txn, std::uint32_t epoch, bool commit,
+                                std::span<const std::uint32_t> members,
+                                std::span<const std::uint8_t> payload) {
   std::size_t len_at = 0;
-  Writer w = open_record(
-      kDecision, d.epoch,
-      8 + 1 + 4 + 4 * d.members.size() + 4 + d.payload.size(), &len_at);
+  Writer w = open_record(kDecision, epoch,
+                         8 + 1 + 4 + 4 * members.size() + 4 + payload.size(),
+                         &len_at);
   // The decision's epoch already leads the record, like the other records'.
-  put_decision_body(w, txn, d);
+  const std::size_t body_at = w.size();
+  w.u64(txn);
+  w.boolean(commit);
+  encode_records<4>(w, members,
+                    [](RecordWriter& r, std::uint32_t n) { r.u32(n); });
+  w.blob(payload);
   close_record(std::move(w), len_at);
-  verdicts_[txn] = d.commit;
-  decisions_[txn] = std::move(d);
+  verdicts_[txn] = commit;
+  decisions_[txn] = OpenDecision{epoch, tail_loc(body_at)};
 }
 
 void CommitLog::settle_decision(TxnId txn) { decisions_.erase(txn); }
+
+std::vector<TxnId> CommitLog::open_decisions() const {
+  return sorted_keys(decisions_);
+}
+
+std::optional<DecisionView> CommitLog::open_decision(TxnId txn) const {
+  const OpenDecision* d = decisions_.find(txn);
+  if (d == nullptr) return std::nullopt;
+  Reader r(bytes_at(d->body));
+  DecisionView view;
+  view.epoch = d->epoch;
+  r.u64();  // txn
+  view.commit = r.boolean();
+  view.members = decode_records<4, std::uint32_t, decode_member>(r);
+  view.payload = r.blob_view();
+  return view;
+}
 
 std::optional<bool> CommitLog::decision_verdict(TxnId txn) const {
   const bool* verdict = verdicts_.find(txn);
@@ -192,7 +210,7 @@ std::optional<bool> CommitLog::decision_verdict(TxnId txn) const {
 std::optional<LoggedWrites> CommitLog::find_pending(TxnId txn) const {
   const Pending* p = pending_.find(txn);
   if (p == nullptr) return std::nullopt;
-  return read_logged_writes(run_of(*p));
+  return read_logged_writes(bytes_at(p->run));
 }
 
 void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
@@ -203,8 +221,21 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   ids.reserve(store.num_objects());
   for (const auto& [id, e] : store.entries()) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
+  const std::vector<TxnId> carried = sorted_keys(pending_);
+  const std::vector<TxnId> open = sorted_keys(decisions_);
+
+  // The image is sized exactly, so the log holds no spare capacity for it.
+  std::size_t image_bytes = 4 + 8 + 4 + 4 + 4;
+  for (ObjectId id : ids) {
+    image_bytes += 8 + 8 + 4 + store.find(id)->data.size();
+  }
+  for (TxnId txn : carried) {
+    if (carry_in_flight) image_bytes += 4 + 8 + pending_.find(txn)->run.size;
+  }
+  for (TxnId txn : open) image_bytes += 4 + decisions_.find(txn)->body.size;
 
   Writer w;
+  w.reserve(image_bytes);
   w.u32(epoch);
   Version high = high_version_;
   for (ObjectId id : ids) high = std::max(high, store.find(id)->version);
@@ -221,37 +252,71 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   // transaction mid-2PC at cut time will be confirmed AFTER the cut, and
   // its confirm record carries no writeset -- without the carry, replay
   // silently loses the write (the Greengage bug the chk.cut.carry fault
-  // point re-creates).  Each carried prepare is its write run, verbatim.
-  if (carry_in_flight) {
-    std::vector<TxnId> txns;
-    txns.reserve(pending_.size());
-    pending_.for_each([&](TxnId txn, const Pending&) { txns.push_back(txn); });
-    std::sort(txns.begin(), txns.end());
-    w.u32(static_cast<std::uint32_t>(txns.size()));
-    for (TxnId txn : txns) {
-      const Pending& p = *pending_.find(txn);
+  // point re-creates).  Each carried prepare is its write run, verbatim,
+  // and is read from the new image from here on.  A skipped carry keeps
+  // the runs in memory only, where a live confirm still finds them.
+  Bytes uncarried;
+  w.u32(carry_in_flight ? static_cast<std::uint32_t>(carried.size()) : 0);
+  for (TxnId txn : carried) {
+    Pending& p = *pending_.find(txn);
+    const std::span<const std::uint8_t> run = bytes_at(p.run);
+    if (carry_in_flight) {
       w.u32(p.epoch);
       w.u64(txn);
-      w.raw(run_of(p));
+      p.run = {Loc::kImage, static_cast<std::uint32_t>(w.size()), p.run.size};
+      w.raw(run);
+    } else {
+      p.run = {Loc::kUncarried, static_cast<std::uint32_t>(uncarried.size()),
+               p.run.size};
+      uncarried.insert(uncarried.end(), run.begin(), run.end());
     }
-  } else {
-    w.u32(0);
   }
 
   // Carry the unsettled coordinator decisions: a decision whose confirm
   // broadcast has not completed must survive the cut, or a restart after
   // the cut could presumed-abort a transaction whose confirms were already
-  // partially delivered.  decisions_ is a std::map, so iteration is already
-  // txn-ordered (deterministic disk bytes).
-  w.u32(static_cast<std::uint32_t>(decisions_.size()));
-  for (const auto& [txn, d] : decisions_) put_decision(w, txn, d);
+  // partially delivered.  Txn-ordered, like the prepares.
+  w.u32(static_cast<std::uint32_t>(open.size()));
+  for (TxnId txn : open) {
+    OpenDecision& d = *decisions_.find(txn);
+    const std::span<const std::uint8_t> body = bytes_at(d.body);
+    w.u32(d.epoch);
+    d.body = {Loc::kImage, static_cast<std::uint32_t>(w.size()), d.body.size};
+    w.raw(body);
+  }
 
+  // Only now, with every carried record in the new image, do the old image
+  // and the tail segments go.
   image_ = std::move(w).take();
-  tail_.clear();
-  tail_records_ = 0;
+  uncarried_ = std::move(uncarried);
+  release_tail();
+  // The verdicts grow here, back to half full, rather than inside a 2PC
+  // round (the table is built with late growth).
+  verdicts_.reserve(verdicts_.size());
   high_version_ = high;
   ++cuts_;
-  compact_runs();
+}
+
+void CommitLog::release_tail() {
+  // Keep one standard segment for the next appends; an oversized one goes.
+  const auto keep =
+      std::find_if(segments_.begin(), segments_.end(), [](const Bytes& seg) {
+        return seg.capacity() == kSegmentBytes;
+      });
+  if (keep != segments_.end() && keep != segments_.begin()) {
+    std::swap(*keep, segments_.front());
+  }
+  const bool kept = keep != segments_.end();
+  segments_.erase(segments_.begin() + (kept ? 1 : 0), segments_.end());
+  if (kept) segments_.front().clear();
+  tail_bytes_ = 0;
+  tail_records_ = 0;
+}
+
+std::size_t CommitLog::capacity_bytes() const {
+  std::size_t held = image_.capacity() + uncarried_.capacity();
+  for (const Bytes& seg : segments_) held += seg.capacity();
+  return held;
 }
 
 std::size_t CommitLog::replay_into(ReplicaStore& store,
@@ -290,7 +355,7 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
       // before the decisions section existed simply end here.
       if (r.remaining() > 0) {
         const std::uint32_t ndec = r.u32();
-        for (std::uint32_t i = 0; i < ndec; ++i) get_decision(r);
+        for (std::uint32_t i = 0; i < ndec; ++i) skip_decision(r);
       }
     } catch (const SerdeError&) {
       // A corrupt image voids the whole log: the tail's confirms would
@@ -300,62 +365,72 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
     }
   }
 
-  Reader r(tail_);
-  while (r.remaining() >= 4) {
-    const std::uint32_t len = r.u32();
-    if (len > r.remaining()) break;  // torn tail: partial record dropped
-    try {
-      // Read the framed payload through a bounded sub-reader so a corrupt
-      // record cannot consume its successors.
-      const std::span<const std::uint8_t> payload = r.borrow(len);
-      Reader rec(payload.data(), payload.size());
-      const std::uint8_t type = rec.u8();
-      const std::uint32_t epoch = rec.u32();
-      switch (type) {
-        case kApply: {
-          const ObjectId id = rec.u64();
-          const Version version = rec.u64();
-          store.apply(id, version, rec.blob_view());
-          ++applied;
-          break;
-        }
-        case kPrepare: {
-          const TxnId txn = rec.u64();
-          const LoggedWrites writes = read_run(rec);
-          pending[txn] = Replayed{epoch, writes};
-          break;
-        }
-        case kConfirm: {
-          const TxnId txn = rec.u64();
-          const bool commit = rec.boolean();
-          const Replayed* p = pending.find(txn);
-          // Epoch stamping: a prepare taken in incarnation e can only be
-          // confirmed in incarnation e (the network drops cross-epoch
-          // traffic), so a mismatched pair is a stale record, not a commit.
-          if (p != nullptr && p->epoch == epoch) {
-            if (commit) {
-              for (const LoggedWriteView& lw : p->writes) {
-                store.apply(lw.id, lw.base + lw.steps, lw.data);
-                ++applied;
-              }
-            }
-            pending.erase(txn);
-            if (outcomes != nullptr) (*outcomes)[txn] = {epoch, commit};
-          }
-          break;
-        }
-        case kDecision:
-          // Coordinator decision: nothing to apply to the store (its own
-          // confirm record, if it is a quorum member, does that).  The
-          // decisions_/verdicts_ members survive with the log object and
-          // drive the re-delivery (Cluster::recover_node).
-          break;
-        default:
-          break;  // unknown record type: skip (forward compatibility)
+  // The tail, segment by segment.  Records never span segments, so a
+  // segment not read to its end held a torn or corrupt record: it and
+  // everything after it is dropped.
+  bool intact = true;
+  for (auto seg = segments_.begin(); intact && seg != segments_.end(); ++seg) {
+    Reader r(*seg);
+    while (intact && r.remaining() >= 4) {
+      const std::uint32_t len = r.u32();
+      if (len > r.remaining()) {
+        intact = false;  // torn tail: partial record dropped
+        break;
       }
-    } catch (const SerdeError&) {
-      break;  // torn/corrupt record payload: drop it and everything after
+      try {
+        // Read the framed payload through a bounded sub-reader so a corrupt
+        // record cannot consume its successors.
+        const std::span<const std::uint8_t> payload = r.borrow(len);
+        Reader rec(payload.data(), payload.size());
+        const std::uint8_t type = rec.u8();
+        const std::uint32_t epoch = rec.u32();
+        switch (type) {
+          case kApply: {
+            const ObjectId id = rec.u64();
+            const Version version = rec.u64();
+            store.apply(id, version, rec.blob_view());
+            ++applied;
+            break;
+          }
+          case kPrepare: {
+            const TxnId txn = rec.u64();
+            const LoggedWrites writes = read_run(rec);
+            pending[txn] = Replayed{epoch, writes};
+            break;
+          }
+          case kConfirm: {
+            const TxnId txn = rec.u64();
+            const bool commit = rec.boolean();
+            const Replayed* p = pending.find(txn);
+            // Epoch stamping: a prepare taken in incarnation e can only be
+            // confirmed in incarnation e (the network drops cross-epoch
+            // traffic), so a mismatched pair is a stale record, not a commit.
+            if (p != nullptr && p->epoch == epoch) {
+              if (commit) {
+                for (const LoggedWriteView& lw : p->writes) {
+                  store.apply(lw.id, lw.base + lw.steps, lw.data);
+                  ++applied;
+                }
+              }
+              pending.erase(txn);
+              if (outcomes != nullptr) (*outcomes)[txn] = {epoch, commit};
+            }
+            break;
+          }
+          case kDecision:
+            // Coordinator decision: nothing to apply to the store (its own
+            // confirm record, if it is a quorum member, does that).  The
+            // decisions_/verdicts_ members survive with the log object and
+            // drive the re-delivery (Cluster::recover_node).
+            break;
+          default:
+            break;  // unknown record type: skip (forward compatibility)
+        }
+      } catch (const SerdeError&) {
+        intact = false;  // torn/corrupt record payload: drop it and all after
+      }
     }
+    if (!r.done()) intact = false;
   }
   // Whatever is still pending is in-doubt: the crash landed between this
   // node's vote and the coordinator's confirm.  Not applied here -- the
@@ -366,20 +441,41 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
 
 void CommitLog::clear() {
   image_.clear();
-  tail_.clear();
+  uncarried_.clear();
+  release_tail();
   pending_.clear();
-  runs_.clear();
-  live_run_bytes_ = 0;
   decisions_.clear();
   verdicts_.clear();
   high_version_ = 0;
-  tail_records_ = 0;
   cuts_ = 0;
 }
 
 void CommitLog::truncate_tail_for_test(std::size_t bytes) {
-  const std::size_t drop = std::min(bytes, tail_.size());
-  tail_.resize(tail_.size() - drop);
+  std::size_t drop = std::min(bytes, tail_bytes_);
+  tail_bytes_ -= drop;
+  while (drop > 0) {
+    Bytes& last = segments_.back();
+    const std::size_t cut = std::min(drop, last.size());
+    last.resize(last.size() - cut);
+    drop -= cut;
+    if (last.empty() && segments_.size() > 1) segments_.pop_back();
+  }
+  // Forget what lay in the dropped bytes, so nothing reads past them.
+  const auto torn = [&](const Loc& loc) {
+    return loc.seg < Loc::kUncarried &&
+           (loc.seg >= segments_.size() ||
+            std::size_t{loc.at} + loc.size > segments_[loc.seg].size());
+  };
+  std::vector<TxnId> lost;
+  pending_.for_each([&](TxnId txn, const Pending& p) {
+    if (torn(p.run)) lost.push_back(txn);
+  });
+  for (TxnId txn : lost) pending_.erase(txn);
+  lost.clear();
+  decisions_.for_each([&](TxnId txn, const OpenDecision& d) {
+    if (torn(d.body)) lost.push_back(txn);
+  });
+  for (TxnId txn : lost) decisions_.erase(txn);
 }
 
 }  // namespace qrdtm::store

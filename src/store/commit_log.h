@@ -39,23 +39,31 @@
 //      commit decided elsewhere also arrives through the delta pull.
 // Replay only ever calls ReplicaStore::apply, so it is idempotent.
 //
-// Coordinator decisions (PR 10): before any confirm leaves the node, the
-// coordinator appends a decision record {txn, commit|abort, encoded confirm,
-// members}.  Unsettled decisions are carried across cuts and re-driven after
+// Coordinator decisions: before any confirm leaves the node, the
+// coordinator appends a decision record {txn, commit|abort, members, encoded
+// confirm}.  Unsettled decisions are carried across cuts and re-driven after
 // a restart (at-least-once delivery; receivers dedupe on (txn, epoch)).
 //
-// Appends frame each record straight into the tail: a zero length prefix,
-// the payload, then the prefix filled in.  A prepare's write-set travels as
-// one encoded run (u32 count, then per write u64 id, u64 base, u32 steps and
-// a u32-length-prefixed value), which is also how commit messages encode
+// The tail is a chain of fixed-size segments (kSegmentBytes).  Appends frame
+// each record straight into the last segment -- a zero length prefix, the
+// payload, then the prefix filled in -- and a record that does not fit in
+// what is left of it starts the next segment; a record bigger than a
+// segment gets one of its own.  A record never spans segments and never
+// moves: the segments laid end to end are the record stream, growth never
+// copies, and a cut frees every segment but one, so the log holds its
+// records plus at most one partly filled segment (and the room full
+// segments leave at their ends).  A prepare's write-set travels as one
+// encoded run (u32 count, then per write u64 id, u64 base, u32 steps and a
+// u32-length-prefixed value), which is also how commit messages encode
 // their write-set (core/wire.h): a replica hands the run over verbatim
-// (append_encoded_prepare), the pending prepare keeps a copy of it, and a
-// cut copies that copy into the image.  The pending prepares, the verdicts
-// and replay's outcomes are flat TxnId-keyed tables (common/flat_table.h).
+// (append_encoded_prepare).  A pending prepare and an open decision are
+// read where their record lies -- in the tail until a cut, in the image
+// after it -- so neither is ever copied out.  The pending prepares, the
+// open decisions, the verdicts and replay's outcomes are flat TxnId-keyed
+// tables (common/flat_table.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <utility>
@@ -115,21 +123,32 @@ struct ConfirmOutcome {
   bool commit = false;
 };
 
-/// A coordinator's durable 2PC decision (DESIGN.md §17): written after the
-/// votes resolve and BEFORE any confirm leaves the node.  `payload` is the
-/// raw encoded CommitConfirm (of one transaction or one QR-Q batch), so
-/// re-driving after a restart is pure retransmission to `members`.  The invariant this buys: if a restarted coordinator finds no
-/// decision for txn in its log, no confirm was ever sent, so presumed-abort
-/// by in-doubt replicas can never contradict an acknowledged commit.
-struct Decision {
+inline std::uint32_t decode_member(Reader& r) { return r.u32(); }
+
+/// A decision's write-quorum members, read in place.
+using DecisionMembers = RecordView<4, std::uint32_t, decode_member>;
+
+/// A coordinator's durable 2PC decision (DESIGN.md §17), read in place from
+/// its log record: written after the votes resolve and BEFORE any confirm
+/// leaves the node.  `payload` is the raw encoded CommitConfirm (of one
+/// transaction or one QR-Q batch), so re-driving after a restart is pure
+/// retransmission to `members`.  The invariant this buys: if a restarted
+/// coordinator finds no decision for txn in its log, no confirm was ever
+/// sent, so presumed-abort by in-doubt replicas can never contradict an
+/// acknowledged commit.
+struct DecisionView {
   std::uint32_t epoch = 0;
   bool commit = false;
-  std::vector<std::uint32_t> members;  // write-quorum nodes to (re-)notify
-  Bytes payload;                       // encoded confirm message
+  DecisionMembers members;                // write-quorum nodes to (re-)notify
+  std::span<const std::uint8_t> payload;  // encoded confirm message
 };
 
 class CommitLog {
  public:
+  /// Size of a tail segment.  A record larger than this gets a segment of
+  /// its own.
+  static constexpr std::size_t kSegmentBytes = std::size_t{32} << 10;
+
   /// Append a direct install (setup seed or recovery-delta entry made
   /// durable by the post-sync cut).
   void append_apply(ObjectId id, Version version, const Bytes& data,
@@ -148,11 +167,14 @@ class CommitLog {
   /// Append the one-way 2PC outcome for `txn`.
   void append_confirm(TxnId txn, bool commit, std::uint32_t epoch);
 
-  /// Coordinator side: durably record the 2PC decision for `txn` before any
-  /// confirm is sent.  The decision stays "open" (returned by
+  /// Coordinator side: durably record the 2PC decision for `txn` -- the
+  /// write-quorum `members` to notify and the encoded confirm `payload` --
+  /// before any confirm is sent.  The decision stays open (listed by
   /// open_decisions(), carried across checkpoint cuts) until
   /// settle_decision() marks the confirm broadcast complete.
-  void append_decision(TxnId txn, Decision d);
+  void append_decision(TxnId txn, std::uint32_t epoch, bool commit,
+                       std::span<const std::uint32_t> members,
+                       std::span<const std::uint8_t> payload);
 
   /// The confirm broadcast for `txn` completed in this incarnation; stop
   /// re-driving it.  No record is appended: a crash between the broadcast
@@ -160,12 +182,14 @@ class CommitLog {
   /// (txn, epoch) applied-set on the receivers absorbs.
   void settle_decision(TxnId txn);
 
-  /// Decisions whose confirm broadcast has not been settled -- what a
-  /// restarted coordinator must re-drive.  Ordered by txn id so re-delivery
-  /// is deterministic.
-  const std::map<TxnId, Decision>& open_decisions() const {
-    return decisions_;
-  }
+  /// The transactions whose decision is open (confirm broadcast not
+  /// settled) -- what a restarted coordinator must re-drive -- ascending,
+  /// so re-delivery is deterministic.
+  std::vector<TxnId> open_decisions() const;
+
+  /// The open decision for `txn`, read in place, or nullopt.  The view
+  /// borrows the log: it is valid until the next cut.
+  std::optional<DecisionView> open_decision(TxnId txn) const;
 
   /// The recorded verdict for `txn`: true = commit, false = abort, nullopt =
   /// this node never logged a decision for it.  Retained after settling --
@@ -174,7 +198,7 @@ class CommitLog {
 
   /// The in-flight (prepared, unconfirmed) writes of `txn`, or nullopt.
   /// A replica resolving an in-doubt transaction to commit applies these.
-  /// The run borrows the log: it is valid until the next append or cut.
+  /// The run borrows the log: it is valid until the next cut.
   std::optional<LoggedWrites> find_pending(TxnId txn) const;
 
   /// Whether `txn` has an in-flight prepare here.
@@ -182,7 +206,8 @@ class CommitLog {
 
   /// Checkpoint cut: replace the image with a snapshot of `store`, carry
   /// the in-flight prepares forward (unless `carry_in_flight` is false --
-  /// the Greengage bug), and discard the record tail.
+  /// the Greengage bug), and discard the record tail, keeping one empty
+  /// segment.
   void cut(const ReplicaStore& store, std::uint32_t epoch,
            bool carry_in_flight = true);
 
@@ -198,10 +223,15 @@ class CommitLog {
   // ----- observability ----------------------------------------------------
 
   /// Durable footprint in bytes (image + tail).
-  std::size_t size_bytes() const { return image_.size() + tail_.size(); }
+  std::size_t size_bytes() const { return image_.size() + tail_bytes_; }
+  /// Bytes the log holds in memory for its records: the image's and the
+  /// tail segments' capacity (plus the runs a carry-skipping cut left out
+  /// of the image).  At most size_bytes() plus one segment right after a
+  /// cut.
+  std::size_t capacity_bytes() const;
   /// Bytes appended since the last cut (the unbounded part of the
   /// footprint; QrServer's max_tail_bytes auto-cut polices it).
-  std::size_t tail_bytes() const { return tail_.size(); }
+  std::size_t tail_bytes() const { return tail_bytes_; }
   /// Records appended since the last cut.
   std::uint64_t tail_records() const { return tail_records_; }
   /// Checkpoint cuts taken over the log's lifetime.
@@ -210,63 +240,77 @@ class CommitLog {
   Version high_version() const { return high_version_; }
   /// Prepared-but-unconfirmed transactions currently tracked.
   std::size_t in_flight() const { return pending_.size(); }
-  bool empty() const { return image_.empty() && tail_.empty(); }
+  bool empty() const { return image_.empty() && tail_bytes_ == 0; }
 
   /// Forget everything (tests only; a real disk does not lose its past).
   void clear();
 
   /// Simulate a torn write: drop the last `bytes` of the record tail, as a
-  /// crash mid-flush would.  Clamped to the tail size.
+  /// crash mid-flush would.  Clamped to the tail size.  A prepare or
+  /// decision whose record lost bytes is forgotten, as a restart that
+  /// replays the torn log would.
   void truncate_tail_for_test(std::size_t bytes);
 
  private:
-  /// An in-flight prepare: its write run lies at runs_[at, at + size).
+  /// Where a record's body lies: byte `at` of tail segment `seg`, of the
+  /// image (kImage), or of the runs a carry-skipping cut left out of the
+  /// image (kUncarried).  An index, not a pointer, so a copied log reads
+  /// its own bytes.
+  struct Loc {
+    static constexpr std::uint32_t kImage = ~std::uint32_t{0};
+    static constexpr std::uint32_t kUncarried = kImage - 1;
+    std::uint32_t seg = 0;
+    std::uint32_t at = 0;
+    std::uint32_t size = 0;
+  };
+  /// An in-flight prepare: its write run.
   struct Pending {
     std::uint32_t epoch = 0;
-    std::size_t at = 0;
-    std::size_t size = 0;
+    Loc run;
+  };
+  /// An open decision: its record after the epoch (txn, verdict, members,
+  /// payload).
+  struct OpenDecision {
+    std::uint32_t epoch = 0;
+    Loc body;
   };
 
-  /// Start a record in the tail: a zero length prefix, the type and the
-  /// epoch, with room made for `body` more bytes.  `*len_at` receives the
-  /// prefix's offset for close_record.
+  /// Start a record of `body` payload bytes after its header, in the last
+  /// segment or a new one: a zero length prefix, the type and the epoch.
+  /// `*len_at` receives the prefix's offset for close_record.
   Writer open_record(std::uint8_t type, std::uint32_t epoch, std::size_t body,
                      std::size_t* len_at);
-  /// Fill in the length prefix and hand the tail back.
+  /// Fill in the length prefix and hand the segment back.
   void close_record(Writer&& w, std::size_t len_at);
-  /// Keep a copy of the write run that ends the tail from `run_at` as
-  /// txn's pending prepare.
+  /// Where the bytes from `at` to the end of the last segment lie.
+  Loc tail_loc(std::size_t at) const;
+  std::span<const std::uint8_t> bytes_at(const Loc& loc) const;
+  /// Record txn's prepare, whose write run ends the tail from `run_at`.
   void track_prepare(TxnId txn, std::uint32_t epoch, std::size_t run_at);
-  /// Forget `txn`'s in-flight prepare, if any.
-  void drop_pending(TxnId txn);
-  /// Copy the live runs to the front of a fresh buffer, dropping the ones
-  /// whose prepare was confirmed.
-  void compact_runs();
-  std::span<const std::uint8_t> run_of(const Pending& p) const {
-    return {runs_.data() + p.at, p.size};
-  }
+  /// Free every tail segment but one, which is emptied.
+  void release_tail();
 
   Bytes image_;  // checkpoint snapshot: objects + carried prepares/decisions
-  Bytes tail_;   // length-prefixed records appended since the cut
+  // Length-prefixed records appended since the cut; records fill each
+  // segment up to its capacity, and only the last one has room left.
+  std::vector<Bytes> segments_;
+  std::size_t tail_bytes_ = 0;
+  // The runs of prepares a carry-skipping cut left out of the image, still
+  // pending in memory (the fault-injection path only).
+  Bytes uncarried_;
   // In-flight prepares, maintained at append time so cut() can carry them.
   // Derived state: a replay of the durable bytes reconstructs it.
   FlatTable<Pending> pending_;
-  // The pending prepares' write runs, appended in prepare order.  A
-  // confirmed prepare's run stays until the next compaction (a cut, the
-  // last pending prepare settling, or dead runs outgrowing live ones).
-  Bytes runs_;
-  Bytes spare_runs_;  // compact_runs' target, kept for its capacity
-  std::size_t live_run_bytes_ = 0;
   // Unsettled coordinator decisions (append_decision without a matching
   // settle_decision), carried across cuts like pending_.
-  std::map<TxnId, Decision> decisions_;
+  FlatTable<OpenDecision> decisions_;
   // Every verdict ever logged here, kept after settling so termination
   // queries about old transactions still get an authoritative answer.
   // In-memory only and never carried in the cut image: a fully-settled
   // transaction has no live in-doubt holder left to ask about it, so
   // rebuilding the map from the open decisions after a crash is sufficient
   // -- and the cut image stays bounded by the store size.
-  FlatTable<bool> verdicts_;
+  FlatTable<bool> verdicts_{/*late_growth=*/true};  // grown at cuts
   Version high_version_ = 0;
   std::uint64_t tail_records_ = 0;
   std::uint64_t cuts_ = 0;

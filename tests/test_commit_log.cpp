@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <ranges>
 #include <map>
 #include <utility>
 #include <vector>
@@ -171,6 +173,250 @@ TEST(CommitLog, CutBoundsTheDurableFootprint) {
   EXPECT_EQ(log.tail_records(), 0u);
   EXPECT_GT(log.size_bytes(), 0u);
   EXPECT_LE(log.size_bytes(), before + 64);
+}
+
+// --- tail segments -----------------------------------------------------------
+
+constexpr std::size_t kSeg = CommitLog::kSegmentBytes;
+// An apply record: u32 length, u8 type, u32 epoch, u64 id, u64 version and
+// a u32-length-prefixed value.
+constexpr std::size_t kApplyOverhead = 4 + 1 + 4 + 8 + 8 + 4;
+
+/// Appends an apply record of exactly `record` bytes for `id`.
+void append_apply_of(CommitLog& log, ObjectId id, std::size_t record) {
+  log.append_apply(id, 1, Bytes(record - kApplyOverhead, std::uint8_t(id)), 0);
+}
+
+/// The objects `log` replays, version and data.
+std::map<ObjectId, std::pair<Version, Bytes>> replayed(const CommitLog& log) {
+  ReplicaStore store;
+  log.replay_into(store);
+  std::map<ObjectId, std::pair<Version, Bytes>> out;
+  for (const auto& [id, e] : store.entries()) out[id] = {e.version, e.data};
+  return out;
+}
+
+TEST(CommitLogSegments, RecordThatExactlyFillsASegment) {
+  CommitLog log;
+  append_apply_of(log, 1, 100);
+  append_apply_of(log, 2, kSeg - 100);  // ends exactly at the segment's end
+  EXPECT_EQ(log.tail_bytes(), kSeg);
+  EXPECT_EQ(log.capacity_bytes(), kSeg) << "both records share one segment";
+  append_apply_of(log, 3, 64);  // no room left: the next segment
+  EXPECT_EQ(log.tail_bytes(), kSeg + 64);
+  EXPECT_EQ(log.capacity_bytes(), 2 * kSeg);
+  EXPECT_EQ(log.tail_records(), 3u);
+  const auto objects = replayed(log);
+  ASSERT_EQ(objects.size(), 3u);
+  EXPECT_EQ(objects.at(2).second.size(), kSeg - 100 - kApplyOverhead);
+  EXPECT_EQ(objects.at(3).second, Bytes(64 - kApplyOverhead, 3));
+}
+
+TEST(CommitLogSegments, RecordThatDoesNotFitStartsTheNextSegment) {
+  CommitLog log;
+  append_apply_of(log, 1, kSeg - 100);
+  append_apply_of(log, 2, 101);  // one byte too many for what is left
+  // The record moves whole to the next segment; the 100 bytes left behind
+  // are spare capacity, not log bytes.
+  EXPECT_EQ(log.tail_bytes(), kSeg - 100 + 101);
+  EXPECT_EQ(log.size_bytes(), log.tail_bytes());
+  EXPECT_EQ(log.capacity_bytes(), 2 * kSeg);
+  append_apply_of(log, 3, 100);  // fits behind record 2
+  EXPECT_EQ(log.capacity_bytes(), 2 * kSeg);
+  const auto objects = replayed(log);
+  ASSERT_EQ(objects.size(), 3u);
+  EXPECT_EQ(objects.at(2).second, Bytes(101 - kApplyOverhead, 2));
+  EXPECT_EQ(objects.at(3).second, Bytes(100 - kApplyOverhead, 3));
+}
+
+TEST(CommitLogSegments, OversizedRecordGetsASegmentOfItsOwn) {
+  CommitLog log;
+  append_apply_of(log, 1, 64);
+  append_apply_of(log, 2, 2 * kSeg + 7);
+  append_apply_of(log, 3, 64);
+  EXPECT_EQ(log.tail_bytes(), 2 * kSeg + 7 + 128);
+  EXPECT_EQ(log.capacity_bytes(), kSeg + (2 * kSeg + 7) + kSeg)
+      << "segment, the big record's own segment, segment";
+  const auto objects = replayed(log);
+  ASSERT_EQ(objects.size(), 3u);
+  EXPECT_EQ(objects.at(2).second.size(), 2 * kSeg + 7 - kApplyOverhead);
+
+  // A cut frees the oversized segment and keeps one standard one.
+  ReplicaStore live;
+  log.replay_into(live);
+  log.cut(live, 0);
+  EXPECT_EQ(log.tail_bytes(), 0u);
+  EXPECT_EQ(log.capacity_bytes(), log.size_bytes() + kSeg);
+  EXPECT_EQ(replayed(log), objects);
+
+  // An oversized first record after the cut grows the empty segment rather
+  // than leaving it empty behind a new one.
+  append_apply_of(log, 4, kSeg + 1);
+  EXPECT_EQ(log.capacity_bytes(), log.size_bytes());
+}
+
+TEST(CommitLogSegments, TornTailInsideTheLastSegment) {
+  CommitLog log;
+  append_apply_of(log, 1, kSeg - 50);
+  append_apply_of(log, 2, 100);  // second segment
+  append_apply_of(log, 3, 100);
+  log.truncate_tail_for_test(3);
+  EXPECT_EQ(log.tail_bytes(), kSeg - 50 + 200 - 3);
+  const auto objects = replayed(log);
+  EXPECT_EQ(objects.size(), 2u);
+  EXPECT_TRUE(objects.contains(1));
+  EXPECT_TRUE(objects.contains(2));
+  EXPECT_FALSE(objects.contains(3)) << "torn record must not be misparsed";
+}
+
+TEST(CommitLogSegments, TornTailAcrossASegmentBoundary) {
+  CommitLog log;
+  append_apply_of(log, 1, 200);
+  append_apply_of(log, 2, kSeg - 300);  // 100 bytes left in segment one
+  append_apply_of(log, 3, 150);         // segment two
+  // Tear off all of segment two and 3 bytes of record 2.
+  log.truncate_tail_for_test(150 + 3);
+  EXPECT_EQ(log.tail_bytes(), kSeg - 100 - 3);
+  EXPECT_EQ(log.capacity_bytes(), kSeg) << "the emptied segment is freed";
+  const auto objects = replayed(log);
+  EXPECT_EQ(objects.size(), 1u);
+  EXPECT_TRUE(objects.contains(1));
+}
+
+TEST(CommitLogSegments, TearForgetsThePrepareItCut) {
+  CommitLog log;
+  log.append_prepare(5, {LoggedWrite{1, 1, 1, bytes_of({11})}}, 0);
+  log.append_prepare(6, {LoggedWrite{2, 1, 1, bytes_of({22})}}, 0);
+  log.truncate_tail_for_test(1);
+  EXPECT_TRUE(log.has_pending(5));
+  EXPECT_FALSE(log.has_pending(6)) << "its record lost a byte";
+  ASSERT_TRUE(log.find_pending(5).has_value());
+  EXPECT_EQ(log.find_pending(5)->size(), 1u);
+}
+
+/// The write run a LoggedWrite list encodes to, as a commit message carries
+/// it.
+Bytes run_of(const std::vector<LoggedWrite>& writes) {
+  Writer w;
+  w.u32(static_cast<std::uint32_t>(writes.size()));
+  for (const LoggedWrite& lw : writes) {
+    w.u64(lw.id);
+    w.u64(lw.base);
+    w.u32(lw.steps);
+    w.blob(lw.data);
+  }
+  return std::move(w).take();
+}
+
+TEST(CommitLogSegments, PendingPrepareAndDecisionAreReadFromTheImageAfterACut) {
+  CommitLog log;
+  ReplicaStore live;
+  live.seed(1, bytes_of({10}), 1);
+  log.append_apply(1, 1, bytes_of({10}), 0);
+  const std::vector<LoggedWrite> writes{LoggedWrite{1, 1, 1, Bytes(40, 7)},
+                                        LoggedWrite{2, 0, 3, bytes_of({9})}};
+  log.append_prepare(9, writes, 0);
+  const std::vector<std::uint32_t> members{4, 2, 7};
+  const Bytes payload(300, 0xab);
+  log.append_decision(9, /*epoch=*/3, /*commit=*/true, members, payload);
+  // Fill past a segment so the prepare and decision sit in freed segments.
+  for (ObjectId id = 100; id < 104; ++id) append_apply_of(log, id, kSeg / 3);
+
+  const auto check = [&](const char* when) {
+    const auto pending = log.find_pending(9);
+    ASSERT_TRUE(pending.has_value()) << when;
+    EXPECT_TRUE(std::ranges::equal(pending->bytes(), run_of(writes))) << when;
+    ASSERT_EQ(log.open_decisions(), std::vector<TxnId>{9}) << when;
+    const auto d = log.open_decision(9);
+    ASSERT_TRUE(d.has_value()) << when;
+    EXPECT_EQ(d->epoch, 3u) << when;
+    EXPECT_TRUE(d->commit) << when;
+    ASSERT_EQ(d->members.size(), members.size()) << when;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      EXPECT_EQ(d->members[i], members[i]) << when;
+    }
+    EXPECT_TRUE(std::ranges::equal(d->payload, payload)) << when;
+  };
+  check("in the tail");
+  log.cut(live, 0);
+  EXPECT_EQ(log.capacity_bytes(), log.size_bytes() + kSeg);
+  check("in the image");
+  // Overwrite the kept segment, then carry the pair from image to image.
+  for (ObjectId id = 200; id < 204; ++id) append_apply_of(log, id, kSeg / 3);
+  check("in the image, tail grown");
+  log.cut(live, 0);
+  check("carried into the next image");
+
+  // Re-driving reads the decision in place; settling closes it, and the
+  // verdict stays.
+  log.settle_decision(9);
+  EXPECT_TRUE(log.open_decisions().empty());
+  EXPECT_FALSE(log.open_decision(9).has_value());
+  EXPECT_EQ(log.decision_verdict(9), std::optional<bool>(true));
+
+  // The carried prepare still pairs with a confirm logged after both cuts.
+  log.append_confirm(9, true, 0);
+  EXPECT_FALSE(log.has_pending(9));
+  ReplicaStore store;
+  log.replay_into(store);
+  EXPECT_EQ(store.version_of(1), 2u);
+  EXPECT_EQ(store.find(1)->data, Bytes(40, 7));
+  EXPECT_EQ(store.version_of(2), 3u);
+}
+
+TEST(CommitLogSegments, SkippedCarryKeepsThePrepareInMemoryOnly) {
+  CommitLog log;
+  ReplicaStore live;
+  live.seed(1, bytes_of({10}), 1);
+  log.append_prepare(9, {LoggedWrite{1, 1, 1, bytes_of({11})}}, 0);
+  const std::size_t carried_image = [&] {
+    CommitLog copy = log;
+    copy.cut(live, 0, /*carry_in_flight=*/true);
+    return copy.size_bytes();
+  }();
+  log.cut(live, 0, /*carry_in_flight=*/false);
+  EXPECT_LT(log.size_bytes(), carried_image) << "not in the image";
+  ASSERT_TRUE(log.find_pending(9).has_value()) << "still pending in memory";
+  EXPECT_EQ(log.find_pending(9)->begin()->data[0], 11);
+  log.cut(live, 0, /*carry_in_flight=*/true);
+  EXPECT_EQ(log.size_bytes(), carried_image) << "the next carry writes it";
+}
+
+TEST(CommitLogSegments, CopiedLogReplaysToTheSameStore) {
+  CommitLog log;
+  ReplicaStore live;
+  for (ObjectId id = 1; id <= 3; ++id) {
+    live.seed(id, Bytes(8, std::uint8_t(id)), 1);
+    log.append_apply(id, 1, Bytes(8, std::uint8_t(id)), 0);
+  }
+  log.cut(live, 0);
+  for (TxnId txn = 10; txn < 40; ++txn) {
+    log.append_prepare(txn, {LoggedWrite{txn % 3 + 1, txn, 1, Bytes(2000, 1)}},
+                       0);
+    if (txn % 4 != 0) log.append_confirm(txn, txn % 5 != 0, 0);
+  }
+  ASSERT_GT(log.tail_bytes(), kSeg) << "the tail spans segments";
+
+  CommitLog copy = log;
+  EXPECT_EQ(copy.size_bytes(), log.size_bytes());
+  EXPECT_EQ(copy.in_flight(), log.in_flight());
+  EXPECT_EQ(replayed(copy), replayed(log));
+  for (TxnId txn = 12; txn < 40; txn += 4) {
+    ASSERT_TRUE(copy.find_pending(txn).has_value());
+    EXPECT_TRUE(std::ranges::equal(copy.find_pending(txn)->bytes(),
+                                   log.find_pending(txn)->bytes()));
+  }
+  // Both go on the same way: the same appends replay to the same store.
+  for (CommitLog* l : {&log, &copy}) {
+    l->append_confirm(12, true, 0);
+    append_apply_of(*l, 50, kSeg - 8);
+  }
+  EXPECT_EQ(copy.size_bytes(), log.size_bytes());
+  EXPECT_EQ(replayed(copy), replayed(log));
+  copy.cut(live, 0);
+  log.cut(live, 0);
+  EXPECT_EQ(copy.size_bytes(), log.size_bytes());
+  EXPECT_EQ(replayed(copy), replayed(log));
 }
 
 }  // namespace
@@ -357,6 +603,74 @@ TEST(CommitLogCluster, AutoCutBoundsTailGrowth) {
   EXPECT_EQ(unbounded.autocuts, 0u);
   EXPECT_GT(unbounded.max_tail, kBound);
   EXPECT_GT(unbounded.max_tail, bounded.max_tail);
+}
+
+// Over a long run with many auto-cuts, every log holds its records plus
+// at most one segment right after each cut (the tail segments are freed,
+// the image is sized exactly), and never more than one partly filled
+// segment plus the slack full segments leave behind.  A probe samples every
+// node each 100 us of simulated time; a cut is checked when the probe sees
+// it before the next append.
+TEST(CommitLogCluster, HeldBytesStayWithinOneSegmentAfterEveryAutoCut) {
+  using store::CommitLog;
+  ClusterConfig cfg;
+  cfg.num_nodes = 7;
+  cfg.quorum = QuorumKind::kMajority;
+  cfg.seed = 61;
+  cfg.runtime.log_max_tail_bytes = 3 * CommitLog::kSegmentBytes;
+  Cluster c(cfg);
+  std::vector<ObjectId> objs;
+  for (int i = 0; i < 8; ++i) {
+    objs.push_back(c.seed_new_object(Bytes(700, std::uint8_t{1})));
+  }
+  for (net::NodeId n : {net::NodeId{0}, net::NodeId{1}, net::NodeId{2}}) {
+    c.spawn_loop_client(n, [&objs](Rng& rng) {
+      return bump_body(objs[rng.below(objs.size())]);
+    });
+  }
+
+  struct Probe {
+    std::vector<std::uint64_t> cuts;
+    std::uint64_t cuts_checked = 0;
+    std::size_t worst_excess = 0;  // held - size_bytes, any time
+  } probe;
+  probe.cuts.assign(c.num_nodes(), 0);
+  constexpr std::size_t kSeg = CommitLog::kSegmentBytes;
+  constexpr std::size_t kMaxRecord = 2048;  // every record here is smaller
+  auto sample = [](Cluster* c, Probe* p) -> sim::Task<void> {
+    while (!c->simulator().stopping()) {
+      for (net::NodeId n = 0; n < c->num_nodes(); ++n) {
+        const CommitLog& log = c->server(n).commit_log();
+        const std::size_t held = log.capacity_bytes();
+        EXPECT_GE(held, log.size_bytes());
+        const std::size_t excess = held - log.size_bytes();
+        p->worst_excess = std::max(p->worst_excess, excess);
+        // One partly filled segment, plus less than a record's worth of
+        // room at the end of each full one.
+        const std::size_t segments = log.tail_bytes() / (kSeg - kMaxRecord) + 1;
+        EXPECT_LE(excess, kSeg + segments * kMaxRecord) << "node " << n;
+        if (log.cuts() != p->cuts[n] && log.tail_records() == 0) {
+          EXPECT_LE(held, log.size_bytes() + kSeg) << "node " << n;
+          ++p->cuts_checked;
+        }
+        p->cuts[n] = log.cuts();
+      }
+      co_await c->simulator().delay(sim::usec(100));
+    }
+  };
+  c.simulator().spawn(sample(&c, &probe));
+  c.run_for(sim::sec(60));
+  c.run_to_completion();
+
+  const std::uint64_t autocuts = c.metrics().log_autocuts;
+  EXPECT_GE(autocuts, 20u) << "a long run: many auto-cuts";
+  EXPECT_GE(probe.cuts_checked * 2, autocuts)
+      << "most cuts are seen before the next append";
+  EXPECT_GE(probe.worst_excess, kSeg / 2) << "the probe saw tails grow";
+  for (net::NodeId n = 0; n < c.num_nodes(); ++n) {
+    const CommitLog& log = c.server(n).commit_log();
+    EXPECT_LE(log.tail_bytes(), cfg.runtime.log_max_tail_bytes + kMaxRecord);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Unit tests for the stats helper (common/stats.h).
-#include "common/stats.h"
+// Unit tests for the figure binaries' stats helper (bench/stats.h).
+#include "bench/stats.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-namespace qrdtm {
+namespace qrdtm::bench {
 namespace {
 
 TEST(PctChange, Basics) {
@@ -18,4 +18,4 @@ TEST(PctChange, Basics) {
 }
 
 }  // namespace
-}  // namespace qrdtm
+}  // namespace qrdtm::bench

@@ -4,9 +4,46 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/flat_table.h"
 
 namespace qrdtm::store {
 namespace {
+
+// A late-growth table fills to three quarters between reserves: every
+// entry stays findable through inserts, backward-shift erases and the
+// reserve that regrows it, and keys that share their low bits (txn ids of
+// one node) included.
+TEST(FlatTable, LateGrowthKeepsEveryEntryThroughEraseAndReserve) {
+  FlatTable<std::uint64_t> late(/*late_growth=*/true);
+  FlatTable<std::uint64_t> eager;
+  const auto key = [](std::uint64_t i) { return (i << 40) | 7; };
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    late[key(i)] = i;
+    eager[key(i)] = i;
+    if (i % 3 == 0 && i > 0) {
+      EXPECT_TRUE(late.erase(key(i - 1)));
+      EXPECT_TRUE(eager.erase(key(i - 1)));
+    }
+    if (i % 500 == 0) late.reserve(late.size());
+  }
+  ASSERT_EQ(late.size(), eager.size());
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const bool erased = i % 3 == 2 && i + 1 < 3000;
+    const std::uint64_t* v = late.find(key(i));
+    EXPECT_EQ(v == nullptr, erased) << i;
+    if (v != nullptr) {
+      EXPECT_EQ(*v, i);
+    }
+    EXPECT_EQ(late.contains(key(i)), eager.contains(key(i))) << i;
+  }
+  late.reserve(late.size());
+  std::uint64_t visited = 0;
+  late.for_each([&](std::uint64_t k, std::uint64_t v) {
+    EXPECT_EQ(k, key(v));
+    ++visited;
+  });
+  EXPECT_EQ(visited, late.size());
+}
 
 TEST(ReplicaStore, MissingObjectBehavesAsVersionZero) {
   ReplicaStore s;

@@ -402,7 +402,8 @@ TEST(AllocRegression, WarmClosedNestedReadsAreAllocationFree) {
 
 // QR-CHK: read, read_for_write, write, a checkpoint after every fetch, a
 // partial rollback and its replay.  Counted from the body's first operation
-// to its last, so the 2PC commit (the coordinator's decision log) is not.
+// to its last; WarmRootTwoPhaseRoundIsAllocationFree counts the 2PC round
+// too.
 TEST(AllocRegression, WarmCheckpointRollbackIsAllocationFree) {
   QRDTM_REQUIRE_ALLOC_HOOK();
   Cluster c(cfg_for(NestingMode::kCheckpoint));
@@ -431,6 +432,100 @@ TEST(AllocRegression, WarmCheckpointRollbackIsAllocationFree) {
   ASSERT_EQ(c.metrics().commits, static_cast<std::uint64_t>(kWarm + kMeasured));
   ASSERT_EQ(c.metrics().partial_rollbacks,
             static_cast<std::uint64_t>(kWarm + kMeasured));
+  ASSERT_EQ(rig.windows, static_cast<std::uint64_t>(kMeasured));
+  EXPECT_EQ(rig.counted, 0u)
+      << "allocations over " << kMeasured << " warm roots";
+}
+
+// A closed-nested call whose closure captures more than std::function's
+// inline buffer holds: nested() borrows the closure, so a warm CT call
+// allocates nothing whatever it captures.
+TEST(AllocRegression, WarmCtCallWithLargeCaptureIsAllocationFree) {
+  QRDTM_REQUIRE_ALLOC_HOOK();
+  Cluster c(cfg_for(NestingMode::kClosed));
+  Rig rig;
+  rig.c = &c;
+  for (int i = 0; i < 4; ++i) rig.objs.push_back(c.seed_new_object(enc_i64(i)));
+
+  Rig* r = &rig;
+  const TxnBody body = [r](Txn& t) -> sim::Task<void> {
+    const std::array<ObjectId, 4> ids{r->objs[0], r->objs[1], r->objs[2],
+                                      r->objs[3]};
+    auto ct_body = [r, ids](Txn& ct) -> sim::Task<void> {
+      for (ObjectId id : ids) (void)co_await ct.read(id);
+      r->mark();
+    };
+    static_assert(sizeof(ct_body) > 16, "larger than the inline buffer");
+    co_await t.nested(ct_body);
+    co_await t.nested([r, ids, extra = ids](Txn& ct) -> sim::Task<void> {
+      (void)co_await ct.read(ids[0]);
+      (void)co_await ct.read(extra[3]);
+      r->mark();
+    });
+  };
+  constexpr int kWarm = 32;
+  constexpr int kMeasured = 128;
+  c.simulator().spawn(run_roots(&c.runtime(1), &rig, body, kWarm, kMeasured));
+  c.run_to_completion();
+
+  ASSERT_EQ(c.metrics().commits, static_cast<std::uint64_t>(kWarm + kMeasured));
+  ASSERT_EQ(rig.windows, static_cast<std::uint64_t>(kMeasured));
+  EXPECT_EQ(rig.counted, 0u)
+      << "allocations over " << kMeasured << " warm roots";
+}
+
+// A writing QR-CHK root, counted from before it starts until it returns:
+// its reads, checkpoints and partial rollback, then the whole 2PC round --
+// the votes the write quorum logs, the coordinator's decision record, the
+// confirms and their outcome records, and the settle.  Every node's log is
+// cut just before each root, so the round's records land in the segment
+// the cut keeps.
+TEST(AllocRegression, WarmRootTwoPhaseRoundIsAllocationFree) {
+  QRDTM_REQUIRE_ALLOC_HOOK();
+  Cluster c(cfg_for(NestingMode::kCheckpoint));
+  Rig rig;
+  rig.c = &c;
+  for (int i = 0; i < 4; ++i) rig.objs.push_back(c.seed_new_object(enc_i64(i)));
+
+  Rig* r = &rig;
+  const TxnBody body = [r](Txn& t) -> sim::Task<void> {
+    (void)co_await t.read(r->objs[0]);
+    const std::int64_t v = dec_i64(co_await t.read_for_write(r->objs[1]));
+    t.write(r->objs[1], i64_inline(v + 1));
+    (void)co_await t.read(r->objs[2]);
+    if (!r->bumped) {
+      r->bumped = true;
+      bump_everywhere(*r->c, r->objs[1]);
+    }
+    (void)co_await t.read(r->objs[3]);
+  };
+  constexpr int kWarm = 32;
+  constexpr int kMeasured = 128;
+  auto client = [](Cluster* c, Rig* rig, TxnBody b) -> sim::Task<void> {
+    for (int i = 0; i < kWarm + kMeasured; ++i) {
+      rig->bumped = false;
+      if (i >= kWarm) {
+        for (net::NodeId n = 0; n < c->num_nodes(); ++n) c->cut_checkpoint(n);
+        rig->open_window();
+      }
+      co_await c->runtime(1).run_transaction(b);
+      rig->mark();
+      rig->close_window();
+    }
+  };
+  c.simulator().spawn(client(&c, &rig, body));
+  c.run_to_completion();
+
+  ASSERT_EQ(c.metrics().commits, static_cast<std::uint64_t>(kWarm + kMeasured));
+  ASSERT_EQ(c.metrics().partial_rollbacks,
+            static_cast<std::uint64_t>(kWarm + kMeasured));
+  ASSERT_GE(c.metrics().commit_requests,
+            static_cast<std::uint64_t>(kWarm + kMeasured))
+      << "every root ran a 2PC round";
+  for (net::NodeId n = 0; n < c.num_nodes(); ++n) {
+    EXPECT_TRUE(c.server(n).commit_log().open_decisions().empty())
+        << "node " << n << ": every decision settled";
+  }
   ASSERT_EQ(rig.windows, static_cast<std::uint64_t>(kMeasured));
   EXPECT_EQ(rig.counted, 0u)
       << "allocations over " << kMeasured << " warm roots";

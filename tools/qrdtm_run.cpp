@@ -251,7 +251,8 @@ void write_net_json(std::FILE* f, const net::NetStats& ns) {
 }
 
 /// The run header (config, throughput, host cost, every counter), the
-/// per-kind network traffic, then the aggregate (cluster-merged) and
+/// commit logs' bytes and held bytes summed over the nodes, the per-kind
+/// network traffic, then the aggregate (cluster-merged) and
 /// per-node latency histograms, percentiles in milliseconds.
 bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
                         const ExperimentResult& r) {
@@ -268,6 +269,8 @@ bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
                cfg.cluster.num_nodes, cfg.clients,
                static_cast<unsigned long long>(cfg.cluster.seed),
                sim::to_seconds(cfg.duration), result_json_members(r).c_str());
+  std::fprintf(f, "  \"log_bytes\": %zu, \"log_capacity_bytes\": %zu,\n",
+               r.log_bytes, r.log_capacity_bytes);
   write_net_json(f, r.net);
   std::fprintf(f, "  \"aggregate\": {\n");
   write_latency_json(f, r.latency, "    ");
