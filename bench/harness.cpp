@@ -100,6 +100,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     res.log_bytes += log.size_bytes();
     res.log_capacity_bytes += log.capacity_bytes();
   }
+  res.log_shared_bytes = cluster.run_shelf().live_bytes();
   if (cfg.collect_per_node_latency) {
     res.node_latency.reserve(num_nodes);
     for (net::NodeId n = 0; n < num_nodes; ++n) {

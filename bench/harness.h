@@ -80,10 +80,13 @@ struct ExperimentResult {
   std::vector<core::LatencyMetrics> node_latency;
 
   /// Commit-log memory at the deadline, summed over the nodes: the
-  /// durable bytes (image + tail) and the bytes held for them (the image
-  /// and the tail segments).
+  /// durable bytes (image + tail) and the bytes held or referred to for
+  /// them (the image, the tail segments and the shelf runs their prepares
+  /// refer to); then the cluster's shelf runs, each counted once however
+  /// many logs refer to it.
   std::size_t log_bytes = 0;
   std::size_t log_capacity_bytes = 0;
+  std::size_t log_shared_bytes = 0;
 
   /// Kernel-side cost of the point: host wall-clock for the workload phase
   /// (excludes the quiesce/checker runs) and simulator events executed,

@@ -5,20 +5,18 @@
 // per-message allocation is served from a free list instead of the global
 // heap.  Two building blocks live here:
 //
-//   * BufferPool    -- recycles Bytes buffers (wire payloads).  A released
+//   * BufferPool -- recycles Bytes buffers (wire payloads).  A released
 //     buffer keeps its capacity, so a warm pool serves every encode without
 //     touching the allocator.  One pool per Network; all nodes of a
 //     simulation share it (the simulation is single-threaded).
-//   * PoolAllocator -- a std-compatible allocator backed by a per-type,
-//     per-thread free list.  Used for the Promise shared state (one per
-//     RPC, allocate_shared's control block and state in one node).
-//     Thread-local is the right scope: sweeps parallelise across Simulators,
-//     one per thread, and a thread's free list survives across experiment
-//     points.
-//   * FramePool     -- per-thread size-class free lists for coroutine frames
-//     (sim::Task promises allocate through it).  Every remote read runs a
-//     Txn::read -> acquire_copy -> quorum_fetch chain of three frames; a warm
-//     pool serves them all without touching the allocator.
+//   * FramePool  -- per-thread size-class free lists for small objects made
+//     and freed at event rate: coroutine frames (sim::Task promises
+//     allocate through it; every remote read runs a Txn::read ->
+//     acquire_copy -> quorum_fetch chain of three frames) and the Promise
+//     shared state (sim/sync.h, one per RPC).  A warm pool serves them all
+//     without touching the allocator.  Thread-local is the right scope:
+//     sweeps parallelise across Simulators, one per thread, and a thread's
+//     free lists survive across experiment points.
 #pragma once
 
 #include <array>
@@ -63,66 +61,6 @@ class BufferPool {
   std::vector<Bytes> free_;
 };
 
-/// std allocator recycling single-object allocations through a per-type
-/// thread-local free list.  Array allocations fall through to the heap.
-template <class T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  PoolAllocator() noexcept = default;
-  template <class U>
-  PoolAllocator(const PoolAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    // Recycled blocks come back through a plain `::operator new(size)`, so a
-    // type needing over-alignment would be constructed misaligned (UB).
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "PoolAllocator serves default-aligned types only");
-    if (n == 1) {
-      auto& fl = freelist();
-      if (!fl.empty()) {
-        void* p = fl.back();
-        fl.pop_back();
-        return static_cast<T*>(p);
-      }
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1) {
-      auto& fl = freelist();
-      if (fl.size() < kMaxPooled) {
-        fl.push_back(p);
-        return;
-      }
-    }
-    ::operator delete(p);
-  }
-
-  template <class U>
-  bool operator==(const PoolAllocator<U>&) const noexcept {
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kMaxPooled = 4096;
-  // The cache owns its blocks: they must go back to operator delete at
-  // thread exit, or every pooled block shows up as a leak (LeakSanitizer
-  // flags them once the vector's storage is torn down).
-  struct FreeList {
-    std::vector<void*> blocks;
-    ~FreeList() {
-      for (void* p : blocks) ::operator delete(p);
-    }
-  };
-  static std::vector<void*>& freelist() {
-    static thread_local FreeList fl;
-    return fl.blocks;
-  }
-};
-
 /// Under AddressSanitizer the frame free list is compiled out: a recycled
 /// frame would hide a use of a destroyed (aborted-body) frame from ASan,
 /// which only poisons memory that really goes back to operator delete.  The
@@ -138,12 +76,13 @@ class PoolAllocator {
 #define QRDTM_FRAME_POOL_DISABLED 0
 #endif
 
-/// Recycles coroutine frames through per-thread intrusive free lists, one
-/// per 16-byte size class up to kMaxBytes (larger frames use the heap).  A
-/// freed frame stores the list link in its own first word, so neither
-/// allocate nor release ever allocates.  Blocks come from plain
-/// `::operator new(class size)`, so they carry the default new alignment,
-/// which is all a coroutine frame asks of a promise's operator new.
+/// Recycles coroutine frames (and the Promise shared state) through
+/// per-thread intrusive free lists, one per 16-byte size class up to
+/// kMaxBytes (larger blocks use the heap).  A freed block stores the list
+/// link in its own first word, so neither allocate nor release ever
+/// allocates.  Blocks come from plain `::operator new(class size)`, so they
+/// carry the default new alignment, which is all a coroutine frame asks of
+/// a promise's operator new.
 class FramePool {
  public:
   static void* allocate(std::size_t n) {

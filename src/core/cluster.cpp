@@ -17,7 +17,8 @@ constexpr sim::Tick kMetricScale = sim::msec(20);
 
 }  // namespace
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
+Cluster::Cluster(ClusterConfig cfg)
+    : cfg_(cfg), run_shelf_(std::make_shared<store::RunShelf>()) {
   Rng seeder(cfg_.seed);
 
   faults_.set_simulator(&sim_);
@@ -89,7 +90,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
     QRDTM_CHECK(endpoints_.back()->id() == i);
     servers_.push_back(
-        std::make_unique<QrServer>(*endpoints_.back(), metrics_));
+        std::make_unique<QrServer>(*endpoints_.back(), metrics_, run_shelf_));
     lock_managers_.push_back(
         std::make_unique<LockManager>(*endpoints_.back()));
     // Coordinator decision records (DESIGN.md §17) share the co-located

@@ -192,6 +192,8 @@ class Cluster {
   const Metrics& metrics() const { return metrics_; }
   TxnRuntime& runtime(net::NodeId node);
   QrServer& server(net::NodeId node);
+  /// The shelf holding the replicas' logged prepare runs, one copy of each.
+  const store::RunShelf& run_shelf() const { return *run_shelf_; }
   LockManager& lock_manager(net::NodeId node);
 
   /// Cluster-wide latency view: every node's always-on histograms merged
@@ -214,6 +216,9 @@ class Cluster {
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<quorum::QuorumProvider> quorums_;
   Metrics metrics_;
+  // The commit logs' shared prepare runs, one copy per write-set (every
+  // replica's log refers to this shelf).
+  std::shared_ptr<store::RunShelf> run_shelf_;
   std::vector<std::unique_ptr<net::RpcEndpoint>> endpoints_;
   std::vector<std::unique_ptr<QrServer>> servers_;
   std::vector<std::unique_ptr<LockManager>> lock_managers_;

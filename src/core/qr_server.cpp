@@ -28,15 +28,20 @@ constexpr sim::Tick kTerminationTimeout = sim::msec(100);
 
 }  // namespace
 
-QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
-    : rpc_(rpc), id_(rpc.id()), metrics_(metrics) {
+QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics,
+                   std::shared_ptr<store::RunShelf> shelf)
+    : rpc_(rpc),
+      id_(rpc.id()),
+      metrics_(metrics),
+      log_(shelf != nullptr ? store::CommitLog(std::move(shelf))
+                            : store::CommitLog()) {
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
   // Replies are encoded into pooled buffers, a read is validated in place
   // in its request buffer and answered straight from the store entry, and
-  // a vote or confirm reads its sets in place and logs the write-set by
-  // copying its bytes: in steady state a replica serves reads, votes and
+  // a vote or confirm reads its sets in place and logs the write-set as its
+  // bytes, shared with the other voters' logs: in steady state a replica serves reads, votes and
   // confirms without touching the allocator.
   rpc.register_service(msg::kRead,
                        [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -60,8 +61,10 @@ class QrServer {
   /// Wires the QR services into `rpc` and counts into `metrics` (the
   /// cluster-wide sink).  The server must outlive the endpoint's registered
   /// handlers, and `metrics` must outlive the server (the Cluster owns all
-  /// three).
-  QrServer(net::RpcEndpoint& rpc, Metrics& metrics);
+  /// three).  The log keeps its prepare runs on `shelf`, shared with the
+  /// other replicas' logs, or on a shelf of its own when null.
+  QrServer(net::RpcEndpoint& rpc, Metrics& metrics,
+           std::shared_ptr<store::RunShelf> shelf = nullptr);
 
   store::ReplicaStore& store() { return store_; }
   const store::ReplicaStore& store() const { return store_; }

@@ -207,7 +207,7 @@ struct CommitWriteView {
 /// Reads one write entry in place: the decode half of encode_write in
 /// wire.cpp.  The entry layout (u64 id, u64 base, u32 steps, u32 length +
 /// value) is also the commit log's write layout (store::LoggedWrite), so a
-/// replica logs a request's write-set by copying its bytes.
+/// replica logs a request's write-set as its bytes.
 inline CommitWriteView decode_write_view(Reader& r) {
   CommitWriteView e;
   e.id = r.u64();

@@ -51,10 +51,11 @@ void Network::send(Message&& m) {
   const sim::Tick arrival = sim_.now() + latency_->one_way(m.src, m.dst, rng_) +
                             node_slowdown(m.src) + node_slowdown(m.dst);
 
-  // Reserve the destination's service slot now so FIFO order is decided at
-  // send time per arrival; the slot start accounts for queueing behind
-  // earlier arrivals.  The message moves through both events; its payload is
-  // never copied between send() and the handler.
+  // The destination's service slot is taken at arrival, not here: the
+  // message queues behind whatever arrived before it (FIFO by arrival
+  // time), and its service starts when those are done.  The message moves
+  // through both events; its payload is never copied between send() and the
+  // handler.
   sim_.schedule_at(arrival, [this, m = std::move(m)]() mutable {
     NodeState& dst = nodes_[m.dst];
     if (!dst.alive || dst.epoch != m.dst_epoch) {

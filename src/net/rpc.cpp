@@ -1,5 +1,6 @@
 #include "net/rpc.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -20,12 +21,48 @@ void RpcEndpoint::register_service(MsgKind kind, Service service) {
   service_slot_[kind] = static_cast<std::uint8_t>(services_.size());
 }
 
+namespace {
+
+// Call slots made on an endpoint's first call.
+constexpr std::size_t kInitialCallSlots = 64;
+
+}  // namespace
+
+void RpcEndpoint::grow_pending() {
+  std::vector<Pending> grown(
+      std::max(kInitialCallSlots, 2 * pending_.size()));
+  // Ids distinct modulo n stay distinct modulo 2n: no two calls collide.
+  for (Pending& p : pending_) {
+    if (p.rpc_id != 0) grown[p.rpc_id & (grown.size() - 1)] = std::move(p);
+  }
+  pending_ = std::move(grown);
+}
+
+bool RpcEndpoint::resolve(std::uint64_t rpc_id, RpcResult&& result) {
+  if (pending_.empty()) return false;
+  Pending& p = pending_[rpc_id & (pending_.size() - 1)];
+  if (p.rpc_id != rpc_id) return false;
+  sim::Promise<RpcResult> promise = std::move(*p.promise);
+  p.promise.reset();
+  p.rpc_id = 0;
+  --in_flight_;
+  promise.try_set(std::move(result));
+  return true;
+}
+
 sim::Future<RpcResult> RpcEndpoint::call(NodeId dst, MsgKind kind, Bytes req,
                                          sim::Tick timeout) {
+  if (2 * (in_flight_ + 1) > pending_.size()) grow_pending();
+  const std::size_t mask = pending_.size() - 1;
+  // Skip ids whose slot a longer-running call still holds.
+  while (pending_[next_rpc_id_ & mask].rpc_id != 0) ++next_rpc_id_;
   const std::uint64_t rpc_id = next_rpc_id_++;
   sim::Promise<RpcResult> promise(sim_);
   auto future = promise.future();
-  pending_.push_back(Pending{rpc_id, promise});
+  Pending& slot = pending_[rpc_id & mask];
+  slot.rpc_id = rpc_id;
+  slot.promise.emplace(std::move(promise));
+  ++in_flight_;
 
   net_.send(Message{.src = id_,
                     .dst = dst,
@@ -36,17 +73,10 @@ sim::Future<RpcResult> RpcEndpoint::call(NodeId dst, MsgKind kind, Bytes req,
                     .trace = trace_ctx_});
 
   // Callers pass one fixed timeout, so deadlines arrive in order and ride
-  // the simulator's FIFO timer lane instead of its heap.
+  // the simulator's FIFO timer lane instead of its heap.  A call already
+  // answered is no longer in flight, and its timeout does nothing.
   sim_.schedule_timer_after(timeout, [this, rpc_id, dst]() {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].rpc_id != rpc_id) continue;
-      pending_[i].promise.try_set(
-          RpcResult{.ok = false, .from = dst, .payload = {}});
-      pending_[i] = std::move(pending_.back());
-      pending_.pop_back();
-      return;
-    }
-    // Not found: already resolved by a response.
+    resolve(rpc_id, RpcResult{.ok = false, .from = dst, .payload = {}});
   });
   return future;
 }
@@ -75,16 +105,11 @@ void RpcEndpoint::multicast(const std::vector<NodeId>& members, MsgKind kind,
 
 void RpcEndpoint::handle(Message&& m) {
   if (m.response) {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].rpc_id != m.rpc_id) continue;
-      pending_[i].promise.try_set(RpcResult{
-          .ok = true, .from = m.src, .payload = std::move(m.payload)});
-      pending_[i] = std::move(pending_.back());
-      pending_.pop_back();
-      return;
+    RpcResult result{.ok = true, .from = m.src, .payload = std::move(m.payload)};
+    if (!resolve(m.rpc_id, std::move(result))) {
+      // Response raced with (and lost to) its timeout.
+      net_.pool().release(std::move(result.payload));
     }
-    // Response raced with (and lost to) its timeout.
-    net_.pool().release(std::move(m.payload));
     return;
   }
 

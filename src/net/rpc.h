@@ -10,12 +10,14 @@
 // A call either completes with the response payload or, after `timeout`,
 // with ok=false (destination dead or response lost).
 //
-// Hot-path notes: the in-flight call table is a small flat vector (a client
-// has a handful of outstanding RPCs; linear scan + swap-remove beats a hash
-// map); the service table holds only the services a node registered, found
-// in O(1) through a one-byte slot per message kind; and payload buffers are
-// recycled through the network's BufferPool (request payloads after the
-// service consumed them, response payloads after the caller decoded them).
+// Hot-path notes: the in-flight call table is a slot table addressed by the
+// low bits of the rpc id, so a response and a timeout each check one slot
+// (a call whose slot is taken skips to the next id; the table doubles
+// before it is half full); the service table holds only the services a
+// node registered, found in O(1) through a one-byte slot per message kind;
+// and payload buffers are recycled through the network's BufferPool
+// (request payloads after the service consumed them, response payloads
+// after the caller decoded them).
 #pragma once
 
 #include <array>
@@ -96,10 +98,17 @@ class RpcEndpoint {
  private:
   void handle(Message&& m);
 
+  /// An in-flight call's slot; rpc_id 0 = free.
   struct Pending {
-    std::uint64_t rpc_id;
-    sim::Promise<RpcResult> promise;
+    std::uint64_t rpc_id = 0;
+    std::optional<sim::Promise<RpcResult>> promise;
   };
+
+  /// Resolve the in-flight call `rpc_id` with `result`; false when it is
+  /// no longer in flight (already answered or timed out).
+  bool resolve(std::uint64_t rpc_id, RpcResult&& result);
+  /// Double the call table, keeping every in-flight call.
+  void grow_pending();
 
   sim::Simulator& sim_;
   Network& net_;
@@ -111,7 +120,10 @@ class RpcEndpoint {
   // node registers about ten of the kMsgKindSpace kinds.
   std::array<std::uint8_t, kMsgKindSpace> service_slot_{};
   std::vector<Service> services_;
+  // pending_[rpc_id & (size - 1)] holds call rpc_id while it is in flight;
+  // ids are never 0 (0 marks a notify) and never share a slot.
   std::vector<Pending> pending_;
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace qrdtm::net

@@ -11,7 +11,8 @@
 #pragma once
 
 #include <coroutine>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <utility>
 
@@ -26,12 +27,22 @@ class Future;
 
 namespace detail {
 
+/// The state a Promise and its Future share.  One is made per RPC, so it
+/// comes from FramePool's per-thread free lists (common/pool.h) and counts
+/// its two holders with a plain integer: a warm call allocates nothing and
+/// does no atomic refcount traffic.
 template <class T>
 struct SharedState {
-  Simulator* sim;
+  Simulator* sim = nullptr;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
   bool consumed = false;
+  std::uint32_t refs = 1;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::release(p, n);
+  }
 
   void fulfil(T v) {
     QRDTM_CHECK_MSG(!value.has_value(), "promise fulfilled twice");
@@ -43,17 +54,41 @@ struct SharedState {
   }
 };
 
+/// A counted handle on a SharedState; the last one deletes it.
+template <class T>
+class StateRef {
+ public:
+  StateRef() = default;
+  /// Adopts a new state's initial reference.
+  explicit StateRef(SharedState<T>* s) : s_(s) {}
+  StateRef(const StateRef& other) : s_(other.s_) {
+    if (s_ != nullptr) ++s_->refs;
+  }
+  StateRef(StateRef&& other) noexcept : s_(std::exchange(other.s_, nullptr)) {}
+  StateRef& operator=(StateRef other) noexcept {
+    std::swap(s_, other.s_);
+    return *this;
+  }
+  ~StateRef() {
+    if (s_ != nullptr && --s_->refs == 0) delete s_;
+  }
+
+  SharedState<T>* operator->() const { return s_; }
+  explicit operator bool() const { return s_ != nullptr; }
+
+ private:
+  SharedState<T>* s_ = nullptr;
+};
+
 }  // namespace detail
 
 template <class T>
 class Promise {
  public:
-  // allocate_shared with a PoolAllocator: the control block + state (one
-  // per RPC on the hot path) is recycled through a free list instead of
-  // hitting the heap per call.
   explicit Promise(Simulator& sim)
-      : state_(std::allocate_shared<detail::SharedState<T>>(
-            PoolAllocator<detail::SharedState<T>>{})) {
+      // Pooled (SharedState's class operator new).
+      // qrdtm-lint: allow(hot-naked-new)
+      : state_(new detail::SharedState<T>()) {
     state_->sim = &sim;
   }
 
@@ -72,7 +107,7 @@ class Promise {
   bool fulfilled() const { return state_->value.has_value(); }
 
  private:
-  std::shared_ptr<detail::SharedState<T>> state_;
+  detail::StateRef<T> state_;
 };
 
 template <class T>
@@ -80,12 +115,12 @@ class Future {
  public:
   Future() = default;
 
-  bool valid() const { return state_ != nullptr; }
+  bool valid() const { return static_cast<bool>(state_); }
   bool ready() const { return state_ && state_->value.has_value(); }
 
   auto operator co_await() {
     struct Awaiter {
-      std::shared_ptr<detail::SharedState<T>> s;
+      detail::StateRef<T> s;
       bool await_ready() const { return s->value.has_value(); }
       void await_suspend(std::coroutine_handle<> h) {
         QRDTM_CHECK_MSG(!s->waiter, "future awaited by two processes");
@@ -97,15 +132,14 @@ class Future {
         return std::move(*s->value);
       }
     };
-    QRDTM_CHECK_MSG(state_ != nullptr, "await on empty future");
+    QRDTM_CHECK_MSG(static_cast<bool>(state_), "await on empty future");
     return Awaiter{state_};
   }
 
  private:
   friend class Promise<T>;
-  explicit Future(std::shared_ptr<detail::SharedState<T>> s)
-      : state_(std::move(s)) {}
-  std::shared_ptr<detail::SharedState<T>> state_;
+  explicit Future(detail::StateRef<T> s) : state_(std::move(s)) {}
+  detail::StateRef<T> state_;
 };
 
 }  // namespace qrdtm::sim

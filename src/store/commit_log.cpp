@@ -17,6 +17,9 @@ constexpr std::uint8_t kDecision = 4;
 
 // Record header: u32 length prefix, u8 type, u32 epoch.
 constexpr std::size_t kHeaderBytes = 4 + 1 + 4;
+// A prepare record after its header: u64 txn, u32 run index.  The bytes it
+// counts for replace the index with the run.
+constexpr std::size_t kPrepareBody = 8 + 4;
 
 // Segment slots made on a log's first append: a 1 MiB tail (the default
 // auto-cut) in 32 KiB segments, so the slot vector rarely regrows.
@@ -57,11 +60,16 @@ std::vector<TxnId> sorted_keys(const FlatTable<V>& table) {
 
 }  // namespace
 
+CommitLog::CommitLog() : CommitLog(std::make_shared<RunShelf>()) {}
+
+CommitLog::CommitLog(std::shared_ptr<RunShelf> shelf) : runs_(std::move(shelf)) {}
+
 // Each record is framed in place: u32 length prefix + payload.  The prefix
 // is what lets replay drop a torn (partially written) final record instead
 // of misparsing it; it is written as zero and filled in once the payload is.
 Writer CommitLog::open_record(std::uint8_t type, std::uint32_t epoch,
                               std::size_t body, std::size_t* len_at) {
+  drop_torn_record();
   const std::size_t record = kHeaderBytes + body;
   if (segments_.empty() ||
       segments_.back().capacity() - segments_.back().size() < record) {
@@ -90,6 +98,16 @@ void CommitLog::close_record(Writer&& w, std::size_t len_at) {
   ++tail_records_;
 }
 
+void CommitLog::drop_torn_record() {
+  if (torn_ == 0) return;
+  Bytes& last = segments_.back();
+  last.resize(last.size() - torn_);
+  tail_bytes_ -= torn_counted_;
+  --tail_records_;
+  torn_ = 0;
+  torn_counted_ = 0;
+}
+
 CommitLog::Loc CommitLog::tail_loc(std::size_t at) const {
   return {static_cast<std::uint32_t>(segments_.size() - 1),
           static_cast<std::uint32_t>(at),
@@ -97,6 +115,7 @@ CommitLog::Loc CommitLog::tail_loc(std::size_t at) const {
 }
 
 std::span<const std::uint8_t> CommitLog::bytes_at(const Loc& loc) const {
+  if (loc.seg == Loc::kShelf) return runs_[loc.at];
   const Bytes& buf = loc.seg == Loc::kImage        ? image_
                      : loc.seg == Loc::kUncarried ? uncarried_
                                                   : segments_[loc.seg];
@@ -116,18 +135,13 @@ void CommitLog::append_apply(ObjectId id, Version version, const Bytes& data,
 
 void CommitLog::append_prepare(TxnId txn, std::vector<LoggedWrite> writes,
                                std::uint32_t epoch) {
-  std::size_t run_bytes = 4;
   for (const LoggedWrite& lw : writes) {
-    run_bytes += 8 + 8 + 4 + 4 + lw.data.size();
     high_version_ = std::max(high_version_, lw.base + lw.steps);
   }
-  std::size_t len_at = 0;
-  Writer w = open_record(kPrepare, epoch, 8 + run_bytes, &len_at);
-  w.u64(txn);
-  const std::size_t run_at = w.size();
+  Writer w(std::move(encode_scratch_));
   encode_vec(w, writes, put_write);
-  close_record(std::move(w), len_at);
-  track_prepare(txn, epoch, run_at);
+  encode_scratch_ = std::move(w).take();
+  append_run(txn, encode_scratch_, epoch);
 }
 
 void CommitLog::append_encoded_prepare(TxnId txn,
@@ -139,19 +153,22 @@ void CommitLog::append_encoded_prepare(TxnId txn,
     high = std::max(high, lw.base + lw.steps);
   }
   high_version_ = high;
-  std::size_t len_at = 0;
-  Writer w = open_record(kPrepare, epoch, 8 + writes.size(), &len_at);
-  w.u64(txn);
-  const std::size_t run_at = w.size();
-  w.raw(writes);
-  close_record(std::move(w), len_at);
-  track_prepare(txn, epoch, run_at);
+  append_run(txn, writes, epoch);
 }
 
-void CommitLog::track_prepare(TxnId txn, std::uint32_t epoch,
-                              std::size_t run_at) {
+void CommitLog::append_run(TxnId txn, std::span<const std::uint8_t> writes,
+                           std::uint32_t epoch) {
+  const std::uint32_t run = runs_.add(txn, writes);
+  std::size_t len_at = 0;
+  Writer w = open_record(kPrepare, epoch, kPrepareBody, &len_at);
+  w.u64(txn);
+  w.u32(run);
+  close_record(std::move(w), len_at);
+  // The record counts for its run as if the run were in it.
+  tail_bytes_ += writes.size() - 4;
   // A re-prepare replaces the earlier run.
-  pending_[txn] = Pending{epoch, tail_loc(run_at)};
+  pending_[txn] = Pending{
+      epoch, Loc{Loc::kShelf, run, static_cast<std::uint32_t>(writes.size())}};
 }
 
 void CommitLog::append_confirm(TxnId txn, bool commit, std::uint32_t epoch) {
@@ -298,6 +315,9 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
 }
 
 void CommitLog::release_tail() {
+  runs_.truncate(0);
+  torn_ = 0;
+  torn_counted_ = 0;
   // Keep one standard segment for the next appends; an oversized one goes.
   const auto keep =
       std::find_if(segments_.begin(), segments_.end(), [](const Bytes& seg) {
@@ -316,7 +336,7 @@ void CommitLog::release_tail() {
 std::size_t CommitLog::capacity_bytes() const {
   std::size_t held = image_.capacity() + uncarried_.capacity();
   for (const Bytes& seg : segments_) held += seg.capacity();
-  return held;
+  return held + runs_.referenced_bytes();
 }
 
 std::size_t CommitLog::replay_into(ReplicaStore& store,
@@ -394,8 +414,9 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
           }
           case kPrepare: {
             const TxnId txn = rec.u64();
-            const LoggedWrites writes = read_run(rec);
-            pending[txn] = Replayed{epoch, writes};
+            const std::uint32_t run = rec.u32();
+            if (run >= runs_.size()) throw SerdeError("unknown prepare run");
+            pending[txn] = Replayed{epoch, read_logged_writes(runs_[run])};
             break;
           }
           case kConfirm: {
@@ -451,18 +472,66 @@ void CommitLog::clear() {
 }
 
 void CommitLog::truncate_tail_for_test(std::size_t bytes) {
-  std::size_t drop = std::min(bytes, tail_bytes_);
-  tail_bytes_ -= drop;
-  while (drop > 0) {
-    Bytes& last = segments_.back();
-    const std::size_t cut = std::min(drop, last.size());
-    last.resize(last.size() - cut);
-    drop -= cut;
-    if (last.empty() && segments_.size() > 1) segments_.pop_back();
+  drop_torn_record();
+  // Every record of the tail: where it lies, and the bytes it counts for.
+  constexpr std::size_t kNoRun = ~std::size_t{0};
+  struct Record {
+    std::size_t seg = 0;
+    std::size_t at = 0;
+    std::size_t size = 0;
+    std::size_t counted = 0;
+    std::size_t run = kNoRun;  // a prepare's run index
+  };
+  std::vector<Record> records;
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    Reader r(segments_[i]);
+    while (!r.done()) {
+      Record rec{.seg = i, .at = segments_[i].size() - r.remaining()};
+      const std::uint32_t len = r.u32();
+      Reader body(r.borrow(len));
+      rec.size = 4 + len;
+      rec.counted = rec.size;
+      if (body.u8() == kPrepare) {
+        body.u32();  // epoch
+        body.u64();  // txn
+        rec.run = body.u32();
+        rec.counted += runs_[rec.run].size() - 4;
+      }
+      records.push_back(rec);
+    }
   }
+
+  std::size_t drop = std::min(bytes, tail_bytes_);
+  std::size_t runs_kept = runs_.size();
+  while (drop > 0) {
+    const Record& rec = records.back();
+    if (rec.run != kNoRun) runs_kept = rec.run;
+    Bytes& seg = segments_[rec.seg];
+    if (drop >= rec.counted) {
+      seg.resize(rec.at);
+      tail_bytes_ -= rec.counted;
+      --tail_records_;
+      drop -= rec.counted;
+      records.pop_back();
+      continue;
+    }
+    // A torn record: it keeps what was written of it, and at least a byte
+    // short of its frame, so replay sees the tear.
+    torn_counted_ = rec.counted - drop;
+    torn_ = std::min(torn_counted_, rec.size - 1);
+    seg.resize(rec.at + torn_);
+    tail_bytes_ -= drop;
+    drop = 0;
+  }
+  while (segments_.size() > 1 && segments_.back().empty()) {
+    segments_.pop_back();
+  }
+  runs_.truncate(runs_kept);
+
   // Forget what lay in the dropped bytes, so nothing reads past them.
   const auto torn = [&](const Loc& loc) {
-    return loc.seg < Loc::kUncarried &&
+    if (loc.seg == Loc::kShelf) return loc.at >= runs_kept;
+    return loc.seg < Loc::kShelf &&
            (loc.seg >= segments_.size() ||
             std::size_t{loc.at} + loc.size > segments_[loc.seg].size());
   };

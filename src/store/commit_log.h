@@ -11,9 +11,11 @@
 // final record from a crash mid-flush -- is dropped cleanly, never
 // misparsed):
 //   * apply   {epoch, id, version, data}  -- seeds and direct installs,
-//   * prepare {epoch, txn, writes[{id, base, steps, data}]} -- a 2PC commit
-//     vote took protections here; the write payload lives ONLY in this
-//     record,
+//   * prepare {epoch, txn, run}  -- a 2PC commit vote took protections here.
+//     The write-set {writes[{id, base, steps, data}]} is an encoded run held
+//     once per cluster on the RunShelf (store/run_shelf.h) and shared by
+//     every log of the write quorum that logged identical bytes; the record
+//     names it by its index in the log's run table,
 //   * confirm {epoch, txn, commit} -- the one-way 2PC outcome.  Deliberately
 //     carries no writeset: replay resolves it against the matching prepare,
 //     exactly the coupling the Greengage checkpoint_dtx_info bug broke.
@@ -56,14 +58,20 @@
 // encoded run (u32 count, then per write u64 id, u64 base, u32 steps and a
 // u32-length-prefixed value), which is also how commit messages encode
 // their write-set (core/wire.h): a replica hands the run over verbatim
-// (append_encoded_prepare).  A pending prepare and an open decision are
-// read where their record lies -- in the tail until a cut, in the image
-// after it -- so neither is ever copied out.  The pending prepares, the
-// open decisions, the verdicts and replay's outcomes are flat TxnId-keyed
-// tables (common/flat_table.h).
+// (append_encoded_prepare), and the shelf keeps one copy of it however many
+// logs refer to it.  The byte counts (size_bytes, tail_bytes) are those of
+// the full logical records, run included, so auto-cut points do not depend
+// on the sharing.  A pending prepare and an open decision are read where
+// their bytes lie -- the run on the shelf or the decision record in the
+// tail until a cut, in the image after it -- so neither is ever copied out.
+// A cut, clear() or the log's end drops its run references; a run is freed
+// when its last one goes.  The pending prepares, the open decisions, the
+// verdicts and replay's outcomes are flat TxnId-keyed tables
+// (common/flat_table.h).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -74,6 +82,7 @@
 #include "common/serde.h"
 #include "store/object.h"
 #include "store/replica_store.h"
+#include "store/run_shelf.h"
 
 namespace qrdtm::store {
 
@@ -149,18 +158,27 @@ class CommitLog {
   /// its own.
   static constexpr std::size_t kSegmentBytes = std::size_t{32} << 10;
 
+  /// A standalone log, with a shelf of its own.
+  CommitLog();
+  /// A log whose prepare runs live on `shelf`, shared with the other logs
+  /// on it (a Cluster hands one shelf to every replica's log).
+  explicit CommitLog(std::shared_ptr<RunShelf> shelf);
+
   /// Append a direct install (setup seed or recovery-delta entry made
   /// durable by the post-sync cut).
   void append_apply(ObjectId id, Version version, const Bytes& data,
                     std::uint32_t epoch);
 
-  /// Append a 2PC prepare (commit vote taken, write-set protected).
+  /// Append a 2PC prepare (commit vote taken, write-set protected): the
+  /// writes are encoded as a run and logged as append_encoded_prepare logs
+  /// one.
   void append_prepare(TxnId txn, std::vector<LoggedWrite> writes,
                       std::uint32_t epoch);
 
   /// The same, with the write-set already encoded as a run (see the file
-  /// comment) and copied verbatim.  A malformed run throws SerdeError
-  /// before anything is appended.
+  /// comment): the record refers to the shelf's copy of these bytes, which
+  /// is made here unless the shelf holds an identical run of `txn`.  A
+  /// malformed run throws SerdeError before anything is appended.
   void append_encoded_prepare(TxnId txn, std::span<const std::uint8_t> writes,
                               std::uint32_t epoch);
 
@@ -224,10 +242,11 @@ class CommitLog {
 
   /// Durable footprint in bytes (image + tail).
   std::size_t size_bytes() const { return image_.size() + tail_bytes_; }
-  /// Bytes the log holds in memory for its records: the image's and the
-  /// tail segments' capacity (plus the runs a carry-skipping cut left out
-  /// of the image).  At most size_bytes() plus one segment right after a
-  /// cut.
+  /// Bytes the log holds or refers to in memory for its records: the
+  /// image's and the tail segments' capacity (plus the runs a carry-skipping
+  /// cut left out of the image), and the bytes of the shelf runs its
+  /// prepares refer to.  At least size_bytes(), and at most size_bytes()
+  /// plus one segment right after a cut.
   std::size_t capacity_bytes() const;
   /// Bytes appended since the last cut (the unbounded part of the
   /// footprint; QrServer's max_tail_bytes auto-cut polices it).
@@ -245,20 +264,25 @@ class CommitLog {
   /// Forget everything (tests only; a real disk does not lose its past).
   void clear();
 
-  /// Simulate a torn write: drop the last `bytes` of the record tail, as a
-  /// crash mid-flush would.  Clamped to the tail size.  A prepare or
-  /// decision whose record lost bytes is forgotten, as a restart that
-  /// replays the torn log would.
+  /// Simulate a torn write: drop the last `bytes` (counted as tail_bytes()
+  /// counts them) of the record tail, as a crash mid-flush would.  Clamped
+  /// to the tail size.  A prepare or decision whose record lost bytes is
+  /// forgotten, as a restart that replays the torn log would; a torn record
+  /// stays at the tail's end, where replay stops, until the next append or
+  /// tear cuts it off.  A shared run is never touched: the log only drops
+  /// its references to the runs of the records it lost.
   void truncate_tail_for_test(std::size_t bytes);
 
  private:
   /// Where a record's body lies: byte `at` of tail segment `seg`, of the
   /// image (kImage), or of the runs a carry-skipping cut left out of the
-  /// image (kUncarried).  An index, not a pointer, so a copied log reads
-  /// its own bytes.
+  /// image (kUncarried); or the shelf run at index `at` of the log's run
+  /// table (kShelf).  An index, not a pointer, so a copied log reads its
+  /// own bytes.
   struct Loc {
     static constexpr std::uint32_t kImage = ~std::uint32_t{0};
     static constexpr std::uint32_t kUncarried = kImage - 1;
+    static constexpr std::uint32_t kShelf = kImage - 2;
     std::uint32_t seg = 0;
     std::uint32_t at = 0;
     std::uint32_t size = 0;
@@ -285,19 +309,32 @@ class CommitLog {
   /// Where the bytes from `at` to the end of the last segment lie.
   Loc tail_loc(std::size_t at) const;
   std::span<const std::uint8_t> bytes_at(const Loc& loc) const;
-  /// Record txn's prepare, whose write run ends the tail from `run_at`.
-  void track_prepare(TxnId txn, std::uint32_t epoch, std::size_t run_at);
-  /// Free every tail segment but one, which is emptied.
+  /// Log the prepare record of `txn`'s encoded, checked run `writes`.
+  void append_run(TxnId txn, std::span<const std::uint8_t> writes,
+                  std::uint32_t epoch);
+  /// Cut off the torn record a tear left at the tail's end, if any.
+  void drop_torn_record();
+  /// Free every tail segment but one, which is emptied, and drop every run
+  /// reference.
   void release_tail();
 
   Bytes image_;  // checkpoint snapshot: objects + carried prepares/decisions
   // Length-prefixed records appended since the cut; records fill each
   // segment up to its capacity, and only the last one has room left.
   std::vector<Bytes> segments_;
+  // The shelf runs the tail's prepare records name, by index.
+  RunRefs runs_;
+  // Bytes appended since the cut, each prepare counted with its run.
   std::size_t tail_bytes_ = 0;
+  // A torn record at the end of the last segment (truncate_tail_for_test):
+  // its bytes there, and the bytes of it tail_bytes_ still counts.
+  std::size_t torn_ = 0;
+  std::size_t torn_counted_ = 0;
   // The runs of prepares a carry-skipping cut left out of the image, still
   // pending in memory (the fault-injection path only).
   Bytes uncarried_;
+  // append_prepare's encoding of its writes, kept for its capacity.
+  Bytes encode_scratch_;
   // In-flight prepares, maintained at append time so cut() can carry them.
   // Derived state: a replay of the durable bytes reconstructs it.
   FlatTable<Pending> pending_;

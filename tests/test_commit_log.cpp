@@ -1,5 +1,5 @@
 // CommitLog unit tests: record round-trips, torn-tail truncation, replay
-// idempotence, the Greengage carry regression at the log level, and the
+// idempotence, prepare runs shared through a RunShelf, the Greengage carry regression at the log level, and the
 // cluster-level equivalence of delta recovery (durable log + version-bounded
 // pull) with the legacy full pull.
 #include <gtest/gtest.h>
@@ -8,6 +8,8 @@
 #include <optional>
 #include <ranges>
 #include <map>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -390,12 +392,16 @@ TEST(CommitLogSegments, CopiedLogReplaysToTheSameStore) {
     log.append_apply(id, 1, Bytes(8, std::uint8_t(id)), 0);
   }
   log.cut(live, 0);
+  const std::size_t image = log.size_bytes();
   for (TxnId txn = 10; txn < 40; ++txn) {
     log.append_prepare(txn, {LoggedWrite{txn % 3 + 1, txn, 1, Bytes(2000, 1)}},
                        0);
     if (txn % 4 != 0) log.append_confirm(txn, txn % 5 != 0, 0);
+    // A prepare's run lives on the shelf, so applies fill the segments.
+    if (txn % 10 == 0) append_apply_of(log, 60 + txn, kSeg / 2);
   }
-  ASSERT_GT(log.tail_bytes(), kSeg) << "the tail spans segments";
+  ASSERT_GE(log.capacity_bytes(), image + 2 * kSeg)
+      << "the tail spans segments";
 
   CommitLog copy = log;
   EXPECT_EQ(copy.size_bytes(), log.size_bytes());
@@ -417,6 +423,205 @@ TEST(CommitLogSegments, CopiedLogReplaysToTheSameStore) {
   log.cut(live, 0);
   EXPECT_EQ(copy.size_bytes(), log.size_bytes());
   EXPECT_EQ(replayed(copy), replayed(log));
+}
+
+TEST(CommitLogSegments, AppendAfterATornTailReplaysTheNewRecord) {
+  // The tear of TornTailAcrossASegmentBoundary: segment two and 3 bytes of
+  // record 2 go, so record 2 is a torn record at the end of segment one.
+  const auto torn_log = [] {
+    CommitLog log;
+    append_apply_of(log, 1, 200);
+    append_apply_of(log, 2, kSeg - 300);
+    append_apply_of(log, 3, 150);
+    log.truncate_tail_for_test(150 + 3);
+    return log;
+  };
+
+  // An apply: the torn record is cut off first, so the new record does not
+  // land behind it and replay reads it whole.
+  CommitLog log = torn_log();
+  append_apply_of(log, 4, 80);
+  EXPECT_EQ(log.tail_bytes(), 200u + 80u) << "the torn record's bytes go";
+  EXPECT_EQ(log.tail_records(), 2u);
+  auto objects = replayed(log);
+  ASSERT_EQ(objects.size(), 2u);
+  EXPECT_EQ(objects.at(1).second, Bytes(200 - kApplyOverhead, 1));
+  EXPECT_EQ(objects.at(4).second, Bytes(80 - kApplyOverhead, 4));
+
+  // A shared prepare and its confirm.
+  log = torn_log();
+  const std::vector<LoggedWrite> writes{LoggedWrite{5, 1, 2, Bytes(90, 0x5e)}};
+  log.append_prepare(9, writes, 0);
+  log.append_confirm(9, true, 0);
+  EXPECT_EQ(log.tail_bytes(),
+            200u + (4 + 1 + 4 + 8 + run_of(writes).size()) + (4 + 1 + 4 + 8 + 1));
+  objects = replayed(log);
+  ASSERT_EQ(objects.size(), 2u);
+  EXPECT_EQ(objects.at(5), std::make_pair(Version{3}, Bytes(90, 0x5e)));
+
+  // A torn prepare is cut off the same way; the new record after it
+  // replays.
+  log = CommitLog();
+  append_apply_of(log, 1, 200);
+  log.append_prepare(9, writes, 0);
+  log.truncate_tail_for_test(5);
+  EXPECT_FALSE(log.has_pending(9));
+  append_apply_of(log, 4, 80);
+  objects = replayed(log);
+  ASSERT_EQ(objects.size(), 2u);
+  EXPECT_EQ(objects.at(4).second, Bytes(80 - kApplyOverhead, 4));
+}
+
+// --- shared prepare runs -----------------------------------------------------
+
+/// A prepare of `txn` writing `value` to objects 1 and 2 at version 1.
+std::vector<LoggedWrite> writes_of(Bytes value) {
+  return {LoggedWrite{1, 1, 1, value}, LoggedWrite{2, 1, 1, std::move(value)}};
+}
+
+/// The objects `log` replays once `txn` is confirmed (on a copy, so `log`
+/// stays as it is).
+std::map<ObjectId, std::pair<Version, Bytes>> committed(const CommitLog& log,
+                                                        TxnId txn) {
+  CommitLog copy = log;
+  copy.append_confirm(txn, true, 0);
+  return replayed(copy);
+}
+
+TEST(CommitLogShelf, LogsOfOneShelfShareAnIdenticalRun) {
+  const auto shelf = std::make_shared<RunShelf>();
+  const std::vector<LoggedWrite> writes = writes_of(Bytes(64, 0x31));
+  const Bytes run = run_of(writes);
+  const std::map<ObjectId, std::pair<Version, Bytes>> expected{
+      {1, {2, Bytes(64, 0x31)}}, {2, {2, Bytes(64, 0x31)}}};
+  for (const char* first_goes : {"cut", "clear", "destroyed"}) {
+    auto first = std::make_unique<CommitLog>(shelf);
+    CommitLog second(shelf);
+    first->append_prepare(7, writes, 0);
+    second.append_encoded_prepare(7, run, 0);
+    EXPECT_EQ(shelf->live_runs(), 1u) << first_goes;
+    EXPECT_EQ(shelf->live_bytes(), run.size()) << first_goes;
+    EXPECT_EQ(first->find_pending(7)->bytes().data(),
+              second.find_pending(7)->bytes().data())
+        << first_goes << ": one copy";
+    EXPECT_EQ(first->size_bytes(), second.size_bytes());
+    EXPECT_EQ(first->tail_bytes(), 4 + 1 + 4 + 8 + run.size())
+        << "a shared prepare counts its whole run";
+    EXPECT_GE(first->capacity_bytes(), first->size_bytes());
+
+    if (first_goes == std::string("cut")) {
+      first->cut(ReplicaStore{}, 0);  // carries the prepare into its image
+    } else if (first_goes == std::string("clear")) {
+      first->clear();
+    } else {
+      first.reset();
+    }
+    EXPECT_EQ(shelf->live_runs(), 1u) << first_goes << ": still referred to";
+    EXPECT_TRUE(std::ranges::equal(second.find_pending(7)->bytes(), run))
+        << first_goes;
+    EXPECT_EQ(committed(second, 7), expected) << first_goes;
+    second.cut(ReplicaStore{}, 0);
+    EXPECT_EQ(shelf->live_runs(), 0u) << first_goes << ": last reference gone";
+    EXPECT_EQ(shelf->live_bytes(), 0u);
+    EXPECT_EQ(committed(second, 7), expected) << first_goes << ": from the image";
+  }
+}
+
+TEST(CommitLogShelf, ShardedSubsetRunGetsItsOwnCopy) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog full(shelf);
+  CommitLog subset(shelf);
+  CommitLog other_subset(shelf);
+  CommitLog other_txn(shelf);
+  const std::vector<LoggedWrite> writes = writes_of(Bytes(40, 0x42));
+  const std::vector<LoggedWrite> part{writes[1]};
+  const std::vector<LoggedWrite> other_part{writes[0]};
+  full.append_prepare(7, writes, 0);
+  subset.append_prepare(7, part, 0);              // same txn, other bytes
+  other_subset.append_prepare(7, other_part, 0);  // ... of the same size
+  other_txn.append_prepare(8, writes, 0);         // same bytes, other txn
+  EXPECT_EQ(shelf->live_runs(), 4u);
+  EXPECT_EQ(shelf->live_bytes(),
+            2 * run_of(writes).size() + 2 * run_of(part).size());
+  EXPECT_TRUE(std::ranges::equal(full.find_pending(7)->bytes(), run_of(writes)));
+  EXPECT_TRUE(std::ranges::equal(subset.find_pending(7)->bytes(), run_of(part)));
+  EXPECT_TRUE(std::ranges::equal(other_subset.find_pending(7)->bytes(),
+                                 run_of(other_part)));
+  EXPECT_EQ(committed(subset, 7).size(), 1u);
+  EXPECT_EQ(committed(subset, 7).at(2),
+            std::make_pair(Version{2}, Bytes(40, 0x42)));
+  EXPECT_EQ(committed(full, 7).size(), 2u);
+}
+
+TEST(CommitLogShelf, CopiedLogKeepsItsRunsAliveAfterTheOriginalDies) {
+  const auto shelf = std::make_shared<RunShelf>();
+  auto original = std::make_unique<CommitLog>(shelf);
+  for (TxnId txn = 1; txn <= 5; ++txn) {
+    original->append_prepare(txn, writes_of(Bytes(30, std::uint8_t(txn))), 0);
+  }
+  original->append_confirm(2, /*commit=*/false, 0);
+  CommitLog copy = *original;
+  EXPECT_EQ(shelf->live_runs(), 5u) << "a copy refers to the same runs";
+  const auto before = committed(copy, 4);
+  original.reset();
+  EXPECT_EQ(shelf->live_runs(), 5u);
+  EXPECT_EQ(committed(copy, 4), before);
+  EXPECT_EQ(committed(copy, 4).at(1), std::make_pair(Version{2}, Bytes(30, 4)));
+  ASSERT_TRUE(copy.find_pending(5).has_value());
+  EXPECT_TRUE(std::ranges::equal(copy.find_pending(5)->bytes(),
+                                 run_of(writes_of(Bytes(30, 5)))));
+  copy.clear();
+  EXPECT_EQ(shelf->live_runs(), 0u);
+}
+
+TEST(CommitLogShelf, TearingASharedPrepareLeavesTheRunToTheOtherLog) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog torn(shelf);
+  CommitLog intact(shelf);
+  const std::vector<LoggedWrite> writes = writes_of(Bytes(50, 0x77));
+  torn.append_prepare(7, writes, 0);
+  intact.append_prepare(7, writes, 0);
+  torn.truncate_tail_for_test(3);  // the run's last bytes, as counted
+  EXPECT_FALSE(torn.has_pending(7));
+  EXPECT_TRUE(replayed(torn).empty());
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  EXPECT_TRUE(std::ranges::equal(intact.find_pending(7)->bytes(), run_of(writes)))
+      << "the shared run is untouched";
+  EXPECT_EQ(committed(intact, 7).size(), 2u);
+}
+
+TEST(CommitLogShelf, ByteCountsAreThoseOfTheFullRecords) {
+  // The sizes a log that copies each run into its tail reports for the
+  // same records: sharing runs changes no byte count.
+  CommitLog log;
+  ReplicaStore live;
+  for (ObjectId id = 1; id <= 4; ++id) {
+    live.seed(id, Bytes(16, std::uint8_t(id)), 1);
+    log.append_apply(id, 1, Bytes(16, std::uint8_t(id)), 0);
+  }
+  EXPECT_EQ(log.size_bytes(), 180u);
+  for (TxnId txn = 1; txn <= 6; ++txn) {
+    std::vector<LoggedWrite> writes;
+    for (ObjectId id = 1; id <= txn % 4 + 1; ++id) {
+      writes.push_back(LoggedWrite{id, 1, 1, Bytes(10 * txn, std::uint8_t(txn))});
+    }
+    log.append_prepare(txn, writes, 2);
+    if (txn % 3 != 0) log.append_confirm(txn, txn % 2 == 1, 2);
+  }
+  EXPECT_EQ(log.size_bytes(), 1258u);
+  EXPECT_EQ(log.tail_bytes(), 1258u);
+  EXPECT_EQ(log.tail_records(), 14u);
+  log.cut(live, 2);
+  EXPECT_EQ(log.size_bytes(), 668u);
+  EXPECT_EQ(log.tail_bytes(), 0u);
+  log.append_confirm(3, true, 2);
+  log.append_prepare(7, {LoggedWrite{2, 1, 3, Bytes(33, 7)}}, 2);
+  EXPECT_EQ(log.size_bytes(), 764u);
+  EXPECT_EQ(log.tail_bytes(), 96u);
+  EXPECT_EQ(log.tail_records(), 2u);
+  log.cut(live, 2);
+  EXPECT_EQ(log.size_bytes(), 509u);
+  EXPECT_EQ(log.tail_bytes(), 0u);
 }
 
 }  // namespace

@@ -257,6 +257,56 @@ TEST(Rpc, LateResponseAfterTimeoutIsIgnored) {
   EXPECT_FALSE(got.ok);
 }
 
+/// Calls `dst` once with `req` and keeps the result and when it came.
+Task<void> call_once(RpcEndpoint* from, NodeId dst, Bytes req, Tick timeout,
+                     RpcResult* out, Tick* when) {
+  *out = co_await from->call(dst, 42, std::move(req), timeout);
+  *when = from->simulator().now();
+}
+
+TEST(Rpc, CallsOutlivingManyLaterCallsKeepTheirSlots) {
+  // Three calls to a dead node hold their slots for the whole timeout,
+  // while a burst of 200 concurrent calls grows the call table and 500
+  // sequential ones cycle through it past the held slots.
+  EchoCluster c(sim::usec(100));
+  RpcEndpoint dead(c.sim, *c.net);
+  c.net->kill(dead.id());
+  constexpr int kLost = 3;
+  constexpr int kBurst = 200;
+  std::vector<RpcResult> lost(kLost);
+  std::vector<RpcResult> burst(kBurst);
+  std::vector<Tick> when(kLost + kBurst);
+  for (int i = 0; i < kLost; ++i) {
+    c.sim.spawn(call_once(c.client.get(), dead.id(), Bytes{}, sim::sec(1),
+                          &lost[i], &when[i]));
+  }
+  for (int i = 0; i < kBurst; ++i) {
+    c.sim.spawn(call_once(c.client.get(), c.server->id(),
+                          Bytes{static_cast<std::uint8_t>(i), 7}, sim::sec(1),
+                          &burst[i], &when[kLost + i]));
+  }
+  int echoed = 0;
+  c.sim.spawn([](RpcEndpoint* cl, NodeId dst, int* ok) -> Task<void> {
+    for (int i = 0; i < 500; ++i) {
+      const Bytes req{static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)};
+      RpcResult res = co_await cl->call(dst, 42, req, sim::sec(1));
+      if (res.ok && res.payload == Bytes{req[0], req[1], 0xEE}) ++*ok;
+    }
+  }(c.client.get(), c.server->id(), &echoed));
+  c.sim.run();
+  EXPECT_EQ(echoed, 500);
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_TRUE(burst[i].ok) << i;
+    EXPECT_EQ(burst[i].payload, (Bytes{static_cast<std::uint8_t>(i), 7, 0xEE}));
+    EXPECT_LT(when[kLost + i], sim::sec(1));
+  }
+  for (int i = 0; i < kLost; ++i) {
+    EXPECT_FALSE(lost[i].ok);
+    EXPECT_EQ(lost[i].from, dead.id());
+    EXPECT_EQ(when[i], sim::sec(1)) << "timed out, not answered by another";
+  }
+}
+
 // --- allocation regression -------------------------------------------------
 // With pooled payload buffers and the pooled event kernel, a full RPC round
 // trip (request out, service, response back, decode, release) must not

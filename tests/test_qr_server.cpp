@@ -244,9 +244,10 @@ TEST(AllocRegression, RqvReadServingIsAllocationFree) {
 }
 
 // A replica reads a vote's and a confirm's sets in place, logs the
-// write-set by copying its bytes and copies each confirmed value into its
-// store entry's buffer: in steady state a 2PC round allocates nothing but
-// the amortised growth of the log tail and the outcome table.
+// write-set as its bytes and copies each confirmed value into its store
+// entry's buffer: in steady state a 2PC round allocates nothing but the
+// amortised growth of the log tail, of its shelf's run chunks and of the
+// outcome table.
 
 TEST(AllocRegression, CommitVoteAndConfirmServingIsAllocationFree) {
   if (!qrdtm::testing::alloc_hook_active()) {

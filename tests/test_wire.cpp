@@ -618,8 +618,8 @@ TEST(Wire, CommitViewsReadTheSetsInPlace) {
             (Bytes{9, 8}));
 }
 
-// A replica logs a request's write-set by copying its bytes: the log it
-// writes that way is byte for byte the log a LoggedWrite vector writes.
+// A replica logs a request's write-set as its bytes: the log it writes
+// that way is the log a LoggedWrite vector writes.
 TEST(Wire, CommitWriteSetIsTheLogWriteLayout) {
   Rng rng(9);
   for (int iter = 0; iter < 50; ++iter) {

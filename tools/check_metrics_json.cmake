@@ -1,8 +1,9 @@
 # Runs qrdtm_run with --metrics-json and fails unless the file parses as
 # JSON and carries the run header plus every counter listed in
 # core::kMetricFields (read from metrics.h, so a new counter is checked
-# without touching this script), unless it reports the commit logs' bytes
-# and held bytes (at least as many), and unless the per-kind network
+# without touching this script), unless it reports the commit logs' bytes,
+# held bytes (at least as many) and shared prepare-run bytes (some, and no
+# more than the held bytes), and unless the per-kind network
 # traffic shows the QR-CN run's reads (kind 0x0101) carrying payload bytes.
 #
 #   cmake -DQRDTM_RUN=<qrdtm_run> -DMETRICS_H=<src/core/metrics.h>
@@ -20,7 +21,7 @@ endif()
 file(READ ${OUT} json)
 foreach(key app mode num_nodes clients seed sim_seconds wall_seconds
         events_executed events_per_sec throughput_txn_per_sec invariants_ok
-        log_bytes log_capacity_bytes net aggregate nodes)
+        log_bytes log_capacity_bytes log_shared_bytes net aggregate nodes)
   string(JSON unused ERROR_VARIABLE err GET "${json}" ${key})
   if(err)
     message(FATAL_ERROR "${OUT}: ${err}")
@@ -34,6 +35,15 @@ string(JSON log_capacity GET "${json}" log_capacity_bytes)
 if(NOT log_bytes GREATER 0 OR log_capacity LESS log_bytes)
   message(FATAL_ERROR
           "${OUT}: log_bytes ${log_bytes}, log_capacity_bytes ${log_capacity}")
+endif()
+
+# The write quorums' prepares refer to runs on the cluster's shelf, each
+# held once and counted in the held bytes of every log that refers to it.
+string(JSON log_shared GET "${json}" log_shared_bytes)
+if(NOT log_shared GREATER 0 OR log_shared GREATER log_capacity)
+  message(FATAL_ERROR
+          "${OUT}: log_shared_bytes ${log_shared}, "
+          "log_capacity_bytes ${log_capacity}")
 endif()
 
 # Under QR-CN every remote read ships the root's data-set, so kRead bytes

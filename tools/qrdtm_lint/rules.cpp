@@ -440,7 +440,7 @@ void check_hot(const Ctx& c) {
       if (i + 1 < t.size() && is_punct(t[i + 1], "(")) continue;
       c.diag(t[i].line, "hot-naked-new",
              "naked new on a hot path: allocate from a pool (BufferPool, "
-             "event slots, PoolAllocator) or use an owning container "
+             "event slots, FramePool) or use an owning container "
              "constructed off the hot path");
       continue;
     }
