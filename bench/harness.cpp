@@ -99,6 +99,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     const store::CommitLog& log = cluster.server(n).commit_log();
     res.log_bytes += log.size_bytes();
     res.log_capacity_bytes += log.capacity_bytes();
+    res.outcome_table_bytes += cluster.server(n).outcome_table_bytes();
+    res.histogram_bytes += cluster.node_latency(n).capacity_bytes();
   }
   res.log_shared_bytes = cluster.run_shelf().live_bytes();
   if (cfg.collect_per_node_latency) {

@@ -87,6 +87,11 @@ struct ExperimentResult {
   std::size_t log_bytes = 0;
   std::size_t log_capacity_bytes = 0;
   std::size_t log_shared_bytes = 0;
+  /// Replica and runtime memory at the deadline, summed over the nodes:
+  /// the slots of the replicas' applied-outcome tables, and the bucket
+  /// windows of the runtimes' latency histograms.
+  std::size_t outcome_table_bytes = 0;
+  std::size_t histogram_bytes = 0;
 
   /// Kernel-side cost of the point: host wall-clock for the workload phase
   /// (excludes the quiesce/checker runs) and simulator events executed,

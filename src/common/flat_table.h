@@ -6,11 +6,13 @@
 // high bits still spread.  Erase shifts the following run of the probe chain back (no
 // tombstones), so a lookup always ends at the first empty slot.  Slots hold
 // the key beside the value and nothing else: key 0 marks an empty slot, and
-// the one entry whose key is 0 lives beside the array.  Nothing is
-// allocated per entry; the slot array only grows, by doubling, when an
-// insert would pass half full (three quarters for a table built with
-// late growth, whose owner grows it with reserve at its own quiet
-// points), and a default-constructed table has none.
+// the one entry whose key is 0 lives beside the array.  A slot keeps its
+// key as two 32-bit halves, so it aligns to its value, not to the key: a
+// 4-byte value makes a 12-byte slot, and a probe still reads one slot in
+// one place.  Nothing is allocated per entry; the slot array only grows,
+// by doubling, when an insert would pass half full (three quarters for a
+// table built with late growth, whose owner grows it with reserve at its
+// own quiet points), and a default-constructed table has none.
 //
 // The layout depends only on the keys and the order of the operations, so
 // iteration (for_each) is deterministic, though not sorted.
@@ -29,6 +31,19 @@ class FlatTable {
  public:
   using Key = std::uint64_t;
 
+ private:
+  struct Slot {
+    std::uint32_t lo = 0;  // the key's halves; key 0 = empty
+    std::uint32_t hi = 0;
+    V value{};
+    Key key() const { return (Key{hi} << 32) | lo; }
+    void set_key(Key k) {
+      lo = static_cast<std::uint32_t>(k);
+      hi = static_cast<std::uint32_t>(k >> 32);
+    }
+  };
+
+ public:
   FlatTable() = default;
   /// With `late_growth`, an insert grows the table only past three
   /// quarters full, for an owner that calls reserve(size()) at its own
@@ -38,6 +53,11 @@ class FlatTable {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Bytes of one slot: the key's two halves and the value, padded to the
+  /// value's alignment.
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  /// Bytes the slot array holds.
+  std::size_t capacity_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
   /// The value stored for `k`, or nullptr.
   V* find(Key k) {
@@ -65,7 +85,7 @@ class FlatTable {
       grow(slots_.empty() ? kInitialSlots : 2 * slots_.size());
     }
     Slot& s = slots_[free_slot(k)];
-    s.key = k;
+    s.set_key(k);
     s.value = V{};
     return s.value;
   }
@@ -84,9 +104,9 @@ class FlatTable {
     const std::size_t mask = slots_.size() - 1;
     // Pull back every later member of the probe chain whose home does not
     // lie cyclically in (hole, j]: it was displaced past the hole.
-    for (std::size_t j = (hole + 1) & mask; slots_[j].key != 0;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].key() != 0;
          j = (j + 1) & mask) {
-      const std::size_t home = home_of(slots_[j].key);
+      const std::size_t home = home_of(slots_[j].key());
       if (((j - home) & mask) >= ((j - hole) & mask)) {
         slots_[hole] = std::move(slots_[j]);
         hole = j;
@@ -118,25 +138,20 @@ class FlatTable {
   void for_each(F&& f) const {
     if (has_zero_) f(Key{0}, zero_);
     for (const Slot& s : slots_) {
-      if (s.key != 0) f(s.key, s.value);
+      if (s.key() != 0) f(s.key(), s.value);
     }
   }
   template <class F>
   void for_each(F&& f) {
     if (has_zero_) f(Key{0}, zero_);
     for (Slot& s : slots_) {
-      if (s.key != 0) f(s.key, s.value);
+      if (s.key() != 0) f(s.key(), s.value);
     }
   }
 
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};
   static constexpr std::size_t kInitialSlots = 16;
-
-  struct Slot {
-    Key key = 0;  // 0 = empty
-    V value{};
-  };
 
   std::size_t home_of(Key k) const {
     return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
@@ -148,8 +163,9 @@ class FlatTable {
     if (slots_.empty()) return kNone;
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = home_of(k);; i = (i + 1) & mask) {
-      if (slots_[i].key == k) return i;
-      if (slots_[i].key == 0) return kNone;
+      const Key at = slots_[i].key();
+      if (at == k) return i;
+      if (at == 0) return kNone;
     }
   }
 
@@ -157,7 +173,7 @@ class FlatTable {
   std::size_t free_slot(Key k) const {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = home_of(k);
-    while (slots_[i].key != 0) i = (i + 1) & mask;
+    while (slots_[i].key() != 0) i = (i + 1) & mask;
     return i;
   }
 
@@ -168,7 +184,7 @@ class FlatTable {
     slots_.assign(n, Slot{});
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
     for (Slot& s : old) {
-      if (s.key != 0) slots_[free_slot(s.key)] = std::move(s);
+      if (s.key() != 0) slots_[free_slot(s.key())] = std::move(s);
     }
   }
 

@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <unordered_map>
 
+#include "common/flat_table.h"
 #include "net/message.h"
 
 namespace qrdtm::core {
@@ -74,7 +74,7 @@ class FailureDetector {
   std::uint32_t threshold_;
   SuspectCallback on_suspect_;
   SuspectCallback on_rescind_;
-  std::unordered_map<net::NodeId, std::uint32_t> consecutive_timeouts_;
+  FlatTable<std::uint32_t> consecutive_timeouts_;  // never iterated
   std::set<net::NodeId> suspected_;
 };
 

@@ -655,7 +655,7 @@ std::size_t QrServer::redrive_open_decisions() {
     const store::DecisionView d = *log_.open_decision(txn);
     for (std::size_t i = 0; i < d.members.size(); ++i) {
       Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
-      copy.assign(d.payload.begin(), d.payload.end());
+      d.payload.copy_to(copy);
       rpc_.notify(static_cast<net::NodeId>(d.members[i]), msg::kCommitConfirm,
                   std::move(copy));
     }

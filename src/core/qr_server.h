@@ -80,6 +80,8 @@ class QrServer {
   /// and the applied 2PC outcomes it remembers (for tests).
   std::size_t prepared_txns() const { return prepared_.size(); }
   std::size_t applied_outcomes() const { return outcomes_.size(); }
+  /// Bytes the applied-outcome table's slots hold.
+  std::size_t outcome_table_bytes() const { return outcomes_.capacity_bytes(); }
 
   /// Attach the fault-point registry (nullptr = all points unarmed).
   void set_fault_points(FaultPointRegistry* faults) { faults_ = faults; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace qrdtm::core {
 
@@ -16,10 +17,10 @@ sim::Tick LatencyHistogram::percentile(double p) const {
   if (rank < 1) rank = 1;
   if (rank > count_) rank = count_;
   std::uint64_t seen = 0;
-  for (std::uint32_t i = 0; i < kBuckets; ++i) {
+  for (std::uint32_t i = 0; i < counts_.size(); ++i) {
     seen += counts_[i];
     if (seen >= rank) {
-      sim::Tick v = bucket_upper(i);
+      sim::Tick v = bucket_upper(first_ + i);
       // The bucket edge may overshoot the true extremes; the exact min/max
       // are tracked, so clamp to them.
       if (v < min_) v = min_;
@@ -30,10 +31,27 @@ sim::Tick LatencyHistogram::percentile(double p) const {
   return max();
 }
 
+void LatencyHistogram::cover(std::uint32_t lo, std::uint32_t hi) {
+  const std::uint32_t end = first_ + static_cast<std::uint32_t>(counts_.size());
+  if (!counts_.empty()) {
+    lo = std::min(lo, first_);
+    hi = std::max(hi, end);
+  }
+  if (lo == first_ && hi == end) return;
+  std::vector<std::uint64_t> wider(hi - lo);
+  std::copy(counts_.begin(), counts_.end(), wider.begin() + (first_ - lo));
+  counts_ = std::move(wider);
+  first_ = lo;
+}
+
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   if (other.counts_.empty()) return;  // no buckets: all zero
-  if (counts_.empty()) counts_.resize(kBuckets);
-  for (std::uint32_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  const std::uint32_t other_end =
+      other.first_ + static_cast<std::uint32_t>(other.counts_.size());
+  cover(other.first_, other_end);
+  for (std::uint32_t i = 0; i < other.counts_.size(); ++i) {
+    counts_[other.first_ + i - first_] += other.counts_[i];
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.min_ < min_) min_ = other.min_;
@@ -45,14 +63,16 @@ bool LatencyHistogram::operator==(const LatencyHistogram& o) const {
       max_ != o.max_) {
     return false;
   }
-  const auto all_zero = [](const std::vector<std::uint64_t>& c) {
-    return std::all_of(c.begin(), c.end(),
-                       [](std::uint64_t n) { return n == 0; });
+  // Compare over both windows; a bucket outside a window counts zero.
+  const auto end = [](const LatencyHistogram& h) {
+    return h.first_ + static_cast<std::uint32_t>(h.counts_.size());
   };
-  if (counts_.empty() || o.counts_.empty()) {
-    return all_zero(counts_) && all_zero(o.counts_);
+  const std::uint32_t lo = std::min(first_, o.first_);
+  const std::uint32_t hi = std::max(end(*this), end(o));
+  for (std::uint32_t i = lo; i < hi; ++i) {
+    if (bucket_count(i) != o.bucket_count(i)) return false;
   }
-  return counts_ == o.counts_;
+  return true;
 }
 
 namespace {

@@ -6,13 +6,18 @@
 //   * LatencyHistogram / LatencyMetrics -- fixed-bucket log-scale
 //     histograms for the latency distributions the paper's argument is
 //     about (commit latency, read RTT, backoff waits, abort-to-retry
-//     gaps).  Recording is branch-light integer math into a fixed bucket
-//     array, allocated on a histogram's first sample (a node that never
-//     records one -- no client, no QR-Q batch -- holds no buckets) and
-//     never again, with no sort on query, so the histograms can live on
+//     gaps).  Recording is branch-light integer math into a bucket array
+//     that covers only the window of whole octaves the histogram has seen,
+//     plus a margin of one octave beyond them.  The window is allocated on
+//     the first sample (a node that never records one -- no client, no QR-Q
+//     batch -- holds no buckets) and reallocated only when a sample falls
+//     outside it, so a warm workload whose samples stay in the octaves it
+//     has seen records without allocating, and the histograms can live on
 //     the per-event hot path without perturbing the AllocRegression tests.
-//     A percentile query is a cumulative scan over the buckets
-//     (O(buckets), query-time only).
+//     Buckets outside the window count zero: percentile, merge and ==
+//     read exactly as over the dense array of kBuckets.  A percentile
+//     query is a cumulative scan over the window (query-time only, no
+//     sort).
 //
 //   * TraceRecorder -- structured spans (one per root transaction, with
 //     child spans for CT scopes, checkpoint create/rollback, read-quorum
@@ -29,6 +34,7 @@
 // percentile by 2^-kSubBits (6.25 % at kSubBits = 4).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -48,11 +54,15 @@ class LatencyHistogram {
   static constexpr std::uint32_t kOctaves = 64 - kSubBits;
   static constexpr std::uint32_t kBuckets = kSub + kOctaves * kSub;
 
-  /// O(1); allocates the buckets on the first sample only, so it is safe
-  /// on the per-event hot path.
+  /// O(1); allocates only when `v` lies outside the window of octaves seen
+  /// so far (and its margin), so it is safe on the per-event hot path.
   void record(sim::Tick v) {
-    if (counts_.empty()) counts_.resize(kBuckets);
-    ++counts_[bucket_index(v)];
+    const std::uint32_t idx = bucket_index(v);
+    if (idx - first_ >= counts_.size()) {  // also when idx < first_
+      cover((idx / kSub > 0 ? idx / kSub - 1 : 0) * kSub,
+            std::min(idx / kSub + 2, kBuckets / kSub) * kSub);
+    }
+    ++counts_[idx - first_];
     ++count_;
     sum_ += v;
     if (v < min_) min_ = v;
@@ -80,6 +90,17 @@ class LatencyHistogram {
   /// whose buckets are all zero.
   bool operator==(const LatencyHistogram& o) const;
 
+  /// The count of bucket `idx` (0 outside the window), as the dense array
+  /// of kBuckets would hold it.
+  std::uint64_t bucket_count(std::uint32_t idx) const {
+    return idx - first_ < counts_.size() ? counts_[idx - first_] : 0;
+  }
+
+  /// Bytes the bucket window holds.
+  std::size_t capacity_bytes() const {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// Bucket index for `v` (exposed for the bucket-boundary unit tests).
   static std::uint32_t bucket_index(sim::Tick v) {
     if (v < kSub) return static_cast<std::uint32_t>(v);
@@ -101,7 +122,13 @@ class LatencyHistogram {
   }
 
  private:
-  std::vector<std::uint64_t> counts_;  // kBuckets once a sample arrived
+  /// Widen the window to cover buckets [lo, hi) (octave edges).
+  void cover(std::uint32_t lo, std::uint32_t hi);
+
+  // Buckets first_ .. first_ + counts_.size() - 1, whole octaves; empty
+  // until the first sample.
+  std::vector<std::uint64_t> counts_;
+  std::uint32_t first_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   sim::Tick min_ = ~sim::Tick{0};
@@ -127,6 +154,13 @@ struct LatencyMetrics {
     retry_gap.merge(o.retry_gap);
     batch_size.merge(o.batch_size);
     batch_wait.merge(o.batch_wait);
+  }
+
+  /// Bytes the six histograms' bucket windows hold.
+  std::size_t capacity_bytes() const {
+    return commit_latency.capacity_bytes() + read_rtt.capacity_bytes() +
+           backoff_wait.capacity_bytes() + retry_gap.capacity_bytes() +
+           batch_size.capacity_bytes() + batch_wait.capacity_bytes();
   }
 
   bool operator==(const LatencyMetrics&) const = default;

@@ -14,6 +14,9 @@ constexpr std::uint8_t kApply = 1;
 constexpr std::uint8_t kPrepare = 2;
 constexpr std::uint8_t kConfirm = 3;
 constexpr std::uint8_t kDecision = 4;
+// A decision whose confirm ends with a shelf run: the record holds the
+// confirm's bytes before the run, then the run's index (u32) in place of it.
+constexpr std::uint8_t kSharedDecision = 5;
 
 // Record header: u32 length prefix, u8 type, u32 epoch.
 constexpr std::size_t kHeaderBytes = 4 + 1 + 4;
@@ -133,7 +136,8 @@ void CommitLog::append_apply(ObjectId id, Version version, const Bytes& data,
   high_version_ = std::max(high_version_, version);
 }
 
-void CommitLog::append_prepare(TxnId txn, std::vector<LoggedWrite> writes,
+void CommitLog::append_prepare(TxnId txn,
+                               const std::vector<LoggedWrite>& writes,
                                std::uint32_t epoch) {
   for (const LoggedWrite& lw : writes) {
     high_version_ = std::max(high_version_, lw.base + lw.steps);
@@ -183,20 +187,32 @@ void CommitLog::append_confirm(TxnId txn, bool commit, std::uint32_t epoch) {
 void CommitLog::append_decision(TxnId txn, std::uint32_t epoch, bool commit,
                                 std::span<const std::uint32_t> members,
                                 std::span<const std::uint8_t> payload) {
+  // The confirm's write run is on the shelf already when the write quorum
+  // logged it; refer to it then, and never place one here.
+  const std::optional<std::uint32_t> run = runs_.add_suffix(txn, payload);
+  const std::size_t shared = run ? runs_[*run].size() : 0;
+  const std::span<const std::uint8_t> head =
+      payload.first(payload.size() - shared);
   std::size_t len_at = 0;
-  Writer w = open_record(kDecision, epoch,
-                         8 + 1 + 4 + 4 * members.size() + 4 + payload.size(),
-                         &len_at);
+  Writer w = open_record(
+      run ? kSharedDecision : kDecision, epoch,
+      8 + 1 + 4 + 4 * members.size() + 4 + head.size() + (run ? 4 : 0),
+      &len_at);
   // The decision's epoch already leads the record, like the other records'.
   const std::size_t body_at = w.size();
   w.u64(txn);
   w.boolean(commit);
   encode_records<4>(w, members,
                     [](RecordWriter& r, std::uint32_t n) { r.u32(n); });
-  w.blob(payload);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(head);
+  if (run) w.u32(*run);
   close_record(std::move(w), len_at);
+  // A shared record counts for its run as if the run were in it.
+  if (run) tail_bytes_ += shared - 4;
   verdicts_[txn] = commit;
-  decisions_[txn] = OpenDecision{epoch, tail_loc(body_at)};
+  decisions_[txn] = OpenDecision{epoch, tail_loc(body_at),
+                                 run.value_or(OpenDecision::kInline)};
 }
 
 void CommitLog::settle_decision(TxnId txn) { decisions_.erase(txn); }
@@ -214,7 +230,9 @@ std::optional<DecisionView> CommitLog::open_decision(TxnId txn) const {
   r.u64();  // txn
   view.commit = r.boolean();
   view.members = decode_records<4, std::uint32_t, decode_member>(r);
-  view.payload = r.blob_view();
+  const std::uint32_t size = r.u32();
+  if (d->run != OpenDecision::kInline) view.payload.run = runs_[d->run];
+  view.payload.head = r.borrow(size - view.payload.run.size());
   return view;
 }
 
@@ -249,7 +267,11 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   for (TxnId txn : carried) {
     if (carry_in_flight) image_bytes += 4 + 8 + pending_.find(txn)->run.size;
   }
-  for (TxnId txn : open) image_bytes += 4 + decisions_.find(txn)->body.size;
+  for (TxnId txn : open) {
+    const OpenDecision& d = *decisions_.find(txn);
+    image_bytes += 4 + d.body.size;
+    if (d.run != OpenDecision::kInline) image_bytes += runs_[d.run].size() - 4;
+  }
 
   Writer w;
   w.reserve(image_bytes);
@@ -292,14 +314,24 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   // Carry the unsettled coordinator decisions: a decision whose confirm
   // broadcast has not completed must survive the cut, or a restart after
   // the cut could presumed-abort a transaction whose confirms were already
-  // partially delivered.  Txn-ordered, like the prepares.
+  // partially delivered.  Txn-ordered, like the prepares.  A shared
+  // decision is written in full: its bytes before the run, then the run in
+  // place of the run's index.
   w.u32(static_cast<std::uint32_t>(open.size()));
   for (TxnId txn : open) {
     OpenDecision& d = *decisions_.find(txn);
     const std::span<const std::uint8_t> body = bytes_at(d.body);
     w.u32(d.epoch);
-    d.body = {Loc::kImage, static_cast<std::uint32_t>(w.size()), d.body.size};
-    w.raw(body);
+    const std::size_t at = w.size();
+    if (d.run == OpenDecision::kInline) {
+      w.raw(body);
+    } else {
+      w.raw(body.first(body.size() - 4));
+      w.raw(runs_[d.run]);
+    }
+    d.body = {Loc::kImage, static_cast<std::uint32_t>(at),
+              static_cast<std::uint32_t>(w.size() - at)};
+    d.run = OpenDecision::kInline;
   }
 
   // Only now, with every carried record in the new image, do the old image
@@ -439,6 +471,7 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
             break;
           }
           case kDecision:
+          case kSharedDecision:
             // Coordinator decision: nothing to apply to the store (its own
             // confirm record, if it is a quorum member, does that).  The
             // decisions_/verdicts_ members survive with the log object and
@@ -480,7 +513,7 @@ void CommitLog::truncate_tail_for_test(std::size_t bytes) {
     std::size_t at = 0;
     std::size_t size = 0;
     std::size_t counted = 0;
-    std::size_t run = kNoRun;  // a prepare's run index
+    std::size_t run = kNoRun;  // a prepare's or shared decision's run index
   };
   std::vector<Record> records;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
@@ -488,13 +521,13 @@ void CommitLog::truncate_tail_for_test(std::size_t bytes) {
     while (!r.done()) {
       Record rec{.seg = i, .at = segments_[i].size() - r.remaining()};
       const std::uint32_t len = r.u32();
-      Reader body(r.borrow(len));
+      const std::span<const std::uint8_t> payload = r.borrow(len);
       rec.size = 4 + len;
       rec.counted = rec.size;
-      if (body.u8() == kPrepare) {
-        body.u32();  // epoch
-        body.u64();  // txn
-        rec.run = body.u32();
+      const std::uint8_t type = payload[0];
+      if (type == kPrepare || type == kSharedDecision) {
+        // The run's index ends either record.
+        rec.run = Reader(payload.last(4)).u32();
         rec.counted += runs_[rec.run].size() - 4;
       }
       records.push_back(rec);

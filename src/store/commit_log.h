@@ -43,8 +43,15 @@
 //
 // Coordinator decisions: before any confirm leaves the node, the
 // coordinator appends a decision record {txn, commit|abort, members, encoded
-// confirm}.  Unsettled decisions are carried across cuts and re-driven after
-// a restart (at-least-once delivery; receivers dedupe on (txn, epoch)).
+// confirm}.  The confirm ends with the transaction's write run, which the
+// write quorum's prepares have just put on the shelf: when the shelf holds
+// that run of the txn with identical bytes, the record keeps the confirm's
+// bytes before it and names the run (a shared decision), else it holds the
+// whole confirm (an inline one).  It counts for the full inline record
+// either way, a cut writes the full record into the image, and a re-drive
+// sends the same bytes.  Unsettled decisions are carried across cuts and
+// re-driven after a restart (at-least-once delivery; receivers dedupe on
+// (txn, epoch)).
 //
 // The tail is a chain of fixed-size segments (kSegmentBytes).  Appends frame
 // each record straight into the last segment -- a zero length prefix, the
@@ -78,6 +85,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/check.h"
 #include "common/flat_table.h"
 #include "common/serde.h"
 #include "store/object.h"
@@ -126,16 +134,39 @@ inline LoggedWrites read_logged_writes(std::span<const std::uint8_t> run) {
 }
 
 /// An applied 2PC outcome: the liveness epoch it was applied in, and the
-/// verdict.
+/// verdict, packed into 4 bytes (a 31-bit epoch and the commit bit), so an
+/// outcome table's slot is 12 bytes.
 struct ConfirmOutcome {
-  std::uint32_t epoch = 0;
-  bool commit = false;
+  static constexpr std::uint32_t kMaxEpoch = (std::uint32_t{1} << 31) - 1;
+
+  ConfirmOutcome() = default;
+  ConfirmOutcome(std::uint32_t e, bool c) : epoch(e), commit(c) {
+    QRDTM_CHECK_MSG(e <= kMaxEpoch, "liveness epoch past 31 bits");
+  }
+
+  std::uint32_t epoch : 31 = 0;
+  bool commit : 1 = false;
 };
+static_assert(sizeof(ConfirmOutcome) == 4);
 
 inline std::uint32_t decode_member(Reader& r) { return r.u32(); }
 
 /// A decision's write-quorum members, read in place.
 using DecisionMembers = RecordView<4, std::uint32_t, decode_member>;
+
+/// A decision's encoded confirm, read in place: `head` from the decision
+/// record, then `run`, the shelf run it ends with when the record shares
+/// one (empty for a decision logged inline, whose whole confirm is `head`).
+struct DecisionPayload {
+  std::span<const std::uint8_t> head;
+  std::span<const std::uint8_t> run;
+
+  /// Replace `out`'s bytes with the confirm's, keeping its capacity.
+  void copy_to(Bytes& out) const {
+    out.assign(head.begin(), head.end());
+    out.insert(out.end(), run.begin(), run.end());
+  }
+};
 
 /// A coordinator's durable 2PC decision (DESIGN.md §17), read in place from
 /// its log record: written after the votes resolve and BEFORE any confirm
@@ -148,8 +179,8 @@ using DecisionMembers = RecordView<4, std::uint32_t, decode_member>;
 struct DecisionView {
   std::uint32_t epoch = 0;
   bool commit = false;
-  DecisionMembers members;                // write-quorum nodes to (re-)notify
-  std::span<const std::uint8_t> payload;  // encoded confirm message
+  DecisionMembers members;  // write-quorum nodes to (re-)notify
+  DecisionPayload payload;  // encoded confirm message
 };
 
 class CommitLog {
@@ -172,7 +203,7 @@ class CommitLog {
   /// Append a 2PC prepare (commit vote taken, write-set protected): the
   /// writes are encoded as a run and logged as append_encoded_prepare logs
   /// one.
-  void append_prepare(TxnId txn, std::vector<LoggedWrite> writes,
+  void append_prepare(TxnId txn, const std::vector<LoggedWrite>& writes,
                       std::uint32_t epoch);
 
   /// The same, with the write-set already encoded as a run (see the file
@@ -187,9 +218,11 @@ class CommitLog {
 
   /// Coordinator side: durably record the 2PC decision for `txn` -- the
   /// write-quorum `members` to notify and the encoded confirm `payload` --
-  /// before any confirm is sent.  The decision stays open (listed by
-  /// open_decisions(), carried across checkpoint cuts) until
-  /// settle_decision() marks the confirm broadcast complete.
+  /// before any confirm is sent.  A `payload` that ends with the shelf's run
+  /// of `txn` refers to it rather than copying it (see the file comment).
+  /// The decision stays open (listed by open_decisions(), carried across
+  /// checkpoint cuts) until settle_decision() marks the confirm broadcast
+  /// complete.
   void append_decision(TxnId txn, std::uint32_t epoch, bool commit,
                        std::span<const std::uint32_t> members,
                        std::span<const std::uint8_t> payload);
@@ -293,10 +326,14 @@ class CommitLog {
     Loc run;
   };
   /// An open decision: its record after the epoch (txn, verdict, members,
-  /// payload).
+  /// the confirm's size and bytes), and, when the record shares the
+  /// confirm's write run, that run's index in the log's run table; the
+  /// record then holds the confirm's bytes before the run, and the index.
   struct OpenDecision {
+    static constexpr std::uint32_t kInline = ~std::uint32_t{0};
     std::uint32_t epoch = 0;
     Loc body;
+    std::uint32_t run = kInline;
   };
 
   /// Start a record of `body` payload bytes after its header, in the last

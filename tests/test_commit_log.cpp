@@ -310,6 +310,13 @@ Bytes run_of(const std::vector<LoggedWrite>& writes) {
   return std::move(w).take();
 }
 
+/// The encoded confirm of an open decision, as a re-drive sends it.
+Bytes payload_of(const DecisionView& d) {
+  Bytes out;
+  d.payload.copy_to(out);
+  return out;
+}
+
 TEST(CommitLogSegments, PendingPrepareAndDecisionAreReadFromTheImageAfterACut) {
   CommitLog log;
   ReplicaStore live;
@@ -337,7 +344,7 @@ TEST(CommitLogSegments, PendingPrepareAndDecisionAreReadFromTheImageAfterACut) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       EXPECT_EQ(d->members[i], members[i]) << when;
     }
-    EXPECT_TRUE(std::ranges::equal(d->payload, payload)) << when;
+    EXPECT_EQ(payload_of(*d), payload) << when;
   };
   check("in the tail");
   log.cut(live, 0);
@@ -622,6 +629,165 @@ TEST(CommitLogShelf, ByteCountsAreThoseOfTheFullRecords) {
   log.cut(live, 2);
   EXPECT_EQ(log.size_bytes(), 509u);
   EXPECT_EQ(log.tail_bytes(), 0u);
+}
+
+// --- decisions sharing their confirm's write run -----------------------------
+
+/// A coordinator's encoded confirm for `txn`: u64 txn, the verdict, then
+/// the write run, as core/wire.h encodes a CommitConfirm.
+Bytes confirm_of(TxnId txn, bool commit, const Bytes& run) {
+  Writer w;
+  w.u64(txn);
+  w.boolean(commit);
+  w.raw(run);
+  return std::move(w).take();
+}
+
+TEST(CommitLogShelf, SharedAndInlineDecisionsCountTheSameBytes) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog voter(shelf);
+  CommitLog coordinator(shelf);
+  CommitLog standalone;  // a shelf of its own, where the run is not
+  const Bytes run = run_of(writes_of(Bytes(64, 0x31)));
+  const Bytes payload = confirm_of(7, true, run);
+  const std::vector<std::uint32_t> members{3, 1, 4};
+  voter.append_encoded_prepare(7, run, 0);
+  ASSERT_EQ(shelf->live_runs(), 1u);
+
+  coordinator.append_decision(7, 2, true, members, payload);
+  standalone.append_decision(7, 2, true, members, payload);
+  EXPECT_EQ(shelf->live_runs(), 1u) << "a decision places no run";
+  // The inline record: header, txn, verdict, members, the confirm blob.
+  const std::size_t record = 4 + 1 + 4 + 8 + 1 + 4 + 4 * 3 + 4 + payload.size();
+  EXPECT_EQ(record, 227u);
+  for (const CommitLog* log : {&coordinator, &standalone}) {
+    EXPECT_EQ(log->size_bytes(), 227u);
+    EXPECT_EQ(log->tail_bytes(), 227u);
+    EXPECT_EQ(log->tail_records(), 1u);
+    const auto d = log->open_decision(7);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->epoch, 2u);
+    EXPECT_TRUE(d->commit);
+    ASSERT_EQ(d->members.size(), 3u);
+    EXPECT_EQ(d->members[2], 4u);
+    EXPECT_EQ(payload_of(*d), payload);
+  }
+  const auto shared = coordinator.open_decision(7);
+  EXPECT_EQ(shared->payload.head.size(), 9u) << "txn and verdict";
+  EXPECT_EQ(shared->payload.run.data(), voter.find_pending(7)->bytes().data())
+      << "the decision reads the voters' copy";
+  EXPECT_TRUE(standalone.open_decision(7)->payload.run.empty());
+
+  // A confirm that does not end with the shelf's run of its txn -- another
+  // txn's, or other bytes -- is logged inline, and places nothing either.
+  coordinator.append_decision(8, 2, false, members, confirm_of(8, false, run));
+  Bytes other = payload;
+  other.back() ^= 1;
+  coordinator.append_decision(9, 2, true, members, other);
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  EXPECT_TRUE(coordinator.open_decision(8)->payload.run.empty());
+  EXPECT_TRUE(coordinator.open_decision(9)->payload.run.empty());
+  EXPECT_EQ(payload_of(*coordinator.open_decision(9)), other);
+  EXPECT_EQ(coordinator.tail_bytes(), 3 * 227u);
+  EXPECT_EQ(coordinator.decision_verdict(8), std::optional<bool>(false));
+}
+
+TEST(CommitLogShelf, CutWritesASharedDecisionInFull) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog voter(shelf);
+  CommitLog coordinator(shelf);
+  CommitLog standalone;
+  ReplicaStore live;
+  for (ObjectId id = 1; id <= 3; ++id) {
+    live.seed(id, Bytes(16, std::uint8_t(id)), 1);
+    for (CommitLog* log : {&coordinator, &standalone}) {
+      log->append_apply(id, 1, Bytes(16, std::uint8_t(id)), 0);
+    }
+  }
+  const Bytes run = run_of(writes_of(Bytes(48, 0x5a)));
+  const Bytes payload = confirm_of(7, true, run);
+  const std::vector<std::uint32_t> members{0, 5};
+  voter.append_encoded_prepare(7, run, 0);
+  coordinator.append_decision(7, 1, true, members, payload);
+  standalone.append_decision(7, 1, true, members, payload);
+  ASSERT_FALSE(coordinator.open_decision(7)->payload.run.empty());
+  EXPECT_EQ(coordinator.size_bytes(), standalone.size_bytes());
+
+  coordinator.cut(live, 1);
+  standalone.cut(live, 1);
+  EXPECT_EQ(coordinator.size_bytes(), standalone.size_bytes())
+      << "the image holds the full decision";
+  EXPECT_EQ(coordinator.size_bytes(), 318u);
+  voter.cut(live, 0);
+  EXPECT_EQ(shelf->live_runs(), 0u) << "the cut dropped the decision's run";
+  for (const CommitLog* log : {&coordinator, &standalone}) {
+    const auto d = log->open_decision(7);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_TRUE(d->payload.run.empty()) << "read whole from the image";
+    EXPECT_EQ(payload_of(*d), payload);
+    // The image walk skips the carried decision and stays aligned: replay
+    // still reads every object (a misaligned walk voids the log).
+    ReplicaStore restarted;
+    EXPECT_EQ(log->replay_into(restarted), 3u);
+  }
+  // Carried from image to image, the decision keeps its bytes.
+  coordinator.cut(live, 1);
+  EXPECT_EQ(coordinator.size_bytes(), 318u);
+  EXPECT_EQ(payload_of(*coordinator.open_decision(7)), payload);
+}
+
+TEST(CommitLogShelf, RestartedCoordinatorRedrivesTheSameBytes) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog voter(shelf);
+  CommitLog coordinator(shelf);
+  const Bytes run = run_of(writes_of(Bytes(40, 0x66)));
+  const Bytes payload = confirm_of(7, true, run);
+  voter.append_encoded_prepare(7, run, 0);
+  coordinator.append_decision(7, 0, true, std::vector<std::uint32_t>{2, 6},
+                              payload);
+  // The voter confirms and cuts: the coordinator's reference alone keeps
+  // the run.  A restart replays the log and re-drives from it.
+  voter.append_confirm(7, true, 0);
+  voter.cut(ReplicaStore{}, 0);
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  ReplicaStore restarted;
+  coordinator.replay_into(restarted);
+  ASSERT_EQ(coordinator.open_decisions(), std::vector<TxnId>{7});
+  const auto d = coordinator.open_decision(7);
+  EXPECT_FALSE(d->payload.run.empty());
+  EXPECT_EQ(payload_of(*d), payload);
+  coordinator.settle_decision(7);
+  EXPECT_FALSE(coordinator.open_decision(7).has_value());
+  coordinator.cut(ReplicaStore{}, 0);
+  EXPECT_EQ(shelf->live_runs(), 0u);
+}
+
+TEST(CommitLogShelf, TearingASharedDecisionDropsOnlyThisLogsReference) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog voter(shelf);
+  CommitLog coordinator(shelf);
+  const Bytes run = run_of(writes_of(Bytes(50, 0x77)));
+  const Bytes payload = confirm_of(7, true, run);
+  voter.append_encoded_prepare(7, run, 0);
+  append_apply_of(coordinator, 1, 100);
+  coordinator.append_decision(7, 0, true, std::vector<std::uint32_t>{1, 2},
+                              payload);
+  const std::size_t before = coordinator.tail_bytes();
+  EXPECT_EQ(coordinator.capacity_bytes(), CommitLog::kSegmentBytes + run.size());
+  coordinator.truncate_tail_for_test(3);  // the run's last bytes, as counted
+  EXPECT_EQ(coordinator.tail_bytes(), before - 3);
+  EXPECT_FALSE(coordinator.open_decision(7).has_value());
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  EXPECT_EQ(coordinator.capacity_bytes(), CommitLog::kSegmentBytes)
+      << "the log refers to no run";
+  EXPECT_TRUE(std::ranges::equal(voter.find_pending(7)->bytes(), run))
+      << "the voter's run is untouched";
+  // The next append cuts the torn record off; the log replays its apply.
+  append_apply_of(coordinator, 2, 60);
+  EXPECT_EQ(coordinator.tail_bytes(), 160u);
+  EXPECT_EQ(replayed(coordinator).size(), 2u);
+  voter.cut(ReplicaStore{}, 0);
+  EXPECT_EQ(shelf->live_runs(), 0u);
 }
 
 }  // namespace

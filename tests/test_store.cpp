@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "common/check.h"
 #include "common/flat_table.h"
+#include "store/commit_log.h"
 
 namespace qrdtm::store {
 namespace {
@@ -43,6 +47,122 @@ TEST(FlatTable, LateGrowthKeepsEveryEntryThroughEraseAndReserve) {
     ++visited;
   });
   EXPECT_EQ(visited, late.size());
+}
+
+static_assert(FlatTable<std::uint32_t>::kSlotBytes == 12,
+              "a 4-byte value makes a 12-byte slot");
+static_assert(FlatTable<ConfirmOutcome>::kSlotBytes == 12);
+static_assert(FlatTable<bool>::kSlotBytes == 12);
+
+/// Home slot of `k` in a table of 2^bits slots (FlatTable's Fibonacci
+/// hash).
+std::size_t home_of(std::uint64_t k, unsigned bits) {
+  return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+}
+
+// Txn ids are node-prefixed, (node + 1) << 40 | seq, so every key has its
+// high half set: a table of them must agree with a reference map through
+// inserts, updates and erases.
+TEST(FlatTable, NodePrefixedKeysMatchAReferenceMap) {
+  FlatTable<std::uint32_t> table(/*late_growth=*/true);
+  std::map<std::uint64_t, std::uint32_t> reference;
+  std::uint64_t x = 88172645463325252ull;  // xorshift64
+  const auto draw = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t node = draw() % 40;
+    const std::uint64_t key = ((node + 1) << 40) | (draw() % 600);
+    if (draw() % 3 == 0) {
+      EXPECT_EQ(table.erase(key), reference.erase(key) == 1) << key;
+    } else {
+      const auto v = static_cast<std::uint32_t>(draw());
+      table[key] = v;
+      reference[key] = v;
+    }
+    if (op % 4096 == 0) table.reserve(table.size());
+  }
+  ASSERT_EQ(table.size(), reference.size());
+  for (const auto& [key, v] : reference) {
+    ASSERT_NE(table.find(key), nullptr) << key;
+    EXPECT_EQ(*table.find(key), v) << key;
+  }
+  std::size_t visited = 0;
+  table.for_each([&](std::uint64_t key, std::uint32_t v) {
+    EXPECT_EQ(reference.at(key), v);
+    ++visited;
+  });
+  EXPECT_EQ(visited, reference.size());
+  EXPECT_EQ(table.capacity_bytes() % 12, 0u);
+}
+
+// A probe chain that starts at the last slot wraps to the first ones; erasing
+// from it shifts the rest back across the wrap, and every key stays findable.
+TEST(FlatTable, EraseShiftsBackAcrossTheWrap) {
+  // Keys whose home is the last of 16 slots, and one whose home is slot 0
+  // (the chain 15, 0, 1 pushes it to slot 2).
+  std::vector<std::uint64_t> at_end;
+  std::uint64_t at_start = 0;
+  for (std::uint64_t seq = 1; at_end.size() < 3 || at_start == 0; ++seq) {
+    const std::uint64_t key = (std::uint64_t{3} << 40) | seq;
+    if (home_of(key, 4) == 15 && at_end.size() < 3) at_end.push_back(key);
+    if (home_of(key, 4) == 0 && at_start == 0) at_start = key;
+  }
+  for (std::size_t first = 0; first < 4; ++first) {
+    FlatTable<std::uint32_t> table;
+    std::vector<std::uint64_t> keys = at_end;
+    keys.push_back(at_start);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      table[keys[i]] = static_cast<std::uint32_t>(i + 1);
+    }
+    ASSERT_EQ(table.capacity_bytes(), 16 * 12u) << "one 16-slot array";
+    // Erase one, then the others one by one: the rest stay findable.
+    std::vector<std::size_t> order{first};
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i != first) order.push_back(i);
+    }
+    for (std::size_t n = 0; n < order.size(); ++n) {
+      ASSERT_TRUE(table.erase(keys[order[n]]));
+      for (std::size_t m = n + 1; m < order.size(); ++m) {
+        const std::uint32_t* v = table.find(keys[order[m]]);
+        ASSERT_NE(v, nullptr) << "erased " << order[n] << ", lost " << order[m];
+        EXPECT_EQ(*v, order[m] + 1);
+      }
+      EXPECT_FALSE(table.contains(keys[order[n]]));
+    }
+    EXPECT_TRUE(table.empty());
+  }
+}
+
+TEST(ConfirmOutcome, PacksAThirtyOneBitEpochAndTheVerdict) {
+  static_assert(sizeof(ConfirmOutcome) == 4);
+  const ConfirmOutcome top(ConfirmOutcome::kMaxEpoch, true);
+  EXPECT_EQ(top.epoch, (std::uint32_t{1} << 31) - 1);
+  EXPECT_TRUE(top.commit);
+  const ConfirmOutcome abort(ConfirmOutcome::kMaxEpoch, false);
+  EXPECT_EQ(abort.epoch, ConfirmOutcome::kMaxEpoch);
+  EXPECT_FALSE(abort.commit);
+  EXPECT_THROW(ConfirmOutcome(std::uint32_t{1} << 31, true), InvariantError);
+
+  // Through a log's replay, at the top epoch: the applied-set keeps both.
+  CommitLog log;
+  log.append_prepare(7, {LoggedWrite{1, 0, 1, Bytes{5}}}, ConfirmOutcome::kMaxEpoch);
+  log.append_confirm(7, true, ConfirmOutcome::kMaxEpoch);
+  log.append_prepare(8, {LoggedWrite{2, 0, 1, Bytes{6}}}, ConfirmOutcome::kMaxEpoch);
+  log.append_confirm(8, false, ConfirmOutcome::kMaxEpoch);
+  ReplicaStore store;
+  FlatTable<ConfirmOutcome> outcomes;
+  log.replay_into(store, &outcomes);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes.find(7)->epoch, ConfirmOutcome::kMaxEpoch);
+  EXPECT_TRUE(outcomes.find(7)->commit);
+  EXPECT_EQ(outcomes.find(8)->epoch, ConfirmOutcome::kMaxEpoch);
+  EXPECT_FALSE(outcomes.find(8)->commit);
+  EXPECT_EQ(store.version_of(1), 1u);
+  EXPECT_EQ(store.version_of(2), 0u);
 }
 
 TEST(ReplicaStore, MissingObjectBehavesAsVersionZero) {

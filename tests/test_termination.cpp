@@ -7,6 +7,7 @@
 #include "core/cluster.h"
 #include "core/faultpoint.h"
 #include "core/history.h"
+#include "core/wire.h"
 #include "store/replica_store.h"
 
 namespace qrdtm::core {
@@ -257,6 +258,56 @@ TEST(Termination, RedrivenConfirmIsDedupedNotReapplied) {
   });
   c.run_to_completion();
   EXPECT_EQ(seen, 2) << "dedupe must not double-apply the increment";
+}
+
+// The open decision of the crashed coordinator refers to the write run its
+// quorum logged on the cluster's shelf; after the restart it re-drives the
+// very bytes of the confirm it first sent, and every member applies them.
+TEST(Termination, RedrivenSharedDecisionSendsTheSameConfirm) {
+  ClusterConfig cfg;
+  cfg.seed = 24;
+  cfg.protection_lease = sim::msec(300);
+  Cluster c(cfg);
+  const ObjectId obj = c.seed_new_object(Bytes{1});
+
+  c.fault_points().arm(fp::kConfirmPartial, FaultAction::kPanic, 4, 1, 1);
+  bool doomed = false;
+  c.simulator().spawn(run_bounded(&c, 4, bump_body(obj), 1, &doomed));
+  c.run_to_completion();
+  ASSERT_TRUE(doomed);
+  const store::CommitLog& log = c.server(4).commit_log();
+  const std::vector<TxnId> open = log.open_decisions();
+  ASSERT_EQ(open.size(), 1u);
+  const store::DecisionView d = *log.open_decision(open[0]);
+  EXPECT_FALSE(d.payload.run.empty()) << "the decision shares the quorum's run";
+  Bytes sent;
+  d.payload.copy_to(sent);
+  const CommitConfirmView confirm = CommitConfirm::decode_view(sent);
+  EXPECT_EQ(confirm.txn, open[0]);
+  EXPECT_TRUE(confirm.commit);
+  ASSERT_EQ(confirm.writeset.size(), 1u);
+  EXPECT_EQ((*confirm.writeset.begin()).id, obj);
+  const std::size_t members = d.members.size();
+
+  const net::NetStats before = c.network().stats();
+  c.recover_node(4);
+  c.run_to_completion();
+  const net::NetStats after = c.network().stats();
+  EXPECT_EQ(after.sent_by_kind_[msg::kCommitConfirm] -
+                before.sent_by_kind_[msg::kCommitConfirm],
+            members);
+  EXPECT_EQ(after.bytes_by_kind(msg::kCommitConfirm) -
+                before.bytes_by_kind(msg::kCommitConfirm),
+            members * sent.size())
+      << "each re-driven confirm is the logged one";
+  EXPECT_TRUE(log.open_decisions().empty());
+  for (std::size_t i = 0; i < members; ++i) {
+    const store::ReplicaEntry* e =
+        c.server(static_cast<net::NodeId>(d.members[i])).store().find(obj);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->version, 2u) << "member " << d.members[i];
+    EXPECT_EQ(e->data, Bytes{2});
+  }
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/harness.h"
+#include "common/rng.h"
 #include "core/metrics.h"
 
 namespace qrdtm::core {
@@ -146,6 +150,155 @@ TEST(LatencyHistogram, MergeEqualsRecordingEverything) {
   LatencyHistogram empty;
   a.merge(empty);  // merging empty is a no-op
   EXPECT_EQ(a, all);
+}
+
+// ---------------------------------------------------------------------------
+// Windowed buckets: a histogram holds counts only over the octaves it has
+// seen, and reads exactly as the dense array of kBuckets would.
+
+/// The dense reference: every bucket, and the nearest-rank percentile over
+/// all of them.
+struct DenseHistogram {
+  std::vector<std::uint64_t> counts =
+      std::vector<std::uint64_t>(LatencyHistogram::kBuckets);
+  std::uint64_t count = 0;
+  sim::Tick min = ~sim::Tick{0};
+  sim::Tick max = 0;
+
+  void record(sim::Tick v) {
+    ++counts[LatencyHistogram::bucket_index(v)];
+    ++count;
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  void merge(const DenseHistogram& o) {
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += o.counts[i];
+    count += o.count;
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+  }
+  sim::Tick percentile(double p) const {
+    if (count == 0) return 0;
+    if (p <= 0.0) return min;
+    if (p >= 100.0) return max;
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        (p / 100.0) * static_cast<double>(count) + 0.5);
+    rank = std::clamp<std::uint64_t>(rank, 1, count);
+    std::uint64_t seen = 0;
+    for (std::uint32_t i = 0; i < counts.size(); ++i) {
+      seen += counts[i];
+      if (seen >= rank) {
+        return std::clamp(LatencyHistogram::bucket_upper(i), min, max);
+      }
+    }
+    return max;
+  }
+};
+
+/// `h` reads as `dense` does: every bucket, the extremes, and the
+/// percentiles.
+void expect_reads_as(const LatencyHistogram& h, const DenseHistogram& dense,
+                     const std::string& what) {
+  ASSERT_EQ(h.count(), dense.count) << what;
+  EXPECT_EQ(h.min(), dense.count ? dense.min : 0) << what;
+  EXPECT_EQ(h.max(), dense.max) << what;
+  for (std::uint32_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    ASSERT_EQ(h.bucket_count(i), dense.counts[i]) << what << ", bucket " << i;
+  }
+  for (double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(h.percentile(p), dense.percentile(p)) << what << ", p" << p;
+  }
+}
+
+/// `n` samples spread over `octaves` octaves from octave `first`.
+std::vector<sim::Tick> samples_over(Rng& rng, std::uint32_t first,
+                                    std::uint32_t octaves, int n) {
+  std::vector<sim::Tick> out;
+  for (int i = 0; i < n; ++i) {
+    const std::uint32_t o = first + static_cast<std::uint32_t>(rng.below(octaves));
+    out.push_back((sim::Tick{1} << o) + rng.below(sim::Tick{1} << o));
+  }
+  return out;
+}
+
+TEST(LatencyHistogramWindow, ReadsAsTheDenseArray) {
+  Rng rng(11);
+  for (std::uint32_t octaves : {1u, 2u, 5u, 13u, 27u, 40u}) {
+    for (std::uint32_t first : {0u, 3u, 20u, 62u - octaves}) {
+      LatencyHistogram h;
+      DenseHistogram dense;
+      for (sim::Tick v : samples_over(rng, first, octaves, 500)) {
+        h.record(v);
+        dense.record(v);
+      }
+      expect_reads_as(h, dense,
+                      "octaves " + std::to_string(first) + "+" +
+                          std::to_string(octaves));
+      // The window is the octaves seen plus at most one on each side.
+      EXPECT_LE(h.capacity_bytes(),
+                (octaves + 2) * LatencyHistogram::kSub * sizeof(std::uint64_t));
+    }
+  }
+}
+
+TEST(LatencyHistogramWindow, MergeMatchesTheDenseMergeInEitherOrder) {
+  Rng rng(12);
+  // Overlapping windows, nested ones, and disjoint ones far apart.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> spans{
+      {4, 6}, {8, 3}, {5, 30}, {12, 2}, {2, 3}, {40, 4}};
+  for (std::size_t i = 0; i < spans.size(); i += 2) {
+    LatencyHistogram a, b;
+    DenseHistogram da, db;
+    for (sim::Tick v : samples_over(rng, spans[i].first, spans[i].second, 300)) {
+      a.record(v);
+      da.record(v);
+    }
+    for (sim::Tick v :
+         samples_over(rng, spans[i + 1].first, spans[i + 1].second, 200)) {
+      b.record(v);
+      db.record(v);
+    }
+    DenseHistogram dense = da;
+    dense.merge(db);
+    LatencyHistogram ab = a;
+    ab.merge(b);
+    LatencyHistogram ba = b;
+    ba.merge(a);
+    const std::string pair = "pair " + std::to_string(i / 2);
+    expect_reads_as(ab, dense, pair + ", a then b");
+    expect_reads_as(ba, dense, pair + ", b then a");
+    EXPECT_EQ(ab, ba) << pair;
+    EXPECT_NE(ab, a) << pair;
+  }
+}
+
+TEST(LatencyHistogramWindow, EqualityOfEmptyMergedAndRecordedCopies) {
+  LatencyHistogram empty, merged_empty, also_empty;
+  merged_empty.merge(also_empty);
+  EXPECT_EQ(empty, merged_empty);
+  EXPECT_EQ(empty.capacity_bytes(), 0u) << "no sample, no buckets";
+
+  // The same samples recorded one by one, and merged from two histograms
+  // over disjoint octaves into one that saw the low ones first.
+  LatencyHistogram all, low, high;
+  for (sim::Tick v : {3u, 17u, 40u}) {
+    all.record(v);
+    low.record(v);
+  }
+  for (sim::Tick v : {sim::Tick{1} << 30, sim::Tick{3} << 33}) {
+    all.record(v);
+    high.record(v);
+  }
+  LatencyHistogram merged = low;
+  merged.merge(high);
+  EXPECT_EQ(merged, all);
+  EXPECT_EQ(all, merged);
+  merged.merge(empty);
+  EXPECT_EQ(merged, all);
+  LatencyHistogram other = all;
+  other.record(17);
+  EXPECT_NE(other, all);
+  EXPECT_NE(empty, all);
 }
 
 // ---------------------------------------------------------------------------

@@ -531,6 +531,99 @@ TEST(AllocRegression, WarmRootTwoPhaseRoundIsAllocationFree) {
       << "allocations over " << kMeasured << " warm roots";
 }
 
+/// Runs `warm` roots on node 1, then `measured` roots each counted from
+/// before the root starts until it returns, with every node's log cut just
+/// before each counted root (so its 2PC records land in the kept segment).
+/// Checks that every root committed through a settled 2PC round.
+void count_whole_roots(Cluster& c, Rig& rig, const TxnBody& body, int warm,
+                       int measured) {
+  auto client = [](Cluster* c, Rig* rig, TxnBody b, int warm,
+                   int measured) -> sim::Task<void> {
+    for (int i = 0; i < warm + measured; ++i) {
+      rig->bumped = false;
+      if (i >= warm) {
+        for (net::NodeId n = 0; n < c->num_nodes(); ++n) c->cut_checkpoint(n);
+        rig->open_window();
+      }
+      co_await c->runtime(1).run_transaction(b);
+      rig->mark();
+      rig->close_window();
+    }
+  };
+  c.simulator().spawn(client(&c, &rig, body, warm, measured));
+  c.run_to_completion();
+
+  const auto roots = static_cast<std::uint64_t>(warm + measured);
+  ASSERT_EQ(c.metrics().commits, roots);
+  ASSERT_GE(c.metrics().commit_requests, roots) << "every root ran 2PC";
+  for (net::NodeId n = 0; n < c.num_nodes(); ++n) {
+    EXPECT_TRUE(c.server(n).commit_log().open_decisions().empty())
+        << "node " << n << ": every decision settled";
+  }
+  ASSERT_EQ(rig.windows, static_cast<std::uint64_t>(measured));
+}
+
+// A writing flat root, counted whole: its reads, the 2PC vote the write
+// quorum logs, the coordinator's decision (which refers to the quorum's
+// shelf run), the confirms, the settle and the latency samples.
+TEST(AllocRegression, WarmFlatRootIsAllocationFree) {
+  QRDTM_REQUIRE_ALLOC_HOOK();
+  Cluster c(cfg_for(NestingMode::kFlat));
+  Rig rig;
+  rig.c = &c;
+  for (int i = 0; i < 4; ++i) rig.objs.push_back(c.seed_new_object(enc_i64(i)));
+
+  Rig* r = &rig;
+  const TxnBody body = [r](Txn& t) -> sim::Task<void> {
+    (void)co_await t.read(r->objs[0]);
+    const std::int64_t v = dec_i64(co_await t.read_for_write(r->objs[1]));
+    t.write(r->objs[1], i64_inline(v + 1));
+    (void)co_await t.read(r->objs[2]);
+    const std::int64_t w = dec_i64(co_await t.read_for_write(r->objs[3]));
+    t.write(r->objs[3], i64_inline(w - 1));
+  };
+  constexpr int kWarm = 32;
+  constexpr int kMeasured = 128;
+  count_whole_roots(c, rig, body, kWarm, kMeasured);
+  EXPECT_EQ(rig.counted, 0u)
+      << "allocations over " << kMeasured << " warm roots";
+}
+
+// A writing QR-CN root, counted whole: CT1 reads and merges, CT2 reads an
+// object that is then invalidated, aborts, retries and writes, and the root
+// commits through 2PC.
+TEST(AllocRegression, WarmClosedNestedRootIsAllocationFree) {
+  QRDTM_REQUIRE_ALLOC_HOOK();
+  Cluster c(cfg_for(NestingMode::kClosed));
+  Rig rig;
+  rig.c = &c;
+  for (int i = 0; i < 4; ++i) rig.objs.push_back(c.seed_new_object(enc_i64(i)));
+
+  Rig* r = &rig;
+  const TxnBody body = [r](Txn& t) -> sim::Task<void> {
+    co_await t.nested([r](Txn& ct1) -> sim::Task<void> {
+      (void)co_await ct1.read(r->objs[0]);
+      (void)co_await ct1.read(r->objs[1]);
+    });
+    co_await t.nested([r](Txn& ct2) -> sim::Task<void> {
+      const std::int64_t v = dec_i64(co_await ct2.read_for_write(r->objs[2]));
+      if (!r->bumped) {
+        r->bumped = true;
+        bump_everywhere(*r->c, r->objs[2]);
+      }
+      (void)co_await ct2.read(r->objs[3]);
+      ct2.write(r->objs[2], i64_inline(v + 1));
+    });
+  };
+  constexpr int kWarm = 32;
+  constexpr int kMeasured = 128;
+  count_whole_roots(c, rig, body, kWarm, kMeasured);
+  EXPECT_EQ(c.metrics().ct_aborts,
+            static_cast<std::uint64_t>(kWarm + kMeasured));
+  EXPECT_EQ(rig.counted, 0u)
+      << "allocations over " << kMeasured << " warm roots";
+}
+
 // QR-Q: four members per batch transfer between two hot accounts and read
 // a third; the first member's fetches admit the objects, every later touch
 // is a cache hit, and each executed member is absorbed into the cache.

@@ -3,7 +3,8 @@
 # core::kMetricFields (read from metrics.h, so a new counter is checked
 # without touching this script), unless it reports the commit logs' bytes,
 # held bytes (at least as many) and shared prepare-run bytes (some, and no
-# more than the held bytes), and unless the per-kind network
+# more than the held bytes), unless the replicas' outcome tables and the
+# latency histograms hold some bytes, and unless the per-kind network
 # traffic shows the QR-CN run's reads (kind 0x0101) carrying payload bytes.
 #
 #   cmake -DQRDTM_RUN=<qrdtm_run> -DMETRICS_H=<src/core/metrics.h>
@@ -21,7 +22,8 @@ endif()
 file(READ ${OUT} json)
 foreach(key app mode num_nodes clients seed sim_seconds wall_seconds
         events_executed events_per_sec throughput_txn_per_sec invariants_ok
-        log_bytes log_capacity_bytes log_shared_bytes net aggregate nodes)
+        log_bytes log_capacity_bytes log_shared_bytes outcome_table_bytes
+        histogram_bytes net aggregate nodes)
   string(JSON unused ERROR_VARIABLE err GET "${json}" ${key})
   if(err)
     message(FATAL_ERROR "${OUT}: ${err}")
@@ -45,6 +47,15 @@ if(NOT log_shared GREATER 0 OR log_shared GREATER log_capacity)
           "${OUT}: log_shared_bytes ${log_shared}, "
           "log_capacity_bytes ${log_capacity}")
 endif()
+
+# The replicas remember the outcomes they applied, and the clients' nodes
+# record latencies, so both tables hold bytes.
+foreach(key outcome_table_bytes histogram_bytes)
+  string(JSON held GET "${json}" ${key})
+  if(NOT held GREATER 0)
+    message(FATAL_ERROR "${OUT}: ${key} is ${held}")
+  endif()
+endforeach()
 
 # Under QR-CN every remote read ships the root's data-set, so kRead bytes
 # must be there and nonzero.

@@ -271,8 +271,10 @@ bool write_metrics_json(const std::string& path, const ExperimentConfig& cfg,
                sim::to_seconds(cfg.duration), result_json_members(r).c_str());
   std::fprintf(f,
                "  \"log_bytes\": %zu, \"log_capacity_bytes\": %zu, "
-               "\"log_shared_bytes\": %zu,\n",
-               r.log_bytes, r.log_capacity_bytes, r.log_shared_bytes);
+               "\"log_shared_bytes\": %zu,\n"
+               "  \"outcome_table_bytes\": %zu, \"histogram_bytes\": %zu,\n",
+               r.log_bytes, r.log_capacity_bytes, r.log_shared_bytes,
+               r.outcome_table_bytes, r.histogram_bytes);
   write_net_json(f, r.net);
   std::fprintf(f, "  \"aggregate\": {\n");
   write_latency_json(f, r.latency, "    ");
