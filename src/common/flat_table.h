@@ -181,7 +181,7 @@ class FlatTable {
   /// and re-home every entry.
   void grow(std::size_t n) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(n, Slot{});
+    slots_ = std::vector<Slot>(n);
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
     for (Slot& s : old) {
       if (s.key() != 0) slots_[free_slot(s.key())] = std::move(s);

@@ -25,12 +25,11 @@ Bytes LockManager::handle_acquire(const Bytes& req) {
   r.expect_done();
 
   bool granted = false;
-  auto it = holders_.find(lock);
-  if (it == holders_.end()) {
+  if (const TxnId* holder = holders_.find(lock)) {
+    granted = *holder == root;  // reentrant
+  } else {
     holders_[lock] = root;
     granted = true;
-  } else if (it->second == root) {
-    granted = true;  // reentrant
   }
   Writer w;
   w.boolean(granted);
@@ -41,10 +40,7 @@ void LockManager::handle_release(const Bytes& req) {
   Reader r(req);
   AbstractLockId lock = r.u64();
   TxnId root = r.u64();
-  auto it = holders_.find(lock);
-  if (it != holders_.end() && it->second == root) {
-    holders_.erase(it);
-  }
+  if (holder_of(lock) == root) holders_.erase(lock);
 }
 
 net::NodeId lock_home(AbstractLockId lock, std::uint32_t num_nodes) {

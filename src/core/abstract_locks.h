@@ -14,9 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 
+#include "common/flat_table.h"
 #include "core/types.h"
 #include "net/rpc.h"
 
@@ -37,8 +36,8 @@ class LockManager {
 
   bool is_held(AbstractLockId lock) const { return holders_.contains(lock); }
   TxnId holder_of(AbstractLockId lock) const {
-    auto it = holders_.find(lock);
-    return it == holders_.end() ? 0 : it->second;
+    const TxnId* root = holders_.find(lock);
+    return root == nullptr ? 0 : *root;
   }
   std::size_t held_count() const { return holders_.size(); }
 
@@ -46,7 +45,7 @@ class LockManager {
   Bytes handle_acquire(const Bytes& req);
   void handle_release(const Bytes& req);
 
-  std::map<AbstractLockId, TxnId> holders_;  // lock -> root transaction
+  FlatTable<TxnId> holders_;  // lock -> root transaction
 };
 
 /// Client helper: the home node arbitrating `lock` in an `n`-node cluster.

@@ -94,7 +94,7 @@ void BatchPlanner::absorb(Txn& txn, std::vector<CommittedTxn>* records) {
   // The member's sets, ids ascending: the write fold mutates the queue
   // cache, so it must run in a fixed order.
   std::vector<CommitReadEntry>& reads = round_.readset;
-  std::vector<CommitWriteView>& writes = round_.writeset;
+  std::vector<store::WriteView>& writes = round_.writeset;
   txn.log_->commit_sets(&reads, &writes);
   CommittedTxn rec;
   if (records != nullptr) {
@@ -105,7 +105,7 @@ void BatchPlanner::absorb(Txn& txn, std::vector<CommittedTxn>* records) {
       rec.reads.push_back(HistoryRead{e.id, e.version});
     }
   }
-  for (const CommitWriteView& w : writes) {
+  for (const store::WriteView& w : writes) {
     // An object first seen in a write record was created inside the batch:
     // base version 0, nothing fetched.
     BatchObject& bo = entry(w.id);
@@ -159,7 +159,7 @@ sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id) {
     const BatchObject& bo = objects_[i];
     round.touched.push_back(bo.id);
     if (bo.written) {
-      round.writeset.push_back(CommitWriteView{
+      round.writeset.push_back(store::WriteView{
           .id = bo.id, .base = bo.base, .steps = bo.steps, .data = bo.data});
     } else {
       round.readset.push_back(CommitReadEntry{bo.id, bo.base});

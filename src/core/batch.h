@@ -17,7 +17,8 @@
 //     (TxnRuntime::commit_vote / commit_confirm) against the write quorum:
 //     one protected write-set push per cohort carrying, per object, the
 //     quorum base version, the number of speculative steps, and the final
-//     value (wire.h CommitWriteEntry).  Replicas apply base+steps.
+//     value (one write of the run, store/write_run.h).  Replicas apply
+//     base+steps.
 //   * A failed vote names the stale objects; the planner drops only those
 //     queues, re-fetches them on next touch, re-executes the bodies from
 //     the refreshed cache (local, near-zero message cost) and re-votes.

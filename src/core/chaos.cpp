@@ -321,7 +321,7 @@ void FaultSchedule::arm(Cluster& cluster, HistoryRecorder* recorder) const {
       // or it would kill the node AFTER this recovery and leave it down
       // (a decision record stranded on a dead log blocks in-doubt peers
       // forever -- correctly, but the schedule promised a restart).
-      const char* point =
+      const fp::Point point =
           o.stage == 0 ? fp::kDecisionBeforeLog : fp::kConfirmPartial;
       cluster.fault_points().disarm_if_node(point, o.node);
       const bool was_dead = !cluster.network().alive(o.node);

@@ -9,7 +9,7 @@
 //
 // Actions:
 //   * kSuspend -- the hitting coroutine parks on a Promise until the test
-//     calls resume(name).  Only valid at co_await-capable sites; the site
+//     calls resume(point).  Only valid at co_await-capable sites; the site
 //     pattern is
 //         if (faults && faults->fire(fp::kX, node) == FaultAction::kSuspend)
 //           co_await faults->suspend(fp::kX, node);
@@ -20,15 +20,18 @@
 //     checkpoint WITHOUT carrying in-flight prepares -- the Greengage
 //     checkpoint_dtx_info bug; recovery.skip_replay: wipe without replay).
 //
-// Arming is (name, node, action, uses): `node` targets one node or every
+// Arming is (point, node, action, uses): `node` targets one node or every
 // node (kAnyNode); `uses` makes the point one-shot (default) or N-shot /
-// unlimited.  hits(name) counts matched fires for test polling.
+// unlimited.  hits(point) counts matched fires for test polling.  The
+// points are an enum, so the registry keeps one arming and one hit count
+// per point in fixed arrays: arming, firing, reading hits and disarming
+// never allocate.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,39 +42,50 @@ namespace qrdtm {
 
 enum class FaultAction : std::uint8_t { kNone, kSuspend, kPanic, kSkip };
 
-/// Fault-point name catalogue.  Keep DESIGN.md §15 in sync.
+/// Fault-point catalogue, each with its name in DESIGN.md §15 (keep the
+/// two in sync).
 namespace fp {
-/// Coordinator between gathering the 2PC votes and sending the confirm --
-/// per-transaction commits and QR-Q batches alike (one shared round).
-inline constexpr const char* kCommitBeforeConfirm = "txn.commit.before_confirm";
-/// Replica after validating + protecting a write-set, before the vote reply.
-inline constexpr const char* kServerVote = "server.vote";
-/// Replica on receiving a 2PC confirm (of a transaction or a batch), before
-/// applying the writes.
-inline constexpr const char* kServerConfirmApply = "server.confirm.apply";
-/// Replica about to append a prepare record to the commit log (skip = the
-/// vote happens but is never made durable).
-inline constexpr const char* kLogPrepare = "log.prepare";
-/// Replica about to append a confirm record to the commit log.
-inline constexpr const char* kLogConfirm = "log.confirm";
-/// Checkpoint cut carrying in-flight prepares (skip = Greengage bug: the
-/// cut drops prepared-but-unconfirmed transactions).
-inline constexpr const char* kChkCutCarry = "chk.cut.carry";
-/// Recovery about to replay the commit log (skip = restart from nothing).
-inline constexpr const char* kRecoverySkipReplay = "recovery.skip_replay";
-/// Recovery about to run the anti-entropy delta pull (skip = trust the
-/// local replay alone).
-inline constexpr const char* kRecoverySkipSync = "recovery.skip_sync";
-/// Coordinator between resolving the votes and appending the decision
-/// record (skip = the --break-termination bug: confirms go out with no
-/// durable decision, so a crash-restart presumed-aborts an acked commit).
-inline constexpr const char* kDecisionBeforeLog = "server.decision.before_log";
-/// Coordinator inside the confirm broadcast loop, once per write-quorum
-/// member (panic + delay_fires = crash after a strict subset of the
-/// confirms left the node).
-inline constexpr const char* kConfirmPartial = "server.confirm.partial";
-/// Replica about to multicast a termination-round TxnStatusRequest.
-inline constexpr const char* kTermQuery = "term.query";
+enum Point : std::uint8_t {
+  /// txn.commit.before_confirm: coordinator between gathering the 2PC votes
+  /// and sending the confirm -- per-transaction commits and QR-Q batches
+  /// alike (one shared round).
+  kCommitBeforeConfirm,
+  /// server.vote: replica after validating + protecting a write-set, before
+  /// the vote reply.
+  kServerVote,
+  /// server.confirm.apply: replica on receiving a 2PC confirm (of a
+  /// transaction or a batch), before applying the writes.
+  kServerConfirmApply,
+  /// log.prepare: replica about to append a prepare record to the commit
+  /// log (skip = the vote happens but is never made durable).
+  kLogPrepare,
+  /// log.confirm: replica about to append a confirm record to the commit
+  /// log.
+  kLogConfirm,
+  /// chk.cut.carry: checkpoint cut carrying in-flight prepares (skip =
+  /// Greengage bug: the cut drops prepared-but-unconfirmed transactions).
+  kChkCutCarry,
+  /// recovery.skip_replay: recovery about to replay the commit log (skip =
+  /// restart from nothing).
+  kRecoverySkipReplay,
+  /// recovery.skip_sync: recovery about to run the anti-entropy delta pull
+  /// (skip = trust the local replay alone).
+  kRecoverySkipSync,
+  /// server.decision.before_log: coordinator between resolving the votes
+  /// and appending the decision record (skip = the --break-termination bug:
+  /// confirms go out with no durable decision, so a crash-restart
+  /// presumed-aborts an acked commit).
+  kDecisionBeforeLog,
+  /// server.confirm.partial: coordinator inside the confirm broadcast loop,
+  /// once per write-quorum member (panic + delay_fires = crash after a
+  /// strict subset of the confirms left the node).
+  kConfirmPartial,
+  /// term.query: replica about to multicast a termination-round
+  /// TxnStatusRequest.
+  kTermQuery,
+};
+/// Number of fault points.
+inline constexpr std::size_t kCount = kTermQuery + 1;
 }  // namespace fp
 
 class FaultPointRegistry {
@@ -90,46 +104,47 @@ class FaultPointRegistry {
     panic_ = std::move(handler);
   }
 
-  /// Arm `name`: the next `uses` matching fires return `action`.  One
-  /// arming per name; re-arming replaces it.  `delay_fires` lets the first N
-  /// matching fires pass through (kNone, not counted as hits) before the
+  /// Arm `point`: the next `uses` matching fires return `action`.  One
+  /// arming per point; re-arming replaces it.  `delay_fires` lets the first
+  /// N matching fires pass through (kNone, not counted as hits) before the
   /// action triggers -- e.g. panic on the (K+1)-th confirm send to model a
   /// coordinator crash after K confirms were already delivered.
-  void arm(const std::string& name, FaultAction action, net::NodeId node = kAnyNode,
+  void arm(fp::Point point, FaultAction action, net::NodeId node = kAnyNode,
            std::uint32_t uses = 1, std::uint32_t delay_fires = 0);
-  void disarm(const std::string& name);
-  /// Disarm `name` only if its current arming targets exactly `node` --
+  void disarm(fp::Point point) { armings_[point] = Arming{}; }
+  /// Disarm `point` only if its current arming targets exactly `node` --
   /// lets a bounded fault window retract an unfired arming without
   /// clobbering a later window that re-armed the same point for another
   /// node.
-  void disarm_if_node(const std::string& name, net::NodeId node);
+  void disarm_if_node(fp::Point point, net::NodeId node);
 
   /// Protocol-side hook.  Returns the armed action (consuming one use) when
-  /// `name` is armed for `node`, else kNone.  kPanic additionally invokes
+  /// `point` is armed for `node`, else kNone.  kPanic additionally invokes
   /// the panic handler before returning.  Unarmed cost: one branch.
-  FaultAction fire(const char* name, net::NodeId node);
+  FaultAction fire(fp::Point point, net::NodeId node);
 
-  /// Park the calling coroutine until resume(name).  Call only after fire()
-  /// returned kSuspend.  The future resolves to true (value is a formality:
-  /// the simulator has no Promise<void>).
-  sim::Future<bool> suspend(const std::string& name, net::NodeId node);
+  /// Park the calling coroutine until resume(point).  Call only after
+  /// fire() returned kSuspend.  The future resolves to true (value is a
+  /// formality: the simulator has no Promise<void>).
+  sim::Future<bool> suspend(fp::Point point, net::NodeId node);
 
-  /// Release every coroutine parked on `name`; returns how many.
-  std::size_t resume(const std::string& name);
+  /// Release every coroutine parked on `point`; returns how many.
+  std::size_t resume(fp::Point point);
 
-  bool armed(const std::string& name) const {
-    return armings_.find(name) != armings_.end();
+  bool armed(fp::Point point) const {
+    return armings_[point].action != FaultAction::kNone;
   }
-  /// Matched fires of `name` since construction (survives disarm).
-  std::uint64_t hits(const std::string& name) const;
-  /// Coroutines currently parked on `name`.
-  std::size_t suspended(const std::string& name) const;
+  /// Matched fires of `point` since construction (survives disarm).
+  std::uint64_t hits(fp::Point point) const { return hits_[point]; }
+  /// Coroutines currently parked on `point`.
+  std::size_t suspended(fp::Point point) const;
 
   /// Drop all armings, hit counts and (unreleased) waiters.  Tests only;
   /// never call with coroutines still parked unless tearing down.
   void reset();
 
  private:
+  /// An arming; action kNone = unarmed.
   struct Arming {
     FaultAction action = FaultAction::kNone;
     net::NodeId node = kAnyNode;
@@ -141,10 +156,10 @@ class FaultPointRegistry {
   // Test-setup plumbing, invoked at most once per armed panic.
   // qrdtm-lint: allow(hot-std-function)
   std::function<void(net::NodeId)> panic_;
-  std::unordered_map<std::string, Arming> armings_;
-  std::unordered_map<std::string, std::uint64_t> hits_;
+  std::array<Arming, fp::kCount> armings_{};
+  std::array<std::uint64_t, fp::kCount> hits_{};
   // Insertion-ordered so resume() wakes waiters deterministically.
-  std::vector<std::pair<std::string, sim::Promise<bool>>> waiters_;
+  std::vector<std::pair<fp::Point, sim::Promise<bool>>> waiters_;
 };
 
 }  // namespace qrdtm

@@ -111,7 +111,7 @@ std::uint32_t QrServer::liveness_epoch() const {
   return rpc_.network().epoch(id_);
 }
 
-FaultAction QrServer::fault(const char* point) {
+FaultAction QrServer::fault(fp::Point point) {
   return faults_ ? faults_->fire(point, id_) : FaultAction::kNone;
 }
 
@@ -328,7 +328,7 @@ const VoteResponse& QrServer::handle_commit_request(
         vote_.stale.push_back(e.id);
       }
     }
-    for (const CommitWriteView& e : req.writeset) {
+    for (const store::WriteView& e : req.writeset) {
       if (stale_or_protected(e.id, e.base, req.txn)) {
         vote_.commit = false;
         vote_.stale.push_back(e.id);
@@ -342,7 +342,7 @@ const VoteResponse& QrServer::handle_commit_request(
     // invariant -- the broken protocol must fail by committing conflicting
     // versions, not by crashing the replica.  unprotect() at confirm is a
     // lenient no-op.
-    for (const CommitWriteView& e : req.writeset) {
+    for (const store::WriteView& e : req.writeset) {
       // A cross-shard commit multicast reaches the union of the touched
       // cohorts' write quorums; each member only locks what it replicates.
       if (!replicated_here(e.id)) continue;
@@ -353,7 +353,7 @@ const VoteResponse& QrServer::handle_commit_request(
   // Read-only write-sets log nothing (there is nothing to replay).
   if (!req.writeset.empty() && fault(fp::kLogPrepare) != FaultAction::kSkip) {
     std::size_t local = 0;
-    for (const CommitWriteView& e : req.writeset) {
+    for (const store::WriteView& e : req.writeset) {
       if (replicated_here(e.id)) ++local;
     }
     if (local > 0) {
@@ -361,7 +361,7 @@ const VoteResponse& QrServer::handle_commit_request(
       // termination-round decision may release it.  Record the
       // coordinator's liveness epoch as seen at vote time so a later
       // termination round can tell "still deciding" from "restarted".
-      for (const CommitWriteView& e : req.writeset) {
+      for (const store::WriteView& e : req.writeset) {
         if (replicated_here(e.id)) store_.mark_prepared(e.id, req.txn);
       }
       const net::NodeId coord =
@@ -407,7 +407,7 @@ void QrServer::handle_commit_confirm(const CommitConfirmView& confirm) {
   // of a FRESH 2PC round -- a retried root reuses its id -- so it must be
   // applied, not deduped against the previous round's outcome.
   bool live_prepare = log_.has_pending(confirm.txn);
-  for (const CommitWriteView& e : confirm.writeset) {
+  for (const store::WriteView& e : confirm.writeset) {
     if (store_.holds_protection(e.id, confirm.txn)) {
       live_prepare = true;
       break;
@@ -423,14 +423,14 @@ void QrServer::handle_commit_confirm(const CommitConfirmView& confirm) {
   // transactions that logged a local prepare (some write replicated here)
   // need an outcome record.
   bool any_local = false;
-  for (const CommitWriteView& e : confirm.writeset) {
+  for (const store::WriteView& e : confirm.writeset) {
     if (replicated_here(e.id)) any_local = true;
   }
   if (any_local && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
     maybe_autocut();
   }
-  for (const CommitWriteView& e : confirm.writeset) {
+  for (const store::WriteView& e : confirm.writeset) {
     if (!replicated_here(e.id)) continue;
     store_.unprotect(e.id, confirm.txn);
     // The writer read `base` through a read quorum, so by Q1 it was the
@@ -457,7 +457,7 @@ void QrServer::record_outcome(TxnId txn, bool commit) {
 }
 
 void QrServer::start_termination(TxnId txn) {
-  if (term_.find(txn) != term_.end()) return;  // already running
+  if (term_.contains(txn)) return;  // already running
   const PreparedMeta* meta = prepared_.find(txn);
   if (meta == nullptr) return;  // no vote metadata here
   if (quorums_ == nullptr && meta->coordinator >= rpc_.network().num_nodes()) {
@@ -476,7 +476,7 @@ void QrServer::start_termination(TxnId txn) {
   }
   if (quorums_ != nullptr) {
     if (const auto writes = log_.find_pending(txn)) {
-      for (const store::LoggedWriteView& lw : *writes) {
+      for (const store::WriteView& lw : *writes) {
         // Mid-chaos the provider may be unable to form a quorum (too many
         // members dead or syncing); ask whoever it can name and let the
         // bounded retry rounds pick up the rest after recoveries.
@@ -496,7 +496,7 @@ void QrServer::start_termination(TxnId txn) {
                   t.targets.end());
   if (t.targets.empty()) return;
 
-  term_.emplace(txn, std::move(t));
+  term_[txn] = std::make_unique<Termination>(std::move(t));
   rpc_.simulator().spawn(termination_task(txn));
 }
 
@@ -507,15 +507,14 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
   constexpr std::uint32_t kMaxRounds = 4;
   for (std::uint32_t round = 1; round <= kMaxRounds; ++round) {
     {
-      const auto it = term_.find(txn);
-      if (it == term_.end()) co_return;  // resolved meanwhile
-      Termination& t = it->second;
-      t.round_no_decision.clear();
-      t.coord_no_decision_newer = false;
+      Termination* t = termination(txn);
+      if (t == nullptr) co_return;  // resolved meanwhile
+      t->round_no_decision.clear();
+      t->coord_no_decision_newer = false;
       ++metrics_.termination_rounds;
       fault(fp::kTermQuery);
       TxnStatusRequest req{txn};
-      for (net::NodeId n : t.targets) {
+      for (net::NodeId n : t->targets) {
         Writer w(rpc_.acquire_buffer(msg::kTxnStatusRequest));
         req.encode_into(w);
         rpc_.notify(n, msg::kTxnStatusRequest, std::move(w).take());
@@ -523,9 +522,8 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
     }
     co_await rpc_.simulator().delay(kTerminationTimeout);
     {
-      const auto it = term_.find(txn);
-      if (it == term_.end()) co_return;  // a response resolved it
-      Termination& t = it->second;
+      const Termination* t = termination(txn);
+      if (t == nullptr) co_return;  // a response resolved it
       // Presumed-abort needs the FULL round to deny knowledge: every
       // queried peer answered "no decision" AND the coordinator did so from
       // a newer liveness epoch.  Its restart + empty decision log prove no
@@ -533,8 +531,8 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
       // confirm), so aborting cannot contradict an acknowledged commit.  A
       // same-epoch coordinator answer of kUnknown means "still deciding":
       // wait.  A dead peer never answers: wait (never guess).
-      if (t.coord_no_decision_newer &&
-          t.round_no_decision.size() == t.targets.size()) {
+      if (t->coord_no_decision_newer &&
+          t->round_no_decision.size() == t->targets.size()) {
         resolve_indoubt(txn, false);
         co_return;
       }
@@ -570,9 +568,8 @@ void QrServer::handle_txn_status_request(net::NodeId from,
 
 void QrServer::handle_txn_status_response(net::NodeId from,
                                           const TxnStatusResponse& resp) {
-  const auto it = term_.find(resp.txn);
-  if (it == term_.end()) return;  // resolved or never in doubt here
-  Termination& t = it->second;
+  Termination* t = termination(resp.txn);
+  if (t == nullptr) return;  // resolved or never in doubt here
   switch (resp.status) {
     case TxnStatus::kCommitted:
       resolve_indoubt(resp.txn, true);
@@ -582,32 +579,38 @@ void QrServer::handle_txn_status_response(net::NodeId from,
       return;
     case TxnStatus::kPrepared:
     case TxnStatus::kUnknown:
-      t.round_no_decision.insert(from);
+      if (std::find(t->round_no_decision.begin(), t->round_no_decision.end(),
+                    from) == t->round_no_decision.end()) {
+        t->round_no_decision.push_back(from);
+      }
       // The coordinator answering from a NEWER epoch without a decision --
       // kUnknown or even kPrepared (it may be a quorum member holding its
       // own pending prepare) -- proves it restarted before logging one, so
       // no confirm was ever sent.  Same-epoch kUnknown = still deciding.
-      if (from == t.coordinator && resp.epoch > t.coord_epoch) {
-        t.coord_no_decision_newer = true;
+      if (from == t->coordinator && resp.epoch > t->coord_epoch) {
+        t->coord_no_decision_newer = true;
       }
       return;
   }
 }
 
 void QrServer::resolve_indoubt(TxnId txn, bool commit) {
-  // Copy the pending writes FIRST: append_confirm settles the pending entry
-  // in the log, and the writes live only there.
-  Bytes run;
-  store::LoggedWrites writes;
-  if (const auto pending = log_.find_pending(txn)) {
-    run.assign(pending->bytes().begin(), pending->bytes().end());
-    writes = store::read_logged_writes(run);
-  }
+  // The confirm to retransmit is the confirm header and the pending write
+  // run, verbatim.  Encode it FIRST and read the writes from it:
+  // append_confirm settles the pending entry, and a cut it triggers drops
+  // the log's copy of the run.
+  Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
+  encode_commit_confirm_head(w, txn, commit);
+  const std::optional<store::WriteRun> pending = log_.find_pending(txn);
+  if (pending) w.raw(pending->bytes());
+  Bytes encoded = std::move(w).take();
+  store::WriteRun writes;
+  if (pending) writes = CommitConfirm::decode_view(encoded).writeset;
   if (!writes.empty() && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  for (const store::LoggedWriteView& lw : writes) {
+  for (const store::WriteView& lw : writes) {
     store_.unprotect(lw.id, txn);
     if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
@@ -621,30 +624,19 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // termination state: any of them may hold the same in-doubt prepare, and
   // the original coordinator is gone.  At-least-once is safe -- receivers
   // dedupe on (txn, epoch) and apply() keeps only strictly-newer versions.
-  // Under sharded cohorts the writeset covers only locally-replicated
-  // objects; cross-cohort peers resolve their own shard by querying us (we
-  // now answer kCommitted/kAborted from the applied-set).
-  const auto it = term_.find(txn);
-  if (it != term_.end() && !writes.empty()) {
-    CommitConfirm confirm;
-    confirm.txn = txn;
-    confirm.commit = commit;
-    confirm.writeset.reserve(writes.size());
-    for (const store::LoggedWriteView& lw : writes) {
-      confirm.writeset.push_back(CommitWriteEntry{
-          lw.id, lw.base, Bytes(lw.data.begin(), lw.data.end()), lw.steps});
-    }
-    Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
-    confirm.encode_into(w);
-    Bytes encoded = std::move(w).take();
-    metrics_.commit_messages += it->second.targets.size();
-    for (net::NodeId n : it->second.targets) {
+  // Under sharded cohorts the run covers only locally-replicated objects;
+  // cross-cohort peers resolve their own shard by querying us (we now
+  // answer kCommitted/kAborted from the applied-set).
+  const Termination* t = termination(txn);
+  if (t != nullptr && !writes.empty()) {
+    metrics_.commit_messages += t->targets.size();
+    for (net::NodeId n : t->targets) {
       Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
       copy.assign(encoded.begin(), encoded.end());
       rpc_.notify(n, msg::kCommitConfirm, std::move(copy));
     }
-    rpc_.release_buffer(std::move(encoded));
   }
+  rpc_.release_buffer(std::move(encoded));
   record_outcome(txn, commit);
 }
 

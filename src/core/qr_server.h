@@ -37,8 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -157,8 +155,9 @@ class QrServer {
     std::uint32_t coord_epoch = 0;  // epoch recorded at vote time
     std::vector<net::NodeId> targets;  // coordinator + union WQ peers, no self
     /// Targets that answered this round without a decision (kUnknown /
-    /// kPrepared).  Presumed-abort needs ALL of them to have answered.
-    std::set<net::NodeId> round_no_decision;
+    /// kPrepared), each once.  Presumed-abort needs ALL of them to have
+    /// answered.
+    std::vector<net::NodeId> round_no_decision;
     /// The coordinator answered without a decision from a NEWER liveness
     /// epoch: it restarted, and its empty decision log proves no confirm
     /// ever left it (decisions are logged before the first confirm).
@@ -236,8 +235,14 @@ class QrServer {
   /// replay can pair prepares with confirms from the same incarnation.
   std::uint32_t liveness_epoch() const;
 
+  /// The in-flight termination state of `txn`, or nullptr.
+  Termination* termination(TxnId txn) {
+    std::unique_ptr<Termination>* t = term_.find(txn);
+    return t != nullptr ? t->get() : nullptr;
+  }
+
   /// fire() on the attached registry, kNone when detached.
-  FaultAction fault(const char* point);
+  FaultAction fault(fp::Point point);
 
   net::RpcEndpoint& rpc_;
   net::NodeId id_;
@@ -260,8 +265,11 @@ class QrServer {
   FlatTable<store::ConfirmOutcome> outcomes_{/*late_growth=*/true};
   /// Prepared (yes-voted, WAL'd) transactions awaiting their confirm.
   FlatTable<PreparedMeta> prepared_;
-  /// In-doubt transactions with a termination round in flight.
-  std::unordered_map<TxnId, Termination> term_;
+  /// In-doubt transactions with a termination round in flight.  Each is
+  /// boxed, so a slot is 16 bytes and a Termination stays put when the
+  /// table moves entries; an erase still destroys its own, so no pointer
+  /// to one is held across an erase or a co_await.
+  FlatTable<std::unique_ptr<Termination>> term_;
   /// Jitters the between-round backoff; seeded per node so the schedule is
   /// deterministic and distinct across replicas.
   Rng term_rng_{1};

@@ -745,14 +745,14 @@ void TxnRuntime::record_commit_history(const Txn& root) {
   rec.commit_tick = simulator().now();
   // The commit sets come sorted by object id.
   std::vector<CommitReadEntry> reads;
-  std::vector<CommitWriteView> writes;
+  std::vector<store::WriteView> writes;
   root.log_->commit_sets(&reads, &writes);
   rec.reads.reserve(reads.size());
   for (const CommitReadEntry& e : reads) {
     rec.reads.push_back(HistoryRead{e.id, e.version});
   }
   rec.writes.reserve(writes.size());
-  for (const CommitWriteView& e : writes) {
+  for (const store::WriteView& e : writes) {
     // QR installs base+1 (see QrServer::handle_commit_confirm).
     rec.writes.push_back(HistoryWrite{e.id, e.base, e.base + 1,
                                       Bytes(e.data.begin(), e.data.end())});
@@ -847,7 +847,7 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
   // those objects.
   round.touched.clear();
   for (const CommitReadEntry& e : round.readset) round.touched.push_back(e.id);
-  for (const CommitWriteView& e : round.writeset) {
+  for (const store::WriteView& e : round.writeset) {
     round.touched.push_back(e.id);
   }
   Abort unformable;

@@ -253,7 +253,7 @@ class Txn {
   /// The root's commit sets as the next 2PC request would carry them, ids
   /// ascending, for tests pinning the set semantics.
   void commit_sets(std::vector<CommitReadEntry>* readset,
-                   std::vector<CommitWriteView>* writeset) const {
+                   std::vector<store::WriteView>* writeset) const {
     log_->commit_sets(readset, writeset);
   }
 

@@ -68,14 +68,14 @@ void TxnLog::rehome(std::size_t mark, TxnId owner, std::uint32_t depth) {
 }
 
 void TxnLog::commit_sets(std::vector<CommitReadEntry>* readset,
-                         std::vector<CommitWriteView>* writeset) const {
+                         std::vector<store::WriteView>* writeset) const {
   readset->clear();
   writeset->clear();
   for (std::size_t i = 0; i < len_; ++i) {
     const TxnRecord& r = recs_[i];
     if (r.read) readset->push_back(CommitReadEntry{r.id, r.version});
     if (r.write && latest(r.id) == i) {
-      writeset->push_back(CommitWriteView{
+      writeset->push_back(store::WriteView{
           .id = r.id, .base = r.version, .steps = 1, .data = r.value});
     }
   }
@@ -84,7 +84,7 @@ void TxnLog::commit_sets(std::vector<CommitReadEntry>* readset,
               return a.id < b.id;
             });
   std::sort(writeset->begin(), writeset->end(),
-            [](const CommitWriteView& a, const CommitWriteView& b) {
+            [](const store::WriteView& a, const store::WriteView& b) {
               return a.id < b.id;
             });
 }

@@ -85,7 +85,7 @@ struct TxnOpResult {
 /// ids, its copy of the write quorum, the stale ids and the vote futures.
 struct CommitScratch {
   std::vector<CommitReadEntry> readset;
-  std::vector<CommitWriteView> writeset;
+  std::vector<store::WriteView> writeset;
   std::vector<ObjectId> touched;
   std::vector<net::NodeId> wq;
   std::vector<ObjectId> stale;  // sorted, unique
@@ -128,7 +128,7 @@ class TxnLog {
   /// latest record of every id with a write record (the write value is the
   /// innermost scope's).  Values are borrowed from the records.
   void commit_sets(std::vector<CommitReadEntry>* readset,
-                   std::vector<CommitWriteView>* writeset) const;
+                   std::vector<store::WriteView>* writeset) const;
 
   /// Read-set plus write-set size, the count a QR-CHK checkpoint copies.
   std::size_t set_sizes() const;

@@ -8,24 +8,6 @@ namespace {
 // cold (unpooled) buffer allocates at most once.
 constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
-constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4 + 4;    // + data
-
-/// Encoded size of a write-set of CommitWriteEntry or CommitWriteView.
-template <class WriteSet>
-std::size_t writeset_bytes(const WriteSet& ws) {
-  std::size_t n = 4;
-  for (const auto& e : ws) n += kWriteEntryHeader + e.data.size();
-  return n;
-}
-
-/// One write entry, owned (CommitWriteEntry) or borrowed (CommitWriteView).
-template <class Entry>
-void encode_write(Writer& w, const Entry& e) {
-  w.u64(e.id);
-  w.u64(e.base);
-  w.u32(e.steps);
-  w.blob(e.data);
-}
 
 void encode_read_entry(RecordWriter& w, const CommitReadEntry& e) {
   w.u64(e.id);
@@ -40,35 +22,21 @@ void encode_commit_request_from(Writer& w, TxnId txn,
                                 std::span<const CommitReadEntry> readset,
                                 const WriteSet& writeset) {
   w.reserve(w.size() + 8 + 4 + readset.size() * kCommitReadEntryBytes +
-            writeset_bytes(writeset));
+            store::write_run_bytes(writeset));
   w.u64(txn);
   encode_records<kCommitReadEntryBytes>(w, readset, encode_read_entry);
   encode_vec(w, writeset,
-             [](Writer& w2, const auto& e) { encode_write(w2, e); });
+             [](Writer& w2, const auto& e) { store::encode_write(w2, e); });
 }
 
 /// The one CommitConfirm encoder, over an owned or a borrowed write-set.
 template <class WriteSet>
 void encode_commit_confirm_from(Writer& w, TxnId txn, bool commit,
                                 const WriteSet& writeset) {
-  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset));
-  w.u64(txn);
-  w.boolean(commit);
+  w.reserve(w.size() + 8 + 1 + store::write_run_bytes(writeset));
+  encode_commit_confirm_head(w, txn, commit);
   encode_vec(w, writeset,
-             [](Writer& w2, const auto& e) { encode_write(w2, e); });
-}
-
-/// The owning copy of a write-set read in place.
-std::vector<CommitWriteEntry> copy_writeset(const WriteSetView& ws) {
-  std::vector<CommitWriteEntry> out;
-  out.reserve(ws.size());
-  for (const CommitWriteView& e : ws) {
-    out.push_back(CommitWriteEntry{.id = e.id,
-                                   .base = e.base,
-                                   .data = Bytes(e.data.begin(), e.data.end()),
-                                   .steps = e.steps});
-  }
-  return out;
+             [](Writer& w2, const auto& e) { store::encode_write(w2, e); });
 }
 
 void encode_dataset_entry(RecordWriter& w, const DataSetEntry& e) {
@@ -104,12 +72,6 @@ void encode_read_request(Writer& w, TxnId root, NestingMode mode,
 
 void ReadRequest::encode_into(Writer& w) const {
   encode_read_request(w, root, mode, object, for_write, dataset);
-}
-
-Bytes ReadRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
 }
 
 ReadRequestView ReadRequest::decode_view(const Bytes& b) {
@@ -159,12 +121,6 @@ void ReadResponse::encode_into(Writer& w) const {
                                            .abort_chk = abort_chk});
 }
 
-Bytes ReadResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
 ReadResponseView ReadResponse::decode_view(const Bytes& b) {
   Reader r(b);
   ReadResponseView v;
@@ -178,23 +134,13 @@ ReadResponseView ReadResponse::decode_view(const Bytes& b) {
   return v;
 }
 
-ReadResponse ReadResponse::decode(const Bytes& b) {
-  const ReadResponseView v = decode_view(b);
-  return ReadResponse{.status = v.status,
-                      .version = v.version,
-                      .data = Bytes(v.data.begin(), v.data.end()),
-                      .abort_scope = v.abort_scope,
-                      .abort_depth = v.abort_depth,
-                      .abort_chk = v.abort_chk};
-}
-
 void CommitRequest::encode_into(Writer& w) const {
   encode_commit_request_from(w, txn, readset, writeset);
 }
 
 void encode_commit_request(Writer& w, TxnId txn,
                            std::span<const CommitReadEntry> readset,
-                           std::span<const CommitWriteView> writeset) {
+                           std::span<const store::WriteView> writeset) {
   encode_commit_request_from(w, txn, readset, writeset);
 }
 
@@ -210,7 +156,7 @@ CommitRequestView CommitRequest::decode_view(const Bytes& b) {
   v.txn = r.u64();
   v.readset = decode_records<kCommitReadEntryBytes, CommitReadEntry,
                              decode_read_entry>(r);
-  v.writeset = decode_entries<CommitWriteView, decode_write_view>(r);
+  v.writeset = store::read_write_run(r);
   r.expect_done();
   return v;
 }
@@ -223,7 +169,14 @@ CommitRequest CommitRequest::decode(const Bytes& b) {
   for (std::size_t i = 0; i < v.readset.size(); ++i) {
     req.readset.push_back(v.readset[i]);
   }
-  req.writeset = copy_writeset(v.writeset);
+  req.writeset.reserve(v.writeset.size());
+  for (const store::WriteView& e : v.writeset) {
+    req.writeset.push_back(CommitWriteEntry{.id = e.id,
+                                            .base = e.base,
+                                            .data = Bytes(e.data.begin(),
+                                                          e.data.end()),
+                                            .steps = e.steps});
+  }
   return req;
 }
 
@@ -231,12 +184,6 @@ void VoteResponse::encode_into(Writer& w) const {
   w.reserve(w.size() + 1 + 4 + stale.size() * 8);
   w.boolean(commit);
   encode_records<8>(w, stale, encode_stale_id);
-}
-
-Bytes VoteResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
 }
 
 VoteResponseView VoteResponse::decode_view(const Bytes& b) {
@@ -248,29 +195,12 @@ VoteResponseView VoteResponse::decode_view(const Bytes& b) {
   return v;
 }
 
-VoteResponse VoteResponse::decode(const Bytes& b) {
-  const VoteResponseView v = decode_view(b);
-  VoteResponse vote;
-  vote.commit = v.commit;
-  vote.stale.reserve(v.stale.size());
-  for (std::size_t i = 0; i < v.stale.size(); ++i) {
-    vote.stale.push_back(v.stale[i]);
-  }
-  return vote;
-}
-
 void SyncPullRequest::encode_into(Writer& w) const {
   w.reserve(w.size() + 4 + have.size() * 16);
   encode_vec(w, have, [](Writer& w2, const SyncBound& e) {
     w2.u64(e.id);
     w2.u64(e.version);
   });
-}
-
-Bytes SyncPullRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
 }
 
 SyncPullRequest SyncPullRequest::decode(const Bytes& b) {
@@ -299,12 +229,6 @@ void SyncPullResponse::encode_into(Writer& w) const {
   });
 }
 
-Bytes SyncPullResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
 SyncPullResponse SyncPullResponse::decode(const Bytes& b) {
   Reader r(b);
   SyncPullResponse resp;
@@ -326,12 +250,6 @@ void TxnStatusRequest::encode_into(Writer& w) const {
   w.u64(txn);
 }
 
-Bytes TxnStatusRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
 TxnStatusRequest TxnStatusRequest::decode(const Bytes& b) {
   Reader r(b);
   TxnStatusRequest req;
@@ -345,12 +263,6 @@ void TxnStatusResponse::encode_into(Writer& w) const {
   w.u64(txn);
   w.u8(static_cast<std::uint8_t>(status));
   w.u32(epoch);
-}
-
-Bytes TxnStatusResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
 }
 
 TxnStatusResponse TxnStatusResponse::decode(const Bytes& b) {
@@ -368,14 +280,13 @@ void CommitConfirm::encode_into(Writer& w) const {
 }
 
 void encode_commit_confirm(Writer& w, TxnId txn, bool commit,
-                           std::span<const CommitWriteView> writeset) {
+                           std::span<const store::WriteView> writeset) {
   encode_commit_confirm_from(w, txn, commit, writeset);
 }
 
-Bytes CommitConfirm::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
+void encode_commit_confirm_head(Writer& w, TxnId txn, bool commit) {
+  w.u64(txn);
+  w.boolean(commit);
 }
 
 CommitConfirmView CommitConfirm::decode_view(const Bytes& b) {
@@ -383,18 +294,9 @@ CommitConfirmView CommitConfirm::decode_view(const Bytes& b) {
   CommitConfirmView v;
   v.txn = r.u64();
   v.commit = r.boolean();
-  v.writeset = decode_entries<CommitWriteView, decode_write_view>(r);
+  v.writeset = store::read_write_run(r);
   r.expect_done();
   return v;
-}
-
-CommitConfirm CommitConfirm::decode(const Bytes& b) {
-  const CommitConfirmView v = decode_view(b);
-  CommitConfirm c;
-  c.txn = v.txn;
-  c.commit = v.commit;
-  c.writeset = copy_writeset(v.writeset);
-  return c;
 }
 
 }  // namespace qrdtm::core

@@ -14,14 +14,20 @@
 //
 // The replica half of 2PC is parsed in place too.  CommitRequest::
 // decode_view leaves the read-set as fixed 16-byte records and the
-// write-set as a checked run of {id, base, steps, data} entries whose
-// values borrow the request buffer; CommitConfirm::decode_view does the
-// same for the confirm.  Each view checks the whole message before the
-// replica acts on any of it.  The coordinator reads each vote in place too
-// (VoteResponse::decode_view), and encodes its request and confirm from
-// views of the sets it holds (encode_commit_request / encode_commit_confirm).
-// The owning decode() of every message is its view plus a copy-out, so each
-// has one parser.
+// write-set as a checked write run (store/write_run.h, the codec the commit
+// log shares) whose values borrow the request buffer; CommitConfirm::
+// decode_view does the same for the confirm.  Each view checks the whole
+// message before the replica acts on any of it.  The coordinator reads each
+// vote in place too (VoteResponse::decode_view), and encodes its request
+// and confirm from views of the sets it holds (encode_commit_request /
+// encode_commit_confirm).
+//
+// Each message has one encoder and one parser.  The encoder is its
+// encode_into, or the free encode_* function that encode_into forwards to
+// and the hot paths call with borrowed fields.  The parser is decode_view
+// for the read and 2PC messages and decode for the rest; the owning
+// ReadRequest::decode and CommitRequest::decode are their views plus a
+// copy-out, and CommitRequest::encode wraps encode_into.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include "common/serde.h"
 #include "core/types.h"
 #include "net/message.h"
+#include "store/write_run.h"
 
 namespace qrdtm::core {
 
@@ -97,7 +104,6 @@ struct ReadRequest {
   bool for_write = false;
   std::vector<DataSetEntry> dataset;  // empty under flat QR
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
   /// decode_view plus a copy of the data-set.
   static ReadRequest decode(const Bytes& b);
@@ -154,10 +160,7 @@ struct ReadResponse {
   std::uint32_t abort_depth = 0;
   ChkEpoch abort_chk = 0;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
-  /// decode_view plus a copy of the value.
-  static ReadResponse decode(const Bytes& b);
   /// The one parser; the view's value borrows `b`.
   static ReadResponseView decode_view(const Bytes& b);
 };
@@ -184,41 +187,18 @@ inline CommitReadEntry decode_read_entry(Reader& r) {
 using ReadSetView =
     RecordView<kCommitReadEntryBytes, CommitReadEntry, decode_read_entry>;
 
-/// One write-set entry: `base` is the version the writer read through a read
-/// quorum; the committed version becomes base+steps (globally fresh by Q1 --
-/// see qr_server.cpp).  A per-transaction commit writes one step.  A QR-Q
-/// batch collapses each per-object queue into one entry: `steps` counts the
-/// speculative writes it absorbed and `data` is the value after the last.
+/// One write-set entry, owned (a view of one is a store::WriteView): `base`
+/// is the version the writer read through a read quorum; the committed
+/// version becomes base+steps (globally fresh by Q1 -- see qr_server.cpp).
+/// A per-transaction commit writes one step.  A QR-Q batch collapses each
+/// per-object queue into one entry: `steps` counts the speculative writes
+/// it absorbed and `data` is the value after the last.
 struct CommitWriteEntry {
   ObjectId id = 0;
   Version base = 0;
   Bytes data;
   std::uint32_t steps = 1;
 };
-
-/// A CommitWriteEntry read in place: `data` borrows the message buffer.
-struct CommitWriteView {
-  ObjectId id = 0;
-  Version base = 0;
-  std::uint32_t steps = 1;
-  std::span<const std::uint8_t> data;
-};
-
-/// Reads one write entry in place: the decode half of encode_write in
-/// wire.cpp.  The entry layout (u64 id, u64 base, u32 steps, u32 length +
-/// value) is also the commit log's write layout (store::LoggedWrite), so a
-/// replica logs a request's write-set as its bytes.
-inline CommitWriteView decode_write_view(Reader& r) {
-  CommitWriteView e;
-  e.id = r.u64();
-  e.base = r.u64();
-  e.steps = r.u32();
-  e.data = r.blob_view();
-  return e;
-}
-
-/// A commit message's write-set left in place in its buffer.
-using WriteSetView = EntryRun<CommitWriteView, decode_write_view>;
 
 struct CommitRequestView;
 
@@ -228,7 +208,7 @@ struct CommitRequestView;
 /// CommitRequest::encode_into over the same entries.
 void encode_commit_request(Writer& w, TxnId txn,
                            std::span<const CommitReadEntry> readset,
-                           std::span<const CommitWriteView> writeset);
+                           std::span<const store::WriteView> writeset);
 
 /// 2PC vote request, for one transaction or one QR-Q batch (`txn` is then
 /// the batch id).  `readset` holds objects only read; written objects are
@@ -252,7 +232,7 @@ struct CommitRequest {
 struct CommitRequestView {
   TxnId txn = 0;
   ReadSetView readset;
-  WriteSetView writeset;
+  store::WriteRun writeset;
 };
 
 struct VoteResponseView;
@@ -265,10 +245,7 @@ struct VoteResponse {
   bool commit = false;
   std::vector<ObjectId> stale;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
-  /// decode_view plus a copy of the stale list.
-  static VoteResponse decode(const Bytes& b);
   /// The one parser: checks the stale count against the buffer and the
   /// trailing bytes before the caller reads an id.  The view borrows `b`.
   static VoteResponseView decode_view(const Bytes& b);
@@ -306,7 +283,6 @@ struct SyncBound {
 struct SyncPullRequest {
   std::vector<SyncBound> have;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
   static SyncPullRequest decode(const Bytes& b);
 };
@@ -324,7 +300,6 @@ struct SyncPullResponse {
   std::uint64_t total_objects = 0;
   std::vector<SyncEntry> entries;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
   static SyncPullResponse decode(const Bytes& b);
 };
@@ -346,7 +321,6 @@ enum class TxnStatus : std::uint8_t {
 struct TxnStatusRequest {
   TxnId txn = 0;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
   static TxnStatusRequest decode(const Bytes& b);
 };
@@ -361,7 +335,6 @@ struct TxnStatusResponse {
   TxnStatus status = TxnStatus::kUnknown;
   std::uint32_t epoch = 0;
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
   static TxnStatusResponse decode(const Bytes& b);
 };
@@ -371,7 +344,11 @@ struct CommitConfirmView;
 /// Encode a CommitConfirm straight from its write-set views, as
 /// encode_commit_request does for the request.
 void encode_commit_confirm(Writer& w, TxnId txn, bool commit,
-                           std::span<const CommitWriteView> writeset);
+                           std::span<const store::WriteView> writeset);
+/// The confirm's bytes before its write run, which encode_commit_confirm
+/// writes first.  A replica resolving an in-doubt commit follows them with
+/// the run it logged, verbatim.
+void encode_commit_confirm_head(Writer& w, TxnId txn, bool commit);
 
 /// One-way confirm broadcast to the write quorum after gathering votes.
 struct CommitConfirm {
@@ -379,10 +356,7 @@ struct CommitConfirm {
   bool commit = false;  // false = abort: just unprotect + drop bookkeeping
   std::vector<CommitWriteEntry> writeset;  // applied as version base+steps
 
-  Bytes encode() const;
   void encode_into(Writer& w) const;
-  /// decode_view plus a copy of the write-set.
-  static CommitConfirm decode(const Bytes& b);
   /// The one parser, checking the whole message like
   /// CommitRequest::decode_view.  The view borrows `b`.
   static CommitConfirmView decode_view(const Bytes& b);
@@ -392,7 +366,7 @@ struct CommitConfirm {
 struct CommitConfirmView {
   TxnId txn = 0;
   bool commit = false;
-  WriteSetView writeset;
+  store::WriteRun writeset;
 };
 
 }  // namespace qrdtm::core

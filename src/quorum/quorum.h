@@ -122,15 +122,6 @@ class QuorumProvider {
     return cohort_write_quorum(node, cohort_of(id));
   }
 
-  /// Legacy single-cohort signatures: cohort 0.  Exact pre-shard behaviour
-  /// for the classic providers; kept for tests and single-cohort callers.
-  std::vector<NodeId> read_quorum(NodeId node) const {
-    return cohort_read_quorum(node, 0);
-  }
-  std::vector<NodeId> write_quorum(NodeId node) const {
-    return cohort_write_quorum(node, 0);
-  }
-
   /// Monotone counter advanced on every membership change.  Quorums are a
   /// pure function of the live set, so clients may cache a computed quorum
   /// for as long as generation() holds still (TxnRuntime does, keyed on

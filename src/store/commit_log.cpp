@@ -38,18 +38,6 @@ void skip_decision(Reader& r) {
   (void)r.blob_view();
 }
 
-void put_write(Writer& w, const LoggedWrite& lw) {
-  w.u64(lw.id);
-  w.u64(lw.base);
-  w.u32(lw.steps);
-  w.blob(lw.data);
-}
-
-/// The encoded write run that starts at `r`'s cursor, walked and checked.
-LoggedWrites read_run(Reader& r) {
-  return decode_entries<LoggedWriteView, decode_logged_write>(r);
-}
-
 /// The keys of `table`, ascending (the disk bytes and the re-drive order
 /// must not depend on the table's layout).
 template <class V>
@@ -143,7 +131,8 @@ void CommitLog::append_prepare(TxnId txn,
     high_version_ = std::max(high_version_, lw.base + lw.steps);
   }
   Writer w(std::move(encode_scratch_));
-  encode_vec(w, writes, put_write);
+  encode_vec(w, writes,
+             [](Writer& w2, const LoggedWrite& lw) { encode_write(w2, lw); });
   encode_scratch_ = std::move(w).take();
   append_run(txn, encode_scratch_, epoch);
 }
@@ -152,10 +141,12 @@ void CommitLog::append_encoded_prepare(TxnId txn,
                                        std::span<const std::uint8_t> writes,
                                        std::uint32_t epoch) {
   // Walk the run first: a malformed one throws before anything changes.
+  Reader r(writes);
   Version high = high_version_;
-  for (const LoggedWriteView& lw : read_logged_writes(writes)) {
+  for (const WriteView& lw : read_write_run(r)) {
     high = std::max(high, lw.base + lw.steps);
   }
+  r.expect_done();
   high_version_ = high;
   append_run(txn, writes, epoch);
 }
@@ -242,10 +233,11 @@ std::optional<bool> CommitLog::decision_verdict(TxnId txn) const {
   return *verdict;
 }
 
-std::optional<LoggedWrites> CommitLog::find_pending(TxnId txn) const {
+std::optional<WriteRun> CommitLog::find_pending(TxnId txn) const {
   const Pending* p = pending_.find(txn);
   if (p == nullptr) return std::nullopt;
-  return read_logged_writes(bytes_at(p->run));
+  Reader r(bytes_at(p->run));
+  return read_write_run(r);
 }
 
 void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
@@ -377,7 +369,7 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
   // the image or the tail.
   struct Replayed {
     std::uint32_t epoch = 0;
-    LoggedWrites writes;
+    WriteRun writes;
   };
   std::size_t applied = 0;
   FlatTable<Replayed> pending;
@@ -398,17 +390,14 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
       for (std::uint32_t i = 0; i < ncarry; ++i) {
         const std::uint32_t epoch = r.u32();
         const TxnId txn = r.u64();
-        const LoggedWrites writes = read_run(r);
-        pending[txn] = Replayed{epoch, writes};
+        pending[txn] = Replayed{epoch, read_write_run(r)};
       }
       // Carried decisions (see cut()).  Nothing to apply here -- the live
       // decisions_/verdicts_ members survive with the log object; parsing
-      // keeps the image walk aligned and validates the bytes.  Images cut
-      // before the decisions section existed simply end here.
-      if (r.remaining() > 0) {
-        const std::uint32_t ndec = r.u32();
-        for (std::uint32_t i = 0; i < ndec; ++i) skip_decision(r);
-      }
+      // keeps the image walk aligned and validates the bytes.
+      const std::uint32_t ndec = r.u32();
+      for (std::uint32_t i = 0; i < ndec; ++i) skip_decision(r);
+      r.expect_done();
     } catch (const SerdeError&) {
       // A corrupt image voids the whole log: the tail's confirms would
       // resolve against prepares we may have lost.  The delta pull becomes
@@ -448,7 +437,9 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
             const TxnId txn = rec.u64();
             const std::uint32_t run = rec.u32();
             if (run >= runs_.size()) throw SerdeError("unknown prepare run");
-            pending[txn] = Replayed{epoch, read_logged_writes(runs_[run])};
+            Reader rr(runs_[run]);
+            pending[txn] = Replayed{epoch, read_write_run(rr)};
+            rr.expect_done();
             break;
           }
           case kConfirm: {
@@ -460,7 +451,7 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
             // traffic), so a mismatched pair is a stale record, not a commit.
             if (p != nullptr && p->epoch == epoch) {
               if (commit) {
-                for (const LoggedWriteView& lw : p->writes) {
+                for (const WriteView& lw : p->writes) {
                   store.apply(lw.id, lw.base + lw.steps, lw.data);
                   ++applied;
                 }
@@ -478,7 +469,7 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
             // drive the re-delivery (Cluster::recover_node).
             break;
           default:
-            break;  // unknown record type: skip (forward compatibility)
+            throw SerdeError("unknown record type");
         }
       } catch (const SerdeError&) {
         intact = false;  // torn/corrupt record payload: drop it and all after

@@ -12,7 +12,7 @@
 // misparsed):
 //   * apply   {epoch, id, version, data}  -- seeds and direct installs,
 //   * prepare {epoch, txn, run}  -- a 2PC commit vote took protections here.
-//     The write-set {writes[{id, base, steps, data}]} is an encoded run held
+//     The write-set is an encoded write run (store/write_run.h) held
 //     once per cluster on the RunShelf (store/run_shelf.h) and shared by
 //     every log of the write quorum that logged identical bytes; the record
 //     names it by its index in the log's run table,
@@ -39,7 +39,9 @@
 //   3. prepares still pending at the end are in-doubt: left for the
 //      cooperative termination protocol (DESIGN.md §17) to resolve -- a
 //      commit decided elsewhere also arrives through the delta pull.
-// Replay only ever calls ReplicaStore::apply, so it is idempotent.
+// Replay only ever calls ReplicaStore::apply, so it is idempotent.  The
+// log never leaves the process, so nothing is read for compatibility: an
+// image with trailing bytes is corrupt, and so is a record of unknown type.
 //
 // Coordinator decisions: before any confirm leaves the node, the
 // coordinator appends a decision record {txn, commit|abort, members, encoded
@@ -61,10 +63,9 @@
 // moves: the segments laid end to end are the record stream, growth never
 // copies, and a cut frees every segment but one, so the log holds its
 // records plus at most one partly filled segment (and the room full
-// segments leave at their ends).  A prepare's write-set travels as one
-// encoded run (u32 count, then per write u64 id, u64 base, u32 steps and a
-// u32-length-prefixed value), which is also how commit messages encode
-// their write-set (core/wire.h): a replica hands the run over verbatim
+// segments leave at their ends).  A prepare's write-set is the write run
+// of the commit request (store/write_run.h, the one codec the messages in
+// core/wire.h use too): a replica hands the run over verbatim
 // (append_encoded_prepare), and the shelf keeps one copy of it however many
 // logs refer to it.  The byte counts (size_bytes, tail_bytes) are those of
 // the full logical records, run included, so auto-cut points do not depend
@@ -91,6 +92,7 @@
 #include "store/object.h"
 #include "store/replica_store.h"
 #include "store/run_shelf.h"
+#include "store/write_run.h"
 
 namespace qrdtm::store {
 
@@ -102,36 +104,6 @@ struct LoggedWrite {
   std::uint32_t steps = 1;
   Bytes data;
 };
-
-/// A LoggedWrite read in place: `data` borrows the encoded run.
-struct LoggedWriteView {
-  ObjectId id = 0;
-  Version base = 0;
-  std::uint32_t steps = 1;
-  std::span<const std::uint8_t> data;
-};
-
-/// Reads one write of an encoded prepare run in place.
-inline LoggedWriteView decode_logged_write(Reader& r) {
-  LoggedWriteView w;
-  w.id = r.u64();
-  w.base = r.u64();
-  w.steps = r.u32();
-  w.data = r.blob_view();
-  return w;
-}
-
-/// A prepare's write-set as one encoded run, read in place.
-using LoggedWrites = EntryRun<LoggedWriteView, decode_logged_write>;
-
-/// Reads the encoded run that is all of `run`; SerdeError if malformed.
-inline LoggedWrites read_logged_writes(std::span<const std::uint8_t> run) {
-  Reader r(run.data(), run.size());
-  const LoggedWrites writes =
-      decode_entries<LoggedWriteView, decode_logged_write>(r);
-  r.expect_done();
-  return writes;
-}
 
 /// An applied 2PC outcome: the liveness epoch it was applied in, and the
 /// verdict, packed into 4 bytes (a 31-bit epoch and the commit bit), so an
@@ -250,7 +222,7 @@ class CommitLog {
   /// The in-flight (prepared, unconfirmed) writes of `txn`, or nullopt.
   /// A replica resolving an in-doubt transaction to commit applies these.
   /// The run borrows the log: it is valid until the next cut.
-  std::optional<LoggedWrites> find_pending(TxnId txn) const;
+  std::optional<WriteRun> find_pending(TxnId txn) const;
 
   /// Whether `txn` has an in-flight prepare here.
   bool has_pending(TxnId txn) const { return pending_.contains(txn); }

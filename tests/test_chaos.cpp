@@ -251,13 +251,14 @@ TEST(NetworkChaos, KillInvalidatesMemoisedQuorumsAndGrowsReadQuorum) {
   cluster.run_to_completion();
   ASSERT_EQ(cluster.metrics().commits, 1u);
   const std::uint64_t gen0 = cluster.quorums().generation();
-  ASSERT_EQ(cluster.quorums().read_quorum(0).size(), 1u);
+  ASSERT_EQ(cluster.quorums().cohort_read_quorum(0, 0).size(), 1u);
   const std::uint64_t reads0 = cluster.metrics().read_messages;
 
   cluster.kill_node(5);
 
   EXPECT_GT(cluster.quorums().generation(), gen0);
-  const std::vector<net::NodeId> rq = cluster.quorums().read_quorum(0);
+  const std::vector<net::NodeId> rq =
+      cluster.quorums().cohort_read_quorum(0, 0);
   EXPECT_EQ(rq.size(), 2u) << "one failure -> read quorum grows to f+1";
   for (net::NodeId n : rq) EXPECT_NE(n, 5u);
 

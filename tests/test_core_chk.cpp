@@ -153,7 +153,7 @@ TEST(QrChk, MixedQuorumRepliesCombineToMinimumEpoch) {
   ObjectId x = c.seed_new_object(enc_i64(3));
   ObjectId d = c.seed_new_object(enc_i64(4));
 
-  const std::vector<net::NodeId> rq = c.quorums().read_quorum(1);
+  const std::vector<net::NodeId> rq = c.quorums().cohort_read_quorum(1, 0);
   ASSERT_GE(rq.size(), 2u) << "test needs a multi-member read quorum";
 
   ChkEpoch epoch_after_rollback = 99;
@@ -188,7 +188,7 @@ TEST(QrChk, MixedRepliesIncludingEpochZeroForceFullRestart) {
   ObjectId d = c.seed_new_object(enc_i64(4));
   ObjectId e = c.seed_new_object(enc_i64(5));
 
-  const std::vector<net::NodeId> rq = c.quorums().read_quorum(1);
+  const std::vector<net::NodeId> rq = c.quorums().cohort_read_quorum(1, 0);
   ASSERT_GE(rq.size(), 2u) << "test needs a multi-member read quorum";
 
   int runs = 0;

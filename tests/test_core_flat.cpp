@@ -59,7 +59,7 @@ TEST(QrFlat, CommitUpdatesOnlyWriteQuorumReplicas) {
   });
   c.run_to_completion();
 
-  auto wq = c.quorums().write_quorum(0);
+  auto wq = c.quorums().cohort_write_quorum(0, 0);
   std::size_t fresh = 0, stale = 0;
   for (net::NodeId n = 0; n < c.num_nodes(); ++n) {
     Version v = c.server(n).store().version_of(obj);
@@ -198,8 +198,8 @@ TEST(QrFlat, MessageAccountingMatchesQuorumSizes) {
     t.write(obj, enc_i64(1));
   });
   c.run_to_completion();
-  auto rq = c.quorums().read_quorum(0);
-  auto wq = c.quorums().write_quorum(0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
+  auto wq = c.quorums().cohort_write_quorum(0, 0);
   EXPECT_EQ(c.metrics().read_messages, rq.size());
   // One commit request + one confirm, each to the whole write quorum.
   EXPECT_EQ(c.metrics().commit_messages, 2 * wq.size());

@@ -74,7 +74,7 @@ TEST(QrQueued, CoSubmittedConflictingIncrementsShareOneBatch) {
   EXPECT_EQ(c.metrics().speculation_rollbacks, 0u);
   // One quorum fetch for the first touch; the other five members hit the
   // batch cache.
-  auto rq = c.quorums().read_quorum(0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
   EXPECT_EQ(c.metrics().read_messages, rq.size());
   EXPECT_EQ(c.metrics().batch_read_hits, static_cast<std::uint64_t>(kTxns - 1));
   // The whole batch commits through one 2PC round.
@@ -99,7 +99,7 @@ TEST(QrQueued, ReadOnlyBatchSkipsConfirmRound) {
   EXPECT_EQ(c.metrics().commits, 1u);
   EXPECT_EQ(c.metrics().commit_requests, 1u);
   // Vote round only: nothing was protected, so no confirm is broadcast.
-  auto wq = c.quorums().write_quorum(0);
+  auto wq = c.quorums().cohort_write_quorum(0, 0);
   EXPECT_EQ(c.metrics().commit_messages, wq.size());
 }
 

@@ -109,7 +109,7 @@ TEST(FailureDetectorE2E, SilentFailureIsDiscoveredAndRoutedAround) {
   Cluster c(cfg);
   ObjectId obj = c.seed_new_object(enc_i64(0));
 
-  auto rq = c.quorums().read_quorum(0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
   ASSERT_FALSE(rq.empty());
   c.kill_node(rq[0], /*notify_provider=*/false);
 
@@ -126,7 +126,7 @@ TEST(FailureDetectorE2E, SilentFailureIsDiscoveredAndRoutedAround) {
   EXPECT_EQ(c.metrics().commits, 10u);
   EXPECT_EQ(c.suspected_nodes(), 1u);
   // Once reconfigured, the dead node must be out of the quorums.
-  auto rq_after = c.quorums().read_quorum(0);
+  auto rq_after = c.quorums().cohort_read_quorum(0, 0);
   EXPECT_TRUE(std::find(rq_after.begin(), rq_after.end(), rq[0]) ==
               rq_after.end());
 }
@@ -144,8 +144,8 @@ TEST(FailureDetectorE2E, WriteQuorumMemberFailureBlocksOnlyUntilDetected) {
   ObjectId obj = c.seed_new_object(enc_i64(0));
 
   // Kill a leaf write-quorum member that no read quorum uses.
-  auto wq = c.quorums().write_quorum(0);
-  auto rq = c.quorums().read_quorum(0);
+  auto wq = c.quorums().cohort_write_quorum(0, 0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
   net::NodeId victim = net::kNoNode;
   for (net::NodeId n : wq) {
     if (n != 0 && std::find(rq.begin(), rq.end(), n) == rq.end()) victim = n;
@@ -178,7 +178,7 @@ TEST(FailureDetectorE2E, DisabledDetectionCannotCommitPastDeadVoter) {
   Cluster c(cfg);
   ObjectId obj = c.seed_new_object(enc_i64(7));
 
-  auto rq = c.quorums().read_quorum(0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
   ASSERT_FALSE(rq.empty());
   c.kill_node(rq[0], /*notify_provider=*/false);
 
@@ -199,7 +199,7 @@ TEST(FailureDetectorE2E, DisabledDetectionCannotCommitPastDeadVoter) {
   EXPECT_GE(c.metrics().root_aborts, 3u) << "every attempt aborts at the read";
   EXPECT_EQ(c.metrics().vote_aborts, 0u) << "2PC is never reached";
   EXPECT_EQ(c.suspected_nodes(), 0u);
-  EXPECT_EQ(c.quorums().read_quorum(0), rq) << "no reconfiguration";
+  EXPECT_EQ(c.quorums().cohort_read_quorum(0, 0), rq) << "no reconfiguration";
 }
 
 TEST(FailureDetectorE2E, FalseSuspicionOfSlowNodeKeepsCommittedStateConsistent) {
@@ -217,7 +217,7 @@ TEST(FailureDetectorE2E, FalseSuspicionOfSlowNodeKeepsCommittedStateConsistent) 
   c.set_history_recorder(&rec);
   ObjectId obj = c.seed_new_object(enc_i64(0));
 
-  auto rq = c.quorums().read_quorum(0);
+  auto rq = c.quorums().cohort_read_quorum(0, 0);
   ASSERT_FALSE(rq.empty());
   const net::NodeId slow = rq[0];
   // Sender + receiver slowdown: every RPC through `slow` gains 240 ms,

@@ -5,6 +5,7 @@
 
 #include <utility>
 
+#include "alloc_counter.h"
 #include "core/cluster.h"
 #include "core/faultpoint.h"
 #include "core/history.h"
@@ -112,6 +113,48 @@ TEST(FaultPoint, SuspendParksUntilResume) {
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(reg.suspended(fp::kCommitBeforeConfirm), 0u);
+}
+
+// The registry keeps one arming and one hit count per point: arming,
+// firing, reading hits and disarming each of the 11 points allocates
+// nothing once warm.
+TEST(AllocRegression, FaultPointArmFireDisarmIsAllocationFree) {
+  if (!qrdtm::testing::alloc_hook_active()) {
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build "
+                    "intercepts operator new, or replacement not linked in)";
+  }
+  const auto points = {
+      fp::kCommitBeforeConfirm, fp::kServerVote,     fp::kServerConfirmApply,
+      fp::kLogPrepare,          fp::kLogConfirm,     fp::kChkCutCarry,
+      fp::kRecoverySkipReplay,  fp::kRecoverySkipSync, fp::kDecisionBeforeLog,
+      fp::kConfirmPartial,      fp::kTermQuery};
+  ASSERT_EQ(points.size(), 11u);
+  FaultPointRegistry reg;
+  std::uint64_t fired = 0;
+  bool consistent = true;
+  const auto cycle = [&] {
+    for (const auto point : points) {
+      reg.arm(point, FaultAction::kSkip, /*node=*/3, /*uses=*/2);
+      consistent &= reg.armed(point);
+      consistent &= reg.fire(point, 4) == FaultAction::kNone;
+      consistent &= reg.fire(point, 3) == FaultAction::kSkip;
+      fired += reg.hits(point);
+      reg.disarm(point);
+      consistent &= !reg.armed(point);
+      reg.arm(point, FaultAction::kPanic, FaultPointRegistry::kAnyNode,
+              FaultPointRegistry::kUnlimited, /*delay_fires=*/1);
+      consistent &= reg.fire(point, 5) == FaultAction::kNone;
+      reg.disarm_if_node(point, 5);
+      consistent &= reg.armed(point);
+      reg.disarm(point);
+    }
+  };
+  cycle();  // warm
+  const std::uint64_t before = qrdtm::testing::alloc_count();
+  cycle();
+  EXPECT_EQ(qrdtm::testing::alloc_count() - before, 0u);
+  EXPECT_TRUE(consistent);
+  EXPECT_EQ(fired, 11u * (1 + 2)) << "hits survive disarm across cycles";
 }
 
 }  // namespace

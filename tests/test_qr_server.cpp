@@ -7,6 +7,7 @@
 #include "core/qr_server.h"
 #include "net/latency.h"
 #include "sim/task.h"
+#include "wire_encode.h"
 
 namespace qrdtm::core {
 namespace {
@@ -46,14 +47,19 @@ struct Rig {
     return out;
   }
 
-  ReadResponse read(const ReadRequest& req) {
-    return ReadResponse::decode(call(msg::kRead, req.encode()));
+  /// The reply to the last read() or vote(), which its view borrows.
+  Bytes reply;
+
+  ReadResponseView read(const ReadRequest& req) {
+    reply = call(msg::kRead, encode(req));
+    return ReadResponse::decode_view(reply);
   }
-  VoteResponse vote(const CommitRequest& req) {
-    return VoteResponse::decode(call(msg::kCommitRequest, req.encode()));
+  VoteResponseView vote(const CommitRequest& req) {
+    reply = call(msg::kCommitRequest, encode(req));
+    return VoteResponse::decode_view(reply);
   }
   void confirm(const CommitConfirm& c) {
-    client_ep->notify(server_ep->id(), msg::kCommitConfirm, c.encode());
+    client_ep->notify(server_ep->id(), msg::kCommitConfirm, encode(c));
     sim.run();
   }
 };
@@ -69,10 +75,10 @@ ReadRequest basic_read(ObjectId obj, NestingMode mode, TxnId root = 100) {
 TEST(QrServer, ReadServesCopy) {
   Rig rig;
   rig.store().seed(1, Bytes{0xAA}, 3);
-  ReadResponse resp = rig.read(basic_read(1, NestingMode::kFlat));
+  const ReadResponseView resp = rig.read(basic_read(1, NestingMode::kFlat));
   EXPECT_EQ(resp.status, ReadStatus::kOk);
   EXPECT_EQ(resp.version, 3u);
-  EXPECT_EQ(resp.data, Bytes{0xAA});
+  EXPECT_EQ(Bytes(resp.data.begin(), resp.data.end()), Bytes{0xAA});
 }
 
 TEST(QrServer, UnknownObjectReportsMissing) {
@@ -100,7 +106,7 @@ TEST(QrServer, RqvDetectsStaleEntryAndReportsShallowestOwner) {
   ReadRequest req = basic_read(3, NestingMode::kClosed);
   req.dataset.push_back(DataSetEntry{1, 4, /*owner=*/201, /*depth=*/1, 0});
   req.dataset.push_back(DataSetEntry{2, 6, /*owner=*/200, /*depth=*/0, 0});
-  ReadResponse resp = rig.read(req);
+  const ReadResponseView resp = rig.read(req);
   ASSERT_EQ(resp.status, ReadStatus::kAbort);
   EXPECT_EQ(resp.abort_scope, 200u) << "depth-0 owner is shallowest";
   EXPECT_EQ(resp.abort_depth, 0u);
@@ -127,7 +133,7 @@ TEST(QrServer, RqvChkReportsMinimumInvalidEpoch) {
   ReadRequest req = basic_read(3, NestingMode::kCheckpoint);
   req.dataset.push_back(DataSetEntry{1, 4, 100, 0, /*chk=*/7});
   req.dataset.push_back(DataSetEntry{2, 4, 100, 0, /*chk=*/3});
-  ReadResponse resp = rig.read(req);
+  const ReadResponseView resp = rig.read(req);
   ASSERT_EQ(resp.status, ReadStatus::kAbort);
   EXPECT_EQ(resp.abort_chk, 3u);
 }
@@ -206,7 +212,7 @@ TEST(QrServer, RqvStaleEntryShortCircuitsTheLeaseCheck) {
 /// one-way message, so the count covers the server side only (decode,
 /// validate, encode, release).
 double allocs_per_served_read(Rig& rig, const ReadRequest& req) {
-  const Bytes wire = req.encode();
+  const Bytes wire = encode(req);
   const auto serve = [&] {
     Bytes payload = rig.client_ep->acquire_buffer(msg::kRead);
     payload.assign(wire.begin(), wire.end());
@@ -282,10 +288,10 @@ TEST(AllocRegression, CommitVoteAndConfirmServingIsAllocationFree) {
     stale.txn = 500000 + static_cast<TxnId>(i);
     stale.readset.push_back(CommitReadEntry{kRead, 4});
     rounds.push_back(Round{
-        req.encode(),
-        CommitConfirm{.txn = req.txn, .commit = true, .writeset = req.writeset}
-            .encode(),
-        stale.encode()});
+        encode(req),
+        encode(CommitConfirm{
+            .txn = req.txn, .commit = true, .writeset = req.writeset}),
+        encode(stale)});
   }
   const auto deliver = [&](net::MsgKind kind, const Bytes& wire) {
     Bytes payload = rig.client_ep->acquire_buffer(kind);
@@ -366,10 +372,12 @@ TEST(QrServer, VoteReportsEveryStaleEntry) {
   req.readset.push_back(CommitReadEntry{1, 4});              // stale
   req.writeset.push_back(CommitWriteEntry{2, 3, Bytes{}});   // current
   req.writeset.push_back(CommitWriteEntry{3, 6, Bytes{}});   // stale
-  VoteResponse vote = rig.vote(req);
+  const VoteResponseView vote = rig.vote(req);
   EXPECT_FALSE(vote.commit);
-  EXPECT_EQ(vote.stale, (std::vector<ObjectId>{1, 3}))
+  ASSERT_EQ(vote.stale.size(), 2u)
       << "the vote scans past the first failure and names every stale id";
+  EXPECT_EQ(vote.stale[0], 1u);
+  EXPECT_EQ(vote.stale[1], 3u);
   EXPECT_FALSE(rig.store().protected_against(2, 12345))
       << "abort vote must not protect anything";
 }

@@ -27,8 +27,8 @@ TEST(TreeQuorum, PaperFig3Shapes) {
   // root's children (2 nodes), write quorum = rooted majority at every
   // level (7 nodes).
   TreeQuorumProvider q(tree_cfg(13));
-  auto rq = q.read_quorum(0);
-  auto wq = q.write_quorum(0);
+  auto rq = q.cohort_read_quorum(0, 0);
+  auto wq = q.cohort_write_quorum(0, 0);
   EXPECT_EQ(rq.size(), 2u);
   EXPECT_EQ(wq.size(), 7u);
   EXPECT_TRUE(std::find(wq.begin(), wq.end(), 0u) != wq.end())
@@ -38,24 +38,24 @@ TEST(TreeQuorum, PaperFig3Shapes) {
 
 TEST(TreeQuorum, ReadLevelZeroIsRootOnly) {
   TreeQuorumProvider q(tree_cfg(13, /*level=*/0));
-  auto rq = q.read_quorum(0);
+  auto rq = q.cohort_read_quorum(0, 0);
   EXPECT_EQ(rq, std::vector<net::NodeId>{0});
 }
 
 TEST(TreeQuorum, ReadLevelTwoIsLeafMajorities) {
   TreeQuorumProvider q(tree_cfg(13, /*level=*/2));
-  auto rq = q.read_quorum(0);
+  auto rq = q.cohort_read_quorum(0, 0);
   // Majority of root's children (2), then majority of each one's children
   // (2 each) = 4 leaves.
   EXPECT_EQ(rq.size(), 4u);
-  auto wq = q.write_quorum(0);
+  auto wq = q.cohort_write_quorum(0, 0);
   EXPECT_TRUE(intersects(rq, wq));
 }
 
 TEST(TreeQuorum, SingleNodeTree) {
   TreeQuorumProvider q(tree_cfg(1, /*level=*/0));
-  EXPECT_EQ(q.read_quorum(0), std::vector<net::NodeId>{0});
-  EXPECT_EQ(q.write_quorum(0), std::vector<net::NodeId>{0});
+  EXPECT_EQ(q.cohort_read_quorum(0, 0), std::vector<net::NodeId>{0});
+  EXPECT_EQ(q.cohort_write_quorum(0, 0), std::vector<net::NodeId>{0});
 }
 
 TEST(TreeQuorum, RotationSpreadsLoadButPreservesIntersection) {
@@ -64,14 +64,16 @@ TEST(TreeQuorum, RotationSpreadsLoadButPreservesIntersection) {
   TreeQuorumProvider q(cfg);
   std::set<std::vector<net::NodeId>> distinct;
   for (net::NodeId n = 0; n < 13; ++n) {
-    distinct.insert(q.read_quorum(n));
+    distinct.insert(q.cohort_read_quorum(n, 0));
   }
   EXPECT_GT(distinct.size(), 1u) << "rotation should vary quorums";
   for (net::NodeId a = 0; a < 13; ++a) {
     for (net::NodeId b = 0; b < 13; ++b) {
-      EXPECT_TRUE(intersects(q.read_quorum(a), q.write_quorum(b)))
+      EXPECT_TRUE(intersects(q.cohort_read_quorum(a, 0),
+                             q.cohort_write_quorum(b, 0)))
           << "R(" << a << ") vs W(" << b << ")";
-      EXPECT_TRUE(intersects(q.write_quorum(a), q.write_quorum(b)));
+      EXPECT_TRUE(intersects(q.cohort_write_quorum(a, 0),
+                             q.cohort_write_quorum(b, 0)));
     }
   }
 }
@@ -86,13 +88,14 @@ TEST_P(TreeQuorumProperty, IntersectionInvariants) {
   auto cfg = tree_cfg(num_nodes, read_level, /*same=*/false, degree);
   TreeQuorumProvider q(cfg);
   for (net::NodeId a = 0; a < cfg.num_nodes; ++a) {
-    auto rq = q.read_quorum(a);
+    auto rq = q.cohort_read_quorum(a, 0);
     EXPECT_FALSE(rq.empty());
     for (net::NodeId b = 0; b < cfg.num_nodes; ++b) {
-      ASSERT_TRUE(intersects(rq, q.write_quorum(b)))
+      ASSERT_TRUE(intersects(rq, q.cohort_write_quorum(b, 0)))
           << "n=" << num_nodes << " level=" << read_level << " R(" << a
           << ") W(" << b << ")";
-      ASSERT_TRUE(intersects(q.write_quorum(a), q.write_quorum(b)));
+      ASSERT_TRUE(intersects(q.cohort_write_quorum(a, 0),
+                             q.cohort_write_quorum(b, 0)));
     }
   }
 }
@@ -114,8 +117,8 @@ TEST(TreeQuorum, SurvivesLeafFailures) {
   TreeQuorumProvider q(tree_cfg(13, /*level=*/2));
   q.on_failure(4);
   q.on_failure(7);
-  auto rq = q.read_quorum(0);
-  auto wq = q.write_quorum(0);
+  auto rq = q.cohort_read_quorum(0, 0);
+  auto wq = q.cohort_write_quorum(0, 0);
   EXPECT_TRUE(intersects(rq, wq));
   for (net::NodeId dead : {4u, 7u}) {
     EXPECT_TRUE(std::find(rq.begin(), rq.end(), dead) == rq.end());
@@ -128,26 +131,27 @@ TEST(TreeQuorum, ReadQuorumSubstitutesDeadInternalNode) {
   // children (or use other root children).
   TreeQuorumProvider q(tree_cfg(13, /*level=*/1));
   q.on_failure(1);
-  auto rq = q.read_quorum(0);
+  auto rq = q.cohort_read_quorum(0, 0);
   EXPECT_TRUE(std::find(rq.begin(), rq.end(), 1u) == rq.end());
-  auto wq = q.write_quorum(0);
+  auto wq = q.cohort_write_quorum(0, 0);
   EXPECT_TRUE(intersects(rq, wq));
 }
 
 TEST(TreeQuorum, RootDeathBlocksWrites) {
   TreeQuorumProvider q(tree_cfg(13));
   q.on_failure(0);
-  EXPECT_THROW(q.write_quorum(0), QuorumUnavailable);
+  EXPECT_THROW(q.cohort_write_quorum(0, 0), QuorumUnavailable);
   // Reads survive root death (substitution by child majorities).
-  EXPECT_NO_THROW(q.read_quorum(0));
+  EXPECT_NO_THROW(q.cohort_read_quorum(0, 0));
 }
 
 TEST(MajorityQuorum, SizesAndIntersection) {
   MajorityQuorumProvider q(10, /*same_for_all=*/false);
   for (net::NodeId a = 0; a < 10; ++a) {
-    EXPECT_EQ(q.read_quorum(a).size(), 6u);
+    EXPECT_EQ(q.cohort_read_quorum(a, 0).size(), 6u);
     for (net::NodeId b = 0; b < 10; ++b) {
-      EXPECT_TRUE(intersects(q.read_quorum(a), q.write_quorum(b)));
+      EXPECT_TRUE(intersects(q.cohort_read_quorum(a, 0),
+                             q.cohort_write_quorum(b, 0)));
     }
   }
 }
@@ -156,21 +160,21 @@ TEST(MajorityQuorum, FailuresShrinkPool) {
   MajorityQuorumProvider q(5);
   q.on_failure(0);
   q.on_failure(1);
-  auto rq = q.read_quorum(2);  // needs 3 of the remaining 3
+  auto rq = q.cohort_read_quorum(2, 0);  // needs 3 of the remaining 3
   EXPECT_EQ(rq.size(), 3u);
   q.on_failure(2);
-  EXPECT_THROW(q.read_quorum(3), QuorumUnavailable);
+  EXPECT_THROW(q.cohort_read_quorum(3, 0), QuorumUnavailable);
 }
 
 TEST(FlatFailureAware, ReadQuorumGrowsWithFailures) {
   FlatFailureAwareProvider q(28);
-  EXPECT_EQ(q.read_quorum(0).size(), 1u);
+  EXPECT_EQ(q.cohort_read_quorum(0, 0).size(), 1u);
   q.on_failure(3);
-  EXPECT_EQ(q.read_quorum(0).size(), 2u);
+  EXPECT_EQ(q.cohort_read_quorum(0, 0).size(), 2u);
   q.on_failure(4);
   q.on_failure(5);
-  EXPECT_EQ(q.read_quorum(0).size(), 4u);
-  EXPECT_EQ(q.write_quorum(0).size(), 25u);
+  EXPECT_EQ(q.cohort_read_quorum(0, 0).size(), 4u);
+  EXPECT_EQ(q.cohort_write_quorum(0, 0).size(), 25u);
 }
 
 TEST(FlatFailureAware, QuorumsAvoidDeadAndIntersect) {
@@ -178,8 +182,8 @@ TEST(FlatFailureAware, QuorumsAvoidDeadAndIntersect) {
   for (net::NodeId dead = 0; dead < 8; ++dead) {
     q.on_failure(dead);
     for (net::NodeId n = 0; n < 28; ++n) {
-      auto rq = q.read_quorum(n);
-      auto wq = q.write_quorum(n);
+      auto rq = q.cohort_read_quorum(n, 0);
+      auto wq = q.cohort_write_quorum(n, 0);
       EXPECT_TRUE(intersects(rq, wq));
       for (net::NodeId d = 0; d <= dead; ++d) {
         EXPECT_TRUE(std::find(rq.begin(), rq.end(), d) == rq.end());
@@ -193,7 +197,9 @@ TEST(FlatFailureAware, SingleSharedHotspotBeforeFailures) {
   // nodes (a deliberate hotspot).
   FlatFailureAwareProvider q(28);
   std::set<std::vector<net::NodeId>> distinct;
-  for (net::NodeId n = 0; n < 28; ++n) distinct.insert(q.read_quorum(n));
+  for (net::NodeId n = 0; n < 28; ++n) {
+    distinct.insert(q.cohort_read_quorum(n, 0));
+  }
   EXPECT_EQ(distinct.size(), 1u);
 }
 
@@ -203,7 +209,9 @@ TEST(FlatFailureAware, SpreadsReadQuorumsAfterFailures) {
   FlatFailureAwareProvider q(28);
   q.on_failure(27);
   std::set<std::vector<net::NodeId>> distinct;
-  for (net::NodeId n = 0; n < 27; ++n) distinct.insert(q.read_quorum(n));
+  for (net::NodeId n = 0; n < 27; ++n) {
+    distinct.insert(q.cohort_read_quorum(n, 0));
+  }
   EXPECT_GT(distinct.size(), 10u);
 }
 
@@ -252,8 +260,8 @@ TEST(QuorumChurnProperty, RandomKillRejoinPreservesInvariants) {
         std::vector<net::NodeId> rq;
         std::vector<net::NodeId> wq;
         try {
-          rq = q.read_quorum(a);
-          wq = q.write_quorum(a);
+          rq = q.cohort_read_quorum(a, 0);
+          wq = q.cohort_write_quorum(a, 0);
         } catch (const QuorumUnavailable&) {
           // Legitimate under churn (e.g. two of the tree root's children
           // dead): the provider must refuse rather than hand out a
@@ -271,7 +279,7 @@ TEST(QuorumChurnProperty, RandomKillRejoinPreservesInvariants) {
         for (net::NodeId b : {net::NodeId{2}, net::NodeId{11}}) {
           std::vector<net::NodeId> wqb;
           try {
-            wqb = q.write_quorum(b);
+            wqb = q.cohort_write_quorum(b, 0);
           } catch (const QuorumUnavailable&) {
             continue;
           }
@@ -287,8 +295,8 @@ TEST(QuorumChurnProperty, RandomKillRejoinPreservesInvariants) {
     // Rejoin everyone: quorums must return to full-membership shapes.
     for (net::NodeId v : dead) q.on_recovery(v);
     dead.clear();
-    const std::vector<net::NodeId> wq = q.write_quorum(0);
-    EXPECT_TRUE(intersects(q.read_quorum(5), wq)) << p.name;
+    const std::vector<net::NodeId> wq = q.cohort_write_quorum(0, 0);
+    EXPECT_TRUE(intersects(q.cohort_read_quorum(5, 0), wq)) << p.name;
     // Recovering an alive node is a no-op and must NOT bump the
     // generation (it would needlessly invalidate every cached quorum).
     const std::uint64_t gen = q.generation();
@@ -303,9 +311,9 @@ TEST(QuorumChurnProperty, RandomKillRejoinPreservesInvariants) {
 TEST(QuorumChurnProperty, TreeRootRejoinRestoresWrites) {
   TreeQuorumProvider q(tree_cfg(13));
   q.on_failure(0);
-  EXPECT_THROW(q.write_quorum(2), QuorumUnavailable);
+  EXPECT_THROW(q.cohort_write_quorum(2, 0), QuorumUnavailable);
   q.on_recovery(0);
-  const std::vector<net::NodeId> wq = q.write_quorum(2);
+  const std::vector<net::NodeId> wq = q.cohort_write_quorum(2, 0);
   EXPECT_NE(std::find(wq.begin(), wq.end(), net::NodeId{0}), wq.end());
   EXPECT_EQ(wq.size(), 7u);
 }
@@ -323,16 +331,18 @@ TEST(FlatFailureAware, HotspotCollapsesWhenAllFailuresHeal) {
   std::set<std::vector<net::NodeId>> distinct;
   for (net::NodeId n = 0; n < 28; ++n) {
     if (n == 9) continue;
-    distinct.insert(q.read_quorum(n));
+    distinct.insert(q.cohort_read_quorum(n, 0));
   }
   EXPECT_GT(distinct.size(), 1u)
       << "rotation must persist while any failure is outstanding";
   q.on_recovery(9);
   distinct.clear();
-  for (net::NodeId n = 0; n < 28; ++n) distinct.insert(q.read_quorum(n));
+  for (net::NodeId n = 0; n < 28; ++n) {
+    distinct.insert(q.cohort_read_quorum(n, 0));
+  }
   EXPECT_EQ(distinct.size(), 1u)
       << "all failures healed: back to the single shared hotspot";
-  EXPECT_EQ(q.read_quorum(17), std::vector<net::NodeId>{0});
+  EXPECT_EQ(q.cohort_read_quorum(17, 0), std::vector<net::NodeId>{0});
 }
 
 // CohortMap is pure arithmetic: deterministic and roughly balanced, so the

@@ -47,11 +47,11 @@ TEST(Recovery, CatchUpServesWritesMadeWhileDown) {
   cfg.seed = 12;
   Cluster c(cfg);
   const ObjectId obj = c.seed_new_object(Bytes{1});
-  const std::size_t rq_before = c.quorums().read_quorum(0).size();
+  const std::size_t rq_before = c.quorums().cohort_read_quorum(0, 0).size();
   const std::uint64_t gen0 = c.quorums().generation();
 
   c.kill_node(7);
-  EXPECT_EQ(c.quorums().read_quorum(0).size(), rq_before + 1);
+  EXPECT_EQ(c.quorums().cohort_read_quorum(0, 0).size(), rq_before + 1);
 
   bool committed = false;
   c.simulator().spawn(run_bounded(&c, 0, bump_body(obj), 50, &committed));
@@ -70,7 +70,7 @@ TEST(Recovery, CatchUpServesWritesMadeWhileDown) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->version, 2u) << "catch-up must install the missed commit";
   EXPECT_EQ(e->data, Bytes{2});
-  EXPECT_EQ(c.quorums().read_quorum(0).size(), rq_before)
+  EXPECT_EQ(c.quorums().cohort_read_quorum(0, 0).size(), rq_before)
       << "read quorum must shrink back after re-admission";
   EXPECT_GT(c.quorums().generation(), gen0);
 
@@ -112,12 +112,13 @@ TEST(Recovery, TreeRootRejoins) {
   const ObjectId obj = c.seed_new_object(Bytes{1});
 
   c.kill_node(0);
-  EXPECT_THROW(c.quorums().write_quorum(1), quorum::QuorumUnavailable);
+  EXPECT_THROW(c.quorums().cohort_write_quorum(1, 0),
+               quorum::QuorumUnavailable);
 
   c.recover_node(0);
   c.run_to_completion();
   EXPECT_EQ(c.metrics().node_recoveries, 1u);
-  const std::vector<net::NodeId> wq = c.quorums().write_quorum(1);
+  const std::vector<net::NodeId> wq = c.quorums().cohort_write_quorum(1, 0);
   EXPECT_NE(std::find(wq.begin(), wq.end(), 0u), wq.end());
 
   bool committed = false;
@@ -139,7 +140,7 @@ TEST(Recovery, PreCrashMessagesAreNotReplayedAfterRevive) {
   // Put a read request to a read-quorum member in flight, then kill +
   // recover that member before the request arrives (link latency >> the
   // restart): the delivery-time epoch check must discard it.
-  const net::NodeId victim = c.quorums().read_quorum(4).front();
+  const net::NodeId victim = c.quorums().cohort_read_quorum(4, 0).front();
   bool threw = false;
   c.spawn_client(4, [&, obj](Txn& t) -> sim::Task<void> {
     try {
@@ -229,7 +230,7 @@ TEST(Recovery, EndToEndChurnStaysSerializable) {
   c.set_history_recorder(&rec);
   std::vector<ObjectId> objs;
   for (int i = 0; i < 8; ++i) objs.push_back(c.seed_new_object(Bytes{1}));
-  const std::size_t rq_before = c.quorums().read_quorum(0).size();
+  const std::size_t rq_before = c.quorums().cohort_read_quorum(0, 0).size();
 
   // Clients on nodes that never die.
   for (net::NodeId n : {net::NodeId{0}, net::NodeId{2}, net::NodeId{3}}) {
@@ -248,7 +249,7 @@ TEST(Recovery, EndToEndChurnStaysSerializable) {
   EXPECT_EQ(c.metrics().node_recoveries, 2u);
   EXPECT_FALSE(c.server(1).syncing());
   EXPECT_FALSE(c.server(10).syncing());
-  EXPECT_EQ(c.quorums().read_quorum(0).size(), rq_before);
+  EXPECT_EQ(c.quorums().cohort_read_quorum(0, 0).size(), rq_before);
   EXPECT_GT(c.metrics().commits, 20u);
 
   const CheckResult r = check_history(rec, CheckLevel::kSerializable);

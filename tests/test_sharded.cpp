@@ -207,7 +207,7 @@ TEST(Sharded, SingleShardDegeneratesToFullReplication) {
     EXPECT_NE(c.server(static_cast<net::NodeId>(n)).store().find(obj),
               nullptr);
   }
-  EXPECT_EQ(c.quorums().write_quorum(0).size(), 7u)
+  EXPECT_EQ(c.quorums().cohort_write_quorum(0, 0).size(), 7u)
       << "13-node ternary tree write quorum (paper Fig. 3)";
   bool committed = false;
   c.simulator().spawn(run_bounded(&c, 4, bump_body(obj), &committed));

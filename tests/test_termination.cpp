@@ -1,14 +1,22 @@
 // Cooperative 2PC termination tests (DESIGN.md §17): fault-point steered
 // coordinator crashes in the vote->confirm window, in-doubt resolution by
 // peer query, presumed-abort after a coordinator restart, decision-record
-// re-drive, and the prepared-vs-protected lease distinction.
+// re-drive, the bytes a resolving replica re-sends, and the
+// prepared-vs-protected lease distinction.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/faultpoint.h"
 #include "core/history.h"
+#include "core/qr_server.h"
 #include "core/wire.h"
+#include "net/latency.h"
 #include "store/replica_store.h"
+#include "wire_encode.h"
 
 namespace qrdtm::core {
 namespace {
@@ -308,6 +316,154 @@ TEST(Termination, RedrivenSharedDecisionSendsTheSameConfirm) {
     EXPECT_EQ(e->version, 2u) << "member " << d.members[i];
     EXPECT_EQ(e->data, Bytes{2});
   }
+}
+
+// ---------------------------------------------------------------------------
+// A replica that resolves an in-doubt commit re-sends the confirm header
+// followed by the write run it logged as its prepare, verbatim.  A
+// standalone replica (node 0) votes for a transaction coordinated by node
+// 1; past the lease a closed-nested read (from node 2) collides with the
+// prepared protection and starts a termination round, node 1's endpoint
+// answers kCommitted, and keeps the confirm the replica sends it.
+
+/// Write quorums of nodes 0 and 1.  Node 0 replicates every object, or
+/// with `sharded` only the even ids.
+class TwoNodeQuorums final : public quorum::QuorumProvider {
+ public:
+  explicit TwoNodeQuorums(bool sharded) : sharded_(sharded) {}
+  std::vector<net::NodeId> cohort_read_quorum(net::NodeId,
+                                              std::uint32_t) const override {
+    return {0, 1};
+  }
+  std::vector<net::NodeId> cohort_write_quorum(net::NodeId,
+                                               std::uint32_t) const override {
+    return {0, 1};
+  }
+  void on_failure(net::NodeId) override {}
+  void on_recovery(net::NodeId) override {}
+  bool replicates(net::NodeId node, store::ObjectId id) const override {
+    return !sharded_ || node != 0 || id % 2 == 0;
+  }
+
+ private:
+  bool sharded_;
+};
+
+sim::Task<void> vote_then_collide(net::RpcEndpoint* coordinator,
+                                  net::RpcEndpoint* reader, Bytes request,
+                                  Bytes read, bool* voted) {
+  const net::RpcResult vote = co_await coordinator->call(
+      0, msg::kCommitRequest, std::move(request), sim::sec(1));
+  *voted = vote.ok && VoteResponse::decode_view(vote.payload).commit;
+  co_await coordinator->simulator().delay(sim::msec(20));  // past the lease
+  (void)co_await reader->call(0, msg::kRead, std::move(read), sim::sec(1));
+}
+
+/// The confirms node 0 sends its coordinator after voting for `req` and
+/// resolving it to commit by a termination round.
+std::vector<Bytes> confirms_after_resolve(const CommitRequest& req,
+                                          bool sharded) {
+  sim::Simulator sim;
+  net::Network net(sim, std::make_unique<net::UniformLatency>(sim::msec(1)),
+                   1, sim::usec(10));
+  net::RpcEndpoint replica_ep(sim, net);
+  net::RpcEndpoint coordinator_ep(sim, net);
+  net::RpcEndpoint reader_ep(sim, net);
+  Metrics metrics;
+  QrServer replica(replica_ep, metrics);
+  const TwoNodeQuorums quorums(sharded);
+  replica.set_quorum_provider(&quorums);
+  replica.set_protection_lease(sim::msec(10));
+  for (const CommitWriteEntry& e : req.writeset) {
+    if (quorums.replicates(0, e.id)) {
+      replica.store().seed(e.id, Bytes{0}, e.base);
+    }
+  }
+  std::vector<Bytes> confirms;
+  coordinator_ep.register_service(
+      msg::kTxnStatusRequest,
+      [&](net::NodeId from, const Bytes& b) -> std::optional<Bytes> {
+        const TxnStatusResponse resp{.txn = TxnStatusRequest::decode(b).txn,
+                                     .status = TxnStatus::kCommitted,
+                                     .epoch = 0};
+        coordinator_ep.notify(from, msg::kTxnStatusResponse, encode(resp));
+        return std::nullopt;
+      });
+  coordinator_ep.register_service(
+      msg::kCommitConfirm,
+      [&](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
+        confirms.push_back(b);
+        return std::nullopt;
+      });
+  ReadRequest read;
+  read.root = 999;
+  read.mode = NestingMode::kClosed;
+  read.object = req.writeset.front().id;
+  bool voted = false;
+  sim.spawn(vote_then_collide(&coordinator_ep, &reader_ep, encode(req),
+                              encode(read), &voted));
+  sim.run();
+  EXPECT_TRUE(voted);
+  EXPECT_EQ(metrics.indoubt_resolved_commit, 1u);
+  for (const CommitWriteEntry& e : req.writeset) {
+    const store::ReplicaEntry* got = replica.store().find(e.id);
+    if (!quorums.replicates(0, e.id)) {
+      EXPECT_EQ(got, nullptr) << e.id;
+      continue;
+    }
+    EXPECT_TRUE(got != nullptr && got->version == e.base + e.steps &&
+                got->data == e.data)
+        << "object " << e.id << " applied from the resolved run";
+  }
+  return confirms;
+}
+
+/// A commit request from node 1 (ids are (node + 1) << 40 | n) writing
+/// objects 2, 3 and 4.
+CommitRequest request_from_node_1() {
+  CommitRequest req;
+  req.txn = (TxnId{2} << 40) | 5;
+  req.writeset = {CommitWriteEntry{2, 3, Bytes{0xa2, 0xb2}, 1},
+                  CommitWriteEntry{3, 7, Bytes{0xa3}, 2},
+                  CommitWriteEntry{4, 1, Bytes{0xa4, 0xb4, 0xc4}, 1}};
+  return req;
+}
+
+TEST(Termination, ResolverResendsTheCoordinatorsConfirmBytes) {
+  const CommitRequest req = request_from_node_1();
+  // What the coordinator sends: encode_commit_confirm over views of its
+  // write-set.
+  std::vector<store::WriteView> views;
+  for (const CommitWriteEntry& e : req.writeset) {
+    views.push_back(store::WriteView{
+        .id = e.id, .base = e.base, .steps = e.steps, .data = e.data});
+  }
+  Writer w;
+  encode_commit_confirm(w, req.txn, /*commit=*/true, views);
+  const Bytes coordinators = std::move(w).take();
+
+  const std::vector<Bytes> sent = confirms_after_resolve(req, false);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0], coordinators);
+}
+
+// Under sharded cohorts a replica logs only the writes it replicates, so
+// the confirm it re-sends is the header and that run of its own.
+TEST(Termination, ShardedResolverResendsItsOwnRun) {
+  const CommitRequest req = request_from_node_1();
+  CommitConfirm own{.txn = req.txn, .commit = true, .writeset = {}};
+  for (const CommitWriteEntry& e : req.writeset) {
+    if (e.id % 2 == 0) own.writeset.push_back(e);
+  }
+  ASSERT_EQ(own.writeset.size(), 2u);
+
+  const std::vector<Bytes> sent = confirms_after_resolve(req, true);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0], encode(own));
+  const CommitConfirmView v = CommitConfirm::decode_view(sent[0]);
+  EXPECT_EQ(v.txn, req.txn);
+  EXPECT_TRUE(v.commit);
+  EXPECT_EQ(v.writeset.size(), 2u);
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(TxnTree, ParentAbortBringsBackGrandparentsReadOnlyCopy) {
   int parent_runs = 0;
   std::int64_t x_in_retry = 0;
   std::vector<CommitReadEntry> reads;
-  std::vector<CommitWriteView> writes;
+  std::vector<store::WriteView> writes;
   c.spawn_client(1, [&](Txn& t) -> sim::Task<void> {
     EXPECT_EQ(dec_i64(co_await t.read(x)), 7);
     co_await t.nested([&](Txn& parent) -> sim::Task<void> {
@@ -139,7 +139,7 @@ TEST(TxnTree, WritesFromTwoScopesCommitTheInnermostValue) {
   const ObjectId x = c.seed_new_object(enc_i64(1));
 
   std::vector<CommitReadEntry> reads;
-  std::vector<CommitWriteView> writes;
+  std::vector<store::WriteView> writes;
   std::int64_t in_write_set = 0;
   c.spawn_client(1, [&](Txn& t) -> sim::Task<void> {
     (void)co_await t.read_for_write(x);
@@ -252,7 +252,7 @@ TEST(TxnTree, CommitSetsMatchTheScopeMaps) {
   ObjectId e = store::kNullObject;
   int ct2_runs = 0;
   std::vector<CommitReadEntry> reads;
-  std::vector<CommitWriteView> writes;
+  std::vector<store::WriteView> writes;
   std::vector<std::int64_t> write_values;
   c.spawn_client(1, [&](Txn& t) -> sim::Task<void> {
     (void)co_await t.read(a);                   // root reads a
@@ -280,7 +280,7 @@ TEST(TxnTree, CommitSetsMatchTheScopeMaps) {
       ct2.write(g, enc_i64(70));
     });
     t.commit_sets(&reads, &writes);
-    for (const CommitWriteView& w : writes) {
+    for (const store::WriteView& w : writes) {
       write_values.push_back(dec_i64(w.data));
     }
   });
@@ -297,12 +297,12 @@ TEST(TxnTree, CommitSetsMatchTheScopeMaps) {
     EXPECT_EQ(r.version, r.id == f ? 2u : 1u) << r.id;
   }
   std::vector<ObjectId> write_ids;
-  for (const CommitWriteView& w : writes) write_ids.push_back(w.id);
+  for (const store::WriteView& w : writes) write_ids.push_back(w.id);
   ASSERT_NE(e, store::kNullObject);
   EXPECT_EQ(write_ids, (std::vector<ObjectId>{a, b, cc, g, e}))
       << "ids ascending; created ids sort after seeded ones";
   EXPECT_EQ(write_values, (std::vector<std::int64_t>{10, 20, 30, 70, 50}));
-  for (const CommitWriteView& w : writes) {
+  for (const store::WriteView& w : writes) {
     EXPECT_EQ(w.base, w.id == e ? 0u : 1u) << w.id;
     EXPECT_EQ(w.steps, 1u);
   }

@@ -297,8 +297,22 @@ int main(int argc, char** argv) {
     run_rules(file, e.lexed, tables[dir], e.families, &diags, &used[file]);
     groups[dir].push_back(GroupFile{file, &e.lexed, e.families});
   }
+  // Free codecs by name across every directory of the run, so an element
+  // codec shared between directories (the write-run codec in src/store,
+  // called by the messages in src/core) resolves when both are linted
+  // together.  A group's own codecs take precedence; among other groups the
+  // first directory in sorted order wins.
+  SymbolTable run_codecs;
+  for (const auto& [dir, table] : tables) {
+    for (const auto& [name, body] : table.encoders) {
+      if (!body.member) run_codecs.encoders.emplace(name, body);
+    }
+    for (const auto& [name, body] : table.decoders) {
+      if (!body.member) run_codecs.decoders.emplace(name, body);
+    }
+  }
   for (const auto& [dir, group] : groups) {
-    run_group_rules(group, tables[dir], &diags, &used);
+    run_group_rules(group, tables[dir], &diags, &used, &run_codecs);
   }
 
   if (stale_mode) {

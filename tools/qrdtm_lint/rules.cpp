@@ -597,41 +597,23 @@ int width_of_type(const SymbolTable& table, const std::string& type) {
   return it != table.type_widths.end() ? it->second : 0;
 }
 
-/// Splice kCall delegations so the whole op sequence of a codec is linear.
-void flatten_ops(const std::vector<CodecOp>& ops, const SymbolTable& table,
-                 bool encode, int depth, std::vector<const CodecOp*>* out) {
-  for (const CodecOp& op : ops) {
-    if (op.kind == CodecOp::kCall && depth < 4) {
-      const auto& bodies = encode ? table.encoders : table.decoders;
-      auto it = bodies.find(op.elem);
-      if (it != bodies.end()) {
-        flatten_ops(it->second.ops, table, encode, depth + 1, out);
-        continue;
-      }
-    }
-    out->push_back(&op);
-  }
-}
-
-/// Resolve a kVec op's element codec to an op sequence (named helper body
-/// or inline lambda ops).  Null when unresolvable.
-const std::vector<CodecOp>* vec_elem_ops(const CodecOp& op,
-                                         const SymbolTable& table,
-                                         bool encode) {
-  if (!op.elem.empty()) {
-    const auto& bodies = encode ? table.encoders : table.decoders;
-    auto it = bodies.find(op.elem);
-    if (it != bodies.end()) return &it->second.ops;
-    return nullptr;
-  }
-  return op.elem_ops.empty() ? nullptr : &op.elem_ops;
-}
-
 struct GroupCtx {
   const std::vector<GroupFile>& files;
   const SymbolTable& table;
   std::vector<Diagnostic>* out;
   std::map<std::string, UsedSuppressions>* used;
+  const SymbolTable* run_codecs;
+
+  /// The body of the codec named `name`: the group's own, else a free one
+  /// defined elsewhere in the run.  Null when neither exists.
+  const CodecBody* codec(const std::string& name, bool encode) const {
+    for (const SymbolTable* t : {&table, run_codecs}) {
+      if (t == nullptr) continue;
+      const auto& bodies = encode ? t->encoders : t->decoders;
+      if (auto it = bodies.find(name); it != bodies.end()) return &it->second;
+    }
+    return nullptr;
+  }
 
   const GroupFile* find(const std::string& path) const {
     for (const GroupFile& f : files) {
@@ -655,6 +637,42 @@ struct GroupCtx {
   }
 };
 
+/// One op of a flattened codec, and the outermost delegation it was
+/// spliced in through (null when it is the codec's own): a decode that
+/// reads a field through a helper, `v.set = read_set(r)`, names the field
+/// on the delegation only.
+struct FlatOp {
+  const CodecOp* op = nullptr;
+  const CodecOp* via = nullptr;
+};
+
+/// Splice kCall delegations so the whole op sequence of a codec is linear.
+void flatten_ops(const GroupCtx& g, const std::vector<CodecOp>& ops,
+                 bool encode, int depth, std::vector<FlatOp>* out,
+                 const CodecOp* via = nullptr) {
+  for (const CodecOp& op : ops) {
+    if (op.kind == CodecOp::kCall && depth < 4) {
+      if (const CodecBody* body = g.codec(op.elem, encode)) {
+        flatten_ops(g, body->ops, encode, depth + 1, out,
+                    via != nullptr ? via : &op);
+        continue;
+      }
+    }
+    out->push_back(FlatOp{&op, via});
+  }
+}
+
+/// Resolve a kVec op's element codec to an op sequence (named helper body
+/// or inline lambda ops).  Null when unresolvable.
+const std::vector<CodecOp>* vec_elem_ops(const GroupCtx& g, const CodecOp& op,
+                                         bool encode) {
+  if (!op.elem.empty()) {
+    const CodecBody* body = g.codec(op.elem, encode);
+    return body != nullptr ? &body->ops : nullptr;
+  }
+  return op.elem_ops.empty() ? nullptr : &op.elem_ops;
+}
+
 /// The struct field an op's operand refers to: the last identifier among the
 /// op's argument idents that names a field of `ws`.
 std::string field_of(const CodecOp& op, const WireStruct& ws) {
@@ -670,6 +688,14 @@ std::string field_of(const CodecOp& op, const WireStruct& ws) {
   return found;
 }
 
+/// The field a flattened op refers to: its own operand's, else its
+/// delegation's.
+std::string field_of(const FlatOp& f, const WireStruct& ws) {
+  std::string found = field_of(*f.op, ws);
+  if (found.empty() && f.via != nullptr) found = field_of(*f.via, ws);
+  return found;
+}
+
 const WireField* field_by_name(const WireStruct& ws, const std::string& n) {
   for (const WireField& f : ws.fields) {
     if (f.name == n) return &f;
@@ -682,15 +708,15 @@ const WireField* field_by_name(const WireStruct& ws, const std::string& n) {
 bool compare_elem_ops(const GroupCtx& g, const std::vector<CodecOp>& eops,
                       const std::vector<CodecOp>& dops, int depth) {
   if (depth > 4) return true;
-  std::vector<const CodecOp*> ef, df;
-  flatten_ops(eops, g.table, true, depth, &ef);
-  flatten_ops(dops, g.table, false, depth, &df);
+  std::vector<FlatOp> ef, df;
+  flatten_ops(g, eops, true, depth, &ef);
+  flatten_ops(g, dops, false, depth, &df);
   if (ef.size() != df.size()) return false;
   for (std::size_t i = 0; i < ef.size(); ++i) {
-    if (ef[i]->kind != df[i]->kind) return false;
-    if (ef[i]->kind == CodecOp::kVec) {
-      const auto* ee = vec_elem_ops(*ef[i], g.table, true);
-      const auto* de = vec_elem_ops(*df[i], g.table, false);
+    if (ef[i].op->kind != df[i].op->kind) return false;
+    if (ef[i].op->kind == CodecOp::kVec) {
+      const auto* ee = vec_elem_ops(g, *ef[i].op, true);
+      const auto* de = vec_elem_ops(g, *df[i].op, false);
       if (ee && de && !compare_elem_ops(g, *ee, *de, depth + 1)) return false;
     }
   }
@@ -699,9 +725,9 @@ bool compare_elem_ops(const GroupCtx& g, const std::vector<CodecOp>& eops,
 
 void check_codec_struct(const GroupCtx& g, const WireStruct& ws,
                         const CodecBody& enc, const CodecBody& dec) {
-  std::vector<const CodecOp*> ef, df;
-  flatten_ops(enc.ops, g.table, true, 0, &ef);
-  flatten_ops(dec.ops, g.table, false, 0, &df);
+  std::vector<FlatOp> ef, df;
+  flatten_ops(g, enc.ops, true, 0, &ef);
+  flatten_ops(g, dec.ops, false, 0, &df);
 
   if (ef.size() != df.size()) {
     g.diag(enc.file, enc.line, "wire-codec-asymmetry",
@@ -715,10 +741,10 @@ void check_codec_struct(const GroupCtx& g, const WireStruct& ws,
 
   std::set<std::string> enc_cover, dec_cover;
   for (std::size_t i = 0; i < ef.size(); ++i) {
-    const CodecOp& e = *ef[i];
-    const CodecOp& d = *df[i];
-    std::string fe = field_of(e, ws);
-    std::string fd = field_of(d, ws);
+    const CodecOp& e = *ef[i].op;
+    const CodecOp& d = *df[i].op;
+    std::string fe = field_of(ef[i], ws);
+    std::string fd = field_of(df[i], ws);
     if (!fe.empty()) enc_cover.insert(fe);
     if (!fd.empty()) dec_cover.insert(fd);
 
@@ -732,8 +758,8 @@ void check_codec_struct(const GroupCtx& g, const WireStruct& ws,
       continue;
     }
     if (e.kind == CodecOp::kVec) {
-      const auto* ee = vec_elem_ops(e, g.table, true);
-      const auto* de = vec_elem_ops(d, g.table, false);
+      const auto* ee = vec_elem_ops(g, e, true);
+      const auto* de = vec_elem_ops(g, d, false);
       if (ee && de && !compare_elem_ops(g, *ee, *de, 1)) {
         g.diag(enc.file, e.line, "wire-codec-asymmetry",
                "wire struct '" + ws.name + "': vector op #" +
@@ -845,13 +871,14 @@ void run_rules(const std::string& file, const LexResult& lexed,
 
 void run_group_rules(const std::vector<GroupFile>& files,
                      const SymbolTable& table, std::vector<Diagnostic>* out,
-                     std::map<std::string, UsedSuppressions>* used) {
+                     std::map<std::string, UsedSuppressions>* used,
+                     const SymbolTable* run_codecs) {
   bool any_codec = false;
   for (const GroupFile& f : files) {
     if (f.families & kCodec) any_codec = true;
   }
   if (!any_codec) return;
-  GroupCtx g{files, table, out, used};
+  GroupCtx g{files, table, out, used, run_codecs};
   check_group_codecs(g);
 }
 

@@ -74,13 +74,16 @@ struct GroupFile {
 };
 
 /// Pass 3: group-level rules (codec symmetry, tag registration) over one
-/// directory group's symbol table.  Diagnostics anchor to the file the
-/// offending struct/codec/tag lives in and respect that file's suppressions
-/// (and family selection: a diagnostic is only emitted when its anchor file
-/// has the codec family enabled).
+/// directory group's symbol table.  A free codec the group calls but does
+/// not define (an element codec shared across directories) resolves in
+/// `run_codecs`, the free codecs of every directory in the run, when given.
+/// Diagnostics anchor to the file the offending struct/codec/tag lives in
+/// and respect that file's suppressions (and family selection: a diagnostic
+/// is only emitted when its anchor file has the codec family enabled).
 void run_group_rules(const std::vector<GroupFile>& files,
                      const SymbolTable& table, std::vector<Diagnostic>* out,
-                     std::map<std::string, UsedSuppressions>* used = nullptr);
+                     std::map<std::string, UsedSuppressions>* used = nullptr,
+                     const SymbolTable* run_codecs = nullptr);
 
 /// All rule names, for --list-rules and directive validation.
 const std::vector<std::string>& all_rule_names();

@@ -123,6 +123,21 @@ bool parse_lambda_codec(const std::vector<Token>& t, std::size_t b,
   return true;
 }
 
+/// Whether the call named by t[k] (body starting at t[b]) is a free
+/// function call: not a member access, and either unqualified or qualified
+/// by a namespace other than std (store::read_write_run(r) counts;
+/// std::move(w) does not).
+bool free_call(const std::vector<Token>& t, std::size_t b, std::size_t k) {
+  if (k == b) return true;
+  if (is_punct(t[k - 1], ".") || is_punct(t[k - 1], "->")) return false;
+  if (!is_punct(t[k - 1], "::")) return true;
+  return k >= b + 2 && t[k - 2].kind == Tok::kIdent &&
+         !is_ident(t[k - 2], "std") &&
+         (k == b + 2 || (!is_punct(t[k - 3], "::") &&
+                         !is_punct(t[k - 3], ".") &&
+                         !is_punct(t[k - 3], "->")));
+}
+
 /// Extract the ordered codec ops from a body range given the Writer/Reader
 /// variable name.  Handles primitive ops, encode_vec/decode_vec,
 /// encode_records/decode_records and decode_entries (named helper or inline
@@ -202,11 +217,10 @@ void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
 
     // Free-encoder delegation: fname(w, ...) with the stream variable as
     // the first argument (e.g. ReadRequest::encode_into forwarding to
-    // encode_read_request).  Only free calls count.
+    // encode_read_request, or a lambda calling store::encode_write).  Only
+    // free calls count.
     if (encode && k + 1 < e && is_punct(t[k + 1], "(") &&
-        !is_keyword(t[k].text) &&
-        (k == b || (!is_punct(t[k - 1], ".") && !is_punct(t[k - 1], "->") &&
-                    !is_punct(t[k - 1], "::")))) {
+        !is_keyword(t[k].text) && free_call(t, b, k)) {
       std::size_t close = skip_balanced(t, k + 1);
       if (close == npos || close > e) continue;
       auto args = split_args(t, k + 2, close - 1);
@@ -227,8 +241,7 @@ void parse_codec_ops(const std::vector<Token>& t, std::size_t b, std::size_t e,
     // case covers; a direct `x = helper(r)` splice is matched here.
     if (!encode && k + 1 < e && is_punct(t[k + 1], "(") &&
         !is_keyword(t[k].text) && t[k].text != "Reader" &&
-        (k == b || (!is_punct(t[k - 1], ".") && !is_punct(t[k - 1], "->") &&
-                    !is_punct(t[k - 1], "::")))) {
+        free_call(t, b, k)) {
       std::size_t close = skip_balanced(t, k + 1);
       if (close == npos || close > e) continue;
       auto args = split_args(t, k + 2, close - 1);
