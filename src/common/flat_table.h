@@ -1,4 +1,4 @@
-// Flat hash table keyed by a 64-bit id (a TxnId).
+// Flat hash table keyed by a 64-bit id (a TxnId or an ObjectId).
 //
 // Open addressing with linear probing over a power-of-two slot array that
 // is at most half full (see below); the home slot is the top bits of

@@ -41,7 +41,6 @@ FaultSchedule FaultSchedule::generate(std::uint64_t seed,
                                       std::uint32_t num_nodes,
                                       const ChaosOptions& opts) {
   FaultSchedule s;
-  s.kills_notify_provider = opts.kills_notify_provider;
   Rng rng(seed);
 
   // Kills: distinct victims, times in the middle [0.2h, 0.8h] of the horizon
@@ -176,14 +175,13 @@ FaultSchedule FaultSchedule::generate(std::uint64_t seed,
 void FaultSchedule::arm(sim::Simulator& sim, net::Network& net,
                         quorum::QuorumProvider* provider,
                         HistoryRecorder* recorder) const {
-  const bool notify = kills_notify_provider;
   for (const Kill& k : kills) {
-    sim.schedule_at(k.at, [&sim, &net, provider, recorder, k, notify] {
+    sim.schedule_at(k.at, [&sim, &net, provider, recorder, k] {
       net.kill(k.node);
-      if (notify && provider != nullptr) provider->on_failure(k.node);
+      if (provider != nullptr) provider->on_failure(k.node);
       if (recorder != nullptr) {
         std::string d;
-        appendf(d, "kill node %u%s", k.node, notify ? "" : " (silent)");
+        appendf(d, "kill node %u", k.node);
         recorder->record_fault(sim.now(), std::move(d));
       }
     });
@@ -265,13 +263,12 @@ void FaultSchedule::arm_network_faults(sim::Simulator& sim, net::Network& net,
 
 void FaultSchedule::arm(Cluster& cluster, HistoryRecorder* recorder) const {
   sim::Simulator& sim = cluster.simulator();
-  const bool notify = kills_notify_provider;
   for (const Kill& k : kills) {
-    sim.schedule_at(k.at, [&sim, &cluster, recorder, k, notify] {
-      cluster.kill_node(k.node, notify);
+    sim.schedule_at(k.at, [&sim, &cluster, recorder, k] {
+      cluster.kill_node(k.node);
       if (recorder != nullptr) {
         std::string d;
-        appendf(d, "kill node %u%s", k.node, notify ? "" : " (silent)");
+        appendf(d, "kill node %u", k.node);
         recorder->record_fault(sim.now(), std::move(d));
       }
     });
@@ -339,9 +336,8 @@ void FaultSchedule::arm(Cluster& cluster, HistoryRecorder* recorder) const {
 std::string FaultSchedule::describe() const {
   std::string out;
   for (const Kill& k : kills) {
-    appendf(out, "  kill  t=%8.1f ms node=%u%s\n",
-            static_cast<double>(k.at) * 1e-6, k.node,
-            kills_notify_provider ? "" : " (silent)");
+    appendf(out, "  kill  t=%8.1f ms node=%u\n",
+            static_cast<double>(k.at) * 1e-6, k.node);
   }
   for (const Burst& b : bursts) {
     appendf(out, "  burst t=%8.1f ms len=%.1f ms p=%.2f\n",

@@ -6,9 +6,7 @@
 // arm() translates the schedule into simulator events before the run starts:
 //
 //   * kills   -- fail-stop a node at its scheduled tick (paper §VI-D: the
-//                provider is notified so quorums reconfigure; pass
-//                kills_notify_provider=false to leave discovery to the
-//                timeout-based failure detector),
+//                provider is notified so quorums reconfigure),
 //   * bursts  -- windows during which request/response messages are dropped
 //                with probability drop_prob (one-way notifies are exempt;
 //                see Network::set_drop_probability),
@@ -53,7 +51,6 @@ struct ChaosOptions {
   /// Empty candidates = no kills.
   std::uint32_t max_kills = 0;
   std::vector<net::NodeId> kill_candidates;
-  bool kills_notify_provider = true;
 
   std::uint32_t drop_bursts = 0;
   double drop_prob = 0.15;
@@ -147,7 +144,6 @@ struct FaultSchedule {
   std::vector<Partition> partitions;
   std::vector<Cut> cuts;
   std::vector<Orphan> orphans;
-  bool kills_notify_provider = true;
 
   /// Derive a schedule from (seed, num_nodes, options).  Pure and
   /// deterministic; the spike candidate pool defaults to all nodes.
@@ -155,9 +151,8 @@ struct FaultSchedule {
                                 const ChaosOptions& opts);
 
   /// Schedule the fault events onto `sim`.  Call before running.  `provider`
-  /// (nullable) is notified of kills when kills_notify_provider is set;
-  /// `recorder` (nullable) gets a kFault event per transition.  Recover
-  /// events only revive the network endpoint here -- re-admitting a replica
+  /// (nullable) is notified of kills; `recorder` (nullable) gets a kFault
+  /// event per transition.  Recover events only revive the network endpoint here -- re-admitting a replica
   /// to quorums safely requires the state catch-up that only the Cluster
   /// overload can run, so `provider` is deliberately NOT told about
   /// recoveries by this overload.

@@ -419,28 +419,32 @@ void QrServer::handle_commit_confirm(const CommitConfirmView& confirm) {
   // the lease sheds them.
   const FaultAction at_apply = fault(fp::kServerConfirmApply);
   if (at_apply == FaultAction::kSkip || at_apply == FaultAction::kPanic) return;
+  settle(confirm.txn, confirm.commit, confirm.writeset);
+  record_outcome(confirm.txn, confirm.commit);
+}
+
+void QrServer::settle(TxnId txn, bool commit, const store::WriteRun& writes) {
   // WAL discipline: the outcome is durable before it is applied.  Only
   // transactions that logged a local prepare (some write replicated here)
   // need an outcome record.
   bool any_local = false;
-  for (const store::WriteView& e : confirm.writeset) {
+  for (const store::WriteView& e : writes) {
     if (replicated_here(e.id)) any_local = true;
   }
   if (any_local && fault(fp::kLogConfirm) != FaultAction::kSkip) {
-    log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
+    log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  for (const store::WriteView& e : confirm.writeset) {
+  for (const store::WriteView& e : writes) {
     if (!replicated_here(e.id)) continue;
-    store_.unprotect(e.id, confirm.txn);
+    store_.unprotect(e.id, txn);
     // The writer read `base` through a read quorum, so by Q1 it was the
     // globally newest version; base+steps is therefore fresh, and every
     // write-quorum member converges on it.  A QR-Q batch's intermediate
     // versions exist only in the recorded history, where the checker
     // certifies them as a serial chain.
-    if (confirm.commit) store_.apply(e.id, e.base + e.steps, e.data);
+    if (commit) store_.apply(e.id, e.base + e.steps, e.data);
   }
-  record_outcome(confirm.txn, confirm.commit);
 }
 
 bool QrServer::confirm_is_duplicate(TxnId txn) {
@@ -596,9 +600,10 @@ void QrServer::handle_txn_status_response(net::NodeId from,
 
 void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // The confirm to retransmit is the confirm header and the pending write
-  // run, verbatim.  Encode it FIRST and read the writes from it:
-  // append_confirm settles the pending entry, and a cut it triggers drops
-  // the log's copy of the run.
+  // run, verbatim.  Encode it FIRST and settle the writes read from it:
+  // settle's append_confirm closes the pending entry, and a cut it triggers
+  // drops the log's copy of the run.  Every write of the run is replicated
+  // here (log_prepare logged only those).
   Writer w(rpc_.acquire_buffer(msg::kCommitConfirm));
   encode_commit_confirm_head(w, txn, commit);
   const std::optional<store::WriteRun> pending = log_.find_pending(txn);
@@ -606,14 +611,7 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   Bytes encoded = std::move(w).take();
   store::WriteRun writes;
   if (pending) writes = CommitConfirm::decode_view(encoded).writeset;
-  if (!writes.empty() && fault(fp::kLogConfirm) != FaultAction::kSkip) {
-    log_.append_confirm(txn, commit, liveness_epoch());
-    maybe_autocut();
-  }
-  for (const store::WriteView& lw : writes) {
-    store_.unprotect(lw.id, txn);
-    if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
-  }
+  settle(txn, commit, writes);
   if (commit) {
     ++metrics_.indoubt_resolved_commit;
   } else {

@@ -175,6 +175,12 @@ class QrServer {
   /// Apply (base + steps) or roll back the protected write-set, each value
   /// copied from the confirm buffer into its store entry.
   void handle_commit_confirm(const CommitConfirmView& confirm);
+  /// Settle `txn`'s outcome on this replica, for confirms and in-doubt
+  /// resolutions alike: log the confirm (unless fp::kLogConfirm skips it)
+  /// when a write is replicated here, run the auto-cut check, then
+  /// unprotect each locally replicated write and, on commit, apply it at
+  /// base + steps.  `writes` must not borrow the log, which a cut changes.
+  void settle(TxnId txn, bool commit, const store::WriteRun& writes);
   /// Log the prepare of a commit vote: the request's write-set bytes
   /// verbatim when every write is replicated here, else the entries that
   /// are.  `local` counts those.

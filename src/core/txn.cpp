@@ -958,8 +958,12 @@ sim::Task<bool> TxnRuntime::commit_confirm(TxnId txn, bool commit,
     if (at_decision != FaultAction::kSkip) {
       // kSkip = the --break-termination canary: confirms go out with no
       // durable decision, so a restart presumed-aborts an acked commit.
+      // The confirm is its head, then the write run (core/wire.h).
+      const std::size_t run = store::write_run_bytes(round.writeset);
+      const std::span<const std::uint8_t> confirm(encoded);
       local_log_.append_decision(txn, rpc_.network().epoch(node()), commit, wq,
-                                 encoded);
+                                 confirm.first(confirm.size() - run),
+                                 confirm.last(run));
     }
   }
 

@@ -13,12 +13,39 @@ bool intersects(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
   return false;
 }
 
+// ---------------------------------------------------------------- live set
+
+void QuorumProvider::on_failure(NodeId dead) {
+  QRDTM_CHECK(dead < dead_.size());
+  if (dead_[dead]) return;
+  dead_[dead] = true;
+  ++dead_count_;
+  ++generation_;
+}
+
+void QuorumProvider::on_recovery(NodeId node) {
+  QRDTM_CHECK(node < dead_.size());
+  if (!dead_[node]) return;
+  dead_[node] = false;
+  --dead_count_;
+  ++generation_;
+}
+
+std::vector<NodeId> QuorumProvider::live_nodes() const {
+  std::vector<NodeId> live;
+  live.reserve(dead_.size() - dead_count_);
+  for (NodeId i = 0; i < dead_.size(); ++i) {
+    if (!dead_[i]) live.push_back(i);
+  }
+  return live;
+}
+
 // ---------------------------------------------------------------- tree
 
-TreeQuorumProvider::TreeQuorumProvider(Config cfg) : cfg_(cfg) {
+TreeQuorumProvider::TreeQuorumProvider(Config cfg)
+    : QuorumProvider(cfg.num_nodes), cfg_(cfg) {
   QRDTM_CHECK(cfg_.num_nodes >= 1);
   QRDTM_CHECK(cfg_.degree >= 2);
-  dead_.assign(cfg_.num_nodes, false);
   // Height of the complete d-ary tree holding num_nodes nodes.
   std::uint32_t h = 0;
   std::uint64_t level_start = 0, level_size = 1;
@@ -128,36 +155,17 @@ std::vector<NodeId> TreeQuorumProvider::cohort_write_quorum(
   return out;
 }
 
-void TreeQuorumProvider::on_failure(NodeId dead) {
-  QRDTM_CHECK(dead < dead_.size());
-  dead_[dead] = true;
-  bump_generation();
-}
-
-void TreeQuorumProvider::on_recovery(NodeId node) {
-  QRDTM_CHECK(node < dead_.size());
-  if (dead_[node]) {
-    dead_[node] = false;
-    bump_generation();
-  }
-}
-
 // ---------------------------------------------------------------- majority
 
 MajorityQuorumProvider::MajorityQuorumProvider(std::uint32_t num_nodes,
                                                bool same_for_all)
-    : n_(num_nodes), same_for_all_(same_for_all) {
+    : QuorumProvider(num_nodes), n_(num_nodes), same_for_all_(same_for_all) {
   QRDTM_CHECK(n_ >= 1);
-  dead_.assign(n_, false);
 }
 
 std::vector<NodeId> MajorityQuorumProvider::pick(NodeId node,
                                                  std::size_t count) const {
-  std::vector<NodeId> live;
-  live.reserve(n_);
-  for (NodeId i = 0; i < n_; ++i) {
-    if (!dead_[i]) live.push_back(i);
-  }
+  const std::vector<NodeId> live = live_nodes();
   if (live.size() < count) {
     throw QuorumUnavailable("not enough live nodes for a majority");
   }
@@ -181,36 +189,17 @@ std::vector<NodeId> MajorityQuorumProvider::cohort_write_quorum(
   return pick(node, n_ / 2 + 1);
 }
 
-void MajorityQuorumProvider::on_failure(NodeId dead) {
-  QRDTM_CHECK(dead < dead_.size());
-  dead_[dead] = true;
-  bump_generation();
-}
-
-void MajorityQuorumProvider::on_recovery(NodeId node) {
-  QRDTM_CHECK(node < dead_.size());
-  if (dead_[node]) {
-    dead_[node] = false;
-    bump_generation();
-  }
-}
-
 // ---------------------------------------------------------------- flat/fig10
 
 FlatFailureAwareProvider::FlatFailureAwareProvider(std::uint32_t num_nodes)
-    : n_(num_nodes) {
-  QRDTM_CHECK(n_ >= 1);
-  dead_.assign(n_, false);
+    : QuorumProvider(num_nodes) {
+  QRDTM_CHECK(num_nodes >= 1);
 }
 
 std::vector<NodeId> FlatFailureAwareProvider::cohort_read_quorum(
     NodeId node, std::uint32_t) const {
-  std::vector<NodeId> live;
-  live.reserve(n_);
-  for (NodeId i = 0; i < n_; ++i) {
-    if (!dead_[i]) live.push_back(i);
-  }
-  const std::size_t want = failures_ + 1;
+  const std::vector<NodeId> live = live_nodes();
+  const std::size_t want = dead_count() + 1;
   if (live.size() < want) {
     throw QuorumUnavailable("fewer live nodes than failures+1");
   }
@@ -220,7 +209,7 @@ std::vector<NodeId> FlatFailureAwareProvider::cohort_read_quorum(
   // node and "the workload is balanced across the read quorum nodes".
   std::vector<NodeId> out;
   out.reserve(want);
-  const std::size_t start = failures_ == 0 ? 0 : node % live.size();
+  const std::size_t start = dead_count() == 0 ? 0 : node % live.size();
   for (std::size_t i = 0; i < want; ++i) {
     out.push_back(live[(start + i) % live.size()]);
   }
@@ -230,38 +219,15 @@ std::vector<NodeId> FlatFailureAwareProvider::cohort_read_quorum(
 
 std::vector<NodeId> FlatFailureAwareProvider::cohort_write_quorum(
     NodeId, std::uint32_t) const {
-  std::vector<NodeId> live;
-  live.reserve(n_);
-  for (NodeId i = 0; i < n_; ++i) {
-    if (!dead_[i]) live.push_back(i);
-  }
+  std::vector<NodeId> live = live_nodes();
   if (live.empty()) throw QuorumUnavailable("all nodes dead");
   return live;
-}
-
-void FlatFailureAwareProvider::on_failure(NodeId dead) {
-  QRDTM_CHECK(dead < dead_.size());
-  if (!dead_[dead]) {
-    dead_[dead] = true;
-    ++failures_;
-    bump_generation();
-  }
-}
-
-void FlatFailureAwareProvider::on_recovery(NodeId node) {
-  QRDTM_CHECK(node < dead_.size());
-  if (dead_[node]) {
-    dead_[node] = false;
-    QRDTM_CHECK(failures_ > 0);
-    --failures_;
-    bump_generation();
-  }
 }
 
 // ---------------------------------------------------------------- sharded
 
 ShardedQuorumProvider::ShardedQuorumProvider(Config cfg)
-    : cfg_(cfg), map_(cfg.num_shards) {
+    : QuorumProvider(cfg.num_nodes), cfg_(cfg), map_(cfg.num_shards) {
   QRDTM_CHECK(cfg_.num_shards >= 1);
   QRDTM_CHECK(cfg_.cohort_size >= 1);
   QRDTM_CHECK(cfg_.cohort_size <= cfg_.num_nodes);
@@ -301,25 +267,23 @@ std::vector<NodeId> ShardedQuorumProvider::cohort_write_quorum(
 }
 
 void ShardedQuorumProvider::on_failure(NodeId dead) {
-  QRDTM_CHECK(dead < cfg_.num_nodes);
+  QuorumProvider::on_failure(dead);
   for (std::uint32_t c = 0; c < cfg_.num_shards; ++c) {
     if (!member_of(dead, c)) continue;
     const NodeId local = static_cast<NodeId>(
         (dead + cfg_.num_nodes - cohort_start(c)) % cfg_.num_nodes);
     inner_[c]->on_failure(local);
   }
-  bump_generation();
 }
 
 void ShardedQuorumProvider::on_recovery(NodeId node) {
-  QRDTM_CHECK(node < cfg_.num_nodes);
+  QuorumProvider::on_recovery(node);
   for (std::uint32_t c = 0; c < cfg_.num_shards; ++c) {
     if (!member_of(node, c)) continue;
     const NodeId local = static_cast<NodeId>(
         (node + cfg_.num_nodes - cohort_start(c)) % cfg_.num_nodes);
     inner_[c]->on_recovery(local);
   }
-  bump_generation();
 }
 
 std::vector<std::uint32_t> ShardedQuorumProvider::node_cohorts(

@@ -90,14 +90,15 @@ class QuorumProvider {
       const = 0;
 
   /// Inform the provider of a fail-stop so later quorums avoid the node.
-  virtual void on_failure(NodeId dead) = 0;
+  /// No-op for a node already reported failed.
+  virtual void on_failure(NodeId dead);
 
   /// Re-admit a previously failed node.  Callers must only invoke this once
   /// the node has caught up (Cluster::recover_node's anti-entropy pull):
   /// re-admitting a stale replica would let a read quorum observe versions
   /// older than the last commit, breaking the Q1 argument.  No-op for a node
   /// that was never reported failed.
-  virtual void on_recovery(NodeId node) = 0;
+  virtual void on_recovery(NodeId node);
 
   /// Number of quorum cohorts (shards).  1 = classic full replication.
   virtual std::uint32_t num_cohorts() const { return 1; }
@@ -122,16 +123,25 @@ class QuorumProvider {
     return cohort_write_quorum(node, cohort_of(id));
   }
 
-  /// Monotone counter advanced on every membership change.  Quorums are a
-  /// pure function of the live set, so clients may cache a computed quorum
-  /// for as long as generation() holds still (TxnRuntime does, keyed on
-  /// (generation, cohort)).
+  /// Monotone counter advanced whenever the live set changes.  Quorums are
+  /// a pure function of the live set, so clients may cache a computed
+  /// quorum for as long as generation() holds still (TxnRuntime does, keyed
+  /// on (generation, cohort)).
   std::uint64_t generation() const { return generation_; }
 
  protected:
-  void bump_generation() { ++generation_; }
+  /// A provider over nodes 0..num_nodes-1, all alive.
+  explicit QuorumProvider(std::uint32_t num_nodes) : dead_(num_nodes, false) {}
+
+  bool alive(NodeId v) const { return !dead_[v]; }
+  /// Nodes reported failed and not yet recovered.
+  std::uint32_t dead_count() const { return dead_count_; }
+  /// The live nodes, ascending.
+  std::vector<NodeId> live_nodes() const;
 
  private:
+  std::vector<bool> dead_;
+  std::uint32_t dead_count_ = 0;
   std::uint64_t generation_ = 0;
 };
 
@@ -158,12 +168,9 @@ class TreeQuorumProvider final : public QuorumProvider {
                                          std::uint32_t cohort) const override;
   std::vector<NodeId> cohort_write_quorum(NodeId node,
                                           std::uint32_t cohort) const override;
-  void on_failure(NodeId dead) override;
-  void on_recovery(NodeId node) override;
 
  private:
   std::vector<NodeId> children(NodeId v) const;
-  bool alive(NodeId v) const { return !dead_[v]; }
 
   /// Append a read quorum for the subtree at v to `out`: either descend to
   /// `level` below, or fall back on deeper levels when members are dead.
@@ -178,7 +185,6 @@ class TreeQuorumProvider final : public QuorumProvider {
 
   Config cfg_;
   std::uint32_t height_;
-  std::vector<bool> dead_;
 };
 
 /// Simple majority quorums: both read and write quorums are any
@@ -191,15 +197,12 @@ class MajorityQuorumProvider final : public QuorumProvider {
                                          std::uint32_t cohort) const override;
   std::vector<NodeId> cohort_write_quorum(NodeId node,
                                           std::uint32_t cohort) const override;
-  void on_failure(NodeId dead) override;
-  void on_recovery(NodeId node) override;
 
  private:
   std::vector<NodeId> pick(NodeId node, std::size_t count) const;
 
   std::uint32_t n_;
   bool same_for_all_;
-  std::vector<bool> dead_;
 };
 
 /// Fig. 10 policy: |read quorum| = failures+1 live nodes (round-robin per
@@ -213,13 +216,6 @@ class FlatFailureAwareProvider final : public QuorumProvider {
                                          std::uint32_t cohort) const override;
   std::vector<NodeId> cohort_write_quorum(NodeId node,
                                           std::uint32_t cohort) const override;
-  void on_failure(NodeId dead) override;
-  void on_recovery(NodeId node) override;
-
- private:
-  std::uint32_t n_;
-  std::uint32_t failures_ = 0;
-  std::vector<bool> dead_;
 };
 
 /// Sharded partial replication: S cohorts, cohort c owning the

@@ -13,10 +13,9 @@ namespace {
 constexpr std::uint8_t kApply = 1;
 constexpr std::uint8_t kPrepare = 2;
 constexpr std::uint8_t kConfirm = 3;
+// A decision record holds the confirm's head, then its run's index (u32)
+// in place of the run.
 constexpr std::uint8_t kDecision = 4;
-// A decision whose confirm ends with a shelf run: the record holds the
-// confirm's bytes before the run, then the run's index (u32) in place of it.
-constexpr std::uint8_t kSharedDecision = 5;
 
 // Record header: u32 length prefix, u8 type, u32 epoch.
 constexpr std::size_t kHeaderBytes = 4 + 1 + 4;
@@ -177,17 +176,14 @@ void CommitLog::append_confirm(TxnId txn, bool commit, std::uint32_t epoch) {
 
 void CommitLog::append_decision(TxnId txn, std::uint32_t epoch, bool commit,
                                 std::span<const std::uint32_t> members,
-                                std::span<const std::uint8_t> payload) {
-  // The confirm's write run is on the shelf already when the write quorum
-  // logged it; refer to it then, and never place one here.
-  const std::optional<std::uint32_t> run = runs_.add_suffix(txn, payload);
-  const std::size_t shared = run ? runs_[*run].size() : 0;
-  const std::span<const std::uint8_t> head =
-      payload.first(payload.size() - shared);
+                                std::span<const std::uint8_t> head,
+                                std::span<const std::uint8_t> run) {
+  // The run is on the shelf already when the write quorum logged it; an
+  // abort whose quorum prepared nothing places it here.
+  const std::uint32_t ref = runs_.add(txn, run);
   std::size_t len_at = 0;
   Writer w = open_record(
-      run ? kSharedDecision : kDecision, epoch,
-      8 + 1 + 4 + 4 * members.size() + 4 + head.size() + (run ? 4 : 0),
+      kDecision, epoch, 8 + 1 + 4 + 4 * members.size() + 4 + head.size() + 4,
       &len_at);
   // The decision's epoch already leads the record, like the other records'.
   const std::size_t body_at = w.size();
@@ -195,15 +191,14 @@ void CommitLog::append_decision(TxnId txn, std::uint32_t epoch, bool commit,
   w.boolean(commit);
   encode_records<4>(w, members,
                     [](RecordWriter& r, std::uint32_t n) { r.u32(n); });
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u32(static_cast<std::uint32_t>(head.size() + run.size()));
   w.raw(head);
-  if (run) w.u32(*run);
+  w.u32(ref);
   close_record(std::move(w), len_at);
-  // A shared record counts for its run as if the run were in it.
-  if (run) tail_bytes_ += shared - 4;
+  // The record counts for its run as if the run were in it.
+  tail_bytes_ += run.size() - 4;
   verdicts_[txn] = commit;
-  decisions_[txn] = OpenDecision{epoch, tail_loc(body_at),
-                                 run.value_or(OpenDecision::kInline)};
+  decisions_[txn] = OpenDecision{epoch, tail_loc(body_at), ref};
 }
 
 void CommitLog::settle_decision(TxnId txn) { decisions_.erase(txn); }
@@ -222,7 +217,7 @@ std::optional<DecisionView> CommitLog::open_decision(TxnId txn) const {
   view.commit = r.boolean();
   view.members = decode_records<4, std::uint32_t, decode_member>(r);
   const std::uint32_t size = r.u32();
-  if (d->run != OpenDecision::kInline) view.payload.run = runs_[d->run];
+  if (d->run != OpenDecision::kInImage) view.payload.run = runs_[d->run];
   view.payload.head = r.borrow(size - view.payload.run.size());
   return view;
 }
@@ -262,7 +257,7 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   for (TxnId txn : open) {
     const OpenDecision& d = *decisions_.find(txn);
     image_bytes += 4 + d.body.size;
-    if (d.run != OpenDecision::kInline) image_bytes += runs_[d.run].size() - 4;
+    if (d.run != OpenDecision::kInImage) image_bytes += runs_[d.run].size() - 4;
   }
 
   Writer w;
@@ -306,16 +301,16 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   // Carry the unsettled coordinator decisions: a decision whose confirm
   // broadcast has not completed must survive the cut, or a restart after
   // the cut could presumed-abort a transaction whose confirms were already
-  // partially delivered.  Txn-ordered, like the prepares.  A shared
-  // decision is written in full: its bytes before the run, then the run in
-  // place of the run's index.
+  // partially delivered.  Txn-ordered, like the prepares.  A decision in
+  // the tail is written in full: its head, then the run in place of the
+  // run's index.
   w.u32(static_cast<std::uint32_t>(open.size()));
   for (TxnId txn : open) {
     OpenDecision& d = *decisions_.find(txn);
     const std::span<const std::uint8_t> body = bytes_at(d.body);
     w.u32(d.epoch);
     const std::size_t at = w.size();
-    if (d.run == OpenDecision::kInline) {
+    if (d.run == OpenDecision::kInImage) {
       w.raw(body);
     } else {
       w.raw(body.first(body.size() - 4));
@@ -323,7 +318,7 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
     }
     d.body = {Loc::kImage, static_cast<std::uint32_t>(at),
               static_cast<std::uint32_t>(w.size() - at)};
-    d.run = OpenDecision::kInline;
+    d.run = OpenDecision::kInImage;
   }
 
   // Only now, with every carried record in the new image, do the old image
@@ -462,7 +457,6 @@ std::size_t CommitLog::replay_into(ReplicaStore& store,
             break;
           }
           case kDecision:
-          case kSharedDecision:
             // Coordinator decision: nothing to apply to the store (its own
             // confirm record, if it is a quorum member, does that).  The
             // decisions_/verdicts_ members survive with the log object and
@@ -504,7 +498,7 @@ void CommitLog::truncate_tail_for_test(std::size_t bytes) {
     std::size_t at = 0;
     std::size_t size = 0;
     std::size_t counted = 0;
-    std::size_t run = kNoRun;  // a prepare's or shared decision's run index
+    std::size_t run = kNoRun;  // a prepare's or decision's run index
   };
   std::vector<Record> records;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
@@ -516,7 +510,7 @@ void CommitLog::truncate_tail_for_test(std::size_t bytes) {
       rec.size = 4 + len;
       rec.counted = rec.size;
       const std::uint8_t type = payload[0];
-      if (type == kPrepare || type == kSharedDecision) {
+      if (type == kPrepare || type == kDecision) {
         // The run's index ends either record.
         rec.run = Reader(payload.last(4)).u32();
         rec.counted += runs_[rec.run].size() - 4;

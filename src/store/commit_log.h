@@ -45,12 +45,12 @@
 //
 // Coordinator decisions: before any confirm leaves the node, the
 // coordinator appends a decision record {txn, commit|abort, members, encoded
-// confirm}.  The confirm ends with the transaction's write run, which the
-// write quorum's prepares have just put on the shelf: when the shelf holds
-// that run of the txn with identical bytes, the record keeps the confirm's
-// bytes before it and names the run (a shared decision), else it holds the
-// whole confirm (an inline one).  It counts for the full inline record
-// either way, a cut writes the full record into the image, and a re-drive
+// confirm}.  The caller hands the confirm over as its head and its write
+// run; the run goes on the shelf like a prepare's -- the copy the write
+// quorum's prepares just put there when the bytes are identical, else a
+// new one (an abort whose quorum prepared nothing) -- and the record holds
+// the head and the run's index.  It counts for the full record with the
+// run inline, a cut writes that full record into the image, and a re-drive
 // sends the same bytes.  Unsettled decisions are carried across cuts and
 // re-driven after a restart (at-least-once delivery; receivers dedupe on
 // (txn, epoch)).
@@ -127,8 +127,8 @@ inline std::uint32_t decode_member(Reader& r) { return r.u32(); }
 using DecisionMembers = RecordView<4, std::uint32_t, decode_member>;
 
 /// A decision's encoded confirm, read in place: `head` from the decision
-/// record, then `run`, the shelf run it ends with when the record shares
-/// one (empty for a decision logged inline, whose whole confirm is `head`).
+/// record, then `run`, its shelf run, while the record is in the tail (after
+/// a cut the image holds the whole confirm in `head`, and `run` is empty).
 struct DecisionPayload {
   std::span<const std::uint8_t> head;
   std::span<const std::uint8_t> run;
@@ -189,15 +189,16 @@ class CommitLog {
   void append_confirm(TxnId txn, bool commit, std::uint32_t epoch);
 
   /// Coordinator side: durably record the 2PC decision for `txn` -- the
-  /// write-quorum `members` to notify and the encoded confirm `payload` --
-  /// before any confirm is sent.  A `payload` that ends with the shelf's run
-  /// of `txn` refers to it rather than copying it (see the file comment).
-  /// The decision stays open (listed by open_decisions(), carried across
+  /// write-quorum `members` to notify and the encoded confirm, `head`
+  /// followed by the write `run` -- before any confirm is sent.  The record
+  /// refers to the shelf's copy of the run (see the file comment).  The
+  /// decision stays open (listed by open_decisions(), carried across
   /// checkpoint cuts) until settle_decision() marks the confirm broadcast
   /// complete.
   void append_decision(TxnId txn, std::uint32_t epoch, bool commit,
                        std::span<const std::uint32_t> members,
-                       std::span<const std::uint8_t> payload);
+                       std::span<const std::uint8_t> head,
+                       std::span<const std::uint8_t> run);
 
   /// The confirm broadcast for `txn` completed in this incarnation; stop
   /// re-driving it.  No record is appended: a crash between the broadcast
@@ -298,14 +299,14 @@ class CommitLog {
     Loc run;
   };
   /// An open decision: its record after the epoch (txn, verdict, members,
-  /// the confirm's size and bytes), and, when the record shares the
-  /// confirm's write run, that run's index in the log's run table; the
-  /// record then holds the confirm's bytes before the run, and the index.
+  /// the confirm's size, its head and its run's index) and that index in
+  /// the log's run table -- or, once a cut carried it, its full record in
+  /// the image, the run inline.
   struct OpenDecision {
-    static constexpr std::uint32_t kInline = ~std::uint32_t{0};
+    static constexpr std::uint32_t kInImage = ~std::uint32_t{0};
     std::uint32_t epoch = 0;
     Loc body;
-    std::uint32_t run = kInline;
+    std::uint32_t run = kInImage;
   };
 
   /// Start a record of `body` payload bytes after its header, in the last
@@ -331,7 +332,7 @@ class CommitLog {
   // Length-prefixed records appended since the cut; records fill each
   // segment up to its capacity, and only the last one has room left.
   std::vector<Bytes> segments_;
-  // The shelf runs the tail's prepare records name, by index.
+  // The shelf runs the tail's prepare and decision records name, by index.
   RunRefs runs_;
   // Bytes appended since the cut, each prepare counted with its run.
   std::size_t tail_bytes_ = 0;

@@ -1,33 +1,14 @@
 #include "store/replica_store.h"
 
-#include <bit>
 #include <utility>
 
 #include "common/check.h"
 
 namespace qrdtm::store {
 
-namespace {
-constexpr std::size_t kInitialSlots = 16;
-}  // namespace
-
 void ReplicaStore::clear_all() {
   objects_.clear();
-  index_.assign(kInitialSlots, Slot{});
-  shift_ = 64 - std::countr_zero(kInitialSlots);
-}
-
-void ReplicaStore::place(StoredObject& o) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = home_of(o.id);
-  while (index_[i].id != kNullObject) i = (i + 1) & mask;
-  index_[i] = Slot{o.id, &o.entry};
-}
-
-void ReplicaStore::grow_index() {
-  index_.assign(index_.size() * 2, Slot{});
-  --shift_;
-  for (StoredObject& o : objects_) place(o);
+  index_.clear();
 }
 
 Version ReplicaStore::version_of(ObjectId id) const {
@@ -42,11 +23,11 @@ bool ReplicaStore::protected_against(ObjectId id, TxnId txn) const {
 
 ReplicaEntry& ReplicaStore::get_or_create(ObjectId id) {
   QRDTM_CHECK_MSG(id != kNullObject, "null object id");
-  if (ReplicaEntry* e = probe(id)) return *e;
-  if (2 * (objects_.size() + 1) > index_.size()) grow_index();
-  StoredObject& o = objects_.emplace_back(StoredObject{.id = id, .entry = {}});
-  place(o);
-  return o.entry;
+  ReplicaEntry*& entry = index_[id];
+  if (entry == nullptr) {
+    entry = &objects_.emplace_back(StoredObject{.id = id, .entry = {}}).entry;
+  }
+  return *entry;
 }
 
 void ReplicaStore::seed(ObjectId id, Bytes data, Version version) {

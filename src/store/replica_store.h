@@ -15,18 +15,18 @@
 // some quorum member is up to date).
 //
 // Every Rqv read probes the store once per data-set entry, so lookup is a
-// flat index: open addressing with linear probing over a power-of-two slot
-// array, each slot holding an id beside a pointer to its entry.  Entries
-// live in a deque and never move, and nothing is erased except by
-// clear_all(), so a ReplicaEntry* stays valid across any later insert.
+// flat index: a FlatTable (common/flat_table.h) from id to a pointer to the
+// entry.  Entries live in a deque and never move, and nothing is erased
+// except by clear_all(), so a ReplicaEntry* stays valid across any later
+// insert.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <vector>
 
 #include "common/bytes.h"
+#include "common/flat_table.h"
 #include "store/object.h"
 
 namespace qrdtm::store {
@@ -54,8 +54,8 @@ struct StoredObject {
 
 class ReplicaStore {
  public:
-  ReplicaStore() { clear_all(); }
-  // Index slots point into objects_: a copy would alias the original, but a
+  ReplicaStore() = default;
+  // Index values point into objects_: a copy would alias the original, but a
   // move hands over the deque's storage with every entry in place.  A
   // moved-from store may only be destroyed or assigned to.
   ReplicaStore(const ReplicaStore&) = delete;
@@ -64,8 +64,14 @@ class ReplicaStore {
   ReplicaStore& operator=(ReplicaStore&&) = default;
 
   /// Looks up an entry; nullptr when the replica has no copy.
-  const ReplicaEntry* find(ObjectId id) const { return probe(id); }
-  ReplicaEntry* find_mut(ObjectId id) { return probe(id); }
+  const ReplicaEntry* find(ObjectId id) const {
+    ReplicaEntry* const* e = index_.find(id);
+    return e != nullptr ? *e : nullptr;
+  }
+  ReplicaEntry* find_mut(ObjectId id) {
+    ReplicaEntry** e = index_.find(id);
+    return e != nullptr ? *e : nullptr;
+  }
 
   /// The replica's version for validation purposes (0 when absent).
   Version version_of(ObjectId id) const;
@@ -132,39 +138,10 @@ class ReplicaStore {
   const std::deque<StoredObject>& entries() const { return objects_; }
 
  private:
-  /// An index slot; id kNullObject (never stored) marks it empty, with a
-  /// null entry.
-  struct Slot {
-    ObjectId id = kNullObject;
-    ReplicaEntry* entry = nullptr;
-  };
-
-  /// Fibonacci hashing: the top bits of id * 2^64/phi pick the home slot,
-  /// so ids that differ only in their high (node) bits still spread.
-  std::size_t home_of(ObjectId id) const {
-    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  /// The entry for `id`, or nullptr.  The index is at most half full, so
-  /// the probe always reaches an empty slot, which ends it with nullptr (a
-  /// lookup of kNullObject stops at the first one).
-  ReplicaEntry* probe(ObjectId id) const {
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t i = home_of(id);; i = (i + 1) & mask) {
-      const Slot& s = index_[i];
-      if (s.id == id || s.id == kNullObject) return s.entry;
-    }
-  }
-
   ReplicaEntry& get_or_create(ObjectId id);
-  /// Index `o` in the first empty slot from its home.
-  void place(StoredObject& o);
-  /// Double the slot array and re-home every object.
-  void grow_index();
 
   std::deque<StoredObject> objects_;
-  std::vector<Slot> index_;  // power-of-two size, at most half full
-  unsigned shift_ = 0;       // 64 - log2(index_.size())
+  FlatTable<ReplicaEntry*> index_;  // id -> its entry in objects_
 };
 
 }  // namespace qrdtm::store

@@ -5,12 +5,12 @@
 // coordinator's decision record holds it once more, at the end of the
 // encoded confirm.  Rather than each log copying the run into its own tail,
 // the run lives once on the cluster's shelf, in an immutable
-// reference-counted block, and each log's prepare record refers to it (a
-// decision refers to a run already there, and never places one).  A log
-// takes the run already on the shelf for the same transaction only when its
-// bytes are identical (memcmp), so sharing never changes what a log
-// replays: a sharded replica that logs a different subset of the write-set
-// gets a run of its own.
+// reference-counted block, and each log's prepare and decision records
+// refer to it.  A log takes the run already on the shelf for the same
+// transaction only when its bytes are identical (memcmp), so sharing never
+// changes what a log replays: a sharded replica that logs a different
+// subset of the write-set gets a run of its own, and so does a decision
+// whose quorum logged nothing.
 //
 // Matching is by a direct-mapped table of kSlots weak entries keyed by
 // transaction id: the votes of one transaction arrive within a few link
@@ -36,7 +36,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -93,22 +92,6 @@ class RunShelf {
     slot = run;
     live_bytes_ += bytes.size();
     ++live_runs_;
-    return run;
-  }
-
-  /// The run already on the shelf for `txn` when `bytes` ends with exactly
-  /// its bytes, with one reference taken; else nullptr.  Places nothing: a
-  /// coordinator's decision, whose encoded confirm ends with the write run
-  /// its quorum logged, refers to that run but never makes one.
-  Run* share_suffix(TxnId txn, std::span<const std::uint8_t> bytes) {
-    Run* run = slots_[slot_of(txn)];
-    if (run == nullptr || run->txn != txn || run->size > bytes.size() ||
-        std::memcmp(run->bytes().data(),
-                    bytes.data() + (bytes.size() - run->size),
-                    run->size) != 0) {
-      return nullptr;
-    }
-    ++run->refs;
     return run;
   }
 
@@ -174,10 +157,10 @@ class RunShelf {
   std::size_t live_runs_ = 0;
 };
 
-/// The runs one log refers to, in the order it took them (a prepare record
-/// names its run by this index), and the shelf they live on.  A copy takes
-/// references of its own; destroying or reassigning drops them while the
-/// shelf is still held.
+/// The runs one log refers to, in the order it took them (a prepare or
+/// decision record names its run by this index), and the shelf they live
+/// on.  A copy takes references of its own; destroying or reassigning drops
+/// them while the shelf is still held.
 class RunRefs {
  public:
   explicit RunRefs(std::shared_ptr<RunShelf> shelf) : shelf_(std::move(shelf)) {}
@@ -195,16 +178,9 @@ class RunRefs {
 
   /// Refer to `txn`'s run of exactly `bytes`; returns its index.
   std::uint32_t add(TxnId txn, std::span<const std::uint8_t> bytes) {
-    return push(shelf_->share(txn, bytes));
-  }
-  /// Refer to the run of `txn` already on the shelf that `bytes` ends
-  /// with (RunShelf::share_suffix); returns its index, or nullopt when the
-  /// shelf holds none.
-  std::optional<std::uint32_t> add_suffix(TxnId txn,
-                                          std::span<const std::uint8_t> bytes) {
-    RunShelf::Run* run = shelf_->share_suffix(txn, bytes);
-    if (run == nullptr) return std::nullopt;
-    return push(run);
+    if (runs_.capacity() == 0) runs_.reserve(kInitialRefs);
+    runs_.push_back(shelf_->share(txn, bytes));
+    return static_cast<std::uint32_t>(runs_.size() - 1);
   }
   std::size_t size() const { return runs_.size(); }
   std::span<const std::uint8_t> operator[](std::size_t i) const {
@@ -225,15 +201,9 @@ class RunRefs {
   }
 
  private:
-  // Index slots made on a log's first prepare, so the table rarely regrows
-  // between cuts.
+  // Index slots made on a log's first record with a run, so the table
+  // rarely regrows between cuts.
   static constexpr std::size_t kInitialRefs = 256;
-
-  std::uint32_t push(RunShelf::Run* run) {
-    if (runs_.capacity() == 0) runs_.reserve(kInitialRefs);
-    runs_.push_back(run);
-    return static_cast<std::uint32_t>(runs_.size() - 1);
-  }
 
   std::shared_ptr<RunShelf> shelf_;
   std::vector<RunShelf::Run*> runs_;

@@ -1,6 +1,6 @@
 // CommitLog unit tests: record round-trips, torn-tail truncation, replay
-// idempotence, prepare runs shared through a RunShelf, the Greengage carry regression at the log level, and the
-// cluster-level equivalence of delta recovery (durable log + version-bounded
+// idempotence, prepare and decision runs shared through a RunShelf, the
+// Greengage carry regression at the log level, and the cluster-level equivalence of delta recovery (durable log + version-bounded
 // pull) with the legacy full pull.
 #include <gtest/gtest.h>
 
@@ -310,6 +310,22 @@ Bytes run_of(const std::vector<LoggedWrite>& writes) {
   return std::move(w).take();
 }
 
+/// The head of a coordinator's encoded confirm for `txn`: u64 txn and the
+/// verdict, which core/wire.h writes before the confirm's write run.
+Bytes head_of(TxnId txn, bool commit) {
+  Writer w;
+  w.u64(txn);
+  w.boolean(commit);
+  return std::move(w).take();
+}
+
+/// A coordinator's whole encoded confirm for `txn`: the head, then the run.
+Bytes confirm_of(TxnId txn, bool commit, const Bytes& run) {
+  Bytes out = head_of(txn, commit);
+  out.insert(out.end(), run.begin(), run.end());
+  return out;
+}
+
 /// The encoded confirm of an open decision, as a re-drive sends it.
 Bytes payload_of(const DecisionView& d) {
   Bytes out;
@@ -326,8 +342,10 @@ TEST(CommitLogSegments, PendingPrepareAndDecisionAreReadFromTheImageAfterACut) {
                                         LoggedWrite{2, 0, 3, bytes_of({9})}};
   log.append_prepare(9, writes, 0);
   const std::vector<std::uint32_t> members{4, 2, 7};
-  const Bytes payload(300, 0xab);
-  log.append_decision(9, /*epoch=*/3, /*commit=*/true, members, payload);
+  const Bytes run = run_of(writes);
+  const Bytes payload = confirm_of(9, true, run);
+  log.append_decision(9, /*epoch=*/3, /*commit=*/true, members,
+                      head_of(9, true), run);
   // Fill past a segment so the prepare and decision sit in freed segments.
   for (ObjectId id = 100; id < 104; ++id) append_apply_of(log, id, kSeg / 3);
 
@@ -633,16 +651,6 @@ TEST(CommitLogShelf, ByteCountsAreThoseOfTheFullRecords) {
 
 // --- decisions sharing their confirm's write run -----------------------------
 
-/// A coordinator's encoded confirm for `txn`: u64 txn, the verdict, then
-/// the write run, as core/wire.h encodes a CommitConfirm.
-Bytes confirm_of(TxnId txn, bool commit, const Bytes& run) {
-  Writer w;
-  w.u64(txn);
-  w.boolean(commit);
-  w.raw(run);
-  return std::move(w).take();
-}
-
 TEST(CommitLogShelf, SharedAndInlineDecisionsCountTheSameBytes) {
   const auto shelf = std::make_shared<RunShelf>();
   CommitLog voter(shelf);
@@ -654,10 +662,11 @@ TEST(CommitLogShelf, SharedAndInlineDecisionsCountTheSameBytes) {
   voter.append_encoded_prepare(7, run, 0);
   ASSERT_EQ(shelf->live_runs(), 1u);
 
-  coordinator.append_decision(7, 2, true, members, payload);
-  standalone.append_decision(7, 2, true, members, payload);
-  EXPECT_EQ(shelf->live_runs(), 1u) << "a decision places no run";
-  // The inline record: header, txn, verdict, members, the confirm blob.
+  coordinator.append_decision(7, 2, true, members, head_of(7, true), run);
+  standalone.append_decision(7, 2, true, members, head_of(7, true), run);
+  EXPECT_EQ(shelf->live_runs(), 1u) << "the decision shares the voter's run";
+  // The record counts as if it held the whole confirm inline: header, txn,
+  // verdict, members, the confirm blob.
   const std::size_t record = 4 + 1 + 4 + 8 + 1 + 4 + 4 * 3 + 4 + payload.size();
   EXPECT_EQ(record, 227u);
   for (const CommitLog* log : {&coordinator, &standalone}) {
@@ -671,25 +680,78 @@ TEST(CommitLogShelf, SharedAndInlineDecisionsCountTheSameBytes) {
     ASSERT_EQ(d->members.size(), 3u);
     EXPECT_EQ(d->members[2], 4u);
     EXPECT_EQ(payload_of(*d), payload);
+    EXPECT_EQ(d->payload.head.size(), 9u) << "txn and verdict";
+    EXPECT_TRUE(std::ranges::equal(d->payload.run, run));
   }
-  const auto shared = coordinator.open_decision(7);
-  EXPECT_EQ(shared->payload.head.size(), 9u) << "txn and verdict";
-  EXPECT_EQ(shared->payload.run.data(), voter.find_pending(7)->bytes().data())
+  EXPECT_EQ(coordinator.open_decision(7)->payload.run.data(),
+            voter.find_pending(7)->bytes().data())
       << "the decision reads the voters' copy";
-  EXPECT_TRUE(standalone.open_decision(7)->payload.run.empty());
+  EXPECT_NE(standalone.open_decision(7)->payload.run.data(),
+            voter.find_pending(7)->bytes().data())
+      << "the standalone log placed a copy on its own shelf";
 
-  // A confirm that does not end with the shelf's run of its txn -- another
-  // txn's, or other bytes -- is logged inline, and places nothing either.
-  coordinator.append_decision(8, 2, false, members, confirm_of(8, false, run));
-  Bytes other = payload;
+  // A run that is not the shelf's run of its txn -- another txn's, or other
+  // bytes -- is placed as a new run, and counts the same bytes.
+  coordinator.append_decision(8, 2, false, members, head_of(8, false), run);
+  Bytes other = run;
   other.back() ^= 1;
-  coordinator.append_decision(9, 2, true, members, other);
-  EXPECT_EQ(shelf->live_runs(), 1u);
-  EXPECT_TRUE(coordinator.open_decision(8)->payload.run.empty());
-  EXPECT_TRUE(coordinator.open_decision(9)->payload.run.empty());
-  EXPECT_EQ(payload_of(*coordinator.open_decision(9)), other);
+  coordinator.append_decision(9, 2, true, members, head_of(9, true), other);
+  EXPECT_EQ(shelf->live_runs(), 3u);
+  EXPECT_EQ(shelf->live_bytes(), 3 * run.size());
+  EXPECT_EQ(payload_of(*coordinator.open_decision(8)),
+            confirm_of(8, false, run));
+  EXPECT_EQ(payload_of(*coordinator.open_decision(9)),
+            confirm_of(9, true, other));
   EXPECT_EQ(coordinator.tail_bytes(), 3 * 227u);
   EXPECT_EQ(coordinator.decision_verdict(8), std::optional<bool>(false));
+}
+
+// Every decision names a run on the shelf: an abort whose quorum prepared
+// nothing places one, a commit whose quorum logged its run shares that
+// copy, and a cut drops both references.  The byte counts are those of the
+// records with their confirms inline.
+TEST(CommitLogShelf, EveryDecisionNamesItsRunOnTheShelf) {
+  const auto shelf = std::make_shared<RunShelf>();
+  CommitLog voter(shelf);
+  CommitLog coordinator(shelf);
+  const Bytes committed_run = run_of(writes_of(Bytes(24, 0x11)));
+  const Bytes aborted_run = run_of(writes_of(Bytes(10, 0x22)));
+  const std::vector<std::uint32_t> members{0, 2, 5};
+
+  // Txn 5 aborts before any member prepared it: its decision places the
+  // run.
+  coordinator.append_decision(5, 1, false, members, head_of(5, false),
+                              aborted_run);
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  EXPECT_EQ(shelf->live_bytes(), aborted_run.size());
+  EXPECT_EQ(coordinator.size_bytes(), 119u);
+  EXPECT_EQ(coordinator.capacity_bytes(),
+            CommitLog::kSegmentBytes + aborted_run.size());
+
+  // Txn 6's quorum logged its run: the decision shares that copy.
+  voter.append_encoded_prepare(6, committed_run, 1);
+  coordinator.append_decision(6, 1, true, members, head_of(6, true),
+                              committed_run);
+  EXPECT_EQ(shelf->live_runs(), 2u);
+  EXPECT_EQ(shelf->live_bytes(), aborted_run.size() + committed_run.size());
+  EXPECT_EQ(coordinator.open_decision(6)->payload.run.data(),
+            voter.find_pending(6)->bytes().data());
+  EXPECT_EQ(coordinator.size_bytes(), 119u + 147u);
+  EXPECT_EQ(coordinator.tail_bytes(), 266u);
+  EXPECT_EQ(coordinator.tail_records(), 2u);
+
+  // The cut writes both decisions into the image in full and drops both
+  // references: the aborted run goes, the committed one stays the voter's.
+  coordinator.cut(ReplicaStore{}, 1);
+  EXPECT_EQ(shelf->live_runs(), 1u);
+  EXPECT_EQ(shelf->live_bytes(), committed_run.size());
+  EXPECT_EQ(coordinator.size_bytes(), 280u);
+  EXPECT_EQ(payload_of(*coordinator.open_decision(5)),
+            confirm_of(5, false, aborted_run));
+  EXPECT_EQ(payload_of(*coordinator.open_decision(6)),
+            confirm_of(6, true, committed_run));
+  voter.cut(ReplicaStore{}, 1);
+  EXPECT_EQ(shelf->live_runs(), 0u);
 }
 
 TEST(CommitLogShelf, CutWritesASharedDecisionInFull) {
@@ -708,8 +770,8 @@ TEST(CommitLogShelf, CutWritesASharedDecisionInFull) {
   const Bytes payload = confirm_of(7, true, run);
   const std::vector<std::uint32_t> members{0, 5};
   voter.append_encoded_prepare(7, run, 0);
-  coordinator.append_decision(7, 1, true, members, payload);
-  standalone.append_decision(7, 1, true, members, payload);
+  coordinator.append_decision(7, 1, true, members, head_of(7, true), run);
+  standalone.append_decision(7, 1, true, members, head_of(7, true), run);
   ASSERT_FALSE(coordinator.open_decision(7)->payload.run.empty());
   EXPECT_EQ(coordinator.size_bytes(), standalone.size_bytes());
 
@@ -744,7 +806,7 @@ TEST(CommitLogShelf, RestartedCoordinatorRedrivesTheSameBytes) {
   const Bytes payload = confirm_of(7, true, run);
   voter.append_encoded_prepare(7, run, 0);
   coordinator.append_decision(7, 0, true, std::vector<std::uint32_t>{2, 6},
-                              payload);
+                              head_of(7, true), run);
   // The voter confirms and cuts: the coordinator's reference alone keeps
   // the run.  A restart replays the log and re-drives from it.
   voter.append_confirm(7, true, 0);
@@ -771,7 +833,7 @@ TEST(CommitLogShelf, TearingASharedDecisionDropsOnlyThisLogsReference) {
   voter.append_encoded_prepare(7, run, 0);
   append_apply_of(coordinator, 1, 100);
   coordinator.append_decision(7, 0, true, std::vector<std::uint32_t>{1, 2},
-                              payload);
+                              head_of(7, true), run);
   const std::size_t before = coordinator.tail_bytes();
   EXPECT_EQ(coordinator.capacity_bytes(), CommitLog::kSegmentBytes + run.size());
   coordinator.truncate_tail_for_test(3);  // the run's last bytes, as counted

@@ -490,6 +490,45 @@ TEST(ShardedQuorum, MajorityCohortsStayAvailableUnderMinorityFailures) {
   }
 }
 
+// Quorums depend on the live set alone, so only a change to it may move
+// generation(): re-reporting a dead node or recovering a live one leaves it
+// where it was (a bump would only make every client recompute the same
+// quorum), and the quorums stay as they were.
+TEST(QuorumGeneration, OnlyALiveSetChangeBumpsIt) {
+  ShardedQuorumProvider::Config sharded;
+  sharded.num_nodes = 52;
+  sharded.num_shards = 8;
+  sharded.cohort_size = 13;
+  struct Provider {
+    const char* name;
+    std::unique_ptr<QuorumProvider> q;
+  };
+  Provider providers[] = {
+      {"tree", std::make_unique<TreeQuorumProvider>(tree_cfg(13))},
+      {"majority", std::make_unique<MajorityQuorumProvider>(13)},
+      {"flat", std::make_unique<FlatFailureAwareProvider>(13)},
+      {"sharded", std::make_unique<ShardedQuorumProvider>(sharded)},
+  };
+  for (Provider& p : providers) {
+    QuorumProvider& q = *p.q;
+    const std::uint64_t gen = q.generation();
+    q.on_recovery(4);
+    EXPECT_EQ(q.generation(), gen) << p.name << ": recovered a live node";
+    q.on_failure(4);
+    ASSERT_EQ(q.generation(), gen + 1) << p.name;
+    const std::vector<net::NodeId> rq = q.cohort_read_quorum(2, 0);
+    const std::vector<net::NodeId> wq = q.cohort_write_quorum(2, 0);
+    q.on_failure(4);
+    EXPECT_EQ(q.generation(), gen + 1) << p.name << ": re-reported a dead node";
+    EXPECT_EQ(q.cohort_read_quorum(2, 0), rq) << p.name;
+    EXPECT_EQ(q.cohort_write_quorum(2, 0), wq) << p.name;
+    q.on_recovery(4);
+    EXPECT_EQ(q.generation(), gen + 2) << p.name;
+    q.on_recovery(4);
+    EXPECT_EQ(q.generation(), gen + 2) << p.name << ": recovered a live node";
+  }
+}
+
 TEST(Intersects, Basics) {
   EXPECT_TRUE(intersects({1, 2, 3}, {3, 4}));
   EXPECT_FALSE(intersects({1, 2}, {3, 4}));

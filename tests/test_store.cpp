@@ -219,6 +219,79 @@ TEST(ReplicaStore, UnprotectByNonHolderIsNoOp) {
   EXPECT_TRUE(s.protected_against(1, 200));
 }
 
+// The store's index against a reference map: ids with their high (node)
+// bits set, growth from 16 index slots through more than ten doublings,
+// entry pointers that stay put across it (handle_read lends them), entries()
+// in first-insert order, and a clear_all() followed by reuse.
+TEST(ReplicaStore, IndexMatchesAReferenceMapThroughGrowth) {
+  ReplicaStore s;
+  std::map<ObjectId, std::pair<Version, Bytes>> reference;
+  std::map<ObjectId, const ReplicaEntry*> lent;
+  std::vector<ObjectId> order;  // ids in first-insert order
+  std::uint64_t x = 88172645463325252ull;  // xorshift64
+  const auto draw = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  const auto value_of = [](ObjectId id, Version v) {
+    return Bytes{static_cast<std::uint8_t>(id), static_cast<std::uint8_t>(v)};
+  };
+  for (int op = 0; op < 60000; ++op) {
+    const std::uint64_t node = draw() % 40;
+    const ObjectId id = ((node + 1) << 40) | (draw() % 1000);
+    const Version version = 1 + draw() % 50;
+    s.apply(id, version, value_of(id, version));
+    auto [at, inserted] =
+        reference.try_emplace(id, version, value_of(id, version));
+    if (inserted) {
+      order.push_back(id);
+      lent[id] = s.find(id);
+    } else if (version > at->second.first) {
+      at->second = {version, value_of(id, version)};
+    }
+  }
+  // 16 slots at most half full reach 2^14 past 8 192 objects: ten doublings
+  // (the 31 097 ids drawn here take it to 2^16).
+  ASSERT_GT(s.num_objects(), std::size_t{8192});
+  ASSERT_EQ(s.num_objects(), reference.size());
+  for (const auto& [id, entry] : reference) {
+    const ReplicaEntry* e = s.find(id);
+    ASSERT_NE(e, nullptr) << id;
+    EXPECT_EQ(e, lent.at(id)) << id << ": the entry moved";
+    EXPECT_EQ(e->version, entry.first) << id;
+    EXPECT_EQ(e->data, entry.second) << id;
+  }
+  EXPECT_EQ(s.find((std::uint64_t{41} << 40) | 5), nullptr);
+  ASSERT_EQ(s.entries().size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(s.entries()[i].id, order[i]) << i;
+    EXPECT_EQ(&s.entries()[i].entry, lent.at(order[i])) << i;
+  }
+
+  s.clear_all();
+  EXPECT_EQ(s.num_objects(), 0u);
+  EXPECT_TRUE(s.entries().empty());
+  for (const auto& [id, entry] : reference) {
+    ASSERT_EQ(s.find(id), nullptr) << id;
+    ASSERT_EQ(s.version_of(id), 0u) << id;
+  }
+  // Reuse: the ids come back in a new order, with new values.
+  for (std::size_t i = order.size(); i-- > order.size() - 100;) {
+    s.seed(order[i], value_of(order[i], 99), 99);
+  }
+  ASSERT_EQ(s.num_objects(), 100u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    const ObjectId id = order[order.size() - 1 - i];
+    EXPECT_EQ(s.entries()[i].id, id);
+    ASSERT_NE(s.find(id), nullptr);
+    EXPECT_EQ(s.find(id)->version, 99u);
+    EXPECT_EQ(s.find(id)->data, value_of(id, 99));
+  }
+  EXPECT_EQ(s.find(order.front()), nullptr);
+}
+
 TEST(ReplicaStore, NullObjectIdRejected) {
   ReplicaStore s;
   EXPECT_THROW(s.seed(kNullObject, Bytes{}), qrdtm::InvariantError);

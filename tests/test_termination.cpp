@@ -330,7 +330,8 @@ TEST(Termination, RedrivenSharedDecisionSendsTheSameConfirm) {
 /// with `sharded` only the even ids.
 class TwoNodeQuorums final : public quorum::QuorumProvider {
  public:
-  explicit TwoNodeQuorums(bool sharded) : sharded_(sharded) {}
+  explicit TwoNodeQuorums(bool sharded)
+      : QuorumProvider(/*num_nodes=*/3), sharded_(sharded) {}
   std::vector<net::NodeId> cohort_read_quorum(net::NodeId,
                                               std::uint32_t) const override {
     return {0, 1};
@@ -339,8 +340,6 @@ class TwoNodeQuorums final : public quorum::QuorumProvider {
                                                std::uint32_t) const override {
     return {0, 1};
   }
-  void on_failure(net::NodeId) override {}
-  void on_recovery(net::NodeId) override {}
   bool replicates(net::NodeId node, store::ObjectId id) const override {
     return !sharded_ || node != 0 || id % 2 == 0;
   }
